@@ -118,13 +118,14 @@ def _build_spec(config: dict) -> tuple[HamiltonianSpec, bool]:
     return spec, True
 
 
-def _build_device(config: dict, spec: HamiltonianSpec, r_max: float) -> SimulatedDevice:
+def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> SimulatedDevice:
+    """Device at the truncation that validate chose for this config."""
     noise_cfg = config.get("noise", {})
     noise = NoiseModel(
         delta_beta=tuple(complex(x[0], x[1]) for x in noise_cfg.get("delta_beta", [])),
         state_prep_infidelity=float(noise_cfg.get("state_prep_infidelity", 0.0)),
     )
-    cutoff = adaptive_cutoff(spec, r_max)
+    cutoff = FockCutoff(n_max=checked["cutoff_n_max"], modes=spec.modes)
     return SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]), noise=noise)
 
 
@@ -171,14 +172,14 @@ def _coeff_rows(learned, spec: HamiltonianSpec | None) -> list[dict]:
     return rows
 
 
-def _run_learn_single(config: dict) -> dict:
+def _run_learn_single(config: dict, checked: dict) -> dict:
     spec, have_truth = _build_spec(config)
     if spec.modes != 1:
         raise ConfigError("learn-single needs a single-mode spec")
     grid = config.get("grid", {})
     d = int(grid.get("d", spec.max_order))
     r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
-    device = _build_device(config, spec, r_max)
+    device = _build_device(config, spec, checked)
     cfg = _rpe_config(config, d, r_max, spec.g_max)
     learned = learn_single_mode(
         device, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
@@ -196,12 +197,12 @@ def _run_learn_single(config: dict) -> dict:
     }
 
 
-def _run_learn_multi(config: dict) -> dict:
+def _run_learn_multi(config: dict, checked: dict) -> dict:
     spec, have_truth = _build_spec(config)
     grid = config.get("grid", {})
     d = int(grid.get("d", spec.max_order))
     r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
-    device = _build_device(config, spec, r_max)
+    device = _build_device(config, spec, checked)
     cfg = _rpe_config(config, d, r_max, spec.g_max)
     strategy = config.get("strategy", "hierarchical")
     if strategy == "hierarchical":
@@ -248,7 +249,7 @@ def _firstq_device(config: dict) -> tuple[SimulatedDevice, dict, float, int]:
     return device, gprime, frame.signed_r, d
 
 
-def _run_learn_firstq(config: dict) -> dict:
+def _run_learn_firstq(config: dict, _checked: dict) -> dict:
     fq = config["firstq"]
     device, gprime, signed_r_true, d = _firstq_device(config)
     res = learn_firstq(
@@ -283,7 +284,7 @@ def _run_learn_firstq(config: dict) -> dict:
     }
 
 
-def _run_sweep_heisenberg(config: dict) -> dict:
+def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
     sweep = config.get("sweep", {})
     k_values = list(sweep.get("k_values", range(4, 11)))
     n_seeds = int(sweep.get("seeds", 20))
@@ -319,7 +320,7 @@ def _run_sweep_heisenberg(config: dict) -> dict:
     return {"rows": rows, "loglog_slope": slope}
 
 
-def _run_compare_covariance(config: dict) -> dict:
+def _run_compare_covariance(config: dict, _checked: dict) -> dict:
     grid_cfg = config.get("grid", {})
     d = int(grid_cfg.get("d", 2))
     modes = int(grid_cfg.get("modes", 2))
@@ -340,7 +341,7 @@ def _run_compare_covariance(config: dict) -> dict:
     }
 
 
-def _run_spam_sweep(config: dict) -> dict:
+def _run_spam_sweep(config: dict, _checked: dict) -> dict:
     sweep = config.get("sweep", {})
     scales = [float(s) for s in sweep.get("delta_norms", (1e-3, 1e-2))]
     grid_cfg = config.get("grid", {})
@@ -445,7 +446,7 @@ def validate(config: dict) -> dict:
 
 def run(config: dict) -> dict:
     diagnostics = validate(config)
-    result = _RUNNERS[config["experiment"]](config)
+    result = _RUNNERS[config["experiment"]](config, diagnostics)
     report = {
         "experiment": config["experiment"],
         "toolkit_version": __version__,

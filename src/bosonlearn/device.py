@@ -10,9 +10,14 @@ Shot statistics: with the phase angles theta_j drawn i.i.d. per Trotter step
 and per shot, the expectation of the full L-step interference amplitude
 factorizes, E[A] = a^L with a = <phi| e^{-iH kappa t0 / L} |phi> and
 phi = S(z)† D(beta)|vac>.  Each measured bit is therefore exactly Bernoulli
-with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw
-after a single cached eigendecomposition of the hidden matrix.  run_shot keeps
-the literal per-shot product as a slow cross-check path.
+with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
+
+The hidden matrix is decomposed once, when the device is built.  A prepared
+state phi is the Kronecker product of one single-mode vector per mode; each
+distinct phi is projected onto the eigenbasis once, and its weights |V† phi|^2
+and energy <phi|H|phi> are cached, so every request for that state is a
+lookup plus one phase.  run_shot keeps the literal per-shot product on dense
+joint-space matrices as a slow cross-check path.
 """
 
 from __future__ import annotations
@@ -135,9 +140,10 @@ class SimulatedDevice:
             h = 0.5 * (h + h.conj().T)
         self._h = h
         self._w, self._v = herm_eig(h)
+        self._vh = self._v.conj().T
         self._ledger = TimeLedger()
         self._ledger_lock = threading.Lock()
-        self._phi_cache: dict[tuple, np.ndarray] = {}
+        self._phi_cache: dict[tuple, tuple[np.ndarray, float]] = {}
         self._phi_lock = threading.Lock()
 
     # -- noise control ------------------------------------------------------
@@ -160,7 +166,26 @@ class SimulatedDevice:
     # -- amplitude machinery -------------------------------------------------
 
     def _prepared_state(self, beta: np.ndarray, frame_z) -> np.ndarray:
-        """phi = S(z)† D(beta) |vac>, cached by rounded parameters."""
+        """phi = S(z)† D(beta) |vac>, built as a Kronecker product over modes."""
+        single = FockCutoff(n_max=self.cutoff.n_max)
+        vs = [vacuum_state(single) for _ in range(self.cutoff.modes)]
+        for m in range(self.cutoff.modes):
+            if beta[m]:
+                vs[m] = displacement_matrix(beta[m], single) @ vs[m]
+        if frame_z is not None:
+            for m, z in enumerate(frame_z):
+                if z:
+                    vs[m] = squeeze_matrix(z, single).conj().T @ vs[m]
+        phi = np.ones(1, dtype=complex)
+        for v in vs:
+            phi = np.kron(phi, v)
+        return phi
+
+    def _state_weights(self, beta: np.ndarray, frame_z) -> tuple[np.ndarray, float]:
+        """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached.
+
+        The cache key is the parameters rounded to _BETA_KEY_DIGITS digits.
+        """
         key = (
             tuple(np.round([b.real for b in beta], _BETA_KEY_DIGITS))
             + tuple(np.round([b.imag for b in beta], _BETA_KEY_DIGITS)),
@@ -173,27 +198,19 @@ class SimulatedDevice:
             hit = self._phi_cache.get(key)
         if hit is not None:
             return hit
-        v = vacuum_state(self.cutoff)
-        for m in range(self.cutoff.modes):
-            if beta[m]:
-                v = displacement_matrix(beta[m], self.cutoff, m) @ v
-        if frame_z is not None:
-            for m, z in enumerate(frame_z):
-                if z:
-                    v = squeeze_matrix(z, self.cutoff, m).conj().T @ v
+        weights = np.abs(self._vh @ self._prepared_state(beta, frame_z)) ** 2
+        hit = (weights, float(weights @ self._w))
         with self._phi_lock:
             if len(self._phi_cache) > 4096:
                 self._phi_cache.clear()
-            self._phi_cache[key] = v
-        return v
+            self._phi_cache[key] = hit
+        return hit
 
     def _amplitude(self, request: ShotRequest) -> complex:
         """Expected interference amplitude E_theta[A] for the request."""
         beta = self._noise.executed_beta(np.asarray(request.beta, dtype=complex))
-        phi = self._prepared_state(beta, request.frame_z)
-        weights = np.abs(self._v.conj().T @ phi) ** 2
+        weights, energy = self._state_weights(beta, request.frame_z)
         if request.l_steps is None:
-            energy = float(weights @ self._w)
             return complex(np.exp(-1j * request.evolution_time * energy))
         tau = request.evolution_time / request.l_steps
         a = complex(weights @ np.exp(-1j * self._w * tau))
@@ -244,7 +261,7 @@ class SimulatedDevice:
                     s_op = squeeze_matrix(z, cut, m) @ s_op
             d_op = d_op @ s_op.conj().T
         tau = request.evolution_time / request.l_steps
-        evo = (self._v * np.exp(-1j * self._w * tau)) @ self._v.conj().T
+        evo = (self._v * np.exp(-1j * self._w * tau)) @ self._vh
         step_core = d_op.conj().T @ evo @ d_op
         state = vacuum_state(cut)
         for _ in range(request.l_steps):

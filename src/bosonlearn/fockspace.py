@@ -1,16 +1,17 @@
 """Dense complex linear algebra on truncated single- and multi-mode Fock spaces.
 
-Operators are built at full (n_max+1) dimension per mode and embedded into the
-joint space by tensor products.  Generators are truncated before
-exponentiation, so every unitary produced here is exactly unitary; truncation
-accuracy is assessed by the doubling test in :func:`adaptive_cutoff` rather
-than a priori bounds.  hbar = 1 throughout.
+Operators are built per mode at (n_max+1) dimension.  Multi-mode operators
+and states are Kronecker products of single-mode factors (mode 0 is the
+leftmost factor); the ``*_matrix`` functions embed a single-mode operator into
+the joint space for callers that need the dense joint matrix.  Generators are
+truncated before exponentiation, so every unitary produced here is exactly
+unitary; truncation accuracy is assessed by the doubling test in
+:func:`adaptive_cutoff` rather than a priori bounds.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ def annihilation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
 def creation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
     """Matrix of b† on the given mode."""
     return annihilation_matrix(cutoff, mode).conj().T
+
+
+def normal_ordered_factor(p: int, q: int, n_max: int) -> np.ndarray:
+    """Single-mode matrix of b†^p b^q at truncation n_max, of size (n_max+1)^2."""
+    b = annihilation_matrix(FockCutoff(n_max=n_max))
+    return np.linalg.matrix_power(b.conj().T, p) @ np.linalg.matrix_power(b, q)
 
 
 def number_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
@@ -151,69 +158,60 @@ def _check_unitary(u: np.ndarray, label: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian matrix exponential with a per-matrix eigendecomposition cache.
-
-_eig_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_eig_lock = threading.Lock()
+# Hermitian eigendecomposition and matrix exponential.
 
 
 def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, cached by matrix identity.
-
-    Repeated calls with the same array object reuse the decomposition, so
-    many evolution times cost one eigh.  Safe for concurrent reads.
-    """
+    """Eigendecomposition (w, v) of a Hermitian matrix; rejects non-Hermitian input."""
     defect = np.max(np.abs(h - h.conj().T))
     scale = max(1.0, np.max(np.abs(h)))
     if defect > tol * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.2e}")
-    key = id(h)
-    with _eig_lock:
-        hit = _eig_cache.get(key)
-        if hit is not None and hit[0] is h:
-            return hit[1], hit[2]
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    with _eig_lock:
-        _eig_cache[key] = (h, w, v)
-        if len(_eig_cache) > 64:
-            _eig_cache.pop(next(iter(_eig_cache)))
     return w, v
 
 
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via cached eigendecomposition."""
+    """exp(-i H t) for Hermitian H, via its eigendecomposition."""
     w, v = herm_eig(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
+    """<0|D† H D|0> at truncation n_max, with the same displacement beta on every mode.
+
+    The displaced vacuum is a product state, so the value factorises exactly:
+    offset + sum_terms g prod_modes <v|b†^p b^q|v> with v = D(beta)|0> on a
+    single mode.  No joint-space matrix is built.
+    """
+    v = displacement_matrix(beta, FockCutoff(n_max=n_max))[:, 0]
+    total = complex(spec.identity_offset)
+    for key, coeff in spec.terms.items():
+        term = complex(coeff)
+        for p, q in zip(key.p, key.q):
+            term *= np.vdot(v, normal_ordered_factor(p, q, n_max) @ v)
+        total += term
+    return float(total.real)
 
 
 def adaptive_cutoff(spec, beta_max: float, tol: float = 1e-8, ceiling: int = 256) -> FockCutoff:
     """Smallest n_max in a doubling sequence adequate for displacements up to beta_max.
 
-    The convergence observable is the displaced-vacuum energy <0|D† H D|0>
+    The convergence observable is :func:`displaced_vacuum_energy` at beta_max
     (the vacuum diagonal of the numerically displaced Hamiltonian, i.e. the
-    constant term as seen at finite truncation): n_max is accepted once this
-    value moves by less than tol when n_max doubles.  The floor is
-    ceil(4 (beta_max^2 + d)).
+    constant term as seen at finite truncation), evaluated per mode in
+    factorised form, so choosing a cutoff never builds a joint-space matrix:
+    n_max is accepted once this value moves by less than tol when n_max
+    doubles.  The floor is ceil(4 (beta_max^2 + d)).
     """
-    from . import hamiltonian as _ham
-
     floor = max(int(math.ceil(4.0 * (beta_max**2 + spec.max_order))), spec.max_order + 1, 2)
-
-    def displaced_vacuum_energy(n_max: int) -> float:
-        cut = FockCutoff(n_max=n_max, modes=spec.modes)
-        h = _ham.build_matrix(spec, cut)
-        v = vacuum_state(cut)
-        for m in range(spec.modes):
-            v = displacement_matrix(beta_max, cut, m) @ v
-        return float(np.real(v.conj() @ (h @ v)))
-
     if floor > ceiling:
         raise CutoffError(f"ceiling {ceiling} is below the floor {floor}")
     n = floor
-    val = displaced_vacuum_energy(n)
+    val = displaced_vacuum_energy(spec, beta_max, n)
     while n <= ceiling:
         n2 = 2 * n
-        val2 = displaced_vacuum_energy(n2)
+        val2 = displaced_vacuum_energy(spec, beta_max, n2)
         if abs(val2 - val) < tol:
             return FockCutoff(n_max=n, modes=spec.modes)
         n, val = n2, val2

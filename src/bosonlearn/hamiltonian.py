@@ -9,13 +9,14 @@ learner targets.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fockspace import FockCutoff, creation_matrix, displacement_matrix
+from .fockspace import FockCutoff, displacement_matrix, normal_ordered_factor
 
 PAIRING_TOL = 1e-12
 
@@ -110,21 +111,23 @@ def validate_hermitian(spec: HamiltonianSpec, check_matrix: bool = True) -> Hami
 
 
 def build_matrix(spec: HamiltonianSpec, cutoff: FockCutoff) -> np.ndarray:
-    """Dense matrix of the spec at the given truncation."""
+    """Dense matrix of the spec at the given truncation.
+
+    Each term is the Kronecker product of its per-mode factors b†^p b^q, with
+    identities on the modes it does not touch.
+    """
     if cutoff.modes != spec.modes:
         raise ValueError("cutoff mode count does not match spec")
     if cutoff.n_max < spec.max_order:
         raise ValueError(f"n_max={cutoff.n_max} below max order d={spec.max_order}")
     dim = cutoff.dim
+    eye = np.eye(cutoff.dim_per_mode, dtype=complex)
     h = np.zeros((dim, dim), dtype=complex)
-    bdags = [creation_matrix(cutoff, m) for m in range(spec.modes)]
     for key, coeff in spec.terms.items():
-        op = np.eye(dim, dtype=complex)
+        factors = [eye] * spec.modes
         for mode, p, q in zip(key.modes, key.p, key.q):
-            bd = bdags[mode]
-            factor = np.linalg.matrix_power(bd, p) @ np.linalg.matrix_power(bd.conj().T, q)
-            op = op @ factor
-        h += coeff * op
+            factors[mode] = normal_ordered_factor(p, q, cutoff.n_max)
+        h += coeff * functools.reduce(np.kron, factors)
     if spec.identity_offset:
         h += spec.identity_offset * np.eye(dim)
     return h

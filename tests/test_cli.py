@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from bosonlearn import cli
 from bosonlearn.cli import ConfigError, main, run, validate
+from bosonlearn.fockspace import adaptive_cutoff
 from bosonlearn.hamiltonian import random_spec, save_spec
 
 
@@ -66,7 +68,14 @@ def test_validate_accepts_feasible_frame(tmp_path):
     assert main(["validate", "--config", cfg]) == 0
 
 
-def test_learn_single_report_contents(tmp_path, capsys):
+def test_learn_single_report_contents(tmp_path, capsys, monkeypatch):
+    cutoff_calls = []
+
+    def counted_cutoff(*args, **kwargs):
+        cutoff_calls.append(args)
+        return adaptive_cutoff(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "adaptive_cutoff", counted_cutoff)
     spec = random_spec(1, 2, seed=4, include_couplings=False)
     spec_path = tmp_path / "spec.json"
     save_spec(spec, spec_path)
@@ -83,6 +92,9 @@ def test_learn_single_report_contents(tmp_path, capsys):
     rows = report["result"]["coefficients"]
     assert all(row["abs_error"] < 1e-7 for row in rows)
     assert report["result"]["ledger"]["shot_count"] == 0
+    # the cutoff is chosen once, in validate, and the device uses that choice
+    assert len(cutoff_calls) == 1
+    assert report["result"]["cutoff_n_max"] == report["validate"]["cutoff_n_max"]
 
 
 def test_unknown_strategy_is_schema_error(tmp_path):

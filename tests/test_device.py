@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
-from bosonlearn.fockspace import FockCutoff, adaptive_cutoff, squeeze_matrix
+from bosonlearn.fockspace import (
+    FockCutoff,
+    adaptive_cutoff,
+    displacement_matrix,
+    squeeze_matrix,
+    vacuum_state,
+)
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
 
 NUMBER_SPEC = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
@@ -68,8 +74,12 @@ def test_batch_charges_ledger_and_is_deterministic():
     assert dev.ledger().shot_count == 100
     counts2 = SimulatedDevice(NUMBER_SPEC, CUT, master_seed=7).run_shot_batch(req, 100)
     assert counts == counts2
-    counts3 = SimulatedDevice(NUMBER_SPEC, CUT, master_seed=8).run_shot_batch(req, 100)
-    assert counts != counts3 or True  # different seed may coincide; only determinism is asserted
+    # one other seed may coincide, but the draws must depend on the seed
+    by_seed = {
+        tuple(SimulatedDevice(NUMBER_SPEC, CUT, master_seed=s).run_shot_batch(req, 100).values())
+        for s in range(8, 16)
+    }
+    assert len(by_seed) > 1
 
 
 def test_batch_mean_matches_probability():
@@ -138,6 +148,28 @@ def test_true_frame_matches_explicit_conjugation():
     s = squeeze_matrix(-r, cut)
     h_manual = s.conj().T @ build_matrix(spec, cut) @ s
     assert np.max(np.abs(dev._h - 0.5 * (h_manual + h_manual.conj().T))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "modes, n_max, beta, frame_z",
+    [
+        (1, 30, (0.8 - 0.3j,), (0.2 - 0.1j,)),
+        (2, 12, (0.7 - 0.2j, -0.3 + 0.5j), None),
+        (2, 12, (0j, 0.6 + 0.4j), (0.15 + 0.05j, -0.2 + 0j)),
+        (3, 6, (0.4 + 0.1j, 0j, -0.5j), (0j, 0.1 + 0j, -0.1 + 0.1j)),
+    ],
+)
+def test_product_state_matches_embedded_operators(modes, n_max, beta, frame_z):
+    # oracle: the joint-space construction with embedded D and S matrices
+    cut = FockCutoff(n_max=n_max, modes=modes)
+    dev = SimulatedDevice(random_spec(modes, 2, seed=5, sparsity=0.8), cut)
+    expected = vacuum_state(cut)
+    for m, b in enumerate(beta):
+        expected = displacement_matrix(b, cut, m) @ expected
+    for m, z in enumerate(frame_z or ()):
+        expected = squeeze_matrix(z, cut, m).conj().T @ expected
+    phi = dev._prepared_state(np.array(beta), frame_z)
+    assert np.max(np.abs(phi - expected)) < 1e-13
 
 
 def test_matching_request_frame_recovers_frame_coefficients():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bosonlearn.fockspace import (
     adaptive_cutoff,
     annihilation_matrix,
     creation_matrix,
+    displaced_vacuum_energy,
     displacement_matrix,
     herm_eig,
     herm_expm,
@@ -20,7 +22,7 @@ from bosonlearn.fockspace import (
     squeeze_matrix,
     vacuum_state,
 )
-from bosonlearn.hamiltonian import HamiltonianSpec, single_key
+from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
 
 CUT = FockCutoff(n_max=20)
 
@@ -140,13 +142,6 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def test_herm_eig_cache_reuses_decomposition():
-    h = np.diag(np.arange(5.0)).astype(complex)
-    w1, v1 = herm_eig(h)
-    w2, v2 = herm_eig(h)
-    assert w1 is w2 and v1 is v2
-
-
 def test_herm_expm_against_analytic_two_level():
     h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     t = 0.9
@@ -175,3 +170,30 @@ def test_adaptive_cutoff_raises_when_ceiling_too_small():
         adaptive_cutoff(spec, 0.5, tol=0.0, ceiling=64)
     with pytest.raises(CutoffError):
         adaptive_cutoff(spec, 3.0, ceiling=16)
+
+
+@pytest.mark.parametrize("modes, d, n_max", [(1, 4, 30), (2, 3, 12), (3, 2, 6)])
+def test_displaced_vacuum_energy_matches_dense(modes, d, n_max):
+    # oracle: <0|D† H D|0> with the dense joint matrix and embedded displacements
+    spec = random_spec(modes, d, seed=13, sparsity=0.8)
+    spec.identity_offset = 0.4
+    beta = 0.9
+    cut = FockCutoff(n_max=n_max, modes=modes)
+    psi = vacuum_state(cut)
+    for m in range(modes):
+        psi = displacement_matrix(beta, cut, m) @ psi
+    dense = float(np.real(psi.conj() @ (build_matrix(spec, cut) @ psi)))
+    assert displaced_vacuum_energy(spec, beta, n_max) == pytest.approx(dense, abs=1e-12)
+
+
+def test_adaptive_cutoff_builds_no_joint_space_matrix():
+    spec = random_spec(3, 2, seed=0)
+    tracemalloc.start()
+    try:
+        cut = adaptive_cutoff(spec, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    joint_matrix_bytes = cut.dim**2 * np.dtype(complex).itemsize
+    assert cut.modes == 3
+    assert peak < joint_matrix_bytes / 100

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonlearn.fockspace import FockCutoff, displacement_matrix, vacuum_state
+from bosonlearn.fockspace import FockCutoff, creation_matrix, displacement_matrix, vacuum_state
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
     HermiticityError,
@@ -74,6 +74,36 @@ def test_build_matrix_includes_identity_offset():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0}, identity_offset=0.25)
     cut = FockCutoff(n_max=4)
     assert np.allclose(np.diag(build_matrix(spec, cut)), np.arange(5.0) + 0.25)
+
+
+def dense_reference_matrix(spec: HamiltonianSpec, cutoff: FockCutoff) -> np.ndarray:
+    """Oracle: each term as a product of embedded joint-space ladder-operator powers."""
+    dim = cutoff.dim
+    h = np.zeros((dim, dim), dtype=complex)
+    bdags = [creation_matrix(cutoff, m) for m in range(spec.modes)]
+    for key, coeff in spec.terms.items():
+        op = np.eye(dim, dtype=complex)
+        for mode, p, q in zip(key.modes, key.p, key.q):
+            bd = bdags[mode]
+            op = op @ (np.linalg.matrix_power(bd, p) @ np.linalg.matrix_power(bd.conj().T, q))
+        h += coeff * op
+    return h + spec.identity_offset * np.eye(dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    modes=st.integers(1, 3),
+    d=st.integers(1, 3),
+    extra=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    offset=st.floats(-1.0, 1.0, allow_nan=False),
+)
+def test_build_matrix_matches_dense_reference(modes, d, extra, seed, offset):
+    d = min(d, 2) if modes == 3 else d
+    spec = random_spec(modes, d, seed=seed, sparsity=0.7)
+    spec.identity_offset = offset
+    cut = FockCutoff(n_max=d + extra, modes=modes)
+    assert np.array_equal(build_matrix(spec, cut), dense_reference_matrix(spec, cut))
 
 
 def test_constant_term_monomial_sum():
