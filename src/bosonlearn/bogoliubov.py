@@ -230,12 +230,9 @@ def conjugate_spec_by_mismatch(
 # physical symmetrized-quadrature coefficients.
 
 
-def _normal_keys(d: int) -> list[tuple[int, int]]:
-    return [(p, q) for l in range(d + 1) for p in range(l + 1) for q in [l - p]]
-
-
-def _sym_keys(d: int) -> list[tuple[int, int]]:
-    return [(j, k) for l in range(d + 1) for j in range(l + 1) for k in [l - j]]
+def _degree_keys(d: int) -> list[tuple[int, int]]:
+    """Index pairs (p, q) with p + q <= d, by total degree, then by p."""
+    return [(p, l - p) for l in range(d + 1) for p in range(l + 1)]
 
 
 @dataclass
@@ -248,7 +245,6 @@ class TransformT:
     keys_normal: list[tuple[int, int]]
     keys_sym: list[tuple[int, int]]
     matrix: np.ndarray
-    pinv: np.ndarray
     sigma_min: float
 
     def transform(self, gprime: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -265,8 +261,7 @@ class TransformT:
 def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     """Stack normal_to_symmetrized rows for 0 <= p+q <= d and apply the
     quadrature rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S."""
-    rows = _normal_keys(d)
-    cols = _sym_keys(d)
+    rows = cols = _degree_keys(d)
     col_index = {k: i for i, k in enumerate(cols)}
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
     mw = sp.Float(mass_omega, 30)
@@ -283,7 +278,6 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
         keys_normal=rows,
         keys_sym=cols,
         matrix=mat,
-        pinv=np.linalg.pinv(mat),
         sigma_min=sigma_min,
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -140,15 +141,7 @@ def _rpe_config(config: dict, d: int, r_max: float, g_max: float):
             kwargs["l_steps"] = rpe["L"]
     cfg = derive_config(d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), **kwargs)
     if rpe.get("t0"):
-        cfg = type(cfg)(
-            k_max=cfg.k_max,
-            shots=cfg.shots,
-            t0=float(rpe["t0"]),
-            c_bound=cfg.c_bound,
-            l_steps=cfg.l_steps,
-            noiseless=cfg.noiseless,
-            h_scale=cfg.h_scale,
-        )
+        cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
     return cfg
 
 
@@ -194,6 +187,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
         },
         "derived_t0": cfg.t0,
         "cutoff_n_max": device.cutoff.n_max,
+        "edge_population": device.edge_population,
     }
 
 
@@ -226,6 +220,7 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
         },
         "derived_t0": cfg.t0,
         "cutoff_n_max": device.cutoff.n_max,
+        "edge_population": device.edge_population,
     }
 
 

@@ -13,15 +13,21 @@ phi = S(z)† D(beta)|vac>.  Each measured bit is therefore exactly Bernoulli
 with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
 
 The hidden matrix is decomposed once, when the device is built.  A prepared
-state phi is the Kronecker product of one single-mode vector per mode; each
-distinct phi is projected onto the eigenbasis once, and its weights |V† phi|^2
-and energy <phi|H|phi> are cached, so every request for that state is a
-lookup plus one phase.  run_shot keeps the literal per-shot product on dense
-joint-space matrices as a slow cross-check path.
+state phi is the Kronecker product of one single-mode vector per mode, built
+from displacement and squeeze matrices that reuse one generator
+eigendecomposition per cutoff (see fockspace), so no eigh runs per state.
+Each distinct phi is projected onto the eigenbasis once, and its weights
+|V† phi|^2 and energy <phi|H|phi> are cached under the exact executed values
+(beta, frame_z), so every request for that state is a dict lookup plus one
+phase.  Each projection also records the state's population of the top Fock
+level (edge_population), a diagnostic of truncation clipping.  run_shot keeps
+the literal per-shot product on dense joint-space matrices as a slow
+cross-check path.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import threading
@@ -39,8 +45,6 @@ from .fockspace import (
     vacuum_state,
 )
 from .hamiltonian import HamiltonianSpec, build_matrix, validate_hermitian
-
-_BETA_KEY_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,17 @@ class NoiseModel:
         if any(not np.isfinite(d) for d in self.delta_beta):
             raise ValueError("delta_beta entries must be finite")
 
-    def executed_beta(self, beta: np.ndarray) -> np.ndarray:
-        beta = np.array(beta, dtype=complex)
-        for m, d in enumerate(self.delta_beta):
-            if m < beta.size:
-                beta[m] = beta[m] + d
-        return beta
+    def executed_beta(self, beta: tuple[complex, ...]) -> tuple[complex, ...]:
+        """The displacement the device executes: beta plus delta_beta, per mode.
+
+        Without a bias the input is returned untouched.
+        """
+        if not self.delta_beta:
+            return beta
+        shifted = list(beta)
+        for m, d in enumerate(self.delta_beta[: len(shifted)]):
+            shifted[m] += d
+        return tuple(shifted)
 
 
 @dataclass(frozen=True)
@@ -145,6 +154,7 @@ class SimulatedDevice:
         self._ledger_lock = threading.Lock()
         self._phi_cache: dict[tuple, tuple[np.ndarray, float]] = {}
         self._phi_lock = threading.Lock()
+        self._edge_population = 0.0
 
     # -- noise control ------------------------------------------------------
 
@@ -165,8 +175,21 @@ class SimulatedDevice:
 
     # -- amplitude machinery -------------------------------------------------
 
-    def _prepared_state(self, beta: np.ndarray, frame_z) -> np.ndarray:
-        """phi = S(z)† D(beta) |vac>, built as a Kronecker product over modes."""
+    @property
+    def edge_population(self) -> float:
+        """Largest top-Fock-level population of any mode of any prepared state.
+
+        Recorded once per distinct prepared state; a value far from 0 means
+        the truncation clips the states the learner asked for.
+        """
+        return self._edge_population
+
+    def _prepared_state(self, beta, frame_z) -> np.ndarray:
+        """phi = S(z)† D(beta) |vac>, built as a Kronecker product over modes.
+
+        Records the state's largest per-mode population of |n_max> in
+        edge_population.
+        """
         single = FockCutoff(n_max=self.cutoff.n_max)
         vs = [vacuum_state(single) for _ in range(self.cutoff.modes)]
         for m in range(self.cutoff.modes):
@@ -176,24 +199,20 @@ class SimulatedDevice:
             for m, z in enumerate(frame_z):
                 if z:
                     vs[m] = squeeze_matrix(z, single).conj().T @ vs[m]
+        edge = max(abs(v[-1]) ** 2 for v in vs)
+        with self._phi_lock:
+            self._edge_population = max(self._edge_population, edge)
         phi = np.ones(1, dtype=complex)
         for v in vs:
             phi = np.kron(phi, v)
         return phi
 
-    def _state_weights(self, beta: np.ndarray, frame_z) -> tuple[np.ndarray, float]:
+    def _state_weights(self, beta, frame_z) -> tuple[np.ndarray, float]:
         """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached.
 
-        The cache key is the parameters rounded to _BETA_KEY_DIGITS digits.
+        The cache key is the exact executed values (beta, frame_z).
         """
-        key = (
-            tuple(np.round([b.real for b in beta], _BETA_KEY_DIGITS))
-            + tuple(np.round([b.imag for b in beta], _BETA_KEY_DIGITS)),
-            None
-            if frame_z is None
-            else tuple(np.round([complex(z).real for z in frame_z], _BETA_KEY_DIGITS))
-            + tuple(np.round([complex(z).imag for z in frame_z], _BETA_KEY_DIGITS)),
-        )
+        key = (tuple(beta), None if frame_z is None else tuple(frame_z))
         with self._phi_lock:
             hit = self._phi_cache.get(key)
         if hit is not None:
@@ -208,10 +227,10 @@ class SimulatedDevice:
 
     def _amplitude(self, request: ShotRequest) -> complex:
         """Expected interference amplitude E_theta[A] for the request."""
-        beta = self._noise.executed_beta(np.asarray(request.beta, dtype=complex))
+        beta = self._noise.executed_beta(request.beta)
         weights, energy = self._state_weights(beta, request.frame_z)
         if request.l_steps is None:
-            return complex(np.exp(-1j * request.evolution_time * energy))
+            return cmath.exp(-1j * request.evolution_time * energy)
         tau = request.evolution_time / request.l_steps
         a = complex(weights @ np.exp(-1j * self._w * tau))
         return a**request.l_steps
@@ -247,7 +266,7 @@ class SimulatedDevice:
         if request.l_steps is None:
             raise ValueError("run_shot needs a concrete l_steps; use probability for the ideal limit")
         rng = self._rng(request.rng_token or "shot")
-        beta = self._noise.executed_beta(np.asarray(request.beta, dtype=complex))
+        beta = self._noise.executed_beta(request.beta)
         cut = self.cutoff
         dim = cut.dim
         d_op = np.eye(dim, dtype=complex)

@@ -7,10 +7,19 @@ the joint space for callers that need the dense joint matrix.  Generators are
 truncated before exponentiation, so every unitary produced here is exactly
 unitary; truncation accuracy is assessed by the doubling test in
 :func:`adaptive_cutoff` rather than a priori bounds.  hbar = 1 throughout.
+
+Displacements and squeezes share one eigendecomposition per cutoff of their
+real-parameter generators, i(b† - b) and (i/2)(b^2 - b†^2), cached by
+(kind, n_max); a complex parameter is reached by the diagonal phase rotation
+R(theta) = e^{i theta N}, so D(r e^{i theta}) = R(theta) D(r) R(theta)† and
+S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Building either matrix is then two
+diagonal scalings and one product, with no eigh.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,25 +108,47 @@ def vacuum_state(cutoff: FockCutoff) -> np.ndarray:
     return v
 
 
-def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
-    """exp(g) for anti-Hermitian g, via eigendecomposition of i*g."""
-    return herm_expm(1j * g, 1.0)
+@functools.lru_cache(maxsize=16)
+def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, U) of a single-mode generator, once per (kind, n_max).
+
+    "displacement" is i(b† - b), so D(r) = U e^{-i r w} U† for real r;
+    "squeeze" is (i/2)(b^2 - b†^2), so S(s) = U e^{-i s w} U† for real s.
+    U is checked for unitarity once, here, so every product built from it is
+    unitary; both arrays are read-only because the cache shares them.
+    """
+    b = annihilation_matrix(FockCutoff(n_max=n_max))
+    bdag = b.conj().T
+    g = 1j * (bdag - b) if kind == "displacement" else 0.5j * (b @ b - bdag @ bdag)
+    w, u = herm_eig(g)
+    _check_unitary(u, f"{kind} generator basis")
+    w.setflags(write=False)
+    u.setflags(write=False)
+    return w, u
+
+
+def _rotated_unitary(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
+    """R(theta) U e^{-i r w} U† R(theta)† with R(theta) = diag(e^{i theta n})."""
+    w, u = _generator_basis(kind, n_max)
+    out = (u * np.exp(-1j * r * w)) @ u.conj().T
+    if theta:
+        rot = np.exp(1j * theta * np.arange(n_max + 1))
+        out = rot[:, None] * out * rot.conj()
+    return out
 
 
 def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
     """Unitary D(beta) = exp(beta b† - beta* b) on the given mode.
 
-    The exponential is taken on the single-mode block and tensored with
+    With beta = r e^{i theta}, D(beta) = R(theta) D(r) R(theta)†, where
+    R(theta) = e^{i theta N} and D(r) comes from the cached eigendecomposition
+    of i(b† - b) at this n_max.  The single-mode block is tensored with
     identities afterwards; the generator commutes with the embedding, so this
-    is exact and keeps the eigendecomposition at single-mode dimension.
+    is exact.
     """
     cutoff.check_mode(mode)
-    single = FockCutoff(n_max=cutoff.n_max, modes=1)
-    bdag = creation_matrix(single)
-    g = beta * bdag - np.conj(beta) * bdag.conj().T
-    u = _expm_antihermitian(g)
-    _check_unitary(u, "displacement_matrix")
-    return _embed(u, cutoff, mode)
+    r, theta = cmath.polar(complex(beta))
+    return _embed(_rotated_unitary("displacement", r, theta, cutoff.n_max), cutoff, mode)
 
 
 def rotation_matrix(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
@@ -140,15 +171,14 @@ def rotation_phases(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarr
 
 
 def squeeze_matrix(z: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Unitary S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode."""
+    """Unitary S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode.
+
+    With z = s e^{i phi}, S(z) = R(phi/2) S(s) R(phi/2)†, where S(s) comes from
+    the cached eigendecomposition of (i/2)(b^2 - b†^2) at this n_max.
+    """
     cutoff.check_mode(mode)
-    single = FockCutoff(n_max=cutoff.n_max, modes=1)
-    bdag = creation_matrix(single)
-    b = bdag.conj().T
-    g = 0.5 * (np.conj(z) * (b @ b) - z * (bdag @ bdag))
-    u = _expm_antihermitian(g)
-    _check_unitary(u, "squeeze_matrix")
-    return _embed(u, cutoff, mode)
+    s, phi = cmath.polar(complex(z))
+    return _embed(_rotated_unitary("squeeze", s, 0.5 * phi, cutoff.n_max), cutoff, mode)
 
 
 def _check_unitary(u: np.ndarray, label: str) -> None:

@@ -99,7 +99,7 @@ class PhaseEstimate:
 
 def _measure_pair(
     device: SimulatedDevice,
-    beta,
+    beta: tuple[complex, ...],
     kappa: int,
     cfg: RpeConfig,
     frame_z,
@@ -110,7 +110,7 @@ def _measure_pair(
         req = ShotRequest(
             kappa=kappa,
             t0=cfg.t0,
-            beta=tuple(complex(b) for b in np.atleast_1d(beta)),
+            beta=beta,
             basis=basis,
             l_steps=cfg.steps_for(kappa),
             frame_z=frame_z,
@@ -139,6 +139,7 @@ def rpe_estimate(
     flagged as inconsistent but the run proceeds.
     """
     start = device.ledger().total_evolution_time
+    beta = tuple(complex(b) for b in np.atleast_1d(beta))
     rounds: list[RpeRound] = []
     inconsistent: list[int] = []
     estimate = 0.0

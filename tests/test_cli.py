@@ -95,6 +95,8 @@ def test_learn_single_report_contents(tmp_path, capsys, monkeypatch):
     # the cutoff is chosen once, in validate, and the device uses that choice
     assert len(cutoff_calls) == 1
     assert report["result"]["cutoff_n_max"] == report["validate"]["cutoff_n_max"]
+    # the adaptive cutoff keeps the prepared states away from the truncation edge
+    assert 0.0 <= report["result"]["edge_population"] < 1e-6
 
 
 def test_unknown_strategy_is_schema_error(tmp_path):
@@ -117,6 +119,7 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     rows = report["result"]["coefficients"]
     assert len(rows) > 0
     assert max(row["abs_error"] for row in rows) < 1e-6
+    assert 0.0 <= report["result"]["edge_population"] < 1e-6
 
 
 def test_compare_covariance_default_design(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonlearn import fockspace
 from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
 from bosonlearn.fockspace import (
     FockCutoff,
@@ -189,3 +190,57 @@ def test_matching_request_frame_recovers_frame_coefficients():
 def test_cutoff_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=8, modes=2))
+
+
+def test_one_generator_eigendecomposition_per_cutoff(monkeypatch):
+    # 200 requests over 20 distinct (beta, frame_z) states: one eigh for the
+    # hidden matrix, one per generator basis, none per prepared state
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    fockspace._generator_basis.cache_clear()
+    dev = SimulatedDevice(random_spec(1, 3, seed=2, include_couplings=False), FockCutoff(n_max=30))
+    probabilities = set()
+    for i in range(10):
+        beta = 0.1 * (i + 1) * complex(math.cos(i), math.sin(i))
+        for frame_z in (None, (0.1 - 0.05j,)):
+            for kappa in range(1, 6):
+                for basis in ("X", "Y"):
+                    probabilities.add(
+                        dev.probability(request(beta, basis, kappa=kappa, frame_z=frame_z))
+                    )
+    assert len(probabilities) > 100
+    assert len(calls) <= 3
+
+
+def test_noise_change_reaches_cached_state():
+    spec = random_spec(1, 2, seed=6, include_couplings=False)
+    dev = SimulatedDevice(spec, CUT)
+    req = request(0.6 - 0.2j, kappa=3)
+    clean = dev.probability(req)
+    noise = NoiseModel(delta_beta=(0.1j,))
+    dev.set_noise(noise)
+    noisy = dev.probability(req)
+    assert noisy == SimulatedDevice(spec, CUT, noise=noise).probability(req)
+    assert noisy != clean
+    dev.clear_noise()
+    assert dev.probability(req) == clean
+
+
+def test_edge_population_reports_truncation_clipping():
+    cut = FockCutoff(n_max=8)
+    dev = SimulatedDevice(NUMBER_SPEC, cut)
+    assert dev.edge_population == 0.0
+    dev.probability(request(0j))
+    assert dev.edge_population < 1e-15
+    dev.probability(request(3.0 + 0j))
+    assert dev.edge_population > 1e-3
+    # a coherent state far inside the truncation stays near 0
+    small = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=40))
+    small.probability(request(0.5 + 0j))
+    assert small.edge_population < 1e-20

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlearn.fockspace import (
+    UNITARITY_TOL,
     CutoffError,
     FockCutoff,
     adaptive_cutoff,
@@ -152,6 +153,35 @@ def test_herm_expm_against_analytic_two_level():
 def test_unitaries_are_exactly_unitary():
     for u in (displacement_matrix(1.2 - 0.7j, CUT), squeeze_matrix(0.5 + 0.2j, CUT)):
         assert np.max(np.abs(u.conj().T @ u - np.eye(CUT.dim))) < 1e-9
+
+
+def _generator_oracle(g: np.ndarray, cut: FockCutoff, mode: int) -> np.ndarray:
+    """exp(g) of the full single-mode generator g, embedded, by one dense eigh."""
+    d = cut.dim_per_mode
+    factors = [g if m == mode else np.eye(d) for m in range(cut.modes)]
+    joint = factors[0]
+    for f in factors[1:]:
+        joint = np.kron(joint, f)
+    return herm_expm(1j * joint, 1.0)
+
+
+@pytest.mark.parametrize("n_max, modes, mode", [(8, 1, 0), (24, 1, 0), (48, 1, 0), (8, 2, 0), (8, 2, 1)])
+def test_rotated_generator_basis_matches_direct_exponential(n_max, modes, mode):
+    # oracle: the exponential of the full complex-parameter generator
+    cut = FockCutoff(n_max=n_max, modes=modes)
+    b = annihilation_matrix(FockCutoff(n_max=n_max))
+    bdag = b.conj().T
+    eye = np.eye(cut.dim)
+    for beta in (0.7 - 0.4j, -1.1 + 0j, 0.9j, -0.5 - 1.3j, 1.5):
+        u = displacement_matrix(beta, cut, mode)
+        expected = _generator_oracle(beta * bdag - np.conj(beta) * b, cut, mode)
+        assert np.max(np.abs(u - expected)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - eye)) < UNITARITY_TOL
+    for z in (0.4 + 0j, -0.6 + 0j, 0.5j, -0.3j, -0.3 + 0.2j, 0.2 - 0.45j):
+        u = squeeze_matrix(z, cut, mode)
+        expected = _generator_oracle(0.5 * (np.conj(z) * (b @ b) - z * (bdag @ bdag)), cut, mode)
+        assert np.max(np.abs(u - expected)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - eye)) < UNITARITY_TOL
 
 
 def test_adaptive_cutoff_converges_and_respects_floor():
