@@ -10,6 +10,7 @@ numerical drift and its conditioning is purely a design property.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,11 @@ from .protocol import LearnedCoefficients, RpeConfig, derive_config, learn_singl
 from .recovery import single_mode_pipeline
 
 U_FEASIBLE_MAX = 1.0 / (4.0 - 2.0 * math.sqrt(3.0))
+# The frame search measures B†^2, whose coefficient vanishes exactly in the
+# physical frame, under a coefficient prior |g| <= 2; frames are relative to
+# the reference mass-frequency product m0w0 = 1.
+SIGNAL_KEY = (2, 0)
+G_MAX_PRIOR = 2.0
 
 
 class FeasibilityError(ValueError):
@@ -76,8 +82,8 @@ def frame_from_ratio(m0w0: float, mw: float) -> BogoliubovFrame:
     return BogoliubovFrame(m0w0=m0w0, mw=mw)
 
 
-def frame_from_signed_r(signed_r: float, m0w0: float = 1.0) -> BogoliubovFrame:
-    return BogoliubovFrame(m0w0=m0w0, mw=m0w0 * math.exp(-2.0 * signed_r))
+def frame_from_signed_r(signed_r: float) -> BogoliubovFrame:
+    return BogoliubovFrame(m0w0=1.0, mw=math.exp(-2.0 * signed_r))
 
 
 def overlap_feasible(u: float) -> bool:
@@ -93,32 +99,29 @@ def nb_expansion(frame: BogoliubovFrame) -> dict[tuple[int, int], float]:
 
 
 # ---------------------------------------------------------------------------
-# Exact XP algebra.  Normal form keeps X powers left of P powers; keys are
-# (j, k) for X^j P^k with [X, P] = i.
+# Exact ordered algebra.  A polynomial is a dict keyed by (n, m) for L^n R^m,
+# with every L left of every R and [R, L] = c: (p, q) for B†^p B^q with
+# [B, B†] = 1, and (j, k) for X^j P^k with [P, X] = -i.
 
 _SQRT2 = sp.sqrt(2)
 
 
-def _xp_mul(a: dict, b: dict) -> dict:
-    """Product of two XP normal-form polynomials, renormalized.
-
-    Uses P^k X^m = sum_s C(k,s) C(m,s) s! (-i)^s X^{m-s} P^{k-s}.
-    """
+def boson_mul(a: dict, b: dict, c=1) -> dict:
+    """Product of two ordered polynomials, reordered with
+    R^m L^n = sum_s C(m,s) C(n,s) s! c^s L^(n-s) R^(m-s)."""
     out: dict = {}
-    for (j1, k1), c1 in a.items():
-        for (j2, k2), c2 in b.items():
-            for s in range(min(k1, j2) + 1):
-                coeff = (
-                    c1
-                    * c2
-                    * sp.binomial(k1, s)
-                    * sp.binomial(j2, s)
-                    * sp.factorial(s)
-                    * (-sp.I) ** s
-                )
-                key = (j1 + j2 - s, k1 + k2 - s)
-                out[key] = out.get(key, sp.S.Zero) + coeff
-    return {k: sp.expand(v) for k, v in out.items() if sp.expand(v) != 0}
+    for (n1, m1), c1 in a.items():
+        for (n2, m2), c2 in b.items():
+            for s in range(min(m1, n2) + 1):
+                coeff = c1 * c2 * math.comb(m1, s) * math.comb(n2, s) * math.factorial(s) * c**s
+                key = (n1 + n2 - s, m1 + m2 - s)
+                out[key] = out.get(key, 0) + coeff
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ordered_product(factors: list[dict], c=1) -> dict:
+    """Left-to-right product of factors under boson_mul, from the identity."""
+    return functools.reduce(lambda acc, f: boson_mul(acc, f, c), factors, {(0, 0): 1})
 
 
 def _xp_to_symmetrized(normal: dict) -> dict:
@@ -132,10 +135,9 @@ def _xp_to_symmetrized(normal: dict) -> dict:
         if c == 0:
             continue
         sym[(j, k)] = sym.get((j, k), sp.S.Zero) + c
-        for s in range(1, min(j, k) + 1):
-            a_s = (-sp.I) ** s * sp.factorial(s) * sp.binomial(k, s) * sp.binomial(j, s)
-            key = (j - s, k - s)
-            work[key] = sp.expand(work.get(key, sp.S.Zero) - c * a_s / 2)
+        for key, a_s in boson_mul({(0, k): 1}, {(j, 0): 1}, -sp.I).items():
+            if key != (j, k):
+                work[key] = sp.expand(work.get(key, sp.S.Zero) - c * a_s / 2)
     return {k: sp.expand(v) for k, v in sym.items() if sp.expand(v) != 0}
 
 
@@ -144,66 +146,18 @@ def normal_to_symmetrized(p: int, q: int) -> dict[tuple[int, int], sp.Expr]:
     with B = (X + iP)/sqrt(2)."""
     bdag = {(1, 0): 1 / _SQRT2, (0, 1): -sp.I / _SQRT2}
     b = {(1, 0): 1 / _SQRT2, (0, 1): sp.I / _SQRT2}
-    poly: dict = {(0, 0): sp.S.One}
-    for _ in range(p):
-        poly = _xp_mul(poly, bdag)
-    for _ in range(q):
-        poly = _xp_mul(poly, b)
-    return _xp_to_symmetrized(poly)
-
-
-# ---------------------------------------------------------------------------
-# Exact normal-ordered bosonic algebra.  Keys are (p, q) for B†^p B^q.
-
-
-def boson_mul(a: dict, b: dict) -> dict:
-    """Product of two normal-ordered polynomials, renormal-ordered via
-    (p1,q1)(p2,q2) = sum_s s! C(q1,s) C(p2,s) (p1+p2-s, q1+q2-s)."""
-    out: dict = {}
-    for (p1, q1), c1 in a.items():
-        for (p2, q2), c2 in b.items():
-            for s in range(min(q1, p2) + 1):
-                coeff = c1 * c2 * math.comb(q1, s) * math.comb(p2, s) * math.factorial(s)
-                key = (p1 + p2 - s, q1 + q2 - s)
-                out[key] = out.get(key, 0) + coeff
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _boson_pow(lin: dict, n: int) -> dict:
-    out = {(0, 0): 1}
-    for _ in range(n):
-        out = boson_mul(out, lin)
-    return out
+    return _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q, -sp.I))
 
 
 def symmetrized_to_normal(j: int, k: int) -> dict[tuple[int, int], sp.Expr]:
     """{X^j P^k}_S as an exact normal-ordered polynomial in B, B†."""
     x = {(1, 0): 1 / _SQRT2, (0, 1): 1 / _SQRT2}
     p = {(1, 0): sp.I / _SQRT2, (0, 1): -sp.I / _SQRT2}
-
-    def mul(a, b):
-        out: dict = {}
-        for (p1, q1), c1 in a.items():
-            for (p2, q2), c2 in b.items():
-                for s in range(min(q1, p2) + 1):
-                    coeff = c1 * c2 * sp.binomial(q1, s) * sp.binomial(p2, s) * sp.factorial(s)
-                    key = (p1 + p2 - s, q1 + q2 - s)
-                    out[key] = out.get(key, sp.S.Zero) + coeff
-        return {key: sp.expand(v) for key, v in out.items() if sp.expand(v) != 0}
-
-    word_xp: dict = {(0, 0): sp.S.One}
-    for _ in range(j):
-        word_xp = mul(word_xp, x)
-    for _ in range(k):
-        word_xp = mul(word_xp, p)
-    word_px: dict = {(0, 0): sp.S.One}
-    for _ in range(k):
-        word_px = mul(word_px, p)
-    for _ in range(j):
-        word_px = mul(word_px, x)
+    word_xp = _ordered_product([x] * j + [p] * k)
+    word_px = _ordered_product([p] * k + [x] * j)
     out = {}
     for key in set(word_xp) | set(word_px):
-        v = sp.expand((word_xp.get(key, 0) + word_px.get(key, 0)) / 2)
+        v = sp.expand(sp.Rational(1, 2) * (word_xp.get(key, 0) + word_px.get(key, 0)))
         if v != 0:
             out[key] = v
     return out
@@ -219,7 +173,7 @@ def conjugate_spec_by_mismatch(
     b = {(0, 1): c, (1, 0): s}
     out: dict[tuple[int, int], complex] = {}
     for (p, q), g in terms.items():
-        poly = boson_mul(_boson_pow(bdag, p), _boson_pow(b, q))
+        poly = _ordered_product([bdag] * p + [b] * q)
         for key, coeff in poly.items():
             out[key] = out.get(key, 0.0) + g * coeff
     return {k: v for k, v in out.items() if abs(v) > 0}
@@ -301,7 +255,6 @@ def signal_measure(
     r_prime: float,
     cfg: RpeConfig,
     d: int = 2,
-    signal_key: tuple[int, int] = (2, 0),
     mode: int = 0,
     other_frames: dict[int, float] | None = None,
     token: str = "signal",
@@ -329,7 +282,7 @@ def signal_measure(
         for k, v in learned.stderr.items()
         if not k.is_coupling and k.modes[0] == mode
     }
-    return float(by_pq[signal_key].real), float(se[signal_key]), learned
+    return float(by_pq[SIGNAL_KEY].real), float(se[SIGNAL_KEY]), learned
 
 
 @dataclass
@@ -346,22 +299,35 @@ class BisectionResult:
 def mismatch_derivative(
     terms: dict[tuple[int, int], complex],
 ) -> dict[tuple[int, int], complex]:
-    """d/d(delta_r) of conjugate_spec_by_mismatch at delta_r = 0.
+    """d/d(delta_r) of conjugate_spec_by_mismatch at delta_r = 0, exactly.
 
-    Central difference of the exact algebra; used to propagate residual
-    frame uncertainty into coefficient standard errors.
+    At delta_r = 0, dB/d(delta_r) = B† and dB†/d(delta_r) = B; substituting
+    one factor at a time and normal ordering gives
+    d(p,q) = p (p-1,q+1) + C(p,2) (p-2,q) + q (p+1,q-1) + C(q,2) (p,q-2).
+    Used to propagate residual frame uncertainty into standard errors.
     """
-    h = 1e-6
-    plus = conjugate_spec_by_mismatch(terms, h)
-    minus = conjugate_spec_by_mismatch(terms, -h)
-    keys = set(plus) | set(minus)
-    return {k: (plus.get(k, 0.0) - minus.get(k, 0.0)) / (2.0 * h) for k in keys}
+    out: dict[tuple[int, int], complex] = {}
+    for (p, q), g in terms.items():
+        for key, n in (
+            ((p - 1, q + 1), p),
+            ((p - 2, q), math.comb(p, 2)),
+            ((p + 1, q - 1), q),
+            ((p, q - 2), math.comb(q, 2)),
+        ):
+            if n:
+                out[key] = out.get(key, 0.0) + n * g
+    return out
 
 
-def _signal_row_norm(d: int, signal_key: tuple[int, int]) -> float:
+def _signal_row_norm(d: int) -> float:
     pipe = single_mode_pipeline(d)
-    row = pipe.kplus[pipe.coeff_keys.index(signal_key)]
+    row = pipe.kplus[pipe.coeff_keys.index(SIGNAL_KEY)]
     return float(np.sqrt(np.sum(np.abs(row) ** 2)))
+
+
+def _noiseless_config(d: int) -> RpeConfig:
+    """Exact-channel schedule for every search stage and final learn."""
+    return derive_config(d, g_max=G_MAX_PRIOR, k_max=10, shots=20, l_steps=None, noiseless=True)
 
 
 def _cfg_for_precision(
@@ -369,15 +335,14 @@ def _cfg_for_precision(
     row_norm: float,
     d: int,
     shots: int,
-    g_max_prior: float,
     k_cap: int,
 ) -> RpeConfig:
     """Smallest RPE depth whose predicted coefficient error meets eps_coeff."""
-    base = derive_config(d, g_max=g_max_prior, k_max=4, shots=shots, l_steps=None)
+    base = derive_config(d, g_max=G_MAX_PRIOR, k_max=4, shots=shots, l_steps=None)
     eps_c_target = eps_coeff / row_norm
     k = math.ceil(math.log2(1.0 / (eps_c_target * base.t0 * math.sqrt(shots))))
     k = min(max(k, 4), k_cap)
-    return derive_config(d, g_max=g_max_prior, k_max=k, shots=shots, l_steps=None)
+    return derive_config(d, g_max=G_MAX_PRIOR, k_max=k, shots=shots, l_steps=None)
 
 
 def _golden_minimize(fn, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -406,12 +371,10 @@ def bisection_search(
     eps_r: float | None = None,
     eps_g: float | None = None,
     d: int = 2,
-    signal_key: tuple[int, int] = (2, 0),
     mode: int = 0,
     other_frames: dict[int, float] | None = None,
     shots: int = 200,
     noiseless: bool = False,
-    g_max_prior: float = 2.0,
     k_cap: int = 12,
     token: str = "bisect",
 ) -> BisectionResult:
@@ -432,25 +395,22 @@ def bisection_search(
             raise FeasibilityError(
                 f"bracket edge {edge} gives u = {math.cosh(edge):.4f} >= {U_FEASIBLE_MAX:.4f}"
             )
-    row_norm = _signal_row_norm(d, signal_key)
+    row_norm = _signal_row_norm(d)
     history: list[tuple[float, float, float]] = []
     evaluations = 0
 
     def measure(r_prime: float, eps_target: float) -> tuple[float, float]:
         nonlocal evaluations
         if noiseless:
-            cfg = derive_config(
-                d, g_max=g_max_prior, k_max=10, shots=20, l_steps=None, noiseless=True
-            )
+            cfg = _noiseless_config(d)
         else:
-            cfg = _cfg_for_precision(eps_target, row_norm, d, shots, g_max_prior, k_cap)
+            cfg = _cfg_for_precision(eps_target, row_norm, d, shots, k_cap)
         evaluations += 1
         f, se, _ = signal_measure(
             device,
             r_prime,
             cfg,
             d=d,
-            signal_key=signal_key,
             mode=mode,
             other_frames=other_frames,
             token=f"{token}:e{evaluations}",
@@ -532,11 +492,8 @@ def learn_firstq(
     d: int,
     eps_g: float,
     bracket: tuple[float, float],
-    m0w0: float = 1.0,
-    signal_key: tuple[int, int] = (2, 0),
     shots: int = 200,
     noiseless: bool = False,
-    g_max_prior: float = 2.0,
     k_cap: int = 13,
     token: str = "firstq",
 ) -> FirstQResult:
@@ -549,21 +506,17 @@ def learn_firstq(
         bracket,
         eps_g=eps_g,
         d=d,
-        signal_key=signal_key,
         shots=shots,
         noiseless=noiseless,
-        g_max_prior=g_max_prior,
         k_cap=k_cap,
         token=f"{token}:b",
     )
-    mw_hat = m0w0 * math.exp(-2.0 * bis.r_hat)
+    mw_hat = math.exp(-2.0 * bis.r_hat)
     t = build_T(d, mass_omega=mw_hat)
-    row_norm = _signal_row_norm(d, signal_key)
-    eps_gprime = eps_g * t.sigma_min
     if noiseless:
-        cfg = derive_config(d, g_max=g_max_prior, k_max=10, shots=20, l_steps=None, noiseless=True)
+        cfg = _noiseless_config(d)
     else:
-        cfg = _cfg_for_precision(eps_gprime, row_norm, d, shots, g_max_prior, k_cap)
+        cfg = _cfg_for_precision(eps_g * t.sigma_min, _signal_row_norm(d), d, shots, k_cap)
     learned = learn_single_mode(
         device,
         d,
@@ -695,11 +648,8 @@ def parallel_two_mode_search(
     brackets: tuple[tuple[float, float], tuple[float, float]],
     eps_r: float,
     d: int = 2,
-    signal_keys: tuple[tuple[int, int], tuple[int, int]] = ((2, 0), (2, 0)),
-    m0w0: tuple[float, float] = (1.0, 1.0),
     shots: int = 200,
     noiseless: bool = False,
-    g_max_prior: float = 2.0,
     k_cap: int = 12,
     token: str = "par2",
 ) -> TwoModeResult:
@@ -719,21 +669,19 @@ def parallel_two_mode_search(
                 brackets[m],
                 eps_r=eps_r,
                 d=d,
-                signal_key=signal_keys[m],
                 mode=m,
                 other_frames=others,
                 shots=shots,
                 noiseless=noiseless,
-                g_max_prior=g_max_prior,
                 k_cap=k_cap,
                 token=f"{token}:m{m}",
             )
         )
     r_hats = (results[0].r_hat, results[1].r_hat)
     if noiseless:
-        cfg = derive_config(d, g_max=g_max_prior, k_max=10, shots=20, l_steps=None, noiseless=True)
+        cfg = _noiseless_config(d)
     else:
-        cfg = derive_config(d, g_max=g_max_prior, k_max=k_cap, shots=shots, l_steps=None)
+        cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=k_cap, shots=shots, l_steps=None)
     learned = learn_multimode_hierarchical(
         device,
         2,
@@ -744,8 +692,8 @@ def parallel_two_mode_search(
         token=f"{token}:h",
     )
     transforms = (
-        build_T(d, mass_omega=m0w0[0] * math.exp(-2.0 * r_hats[0])),
-        build_T(d, mass_omega=m0w0[1] * math.exp(-2.0 * r_hats[1])),
+        build_T(d, mass_omega=math.exp(-2.0 * r_hats[0])),
+        build_T(d, mass_omega=math.exp(-2.0 * r_hats[1])),
     )
     g_phys, stderr = _tensor_transform(
         learned,

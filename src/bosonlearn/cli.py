@@ -350,14 +350,29 @@ def _run_spam_sweep(config: dict, _checked: dict) -> dict:
     )
     l_c = lipschitz_bound(d, 1.0, sums, weighted)
     cfg = derive_config(d, g_max=spec.g_max, noiseless=True, shots=20, l_steps=None, k_max=10)
+    cutoff = adaptive_cutoff(spec, 1.1)
     rng = np.random.default_rng(int(config["seed"]))
     direction = rng.normal(size=len(pipe.points)) + 1j * rng.normal(size=len(pipe.points))
     direction /= np.linalg.norm(direction)
+
+    def learn(delta) -> dict:
+        """Noiseless recovery with an optional per-point displacement bias."""
+        device = SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]))
+        c_values = np.empty(len(pipe.points))
+        for i, (r, theta) in enumerate(pipe.points):
+            beta = r * np.exp(1j * theta)
+            if delta is not None:
+                device.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
+            est = rpe_estimate(device, [beta], cfg, token=f"spam{i}")
+            device.clear_noise()
+            c_values[i] = est.c_hat
+        return pipe.solve(c_values)
+
+    clean = learn(None)
     rows = []
     for norm in scales:
         delta = norm * direction
-        clean = _spam_learn(config, spec, d, cfg, None)
-        biased = _spam_learn(config, spec, d, cfg, delta)
+        biased = learn(delta)
         observed = math.sqrt(
             sum(abs(biased.get(k, 0) - clean.get(k, 0)) ** 2 for k in set(clean) | set(biased))
         )
@@ -371,24 +386,6 @@ def _run_spam_sweep(config: dict, _checked: dict) -> dict:
             }
         )
     return {"lipschitz": l_c, "sigma_min": pipe.sigma_min, "rows": rows}
-
-
-def _spam_learn(config, spec, d, cfg, delta) -> dict:
-    """Noiseless recovery with an optional per-point displacement bias."""
-    from .hamiltonian import constant_term
-
-    pipe = single_mode_pipeline(d)
-    cutoff = adaptive_cutoff(spec, 1.1)
-    device = SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]))
-    c_values = np.empty(len(pipe.points))
-    for i, (r, theta) in enumerate(pipe.points):
-        beta = r * np.exp(1j * theta)
-        if delta is not None:
-            device.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
-        est = rpe_estimate(device, [beta], cfg, token=f"spam{i}")
-        device.clear_noise()
-        c_values[i] = est.c_hat
-    return pipe.solve(c_values)
 
 
 _RUNNERS = {

@@ -215,9 +215,11 @@ def phase_averaged_matrix(
         )
     d = cutoff.dim_per_mode
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    single = np.exp(1j * np.subtract.outer(np.arange(d), np.arange(d))[..., None] * thetas).mean(
-        axis=-1
-    )
+    # The average depends only on the index difference i - j: average each of
+    # the 2d - 1 differences once, then index it as a Toeplitz matrix.
+    diffs = np.arange(-(d - 1), d)
+    averaged = np.exp(1j * diffs[:, None] * thetas).mean(axis=-1)
+    single = averaged[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
     for m in range(spec.modes):
         joint = np.ones((1, 1), dtype=complex)
         for mm in range(spec.modes):

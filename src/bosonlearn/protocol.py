@@ -16,7 +16,6 @@ from .device import ShotRequest, SimulatedDevice
 from .hamiltonian import TermKey, single_key
 from .recovery import (
     MultidimFit,
-    SingleModePipeline,
     multidim_fit,
     real_design_matrix,
     real_parameters,
@@ -185,6 +184,13 @@ def _embedded_beta(value: complex, mode: int, modes: int) -> tuple[complex, ...]
     return tuple(beta)
 
 
+def _identity_offset(device: SimulatedDevice, cfg: RpeConfig, frame_z, token: str) -> float:
+    """C at beta = 0: the identity content of the Hamiltonian in the working
+    frame, which subtract_offset removes from every grid value."""
+    beta = (0j,) * device.cutoff.modes
+    return rpe_estimate(device, beta, cfg, frame_z=frame_z, token=f"{token}:offset").c_hat
+
+
 def learn_single_mode(
     device: SimulatedDevice,
     d: int,
@@ -194,7 +200,6 @@ def learn_single_mode(
     r_max: float = 1.0,
     frame_z=None,
     subtract_offset: bool = False,
-    pipeline: SingleModePipeline | None = None,
     token: str = "single",
 ) -> LearnedCoefficients:
     """Single-mode coefficient learning: phase estimation of C on a Chebyshev
@@ -205,17 +210,9 @@ def learn_single_mode(
     value before recovery.
     """
     start = device.ledger().total_evolution_time
-    pipe = pipeline or single_mode_pipeline(d, r_min, r_max)
+    pipe = single_mode_pipeline(d, r_min, r_max)
     modes = device.cutoff.modes
-    offset = 0.0
-    if subtract_offset:
-        offset = rpe_estimate(
-            device,
-            _embedded_beta(0j, mode, modes),
-            cfg,
-            frame_z=frame_z,
-            token=f"{token}:m{mode}:offset",
-        ).c_hat
+    offset = _identity_offset(device, cfg, frame_z, f"{token}:m{mode}") if subtract_offset else 0.0
     c_values = np.empty(len(pipe.points))
     inconsistent = 0
     for i, (r, theta) in enumerate(pipe.points):
@@ -315,11 +312,7 @@ def learn_multimode_hierarchical(
     start = device.ledger().total_evolution_time
     grid = joint_grid(modes, d, r_min, r_max)
     eps_c = max(cfg.predicted_eps_c, 0.0)
-    offset = 0.0
-    if subtract_offset:
-        offset = rpe_estimate(
-            device, tuple([0j] * modes), cfg, frame_z=frame_z, token=f"{token}:offset"
-        ).c_hat
+    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
 
     # Shared beta = 0 subtraction error is a coherent rank-1 measurement
     # covariance across every grid point.
@@ -389,11 +382,7 @@ def learn_multimode_simultaneous(
     start = device.ledger().total_evolution_time
     grid = joint_grid(modes, d, r_min, r_max)
     eps_c = max(cfg.predicted_eps_c, 0.0)
-    offset = 0.0
-    if subtract_offset:
-        offset = rpe_estimate(
-            device, tuple([0j] * modes), cfg, frame_z=frame_z, token=f"{token}:offset"
-        ).c_hat
+    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
     y = _measure_grid(device, grid, cfg, frame_z, f"{token}:j") - offset
     keys = [k for m in range(modes) for k in _single_keys(d, m)] + _coupling_keys(modes, d)
     offset_cov = (eps_c**2 * np.ones((len(grid), len(grid)))) if subtract_offset else None

@@ -24,7 +24,13 @@ from bosonlearn.bogoliubov import (
     symmetrized_to_normal,
 )
 from bosonlearn.device import SimulatedDevice
-from bosonlearn.fockspace import FockCutoff, number_matrix, squeeze_matrix
+from bosonlearn.fockspace import (
+    FockCutoff,
+    annihilation_matrix,
+    creation_matrix,
+    number_matrix,
+    squeeze_matrix,
+)
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, single_key
 from bosonlearn.protocol import derive_config
 
@@ -72,6 +78,44 @@ def test_boson_multiplication_reordering():
     assert boson_mul({(0, 1): 1}, {(1, 0): 1}) == {(1, 1): 1, (0, 0): 1}
     # b^2 b†^2 = b†^2 b^2 + 4 b†b + 2
     assert boson_mul({(0, 2): 1}, {(2, 0): 1}) == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
+    # P X = X P - i
+    assert boson_mul({(0, 1): 1}, {(1, 0): 1}, -1j) == {(1, 1): 1, (0, 0): -1j}
+
+
+ORDERED_N_MAX = 14
+_LADDER = FockCutoff(ORDERED_N_MAX)
+_BDAG, _B = creation_matrix(_LADDER), annihilation_matrix(_LADDER)
+# (left, right, c) with [right, left] = c: B†, B with [B, B†] = 1, and X, P
+# with [P, X] = -i.
+ORDERINGS = {
+    "boson": (_BDAG, _B, 1),
+    "xp": ((_B + _BDAG) / math.sqrt(2), 1j * (_BDAG - _B) / math.sqrt(2), -1j),
+}
+ordered_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda nm: sum(nm) <= 3),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _dense(poly: dict, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    mp = np.linalg.matrix_power
+    return sum((c * mp(left, n) @ mp(right, m) for (n, m), c in poly.items()), np.zeros_like(left))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=ordered_polys, b=ordered_polys, kind=st.sampled_from(sorted(ORDERINGS)))
+def test_boson_mul_matches_dense_products(a, b, kind):
+    left, right, c = ORDERINGS[kind]
+    product = boson_mul(a, b, c)
+    expected = _dense(a, left, right) @ _dense(b, left, right)
+    # Truncation only corrupts entries within the total degree of the top level.
+    degree = max(sum(k) for k in a) + max(sum(k) for k in b)
+    edge = ORDERED_N_MAX + 1 - degree
+    got = _dense(product, left, right)
+    scale = 1.0 + np.max(np.abs(expected[:edge, :edge]))
+    assert np.max(np.abs((got - expected)[:edge, :edge])) <= 1e-10 * scale
 
 
 def test_normal_to_symmetrized_known_cases():
@@ -130,10 +174,19 @@ def test_conjugate_spec_matches_matrix_conjugation():
 
 
 def test_mismatch_derivative_of_number_operator():
-    deriv = mismatch_derivative({(1, 1): 1.0})
-    assert deriv[(2, 0)] == pytest.approx(1.0, abs=1e-6)
-    assert deriv[(0, 2)] == pytest.approx(1.0, abs=1e-6)
-    assert abs(deriv.get((1, 1), 0.0)) < 1e-6
+    assert mismatch_derivative({(1, 1): 1.0}) == {(2, 0): 1.0, (0, 2): 1.0}
+
+
+@pytest.mark.parametrize("pq", [(p, l - p) for l in range(5) for p in range(l + 1)])
+def test_mismatch_derivative_matches_central_difference(pq):
+    g = 0.7 - 0.3j
+    step = 1e-6
+    plus = conjugate_spec_by_mismatch({pq: g}, step)
+    minus = conjugate_spec_by_mismatch({pq: g}, -step)
+    deriv = mismatch_derivative({pq: g})
+    for key in set(plus) | set(minus) | set(deriv):
+        numeric = (plus.get(key, 0.0) - minus.get(key, 0.0)) / (2.0 * step)
+        assert abs(deriv.get(key, 0.0) - numeric) < 1e-9
 
 
 def test_transform_of_number_operator():

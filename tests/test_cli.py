@@ -182,3 +182,29 @@ def test_learn_firstq_cli_noiseless(tmp_path, capsys):
     res = report["result"]
     assert abs(res["r_hat"] - res["r_true"]) < 2 * res["bisection"]["eps_r"]
     assert res["bisection"]["fallback_used"] is False
+
+
+def test_spam_sweep_rows_and_one_clean_learn(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountedDevice(cli.SimulatedDevice):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "SimulatedDevice", CountedDevice)
+    norms = [1e-3, 1e-2, 3e-2]
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "generator": {"modes": 1, "d": 2, "seed": 3, "include_couplings": False},
+            "sweep": {"delta_norms": norms},
+        },
+    )
+    assert main(["spam-sweep", "--config", cfg, "--seed", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert [row["delta_norm"] for row in rows] == norms
+    assert all(row["within_bound"] and 0.0 < row["observed"] <= row["bound"] for row in rows)
+    # one clean learn shared by every norm, plus one biased learn per norm
+    assert len(built) == 1 + len(norms)
