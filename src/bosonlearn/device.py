@@ -20,18 +20,37 @@ Each distinct phi is projected onto the eigenbasis once, and its weights
 |V† phi|^2 and energy <phi|H|phi> are cached under the exact executed values
 (beta, frame_z), so every request for that state is a dict lookup plus one
 phase.  Each projection also records the state's population of the top Fock
-level (edge_population), a diagnostic of truncation clipping.  run_shot keeps
-the literal per-shot product on dense joint-space matrices as a slow
-cross-check path.
+level (edge_population), a diagnostic of truncation clipping.
+
+Shot sampling.  run_shot_batches serves many requests in one call, typically
+every RPE run of a measurement grid: it looks up each distinct prepared
+state's weights once, computes each probability with the same arithmetic as
+probability(), draws one binomial per request, and charges the ledger per
+request in request order.  Each request's draw comes from its own Philox
+stream, keyed by
+    SeedSequence(entropy=(master_seed, int(sha256(rng_token)[:16]))
+                 ).generate_state(2, np.uint64),
+so a draw depends only on the device seed and the request's token, never on
+what else is in the batch.  The keys of a whole batch come from one
+vectorised pass over uint32 words that repeats numpy's SeedSequence hash
+(hashmix, mix, generate_state) bit for bit (_philox_keys); one device-held
+Philox generator is then reset to each key with counter 0 and an empty
+buffer, which is the state a fresh Philox(SeedSequence(...)) starts in.
+run_shot_batch is the one-request case.
+
+Oracles.  _rng builds that stream the slow way, through numpy's own
+SeedSequence, and run_shot keeps the literal per-shot product on dense
+joint-space matrices; both serve only as cross-checks of the batch sampler.
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
-import math
+import operator
 import threading
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +64,102 @@ from .fockspace import (
     vacuum_state,
 )
 from .hamiltonian import HamiltonianSpec, build_matrix, validate_hermitian
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> np.ndarray:
+    """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return np.array(words, dtype=np.uint32)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=row).generate_state(2, np.uint64) for each row.
+
+    words is (n, L) uint32, one assembled entropy per row.  The hash constant
+    advances with the call count only, never with the data, so every step is
+    one numpy operation over all rows.
+    """
+    n, length = words.shape
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+    const = _INIT_B
+    state = np.empty((n, 4), dtype=np.uint32)
+    for i in range(4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _entropy_keys(master_seed: int, entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=(master_seed, e_i)).generate_state(2, np.uint64) per row.
+
+    entropy is (n, 4) uint32: the little-endian words of each 128-bit e_i.
+    SeedSequence drops the zero high words of e_i (keeping at least one), so
+    rows are grouped by word count.
+    """
+    master = _uint32_words(master_seed)
+    counts = np.ones(len(entropy), dtype=np.intp)
+    for i in (1, 2, 3):
+        counts[entropy[:, i] != 0] = i + 1
+    keys = np.empty((len(entropy), 2), dtype=np.uint64)
+    for count in range(1, 5):
+        rows = np.flatnonzero(counts == count)
+        if len(rows):
+            words = np.hstack([np.tile(master, (len(rows), 1)), entropy[rows, :count]])
+            keys[rows] = _seed_sequence_keys(words)
+    return keys
+
+
+def _philox_keys(master_seed: int, tokens: Sequence[str]) -> np.ndarray:
+    """Philox keys of the shot streams of `tokens`, shape (len(tokens), 2).
+
+    Token t's entropy is the first 16 bytes of sha256(t) read as a big-endian
+    integer, as in SimulatedDevice._rng.
+    """
+    digests = b"".join(hashlib.sha256(t.encode()).digest()[:16] for t in tokens)
+    entropy = np.frombuffer(digests, dtype=">u4").reshape(-1, 4)[:, ::-1].astype(np.uint32)
+    return _entropy_keys(master_seed, entropy)
 
 
 @dataclass(frozen=True)
@@ -77,7 +192,7 @@ class NoiseModel:
         return tuple(shifted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShotRequest:
     """One interference experiment: kappa repetitions of the L-step sequence.
 
@@ -155,6 +270,10 @@ class SimulatedDevice:
         self._phi_cache: dict[tuple, tuple[np.ndarray, float]] = {}
         self._phi_lock = threading.Lock()
         self._edge_population = 0.0
+        # Built on the first shot draw: a device that serves only the exact
+        # channel never loads numpy's Philox.
+        self._shot_rng: np.random.Generator | None = None
+        self._shot_lock = threading.Lock()
 
     # -- noise control ------------------------------------------------------
 
@@ -207,17 +326,20 @@ class SimulatedDevice:
             phi = np.kron(phi, v)
         return phi
 
-    def _state_weights(self, beta, frame_z) -> tuple[np.ndarray, float]:
-        """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached.
+    def _state_key(self, request: ShotRequest) -> tuple:
+        """The prepared state of a request: its exact executed (beta, frame_z)."""
+        beta = self._noise.executed_beta(request.beta)
+        frame_z = request.frame_z
+        return (tuple(beta), None if frame_z is None else tuple(frame_z))
 
-        The cache key is the exact executed values (beta, frame_z).
-        """
-        key = (tuple(beta), None if frame_z is None else tuple(frame_z))
+    def _state_weights(self, key: tuple) -> tuple[np.ndarray, float]:
+        """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached
+        under its _state_key."""
         with self._phi_lock:
             hit = self._phi_cache.get(key)
         if hit is not None:
             return hit
-        weights = np.abs(self._vh @ self._prepared_state(beta, frame_z)) ** 2
+        weights = np.abs(self._vh @ self._prepared_state(*key)) ** 2
         hit = (weights, float(weights @ self._w))
         with self._phi_lock:
             if len(self._phi_cache) > 4096:
@@ -225,15 +347,19 @@ class SimulatedDevice:
             self._phi_cache[key] = hit
         return hit
 
-    def _amplitude(self, request: ShotRequest) -> complex:
-        """Expected interference amplitude E_theta[A] for the request."""
-        beta = self._noise.executed_beta(request.beta)
-        weights, energy = self._state_weights(beta, request.frame_z)
+    def _probability(self, request: ShotRequest, weights: np.ndarray, energy: float) -> float:
+        """Outcome-0 probability of the request on a prepared state's (weights, energy).
+
+        The expected interference amplitude E_theta[A] is the pure phase
+        e^{-i t E} in the ideal limit and a^L with a = weights . e^{-i w tau}
+        at L Trotter steps.
+        """
         if request.l_steps is None:
-            return cmath.exp(-1j * request.evolution_time * energy)
-        tau = request.evolution_time / request.l_steps
-        a = complex(weights @ np.exp(-1j * self._w * tau))
-        return a**request.l_steps
+            amp = cmath.exp(-1j * request.evolution_time * energy)
+        else:
+            tau = request.evolution_time / request.l_steps
+            amp = complex(weights @ np.exp(-1j * self._w * tau)) ** request.l_steps
+        return self._basis_probability(amp, request.basis, self._noise.state_prep_infidelity)
 
     @staticmethod
     def _basis_probability(amp: complex, basis: str, infidelity: float) -> float:
@@ -246,12 +372,13 @@ class SimulatedDevice:
 
         Does not touch the ledger: it stands in for the M -> infinity limit.
         """
-        amp = self._amplitude(request)
-        return self._basis_probability(amp, request.basis, self._noise.state_prep_infidelity)
+        weights, energy = self._state_weights(self._state_key(request))
+        return self._probability(request, weights, energy)
 
     # -- shot execution -------------------------------------------------------
 
     def _rng(self, token: str) -> np.random.Generator:
+        """Oracle of a request's shot stream, built through numpy's SeedSequence."""
         digest = hashlib.sha256(token.encode()).digest()
         entropy = int.from_bytes(digest[:16], "big")
         seq = np.random.SeedSequence(entropy=(self.master_seed, entropy))
@@ -296,18 +423,53 @@ class SimulatedDevice:
         self._charge(request.evolution_time, 1)
         return int(rng.uniform() >= p)
 
-    def run_shot_batch(self, request: ShotRequest, shots: int) -> dict[int, int]:
-        """Counts of outcomes over `shots` independent shots.
+    def run_shot_batches(self, requests: Sequence[ShotRequest], shots: int) -> list[int]:
+        """Count of outcome 1 over `shots` independent shots, for each request.
 
         Bits are i.i.d. Bernoulli with the exact theta-marginal probability,
-        so one binomial draw reproduces the literal per-shot distribution.
+        so one binomial draw per request reproduces the literal per-shot
+        distribution.  Each distinct prepared state is looked up once per
+        call; each request draws from its own stream (see the module
+        docstring) and is charged to the ledger in request order.
         """
         if shots < 0:
             raise ValueError("shots must be >= 0")
         if shots == 0:
-            return {0: 0, 1: 0}
-        p = self.probability(request)
-        rng = self._rng(request.rng_token or "batch")
-        ones = int(rng.binomial(shots, 1.0 - p))
-        self._charge(shots * request.evolution_time, shots)
+            return [0] * len(requests)
+        states: dict[tuple, tuple[np.ndarray, float]] = {}
+        probabilities = []
+        for req in requests:
+            key = self._state_key(req)
+            state = states.get(key)
+            if state is None:
+                state = states[key] = self._state_weights(key)
+            probabilities.append(self._probability(req, *state))
+        keys = _philox_keys(self.master_seed, [req.rng_token or "batch" for req in requests])
+        # A fresh Philox(seed) has counter 0 and an empty buffer (buffer_pos
+        # at the buffer size, 4).
+        fresh = {"counter": (0, 0, 0, 0), "key": None}
+        reset = {
+            "bit_generator": "Philox",
+            "state": fresh,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        ones = []
+        with self._shot_lock:
+            if self._shot_rng is None:
+                self._shot_rng = np.random.Generator(np.random.Philox(0))
+            rng = self._shot_rng
+            philox = rng.bit_generator
+            for req, p, key in zip(requests, probabilities, keys.tolist()):
+                fresh["key"] = key
+                philox.state = reset
+                ones.append(int(rng.binomial(shots, 1.0 - p)))
+                self._charge(shots * req.evolution_time, shots)
+        return ones
+
+    def run_shot_batch(self, request: ShotRequest, shots: int) -> dict[int, int]:
+        """Counts of outcomes over `shots` independent shots of one request."""
+        ones = self.run_shot_batches((request,), shots)[0]
         return {0: shots - ones, 1: ones}

@@ -79,7 +79,7 @@ def derive_config(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class RpeRound:
     kappa: int
     p_x: float
@@ -88,7 +88,7 @@ class RpeRound:
     consistent: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseEstimate:
     c_hat: float
     rounds: list[RpeRound]
@@ -96,55 +96,43 @@ class PhaseEstimate:
     inconsistent_rounds: list[int]
 
 
-def _measure_pair(
-    device: SimulatedDevice,
-    beta: tuple[complex, ...],
-    kappa: int,
-    cfg: RpeConfig,
-    frame_z,
-    token: str,
-) -> tuple[float, float]:
-    out = []
-    for basis in ("X", "Y"):
-        req = ShotRequest(
-            kappa=kappa,
-            t0=cfg.t0,
-            beta=beta,
-            basis=basis,
-            l_steps=cfg.steps_for(kappa),
-            frame_z=frame_z,
-            rng_token=f"{token}:k{kappa}:{basis}",
-        )
-        if cfg.noiseless:
-            out.append(device.probability(req))
-        else:
-            counts = device.run_shot_batch(req, cfg.shots)
-            out.append(counts[0] / cfg.shots)
-    return out[0], out[1]
+def _run_requests(
+    beta: tuple[complex, ...], cfg: RpeConfig, frame_z, token: str
+) -> list[ShotRequest]:
+    """The 2(K+1) requests of one RPE run: an X and a Y request per round."""
+    requests = []
+    for j in range(cfg.k_max + 1):
+        kappa = 2**j
+        l_steps = cfg.steps_for(kappa)
+        for basis in ("X", "Y"):
+            requests.append(
+                ShotRequest(
+                    kappa=kappa,
+                    t0=cfg.t0,
+                    beta=beta,
+                    basis=basis,
+                    l_steps=l_steps,
+                    frame_z=frame_z,
+                    rng_token=f"{token}:k{kappa}:{basis}",
+                )
+            )
+    return requests
 
 
-def rpe_estimate(
-    device: SimulatedDevice,
-    beta,
-    cfg: RpeConfig,
-    frame_z=None,
-    token: str = "rpe",
-) -> PhaseEstimate:
-    """Estimate the constant term at beta by iterative phase unwrapping.
+def _unwrap(p0: list[float], cfg: RpeConfig, time_cost: float) -> PhaseEstimate:
+    """Iterative phase unwrapping of one run's outcome-0 frequencies (X, Y per round).
 
     Round j measures the phase of the kappa = 2^j amplitude modulo 2 pi and
     picks, among the unwrapping candidates, the one closest to the previous
     round's estimate.  Rounds that jump by more than pi/(3 kappa t0) are
     flagged as inconsistent but the run proceeds.
     """
-    start = device.ledger().total_evolution_time
-    beta = tuple(complex(b) for b in np.atleast_1d(beta))
     rounds: list[RpeRound] = []
     inconsistent: list[int] = []
     estimate = 0.0
     for j in range(cfg.k_max + 1):
         kappa = 2**j
-        p_x, p_y = _measure_pair(device, beta, kappa, cfg, frame_z, token)
+        p_x, p_y = p0[2 * j], p0[2 * j + 1]
         phi = math.atan2(1.0 - 2.0 * p_y, 2.0 * p_x - 1.0)
         base = phi / (kappa * cfg.t0)
         period = 2.0 * math.pi / (kappa * cfg.t0)
@@ -155,11 +143,58 @@ def rpe_estimate(
         rounds.append(RpeRound(kappa, p_x, p_y, candidate, ok))
         estimate = candidate
     return PhaseEstimate(
-        c_hat=estimate,
-        rounds=rounds,
-        time_cost=device.ledger().total_evolution_time - start,
-        inconsistent_rounds=inconsistent,
+        c_hat=estimate, rounds=rounds, time_cost=time_cost, inconsistent_rounds=inconsistent
     )
+
+
+def rpe_estimates(
+    device: SimulatedDevice,
+    betas,
+    cfg: RpeConfig,
+    frame_z,
+    tokens: list[str],
+) -> list[PhaseEstimate]:
+    """Estimate the constant term at each beta, one RPE run per beta and token.
+
+    A run's schedule (kappa = 2^j, an X and a Y request per round) is fixed
+    before any bit is seen, so on the shot channel every request of every run
+    goes to the device in one run_shot_batches call; only the unwrapping is
+    sequential.  The exact channel is asked once per request.  Each run's
+    time_cost is the ledger's growth over its own requests, which the device
+    charges in request order.
+    """
+    betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
+    tokens = list(tokens)
+    if len(tokens) != len(betas):
+        raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
+    # Built lazily, so the exact channel holds one run's requests at a time.
+    runs = (_run_requests(beta, cfg, frame_z, token) for beta, token in zip(betas, tokens))
+    if cfg.noiseless:
+        return [_unwrap([device.probability(req) for req in run], cfg, 0.0) for run in runs]
+    runs = list(runs)
+    total = device.ledger().total_evolution_time
+    ones = iter(device.run_shot_batches([req for run in runs for req in run], cfg.shots))
+    estimates = []
+    for run in runs:
+        run_start = total
+        p0 = []
+        for req in run:
+            p0.append((cfg.shots - next(ones)) / cfg.shots)
+            total += cfg.shots * req.evolution_time
+        estimates.append(_unwrap(p0, cfg, total - run_start))
+    return estimates
+
+
+def rpe_estimate(
+    device: SimulatedDevice,
+    beta,
+    cfg: RpeConfig,
+    frame_z=None,
+    token: str = "rpe",
+) -> PhaseEstimate:
+    """Estimate the constant term at beta by iterative phase unwrapping: the
+    one-run case of rpe_estimates."""
+    return rpe_estimates(device, [beta], cfg, frame_z, [token])[0]
 
 
 @dataclass
@@ -213,18 +248,15 @@ def learn_single_mode(
     pipe = single_mode_pipeline(d, r_min, r_max)
     modes = device.cutoff.modes
     offset = _identity_offset(device, cfg, frame_z, f"{token}:m{mode}") if subtract_offset else 0.0
-    c_values = np.empty(len(pipe.points))
-    inconsistent = 0
-    for i, (r, theta) in enumerate(pipe.points):
-        est = rpe_estimate(
-            device,
-            _embedded_beta(r * np.exp(1j * theta), mode, modes),
-            cfg,
-            frame_z=frame_z,
-            token=f"{token}:m{mode}:p{i}",
-        )
-        inconsistent += len(est.inconsistent_rounds)
-        c_values[i] = est.c_hat - offset
+    runs = rpe_estimates(
+        device,
+        [_embedded_beta(r * np.exp(1j * theta), mode, modes) for r, theta in pipe.points],
+        cfg,
+        frame_z,
+        [f"{token}:m{mode}:p{i}" for i in range(len(pipe.points))],
+    )
+    c_values = np.array([est.c_hat for est in runs]) - offset
+    inconsistent = sum(len(est.inconsistent_rounds) for est in runs)
     coeffs = pipe.solve(c_values)
     variances = pipe.coefficient_variances(max(cfg.predicted_eps_c, 0.0))
     if subtract_offset:
@@ -279,11 +311,12 @@ def _measure_grid(
     cfg: RpeConfig,
     frame_z,
     token: str,
-) -> np.ndarray:
-    vals = np.empty(len(points))
-    for i, beta in enumerate(points):
-        vals[i] = rpe_estimate(device, beta, cfg, frame_z=frame_z, token=f"{token}:g{i}").c_hat
-    return vals
+) -> tuple[np.ndarray, int]:
+    """C at every grid point from one rpe_estimates call, and the grid's
+    inconsistent-round count."""
+    tokens = [f"{token}:g{i}" for i in range(len(points))]
+    runs = rpe_estimates(device, points, cfg, frame_z, tokens)
+    return np.array([est.c_hat for est in runs]), sum(len(est.inconsistent_rounds) for est in runs)
 
 
 def learn_multimode_hierarchical(
@@ -321,10 +354,13 @@ def learn_multimode_hierarchical(
     estimates: dict[TermKey, complex] = {}
     stderr: dict[TermKey, float] = {}
     single_fits = []
+    inconsistent = 0
     for m in range(modes):
         iso = np.zeros_like(grid)
         iso[:, m] = grid[:, m]
-        y = _measure_grid(device, iso, cfg, frame_z, f"{token}:s{m}") - offset
+        y, bad = _measure_grid(device, iso, cfg, frame_z, f"{token}:s{m}")
+        y -= offset
+        inconsistent += bad
         fit = multidim_fit(iso, y, _single_keys(d, m), eps_c=eps_c, extra_cov=offset_cov)
         single_fits.append(fit)
         estimates.update(fit.estimates)
@@ -334,8 +370,9 @@ def learn_multimode_hierarchical(
     coupling_keys = _coupling_keys(modes, d)
     fit2 = None
     if coupling_keys:
-        y_joint = _measure_grid(device, grid, cfg, frame_z, f"{token}:j") - offset
-        residual = y_joint.copy()
+        residual, bad = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
+        residual -= offset
+        inconsistent += bad
         extra = np.zeros((len(grid), len(grid))) if offset_cov is None else offset_cov.copy()
         for m, fit in enumerate(single_fits):
             params = fit.params
@@ -362,6 +399,7 @@ def learn_multimode_hierarchical(
         diagnostics={
             "strategy": "hierarchical",
             "step2_sigma_min": None if fit2 is None else fit2.sigma_min,
+            "inconsistent_rounds": inconsistent,
         },
     )
 
@@ -383,7 +421,8 @@ def learn_multimode_simultaneous(
     grid = joint_grid(modes, d, r_min, r_max)
     eps_c = max(cfg.predicted_eps_c, 0.0)
     offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
-    y = _measure_grid(device, grid, cfg, frame_z, f"{token}:j") - offset
+    y, inconsistent = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
+    y -= offset
     keys = [k for m in range(modes) for k in _single_keys(d, m)] + _coupling_keys(modes, d)
     offset_cov = (eps_c**2 * np.ones((len(grid), len(grid)))) if subtract_offset else None
     fit = multidim_fit(grid, y, keys, eps_c=eps_c, extra_cov=offset_cov)
@@ -394,5 +433,9 @@ def learn_multimode_simultaneous(
         eps_c=eps_c,
         time_cost=device.ledger().total_evolution_time - start,
         identity_offset=offset,
-        diagnostics={"strategy": "simultaneous", "sigma_min": fit.sigma_min},
+        diagnostics={
+            "strategy": "simultaneous",
+            "sigma_min": fit.sigma_min,
+            "inconsistent_rounds": inconsistent,
+        },
     )

@@ -8,6 +8,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,7 +113,7 @@ def angular_idft(values: np.ndarray, order: int, symmetrize: bool = True) -> dic
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingleModePipeline:
     """Materialized two-stage recovery map for one mode at max order d.
 
@@ -123,9 +124,9 @@ class SingleModePipeline:
 
     degree: int
     design: RadialDesign
-    angle_fracs: list[Fraction]
-    points: list[tuple[float, float]]
-    coeff_keys: list[tuple[int, int]]
+    angle_fracs: tuple[Fraction, ...]
+    points: tuple[tuple[float, float], ...]
+    coeff_keys: tuple[tuple[int, int], ...]
     kplus: np.ndarray
     sigma_min: float
 
@@ -140,11 +141,18 @@ class SingleModePipeline:
 
 
 def single_mode_pipeline(degree: int, r_min: float = 0.2, r_max: float = 1.0) -> SingleModePipeline:
-    """Build the full linear map from C measurements to coefficients.
+    """The full linear map from C measurements to coefficients.
 
     The measurement grid is the union of all canonical angle sets (shared
-    across orders l) crossed with the d+1 Chebyshev nodes.
+    across orders l) crossed with the d+1 Chebyshev nodes.  The pipeline is
+    built once per (degree, r_min, r_max), however the arguments are passed;
+    the cache shares it, so it is frozen and its arrays are read-only.
     """
+    return _build_pipeline(degree, float(r_min), float(r_max))
+
+
+@functools.lru_cache(maxsize=32)
+def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeline:
     design = radial_design(degree, r_min, r_max)
     fracs = sorted({f for l in range(1, degree + 1) for f in angular_angles(l)})
     frac_index = {f: i for i, f in enumerate(fracs)}
@@ -179,12 +187,14 @@ def single_mode_pipeline(degree: int, r_min: float = 0.2, r_max: float = 1.0) ->
 
     stacked = np.vstack([kplus.real, kplus.imag])
     sigma_max_plus = float(np.linalg.svd(stacked, compute_uv=False)[0])
+    for array in (kplus, design.nodes, design.vandermonde, design.gram, design.pinv):
+        array.setflags(write=False)
     return SingleModePipeline(
         degree=degree,
         design=design,
-        angle_fracs=fracs,
-        points=points,
-        coeff_keys=coeff_keys,
+        angle_fracs=tuple(fracs),
+        points=tuple(points),
+        coeff_keys=tuple(coeff_keys),
         kplus=kplus,
         sigma_min=1.0 / sigma_max_plus,
     )

@@ -120,6 +120,7 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     assert len(rows) > 0
     assert max(row["abs_error"] for row in rows) < 1e-6
     assert 0.0 <= report["result"]["edge_population"] < 1e-6
+    assert report["result"]["diagnostics"]["inconsistent_rounds"] == 0
 
 
 def test_compare_covariance_default_design(capsys):

@@ -1,10 +1,20 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonlearn import fockspace
-from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
+from bosonlearn.device import (
+    NoiseModel,
+    ShotRequest,
+    SimulatedDevice,
+    _entropy_keys,
+    _philox_keys,
+)
 from bosonlearn.fockspace import (
     FockCutoff,
     adaptive_cutoff,
@@ -244,3 +254,147 @@ def test_edge_population_reports_truncation_clipping():
     small = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=40))
     small.probability(request(0.5 + 0j))
     assert small.edge_population < 1e-20
+
+
+# -- batched shot sampler ------------------------------------------------------
+
+MASTER_SEEDS = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**100)
+)
+# SeedSequence drops zero high words, so small entropies give fewer words.
+ENTROPIES = st.one_of(
+    st.just(0),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**96 - 1),
+    st.integers(0, 2**128 - 1),
+)
+
+
+def _words(e: int) -> list[int]:
+    return [(e >> (32 * i)) & 0xFFFFFFFF for i in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=MASTER_SEEDS, entropies=st.lists(ENTROPIES, min_size=1, max_size=12))
+def test_entropy_keys_match_seed_sequence(master_seed, entropies):
+    keys = _entropy_keys(master_seed, np.array([_words(e) for e in entropies], dtype=np.uint32))
+    for e, key in zip(entropies, keys):
+        expected = np.random.SeedSequence(entropy=(master_seed, e)).generate_state(2, np.uint64)
+        assert key.dtype == np.uint64
+        assert np.array_equal(key, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(master_seed=MASTER_SEEDS, tokens=st.lists(st.text(max_size=40), max_size=8))
+def test_philox_keys_match_the_rng_oracle(master_seed, tokens):
+    dev = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=2), master_seed=master_seed)
+    keys = _philox_keys(master_seed, tokens)
+    assert keys.shape == (len(tokens), 2)
+    for token, key in zip(tokens, keys):
+        assert np.array_equal(dev._rng(token).bit_generator.state["state"]["key"], key)
+
+
+def test_negative_master_seed_raises_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=(-1, 5))
+    with pytest.raises(ValueError):
+        _entropy_keys(-1, np.zeros((1, 4), dtype=np.uint32))
+    with pytest.raises(ValueError):
+        number_device(seed=-1).run_shot_batches([request(0.5, rng_token="a")], 10)
+    with pytest.raises(TypeError):
+        _entropy_keys(2.5, np.zeros((1, 4), dtype=np.uint32))
+
+
+def _oracle_batches(dev, requests, shots):
+    """One fresh _rng stream and one device.probability per request."""
+    ones = []
+    for req in requests:
+        p = dev.probability(req)
+        ones.append(int(dev._rng(req.rng_token or "batch").binomial(shots, 1.0 - p)))
+        dev._charge(shots * req.evolution_time, shots)
+    return ones
+
+
+BATCH_SPEC = random_spec(2, 2, seed=4, sparsity=0.7)
+BATCH_CUT = FockCutoff(n_max=10, modes=2)
+
+
+def _batch_requests():
+    betas = [(0.4 + 0.1j, 0.2j), (0.0j, 0.7 + 0j), (0.4 + 0.1j, 0.2j), (0.3 - 0.5j, 0.1 + 0j)]
+    frames = [None, (0.15 + 0j, 0j), (0.1 - 0.05j, 0.2j)]
+    out = []
+    for i, beta in enumerate(betas):
+        for frame_z in frames:
+            for kappa, l_steps in ((1, None), (4, None), (2, 8), (8, 3)):
+                for basis in ("X", "Y"):
+                    token = f"b{i}:{frame_z}:k{kappa}:{basis}" if basis == "X" or kappa > 1 else ""
+                    out.append(
+                        ShotRequest(
+                            kappa=kappa,
+                            t0=0.31,
+                            beta=beta,
+                            basis=basis,
+                            l_steps=l_steps,
+                            frame_z=frame_z,
+                            rng_token=token,
+                        )
+                    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseModel(delta_beta=(0.02 - 0.01j, 0.03j), state_prep_infidelity=0.07)],
+)
+@pytest.mark.parametrize("master_seed", [0, 12345, 2**40 + 7])
+def test_run_shot_batches_equals_per_request_oracle(noise, master_seed):
+    requests = _batch_requests()
+    batch = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
+    oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
+    ones = batch.run_shot_batches(requests, 57)
+    assert ones == _oracle_batches(oracle, requests, 57)
+    assert batch.ledger() == oracle.ledger()
+    # a batch of one is run_shot_batch, and its stream does not depend on the batch
+    single = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
+    counts = [single.run_shot_batch(req, 57) for req in requests]
+    assert [c[1] for c in counts] == ones
+    assert all(c[0] + c[1] == 57 for c in counts)
+    assert single.ledger() == batch.ledger()
+
+
+def test_run_shot_batches_with_zero_shots_draws_and_charges_nothing():
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=3)
+    assert dev.run_shot_batches(_batch_requests(), 0) == [0] * len(_batch_requests())
+    assert dev.run_shot_batch(_batch_requests()[0], 0) == {0: 0, 1: 0}
+    assert dev.ledger().total_evolution_time == 0.0
+    assert dev.ledger().shot_count == 0
+    assert dev.run_shot_batches([], 10) == []
+    with pytest.raises(ValueError):
+        dev.run_shot_batches(_batch_requests(), -1)
+
+
+def test_run_shot_batches_is_thread_safe():
+    # The device holds one Philox generator; threads sharing a device must
+    # still each get their own requests' streams.
+    requests = _batch_requests()
+    expected = _oracle_batches(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5), requests, 40)
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5)
+    results: dict[int, list[list[int]]] = {}
+
+    def work(i):
+        results[i] = [dev.run_shot_batches(requests, 40) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(batch == expected for i in range(6) for batch in results[i])
+    assert dev.ledger().shot_count == 6 * 5 * len(requests) * 40

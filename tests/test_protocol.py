@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonlearn.device import SimulatedDevice
+from bosonlearn.device import ShotRequest, SimulatedDevice
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
@@ -20,6 +20,7 @@ from bosonlearn.protocol import (
     learn_multimode_simultaneous,
     learn_single_mode,
     rpe_estimate,
+    rpe_estimates,
 )
 
 
@@ -189,3 +190,108 @@ def test_hierarchical_mode_limit():
     cfg = derive_config(1, k_max=4, noiseless=True, shots=20, l_steps=None)
     with pytest.raises(ValueError):
         learn_multimode_hierarchical(SimulatedDevice(spec, cut), 4, 1, cfg)
+
+
+# -- batched RPE runs ----------------------------------------------------------
+
+MULTI_SPEC = random_spec(2, 2, seed=11, sparsity=0.8)
+MULTI_CUT = adaptive_cutoff(MULTI_SPEC, 1.0)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(SimulatedDevice, name)
+
+    def counted(device, *args, **kwargs):
+        calls.append(args)
+        return original(device, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedDevice, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("l_steps", [None, "auto"])
+def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
+    spec = random_spec(1, 2, seed=3, include_couplings=False)
+    cut = adaptive_cutoff(spec, 1.0)
+    cfg = derive_config(2, k_max=5, shots=30, l_steps=l_steps)
+    betas = [[0.3], [0.5 + 0.5j], [0.3], [-0.8j]]
+    tokens = [f"t{i}" for i in range(len(betas))]
+    frame_z = (0.1 + 0.05j,)
+    # an uneven ledger total first, so that a difference of running totals is
+    # not the plain sum of a run's charges
+    warm_up = ShotRequest(kappa=3, t0=0.1234567, beta=(0.2,), basis="X", rng_token="w")
+    sequential = SimulatedDevice(spec, cut, master_seed=9)
+    sequential.run_shot_batch(warm_up, 33)
+    one_by_one = []
+    for beta, token in zip(betas, tokens):
+        before = sequential.ledger().total_evolution_time
+        est = rpe_estimate(sequential, beta, cfg, frame_z=frame_z, token=token)
+        assert est.time_cost == sequential.ledger().total_evolution_time - before
+        one_by_one.append(est)
+    batched = SimulatedDevice(spec, cut, master_seed=9)
+    batched.run_shot_batch(warm_up, 33)
+    batches = _count_calls(monkeypatch, "run_shot_batches")
+    ests = rpe_estimates(batched, betas, cfg, frame_z, tokens)
+    assert len(batches) == 1 and len(batches[0][0]) == len(betas) * 2 * (cfg.k_max + 1)
+    assert ests == one_by_one
+    assert batched.ledger() == sequential.ledger()
+
+
+def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
+    cfg = derive_config(2, k_max=4, noiseless=True, shots=20, l_steps=None)
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
+    exact = _count_calls(monkeypatch, "probability")
+    batches = _count_calls(monkeypatch, "run_shot_batches")
+    ests = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
+    assert len(exact) == 2 * 2 * (cfg.k_max + 1) and batches == []
+    assert all(est.time_cost == 0.0 for est in ests)
+    with pytest.raises(ValueError):
+        rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a"])
+
+
+def test_learners_make_one_device_call_per_grid(monkeypatch):
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    batches = _count_calls(monkeypatch, "run_shot_batches")
+    learn_single_mode(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, mode=1, subtract_offset=True
+    )
+    assert len(batches) == 2  # the beta = 0 offset, then the grid
+    batches.clear()
+    learn_multimode_hierarchical(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
+    assert len(batches) == 3  # one isolated grid per mode, then the joint grid
+    batches.clear()
+    learn_multimode_simultaneous(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
+    assert len(batches) == 1
+
+
+def _grid_inconsistent(grids, cfg, token_of):
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1)
+    total = 0
+    for name, grid in grids:
+        tokens = [f"{token_of}:{name}:g{i}" for i in range(len(grid))]
+        runs = rpe_estimates(dev, grid, cfg, None, tokens)
+        total += sum(len(e.inconsistent_rounds) for e in runs)
+    return total
+
+
+def test_multimode_learners_report_inconsistent_rounds():
+    # 20 shots per basis are few enough that some rounds jump
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    grid = joint_grid(2, 2)
+    iso = [np.where(np.arange(2) == m, grid, 0) for m in range(2)]
+    hier = learn_multimode_hierarchical(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="h"
+    )
+    expected = _grid_inconsistent([("s0", iso[0]), ("s1", iso[1]), ("j", grid)], cfg, "h")
+    assert hier.diagnostics["inconsistent_rounds"] == expected > 0
+    simul = learn_multimode_simultaneous(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="s"
+    )
+    expected = _grid_inconsistent([("j", grid)], cfg, "s")
+    assert simul.diagnostics["inconsistent_rounds"] == expected > 0
+    # the exact channel never jumps
+    exact = derive_config(2, k_max=6, noiseless=True, shots=20, l_steps=None)
+    for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
+        learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, exact)
+        assert learned.diagnostics["inconsistent_rounds"] == 0

@@ -115,6 +115,17 @@ def test_pipeline_exact_recovery():
             assert abs(out[key] - val) < 1e-9
 
 
+def test_pipeline_is_built_once_and_read_only():
+    pipe = single_mode_pipeline(3)
+    assert single_mode_pipeline(3) is pipe
+    assert single_mode_pipeline(3, r_min=0.2, r_max=1) is pipe
+    assert single_mode_pipeline(3, 0.3) is not pipe
+    for array in (pipe.kplus, pipe.design.nodes, pipe.design.pinv):
+        assert array.flags.writeable is False
+    with pytest.raises(ValueError):
+        pipe.kplus[0, 0] = 0.0
+
+
 def test_pipeline_variances_match_monte_carlo():
     d = 3
     pipe = single_mode_pipeline(d)
