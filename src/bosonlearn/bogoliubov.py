@@ -18,6 +18,7 @@ import numpy as np
 import sympy as sp
 
 from .device import SimulatedDevice
+from .hamiltonian import single_key
 from .protocol import LearnedCoefficients, RpeConfig, derive_config, learn_single_mode
 from .recovery import single_mode_pipeline
 
@@ -206,11 +207,6 @@ class TransformT:
         out = vec @ self.matrix
         return dict(zip(self.keys_sym, (complex(x) for x in out)))
 
-    def transform_variance(self, var: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-        vec = np.array([var.get(k, 0.0) for k in self.keys_normal])
-        out = vec @ (np.abs(self.matrix) ** 2)
-        return dict(zip(self.keys_sym, (float(x) for x in out)))
-
 
 def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     """Stack normal_to_symmetrized rows for 0 <= p+q <= d and apply the
@@ -234,6 +230,71 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
         matrix=mat,
         sigma_min=sigma_min,
     )
+
+
+def _per_axis(tensor: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """Contract axis m of tensor with the rows of mats[m], for every m."""
+    for m, mat in enumerate(mats):
+        tensor = np.moveaxis(np.tensordot(tensor, mat, ([m], [0])), -1, m)
+    return tensor
+
+
+def tensor_transform(
+    learned: LearnedCoefficients,
+    transforms: tuple[TransformT, ...],
+    identity_var: float,
+    frame_eps: tuple[float, ...] = (),
+) -> tuple[dict, dict]:
+    """Physical coefficients and standard errors over len(transforms) modes.
+
+    The learned coefficients fill a tensor indexed by each mode's normal keys
+    (p, q): the identity offset at the origin, a single at (0, 0) on every
+    other mode, a coupling at its own per-mode keys.  Mode m's exact
+    transform acts on axis m, and variances go through |T|^2 the same way.
+    Keys are tuples of per-mode (j, k), one per entry that some learned
+    coefficient reaches through nonzero transform entries.  frame_eps gives
+    each mode's residual frame uncertainty, propagated into the standard
+    errors through the quadrature rescaling (mw)^{(j-k)/2} and the exact
+    mixing derivative under a small leftover mismatch.
+    """
+    index = [{key: i for i, key in enumerate(t.keys_normal)} for t in transforms]
+    shape = tuple(len(t.keys_normal) for t in transforms)
+    g = np.zeros(shape, dtype=complex)
+    var = np.zeros(shape)
+    support = np.zeros(shape)
+    origin = tuple(idx[(0, 0)] for idx in index)
+    g[origin], var[origin], support[origin] = learned.identity_offset, identity_var, 1.0
+    for key, value in learned.estimates.items():
+        pq = [(0, 0)] * len(transforms)
+        for m, p, q in zip(key.modes, key.p, key.q):
+            pq[m] = (p, q)
+        at = tuple(idx[k] for idx, k in zip(index, pq))
+        g[at], var[at], support[at] = value, learned.stderr.get(key, 0.0) ** 2, 1.0
+
+    mats = [t.matrix for t in transforms]
+    g_phys = _per_axis(g, mats)
+    var_phys = _per_axis(var, [np.abs(mat) ** 2 for mat in mats])
+    reached = _per_axis(support, [(mat != 0).astype(float) for mat in mats]) > 0
+    for m, eps in enumerate(frame_eps):
+        if not eps:
+            continue
+        t = transforms[m]
+        deriv = np.zeros((len(t.keys_normal),) * 2)
+        for row, key in enumerate(t.keys_normal):
+            for out_key, c in mismatch_derivative({key: 1.0}).items():
+                deriv[row, index[m][out_key]] = c
+        mix = _per_axis(g, mats[:m] + [deriv @ t.matrix] + mats[m + 1 :])
+        along_m = [len(t.keys_sym) if a == m else 1 for a in range(len(transforms))]
+        rescale = np.array([abs(j - k) for j, k in t.keys_sym]).reshape(along_m)
+        var_phys += (eps * (rescale * np.abs(g_phys) + np.abs(mix))) ** 2
+
+    out: dict = {}
+    stderr: dict = {}
+    for at in zip(*np.nonzero(reached)):
+        key = tuple(t.keys_sym[i] for t, i in zip(transforms, at))
+        out[key] = complex(g_phys[at])
+        stderr[key] = math.sqrt(var_phys[at])
+    return out, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +333,8 @@ def signal_measure(
         subtract_offset=True,
         token=token,
     )
-    by_pq = {
-        (k.p[0], k.q[0]): v
-        for k, v in learned.estimates.items()
-        if not k.is_coupling and k.modes[0] == mode
-    }
-    se = {
-        (k.p[0], k.q[0]): v
-        for k, v in learned.stderr.items()
-        if not k.is_coupling and k.modes[0] == mode
-    }
-    return float(by_pq[SIGNAL_KEY].real), float(se[SIGNAL_KEY]), learned
+    key = single_key(*SIGNAL_KEY, mode)
+    return float(learned.estimates[key].real), float(learned.stderr[key]), learned
 
 
 @dataclass
@@ -525,27 +577,12 @@ def learn_firstq(
         subtract_offset=True,
         token=f"{token}:f",
     )
-    gprime = {(0, 0): complex(learned.identity_offset)}
-    var = {(0, 0): cfg.predicted_eps_c**2}
-    for key, val in learned.estimates.items():
-        gprime[(key.p[0], key.q[0])] = val
-    for key, se in learned.stderr.items():
-        var[(key.p[0], key.q[0])] = se**2
-    g_phys = t.transform(gprime)
-    var_phys = t.transform_variance(var)
-    # Residual frame error eps_r enters both through the quadrature rescaling
-    # (mw_hat factor (mw)^{(j-k)/2}) and through coefficient mixing under a
-    # small leftover mismatch; both sensitivities are computable exactly.
-    mix = t.transform(mismatch_derivative(gprime))
-    for jk in var_phys:
-        j, k = jk
-        sens = abs(j - k) * abs(g_phys.get(jk, 0.0)) + abs(mix.get(jk, 0.0))
-        var_phys[jk] += (bis.eps_r * sens) ** 2
+    g_phys, stderr = tensor_transform(learned, (t,), cfg.predicted_eps_c**2, (bis.eps_r,))
     return FirstQResult(
         r_hat=bis.r_hat,
         mw_hat=mw_hat,
-        g_physical=g_phys,
-        stderr={k: math.sqrt(v) for k, v in var_phys.items()},
+        g_physical={jk: v for (jk,), v in g_phys.items()},
+        stderr={jk: v for (jk,), v in stderr.items()},
         gprime=learned,
         bisection=bis,
         time_cost=device.ledger().total_evolution_time - start,
@@ -564,83 +601,6 @@ class TwoModeResult:
     learned: LearnedCoefficients
     bisections: tuple[BisectionResult, BisectionResult]
     time_cost: float
-
-
-def _tensor_transform(
-    learned: LearnedCoefficients,
-    transforms: tuple[TransformT, TransformT],
-    identity_var: float,
-    frame_eps: tuple[float, float] = (0.0, 0.0),
-) -> tuple[dict, dict]:
-    """Physical coefficients of a two-mode spec: per-mode exact expansions,
-    tensored for couplings.  Keys are ((j1,k1),(j2,k2)); ((0,0),(0,0)) is the
-    identity and one-sided identities fold into the other mode's singles.
-    frame_eps gives the residual per-mode frame uncertainty, propagated into
-    the standard errors through the exact mixing and rescaling derivatives."""
-    expansions = []
-    for t in transforms:
-        idx = {key: i for i, key in enumerate(t.keys_normal)}
-        exp_m = {}
-        for p, q in t.keys_normal:
-            row_vals = t.matrix[idx[(p, q)]]
-            exp_m[(p, q)] = {
-                key: complex(row_vals[i]) for i, key in enumerate(t.keys_sym) if row_vals[i] != 0
-            }
-        expansions.append(exp_m)
-
-    def expand_term(m: int, p: int, q: int, derivative: bool) -> dict:
-        if not derivative:
-            return expansions[m][(p, q)]
-        out_m: dict = {}
-        for (p2, q2), c in mismatch_derivative({(p, q): 1.0}).items():
-            for jk, c2 in expansions[m][(p2, q2)].items():
-                out_m[jk] = out_m.get(jk, 0.0) + c * c2
-        return out_m
-
-    out: dict = {}
-    var: dict = {}
-    mix = [dict(), dict()]
-
-    def add(key, value, variance):
-        out[key] = out.get(key, 0.0) + value
-        var[key] = var.get(key, 0.0) + variance
-
-    def add_mix(m, key, value):
-        mix[m][key] = mix[m].get(key, 0.0) + value
-
-    ident = ((0, 0), (0, 0))
-    add(ident, complex(learned.identity_offset), identity_var)
-    for tkey, gval in learned.estimates.items():
-        se = learned.stderr.get(tkey, 0.0)
-        if not tkey.is_coupling:
-            m = tkey.modes[0]
-            for (j, k), c in expansions[m][(tkey.p[0], tkey.q[0])].items():
-                jk = [(0, 0), (0, 0)]
-                jk[m] = (j, k)
-                add(tuple(jk), gval * c, (abs(c) * se) ** 2)
-            for (j, k), c in expand_term(m, tkey.p[0], tkey.q[0], True).items():
-                jk = [(0, 0), (0, 0)]
-                jk[m] = (j, k)
-                add_mix(m, tuple(jk), gval * c)
-        else:
-            e1 = expansions[0][(tkey.p[0], tkey.q[0])]
-            e2 = expansions[1][(tkey.p[1], tkey.q[1])]
-            for (j1, k1), c1 in e1.items():
-                for (j2, k2), c2 in e2.items():
-                    add(((j1, k1), (j2, k2)), gval * c1 * c2, (abs(c1 * c2) * se) ** 2)
-            for m in (0, 1):
-                d1 = expand_term(0, tkey.p[0], tkey.q[0], m == 0)
-                d2 = expand_term(1, tkey.p[1], tkey.q[1], m == 1)
-                for (j1, k1), c1 in d1.items():
-                    for (j2, k2), c2 in d2.items():
-                        add_mix(m, ((j1, k1), (j2, k2)), gval * c1 * c2)
-    for key in var:
-        for m in (0, 1):
-            if frame_eps[m]:
-                j, k = key[m]
-                sens = abs(j - k) * abs(out.get(key, 0.0)) + abs(mix[m].get(key, 0.0))
-                var[key] += (frame_eps[m] * sens) ** 2
-    return out, {k: math.sqrt(v) for k, v in var.items()}
 
 
 def parallel_two_mode_search(
@@ -695,7 +655,7 @@ def parallel_two_mode_search(
         build_T(d, mass_omega=math.exp(-2.0 * r_hats[0])),
         build_T(d, mass_omega=math.exp(-2.0 * r_hats[1])),
     )
-    g_phys, stderr = _tensor_transform(
+    g_phys, stderr = tensor_transform(
         learned,
         transforms,
         cfg.predicted_eps_c**2,

@@ -36,6 +36,7 @@ from .hamiltonian import (
 )
 from .protocol import (
     derive_config,
+    learn_displacement_biased,
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
@@ -130,7 +131,7 @@ def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> Simulat
     return SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]), noise=noise)
 
 
-def _rpe_config(config: dict, d: int, r_max: float, g_max: float):
+def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
     rpe = config.get("rpe", {})
     kwargs = {}
     if config["noiseless"]:
@@ -139,7 +140,9 @@ def _rpe_config(config: dict, d: int, r_max: float, g_max: float):
         kwargs = {"shots": int(rpe.get("M", 200))}
         if "L" in rpe:
             kwargs["l_steps"] = rpe["L"]
-    cfg = derive_config(d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), **kwargs)
+    cfg = derive_config(
+        d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), modes=modes, **kwargs
+    )
     if rpe.get("t0"):
         cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
     return cfg
@@ -173,7 +176,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
     d = int(grid.get("d", spec.max_order))
     r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
     device = _build_device(config, spec, checked)
-    cfg = _rpe_config(config, d, r_max, spec.g_max)
+    cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
     learned = learn_single_mode(
         device, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
     )
@@ -197,7 +200,7 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
     d = int(grid.get("d", spec.max_order))
     r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
     device = _build_device(config, spec, checked)
-    cfg = _rpe_config(config, d, r_max, spec.g_max)
+    cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
     strategy = config.get("strategy", "hierarchical")
     if strategy == "hierarchical":
         learned = learn_multimode_hierarchical(
@@ -356,17 +359,8 @@ def _run_spam_sweep(config: dict, _checked: dict) -> dict:
     direction /= np.linalg.norm(direction)
 
     def learn(delta) -> dict:
-        """Noiseless recovery with an optional per-point displacement bias."""
         device = SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]))
-        c_values = np.empty(len(pipe.points))
-        for i, (r, theta) in enumerate(pipe.points):
-            beta = r * np.exp(1j * theta)
-            if delta is not None:
-                device.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
-            est = rpe_estimate(device, [beta], cfg, token=f"spam{i}")
-            device.clear_noise()
-            c_values[i] = est.c_hat
-        return pipe.solve(c_values)
+        return learn_displacement_biased(device, d, cfg, delta)
 
     clean = learn(None)
     rows = []
@@ -408,7 +402,7 @@ def validate(config: dict) -> dict:
         grid = config.get("grid", {})
         d = int(grid.get("d", spec.max_order))
         r_max = float(grid.get("r_max", 1.0))
-        cfg = _rpe_config(config, d, r_max, spec.g_max)
+        cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
         cutoff = adaptive_cutoff(spec, r_max)
         diagnostics.update(
             {

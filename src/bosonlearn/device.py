@@ -46,6 +46,7 @@ joint-space matrices; both serve only as cross-checks of the batch sampler.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import operator
 import threading
@@ -262,7 +263,6 @@ class SimulatedDevice:
                     s = squeeze_matrix(z, cutoff, m)
                     h = s.conj().T @ h @ s
             h = 0.5 * (h + h.conj().T)
-        self._h = h
         self._w, self._v = herm_eig(h)
         self._vh = self._v.conj().T
         self._ledger = TimeLedger()
@@ -321,10 +321,7 @@ class SimulatedDevice:
         edge = max(abs(v[-1]) ** 2 for v in vs)
         with self._phi_lock:
             self._edge_population = max(self._edge_population, edge)
-        phi = np.ones(1, dtype=complex)
-        for v in vs:
-            phi = np.kron(phi, v)
-        return phi
+        return functools.reduce(np.multiply.outer, vs).ravel()
 
     def _state_key(self, request: ShotRequest) -> tuple:
         """The prepared state of a request: its exact executed (beta, frame_z)."""

@@ -8,12 +8,13 @@ exact-probability channel in noiseless mode) and the time ledger.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import ShotRequest, SimulatedDevice
-from .hamiltonian import TermKey, single_key
+from .device import NoiseModel, ShotRequest, SimulatedDevice
+from .hamiltonian import TermKey, admissible_keys, single_key
 from .recovery import (
     MultidimFit,
     multidim_fit,
@@ -67,11 +68,17 @@ def derive_config(
     g_max: float = 1.0,
     k_max: int = 8,
     shots: int = 200,
+    modes: int = 1,
     **kwargs,
 ) -> RpeConfig:
-    """Config with the prior bound c_bound = sum_l (l+1) g_max r_max^l and
-    t0 = 0.9 pi / c_bound, guaranteeing first-round unambiguity."""
-    c_bound = sum((l + 1) * g_max * r_max**l for l in range(1, d + 1))
+    """Config with the prior bound c_bound = sum_l n_l g_max r_max^l and
+    t0 = 0.9 pi / c_bound, guaranteeing first-round unambiguity.
+
+    n_l counts the admissible keys of order l over `modes` modes (l + 1 on
+    one mode), so the bound covers every term a joint grid point can excite.
+    """
+    n_l = Counter(key.order for key in admissible_keys(modes, d))
+    c_bound = sum(n_l[l] * g_max * r_max**l for l in range(1, d + 1))
     t0 = 0.9 * math.pi / c_bound
     h_scale = g_max * (1.0 + r_max) ** d * d**2
     return RpeConfig(
@@ -277,6 +284,30 @@ def learn_single_mode(
     )
 
 
+def learn_displacement_biased(
+    device: SimulatedDevice,
+    d: int,
+    cfg: RpeConfig,
+    delta: np.ndarray | None,
+) -> dict[tuple[int, int], complex]:
+    """Single-mode coefficients, keyed by (p, q), recovered while point i of
+    single_mode_pipeline(d) executes its displacement shifted by delta[i].
+
+    delta = None is the clean learn.  Each point gets its own RPE run under
+    NoiseModel(delta_beta=(delta[i],)), so the bias differs per point as in a
+    SPAM sweep.
+    """
+    pipe = single_mode_pipeline(d)
+    c_values = np.empty(len(pipe.points))
+    for i, (r, theta) in enumerate(pipe.points):
+        if delta is not None:
+            device.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
+        beta = r * np.exp(1j * theta)
+        c_values[i] = rpe_estimate(device, [beta], cfg, token=f"spam{i}").c_hat
+        device.clear_noise()
+    return pipe.solve(c_values)
+
+
 # ---------------------------------------------------------------------------
 # Multi-mode strategies.
 
@@ -294,8 +325,6 @@ def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np
 
 
 def _coupling_keys(modes: int, d: int) -> list[TermKey]:
-    from .hamiltonian import admissible_keys
-
     return [k for k in admissible_keys(modes, d) if k.is_coupling]
 
 

@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 
-from bosonlearn.bogoliubov import _tensor_transform
 from bosonlearn.cli import main as cli_main
-from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
+from bosonlearn.device import ShotRequest, SimulatedDevice
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff, vacuum_state
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
@@ -25,11 +24,18 @@ from bosonlearn.hamiltonian import (
     random_spec,
     single_key,
 )
-from bosonlearn.bogoliubov import build_T, frame_from_ratio, learn_firstq, parallel_two_mode_search
+from bosonlearn.bogoliubov import (
+    build_T,
+    frame_from_ratio,
+    learn_firstq,
+    parallel_two_mode_search,
+    tensor_transform,
+)
 from bosonlearn.protocol import (
     LearnedCoefficients,
     derive_config,
     joint_grid,
+    learn_displacement_biased,
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
@@ -208,14 +214,7 @@ def test_07_spam_bound_and_linearity():
     cut = adaptive_cutoff(spec, 1.2)
 
     def learn(delta):
-        dev = SimulatedDevice(spec, cut, master_seed=0)
-        c = np.empty(len(pipe.points))
-        for i, (r, theta) in enumerate(pipe.points):
-            if delta is not None:
-                dev.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
-            c[i] = rpe_estimate(dev, [r * np.exp(1j * theta)], cfg, token=f"s{i}").c_hat
-            dev.clear_noise()
-        return pipe.solve(c)
+        return learn_displacement_biased(SimulatedDevice(spec, cut, master_seed=0), d, cfg, delta)
 
     clean = learn(None)
     medians = {}
@@ -340,7 +339,7 @@ def test_10_two_mode_parallel_search():
     truth_lc = LearnedCoefficients(
         estimates=dict(spec.terms), stderr={}, eps_c=0.0, time_cost=0.0
     )
-    g_true, _ = _tensor_transform(truth_lc, transforms, 0.0)
+    g_true, _ = tensor_transform(truth_lc, transforms, 0.0)
     physical = [k for k in result.g_physical if k != ((0, 0), (0, 0))]
     n_bad = sum(
         1

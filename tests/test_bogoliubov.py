@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from bosonlearn.bogoliubov import (
     overlap_feasible,
     signal_measure,
     symmetrized_to_normal,
+    tensor_transform,
 )
 from bosonlearn.device import SimulatedDevice
 from bosonlearn.fockspace import (
@@ -31,8 +33,8 @@ from bosonlearn.fockspace import (
     number_matrix,
     squeeze_matrix,
 )
-from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, single_key
-from bosonlearn.protocol import derive_config
+from bosonlearn.hamiltonian import HamiltonianSpec, admissible_keys, build_matrix, single_key
+from bosonlearn.protocol import LearnedCoefficients, derive_config
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,12 +207,106 @@ def test_transform_matrix_invertible():
     assert t.matrix.shape[0] == t.matrix.shape[1] == 15
 
 
-def test_transform_variance_propagation():
-    t = build_T(2)
-    var = t.transform_variance({(1, 1): 1e-4})
-    row = t.matrix[t.keys_normal.index((1, 1))]
-    for i, key in enumerate(t.keys_sym):
-        assert var[key] == pytest.approx(1e-4 * abs(row[i]) ** 2)
+def _learned(modes: int, d: int, seed: int) -> LearnedCoefficients:
+    """Random coefficients and standard errors on every admissible key."""
+    rng = np.random.default_rng(seed)
+    keys = admissible_keys(modes, d)
+    values = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    return LearnedCoefficients(
+        estimates=dict(zip(keys, (complex(v) for v in values))),
+        stderr=dict(zip(keys, (float(s) for s in rng.uniform(1e-3, 1e-2, len(keys))))),
+        eps_c=0.0,
+        time_cost=0.0,
+        identity_offset=float(rng.normal()),
+    )
+
+
+def _rows(learned: LearnedCoefficients, modes: int, identity_var: float) -> dict:
+    """(per-mode normal keys) -> (coefficient, variance), identity included."""
+    rows = {((0, 0),) * modes: (complex(learned.identity_offset), identity_var)}
+    for key, value in learned.estimates.items():
+        pq = [(0, 0)] * modes
+        for m, p, q in zip(key.modes, key.p, key.q):
+            pq[m] = (p, q)
+        rows[tuple(pq)] = (value, learned.stderr[key] ** 2)
+    return rows
+
+
+def _expand(rows: tuple, transforms) -> list[tuple[tuple, complex]]:
+    """Terms of prod_m T_m[rows[m], .] as an explicit sum over per-mode columns."""
+    per_mode = [t.transform({row: 1.0}).items() for t, row in zip(transforms, rows)]
+    return [
+        (tuple(jk for jk, _ in cols), math.prod(c for _, c in cols))
+        for cols in itertools.product(*per_mode)
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("mw", [1.0, 0.6, 1.7])
+def test_tensor_transform_one_mode_matches_transform(d, mw):
+    t = build_T(d, mass_omega=mw)
+    learned = _learned(1, d, seed=d)
+    g, stderr = tensor_transform(learned, (t,), 2.5e-5)
+    rows = _rows(learned, 1, 2.5e-5)
+    expected = t.transform({row: value for (row,), (value, _) in rows.items()})
+    assert {jk: v for (jk,), v in g.items()} == expected
+    var = {jk: 0.0 for jk in t.keys_sym}
+    for (row,), (_, v) in rows.items():
+        for i, jk in enumerate(t.keys_sym):
+            var[jk] += v * abs(t.matrix[t.keys_normal.index(row), i]) ** 2
+    for (jk,), se in stderr.items():
+        assert se**2 == pytest.approx(var[jk], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_transform_two_modes_matches_double_sum(d):
+    transforms = (build_T(d, mass_omega=1.3), build_T(d, mass_omega=0.7))
+    learned = _learned(2, d, seed=10 + d)
+    g, stderr = tensor_transform(learned, transforms, 1e-6)
+    g_sum: dict = {}
+    var_sum: dict = {}
+    for rows, (value, v) in _rows(learned, 2, 1e-6).items():
+        for key, c in _expand(rows, transforms):
+            g_sum[key] = g_sum.get(key, 0.0) + value * c
+            var_sum[key] = var_sum.get(key, 0.0) + v * abs(c) ** 2
+    degrees = [sum(jk) for jk in transforms[0].keys_sym]
+    reached = {
+        (a, b)
+        for a, da in zip(transforms[0].keys_sym, degrees)
+        for b, db in zip(transforms[1].keys_sym, degrees)
+        if da + db <= d
+    }
+    assert set(g) == set(stderr) == reached
+    if d == 2:
+        assert len(g) == 15
+    for key in g:
+        assert abs(g[key] - g_sum[key]) <= 1e-12 * (1.0 + abs(g_sum[key]))
+        assert stderr[key] ** 2 == pytest.approx(var_sum[key], rel=1e-12)
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_tensor_transform_frame_error_matches_mismatch_oracle(modes):
+    d = 2
+    transforms = tuple(build_T(d, mass_omega=mw) for mw in (1.2, 0.8)[:modes])
+    eps = (3e-3, 5e-3)[:modes]
+    learned = _learned(modes, d, seed=30 + modes)
+    rows = _rows(learned, modes, 1e-6)
+    g, base = tensor_transform(learned, transforms, 1e-6)
+    _, stderr = tensor_transform(learned, transforms, 1e-6, frame_eps=eps)
+    for m in range(modes):
+        # mix_m: each coefficient's mismatch derivative on mode m, transformed
+        mix: dict = {}
+        for row, (value, _) in rows.items():
+            for pq, c in mismatch_derivative({row[m]: value}).items():
+                shifted = row[:m] + (pq,) + row[m + 1 :]
+                for key, c2 in _expand(shifted, transforms):
+                    mix[key] = mix.get(key, 0.0) + c * c2
+        for key in base:
+            j, k = key[m]
+            sens = abs(j - k) * abs(g[key]) + abs(mix.get(key, 0.0))
+            base[key] = math.sqrt(base[key] ** 2 + (eps[m] * sens) ** 2)
+    for key, se in stderr.items():
+        assert se == pytest.approx(base[key], rel=1e-10)
 
 
 def signal_device(ratio, seed=0, n_max=48):

@@ -123,6 +123,19 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     assert report["result"]["diagnostics"]["inconsistent_rounds"] == 0
 
 
+def test_learn_multi_prior_covers_the_joint_grid(tmp_path, capsys):
+    # with a one-mode prior (c_bound 5) this spec reaches |C| t0 > pi on the
+    # joint grid, the first RPE round wraps, and the learn is off by up to 1.37
+    doc = {"generator": {"modes": 2, "d": 2, "seed": 4}, "grid": {"d": 2}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["validate", "--config", cfg, "--experiment-kind", "learn-multi"]) == 0
+    assert json.loads(capsys.readouterr().out)["c_bound"] == 14
+    assert main(["learn-multi", "--config", cfg, "--noiseless"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["coefficients"]
+    assert len(rows) > 0
+    assert max(row["abs_error"] for row in rows) < 1e-8
+
+
 def test_compare_covariance_default_design(capsys):
     assert main(["compare-covariance"]) == 0
     report = json.loads(capsys.readouterr().out)

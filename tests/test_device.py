@@ -158,7 +158,8 @@ def test_true_frame_matches_explicit_conjugation():
     dev = SimulatedDevice(spec, cut, master_seed=0, true_frame_z=(complex(-r),))
     s = squeeze_matrix(-r, cut)
     h_manual = s.conj().T @ build_matrix(spec, cut) @ s
-    assert np.max(np.abs(dev._h - 0.5 * (h_manual + h_manual.conj().T))) < 1e-12
+    h_frame = (dev._v * dev._w) @ dev._vh
+    assert np.max(np.abs(h_frame - 0.5 * (h_manual + h_manual.conj().T))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -179,8 +180,20 @@ def test_product_state_matches_embedded_operators(modes, n_max, beta, frame_z):
         expected = displacement_matrix(b, cut, m) @ expected
     for m, z in enumerate(frame_z or ()):
         expected = squeeze_matrix(z, cut, m).conj().T @ expected
-    phi = dev._prepared_state(np.array(beta), frame_z)
+    beta = np.array(beta)
+    phi = dev._prepared_state(beta, frame_z)
     assert np.max(np.abs(phi - expected)) < 1e-13
+    # the outer product is bit-identical to the Kronecker chain of the same vectors
+    single = FockCutoff(n_max=n_max)
+    chain = np.ones(1, dtype=complex)
+    for m in range(modes):
+        v = vacuum_state(single)
+        if beta[m]:
+            v = displacement_matrix(beta[m], single) @ v
+        if frame_z is not None and frame_z[m]:
+            v = squeeze_matrix(frame_z[m], single).conj().T @ v
+        chain = np.kron(chain, v)
+    assert np.array_equal(phi, chain)
 
 
 def test_matching_request_frame_recovers_frame_coefficients():

@@ -31,6 +31,23 @@ def test_derive_config_prior_bound():
     assert cfg.t0 * cfg.c_bound < math.pi
 
 
+@pytest.mark.parametrize("d, modes, c_bound", [(2, 1, 5), (2, 2, 14), (2, 3, 27), (3, 2, 34)])
+def test_derive_config_prior_counts_every_admissible_key(d, modes, c_bound):
+    assert derive_config(d, modes=modes).c_bound == c_bound
+
+
+def test_multimode_prior_bounds_the_joint_grid():
+    # at r_max = 1 every |beta_m| <= 1, so |C| stays below the joint key count
+    # times g_max and the first RPE round never wraps
+    t0 = derive_config(2, modes=2).t0
+    grid = joint_grid(2, 2)
+    for sparsity in (0.8, 1.0):
+        for seed in range(40):
+            spec = random_spec(2, 2, seed=seed, sparsity=sparsity)
+            worst = max(abs(constant_term(spec, beta)) for beta in grid)
+            assert worst * t0 < math.pi
+
+
 def test_rpe_config_validation():
     with pytest.raises(ValueError):
         RpeConfig(k_max=-1, shots=100, t0=0.5, c_bound=1.0)
