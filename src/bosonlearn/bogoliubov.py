@@ -377,9 +377,11 @@ def _signal_row_norm(d: int) -> float:
     return float(np.sqrt(np.sum(np.abs(row) ** 2)))
 
 
-def _noiseless_config(d: int) -> RpeConfig:
-    """Exact-channel schedule for every search stage and final learn."""
-    return derive_config(d, g_max=G_MAX_PRIOR, k_max=10, shots=20, l_steps=None, noiseless=True)
+def _noiseless_config(d: int, modes: int) -> RpeConfig:
+    """Exact-channel schedule for every search stage and final learn on `modes` modes."""
+    return derive_config(
+        d, g_max=G_MAX_PRIOR, k_max=10, shots=20, l_steps=None, noiseless=True, modes=modes
+    )
 
 
 def _cfg_for_precision(
@@ -454,7 +456,7 @@ def bisection_search(
     def measure(r_prime: float, eps_target: float) -> tuple[float, float]:
         nonlocal evaluations
         if noiseless:
-            cfg = _noiseless_config(d)
+            cfg = _noiseless_config(d, 1)
         else:
             cfg = _cfg_for_precision(eps_target, row_norm, d, shots, k_cap)
         evaluations += 1
@@ -566,7 +568,7 @@ def learn_firstq(
     mw_hat = math.exp(-2.0 * bis.r_hat)
     t = build_T(d, mass_omega=mw_hat)
     if noiseless:
-        cfg = _noiseless_config(d)
+        cfg = _noiseless_config(d, 1)
     else:
         cfg = _cfg_for_precision(eps_g * t.sigma_min, _signal_row_norm(d), d, shots, k_cap)
     learned = learn_single_mode(
@@ -639,9 +641,9 @@ def parallel_two_mode_search(
         )
     r_hats = (results[0].r_hat, results[1].r_hat)
     if noiseless:
-        cfg = _noiseless_config(d)
+        cfg = _noiseless_config(d, 2)
     else:
-        cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=k_cap, shots=shots, l_steps=None)
+        cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=k_cap, shots=shots, l_steps=None, modes=2)
     learned = learn_multimode_hierarchical(
         device,
         2,

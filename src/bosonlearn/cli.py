@@ -28,6 +28,7 @@ from .device import NoiseModel, SimulatedDevice
 from .fockspace import FockCutoff, adaptive_cutoff
 from .hamiltonian import (
     HamiltonianSpec,
+    admissible_keys,
     load_spec,
     random_spec,
     single_key,
@@ -36,6 +37,7 @@ from .hamiltonian import (
 )
 from .protocol import (
     derive_config,
+    joint_grid,
     learn_displacement_biased,
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
@@ -95,14 +97,13 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _build_spec(config: dict) -> tuple[HamiltonianSpec, bool]:
-    """Spec plus a flag telling whether the ground truth is known to us."""
+def _build_spec(config: dict) -> HamiltonianSpec:
     if "spec_path" in config:
         try:
             spec = load_spec(config["spec_path"])
         except FileNotFoundError as exc:
             raise ConfigError(f"spec file not found: {config['spec_path']}") from exc
-        return validate_hermitian(spec, check_matrix=False), True
+        return validate_hermitian(spec, check_matrix=False)
     gen = config.get("generator")
     if gen is None:
         raise ConfigError("config needs either spec_path or generator")
@@ -117,7 +118,7 @@ def _build_spec(config: dict) -> tuple[HamiltonianSpec, bool]:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generator block: {exc}") from exc
-    return spec, True
+    return spec
 
 
 def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> SimulatedDevice:
@@ -140,36 +141,39 @@ def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
         kwargs = {"shots": int(rpe.get("M", 200))}
         if "L" in rpe:
             kwargs["l_steps"] = rpe["L"]
-    cfg = derive_config(
-        d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), modes=modes, **kwargs
-    )
-    if rpe.get("t0"):
-        cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
+    try:
+        cfg = derive_config(
+            d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), modes=modes, **kwargs
+        )
+        if rpe.get("t0") is not None:
+            cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
+    except ValueError as exc:
+        raise ConfigError(f"bad rpe block: {exc}") from exc
     return cfg
 
 
-def _coeff_rows(learned, spec: HamiltonianSpec | None) -> list[dict]:
+def _coeff_rows(learned, spec: HamiltonianSpec) -> list[dict]:
     rows = []
     for key, val in sorted(learned.estimates.items(), key=lambda kv: (kv[0].modes, kv[0].p, kv[0].q)):
-        row = {
-            "modes": list(key.modes),
-            "p": list(key.p),
-            "q": list(key.q),
-            "re": val.real,
-            "im": val.imag,
-            "stderr": learned.stderr.get(key, 0.0),
-        }
-        if spec is not None:
-            truth = spec.terms.get(key, 0.0)
-            row["truth_re"] = complex(truth).real
-            row["truth_im"] = complex(truth).imag
-            row["abs_error"] = abs(val - truth)
-        rows.append(row)
+        truth = spec.terms.get(key, 0.0)
+        rows.append(
+            {
+                "modes": list(key.modes),
+                "p": list(key.p),
+                "q": list(key.q),
+                "re": val.real,
+                "im": val.imag,
+                "stderr": learned.stderr.get(key, 0.0),
+                "truth_re": complex(truth).real,
+                "truth_im": complex(truth).imag,
+                "abs_error": abs(val - truth),
+            }
+        )
     return rows
 
 
 def _run_learn_single(config: dict, checked: dict) -> dict:
-    spec, have_truth = _build_spec(config)
+    spec = _build_spec(config)
     if spec.modes != 1:
         raise ConfigError("learn-single needs a single-mode spec")
     grid = config.get("grid", {})
@@ -182,7 +186,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
     )
     ledger = device.ledger()
     return {
-        "coefficients": _coeff_rows(learned, spec if have_truth else None),
+        "coefficients": _coeff_rows(learned, spec),
         "eps_c_predicted": learned.eps_c,
         "ledger": {
             "total_evolution_time": ledger.total_evolution_time,
@@ -195,7 +199,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
 
 
 def _run_learn_multi(config: dict, checked: dict) -> dict:
-    spec, have_truth = _build_spec(config)
+    spec = _build_spec(config)
     grid = config.get("grid", {})
     d = int(grid.get("d", spec.max_order))
     r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
@@ -215,7 +219,7 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
     ledger = device.ledger()
     return {
         "strategy": strategy,
-        "coefficients": _coeff_rows(learned, spec if have_truth else None),
+        "coefficients": _coeff_rows(learned, spec),
         "diagnostics": {k: v for k, v in learned.diagnostics.items() if v is not None},
         "ledger": {
             "total_evolution_time": ledger.total_evolution_time,
@@ -322,13 +326,10 @@ def _run_compare_covariance(config: dict, _checked: dict) -> dict:
     grid_cfg = config.get("grid", {})
     d = int(grid_cfg.get("d", 2))
     modes = int(grid_cfg.get("modes", 2))
-    from .protocol import _coupling_keys, _single_keys, joint_grid
-
     grid = joint_grid(modes, d)
-    singles = [k for m in range(modes) for k in _single_keys(d, m)]
-    couplings = _coupling_keys(modes, d)
-    m1 = real_design_matrix(grid, real_parameters(singles))
-    m2 = real_design_matrix(grid, real_parameters(couplings))
+    keys = admissible_keys(modes, d)
+    m1 = real_design_matrix(grid, real_parameters([k for k in keys if not k.is_coupling]))
+    m2 = real_design_matrix(grid, real_parameters([k for k in keys if k.is_coupling]))
     report = covariance_compare(m1, m2)
     return {
         "min_eig_single_block": report.min_eig_single,
@@ -344,7 +345,7 @@ def _run_spam_sweep(config: dict, _checked: dict) -> dict:
     scales = [float(s) for s in sweep.get("delta_norms", (1e-3, 1e-2))]
     grid_cfg = config.get("grid", {})
     d = int(grid_cfg.get("d", 2))
-    spec, _ = _build_spec(config)
+    spec = _build_spec(config)
     if spec.modes != 1:
         raise ConfigError("spam-sweep needs a single-mode spec")
     pipe = single_mode_pipeline(d)
@@ -398,7 +399,7 @@ def validate(config: dict) -> dict:
     if config["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
     if config["experiment"] in ("learn-single", "learn-multi", "spam-sweep"):
-        spec, _ = _build_spec(config)
+        spec = _build_spec(config)
         grid = config.get("grid", {})
         d = int(grid.get("d", spec.max_order))
         r_max = float(grid.get("r_max", 1.0))

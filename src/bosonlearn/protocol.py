@@ -15,13 +15,7 @@ import numpy as np
 
 from .device import NoiseModel, ShotRequest, SimulatedDevice
 from .hamiltonian import TermKey, admissible_keys, single_key
-from .recovery import (
-    MultidimFit,
-    multidim_fit,
-    real_design_matrix,
-    real_parameters,
-    single_mode_pipeline,
-)
+from .recovery import multidim_fit, single_mode_pipeline
 
 
 @dataclass(frozen=True)
@@ -44,6 +38,8 @@ class RpeConfig:
     def __post_init__(self) -> None:
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
+        if self.t0 <= 0:
+            raise ValueError(f"t0 must be > 0, got {self.t0}")
         if not self.noiseless and self.shots < 20:
             raise ValueError("shots per basis must be >= 20")
         if self.c_bound * self.t0 >= math.pi:
@@ -265,7 +261,7 @@ def learn_single_mode(
     c_values = np.array([est.c_hat for est in runs]) - offset
     inconsistent = sum(len(est.inconsistent_rounds) for est in runs)
     coeffs = pipe.solve(c_values)
-    variances = pipe.coefficient_variances(max(cfg.predicted_eps_c, 0.0))
+    variances = pipe.coefficient_variances(cfg.predicted_eps_c)
     if subtract_offset:
         # The beta = 0 estimate is shared by every grid point, so its error is
         # a coherent constant the intercept-free design maps into coefficients.
@@ -324,16 +320,6 @@ def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _coupling_keys(modes: int, d: int) -> list[TermKey]:
-    return [k for k in admissible_keys(modes, d) if k.is_coupling]
-
-
-def _single_keys(d: int, mode: int) -> list[TermKey]:
-    return [
-        single_key(p, q, mode) for p in range(d + 1) for q in range(d + 1 - p) if p + q >= 1
-    ]
-
-
 def _measure_grid(
     device: SimulatedDevice,
     points: np.ndarray,
@@ -373,12 +359,12 @@ def learn_multimode_hierarchical(
         raise ValueError("hierarchical strategy is desk-scale: modes <= 3")
     start = device.ledger().total_evolution_time
     grid = joint_grid(modes, d, r_min, r_max)
-    eps_c = max(cfg.predicted_eps_c, 0.0)
+    keys = admissible_keys(modes, d)
+    eps_c = cfg.predicted_eps_c
     offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
-
     # Shared beta = 0 subtraction error is a coherent rank-1 measurement
     # covariance across every grid point.
-    offset_cov = (eps_c**2 * np.ones((len(grid), len(grid)))) if subtract_offset else None
+    coherent = [(np.ones((len(grid), 1)), [[eps_c**2]])] if subtract_offset else []
 
     estimates: dict[TermKey, complex] = {}
     stderr: dict[TermKey, float] = {}
@@ -390,31 +376,26 @@ def learn_multimode_hierarchical(
         y, bad = _measure_grid(device, iso, cfg, frame_z, f"{token}:s{m}")
         y -= offset
         inconsistent += bad
-        fit = multidim_fit(iso, y, _single_keys(d, m), eps_c=eps_c, extra_cov=offset_cov)
+        fit = multidim_fit(
+            iso, y, [k for k in keys if k.modes == (m,)], eps_c=eps_c, coherent=coherent
+        )
         single_fits.append(fit)
         estimates.update(fit.estimates)
         for key, var in fit.coefficient_variances().items():
             stderr[key] = math.sqrt(var)
 
-    coupling_keys = _coupling_keys(modes, d)
+    coupling_keys = [k for k in keys if k.is_coupling]
     fit2 = None
     if coupling_keys:
         residual, bad = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
         residual -= offset
         inconsistent += bad
-        extra = np.zeros((len(grid), len(grid))) if offset_cov is None else offset_cov.copy()
-        for m, fit in enumerate(single_fits):
-            params = fit.params
-            x = np.array(
-                [
-                    fit.estimates[key].real if part == "re" else fit.estimates[key].imag
-                    for key, part in params
-                ]
-            )
-            phi_joint = real_design_matrix(grid, params)
-            residual -= phi_joint @ x
-            extra += phi_joint @ fit.covariance @ phi_joint.T
-        fit2 = multidim_fit(grid, residual, coupling_keys, eps_c=eps_c, extra_cov=extra)
+        # A single's monomial reads only its own mode, so its isolated design
+        # is also its design on the joint grid.
+        for fit in single_fits:
+            residual -= fit.design @ fit.x
+            coherent.append((fit.design, fit.covariance))
+        fit2 = multidim_fit(grid, residual, coupling_keys, eps_c=eps_c, coherent=coherent)
         estimates.update(fit2.estimates)
         for key, var in fit2.coefficient_variances().items():
             stderr[key] = math.sqrt(var)
@@ -448,13 +429,12 @@ def learn_multimode_simultaneous(
     (singles and couplings together) on the joint displacement grid."""
     start = device.ledger().total_evolution_time
     grid = joint_grid(modes, d, r_min, r_max)
-    eps_c = max(cfg.predicted_eps_c, 0.0)
+    eps_c = cfg.predicted_eps_c
     offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
     y, inconsistent = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
     y -= offset
-    keys = [k for m in range(modes) for k in _single_keys(d, m)] + _coupling_keys(modes, d)
-    offset_cov = (eps_c**2 * np.ones((len(grid), len(grid)))) if subtract_offset else None
-    fit = multidim_fit(grid, y, keys, eps_c=eps_c, extra_cov=offset_cov)
+    coherent = [(np.ones((len(grid), 1)), [[eps_c**2]])] if subtract_offset else []
+    fit = multidim_fit(grid, y, admissible_keys(modes, d), eps_c=eps_c, coherent=coherent)
     stderr = {key: math.sqrt(var) for key, var in fit.coefficient_variances().items()}
     return LearnedCoefficients(
         estimates=fit.estimates,

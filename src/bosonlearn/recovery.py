@@ -1,7 +1,7 @@
 """Classical linear algebra of the coefficient-recovery pipeline.
 
 Chebyshev radial interpolation, angular inverse DFT, covariance prediction,
-the Lipschitz/SPAM bound, the multi-mode coupling fit, and the
+the Lipschitz/SPAM bound, the multi-mode least-squares fit, and the
 hierarchical-vs-simultaneous covariance ordering check.  Everything here is a
 pure function of its inputs.
 """
@@ -334,23 +334,21 @@ def real_parameters(keys) -> list[tuple]:
     return params
 
 
-def _monomial(key, beta: np.ndarray) -> complex:
-    val = 1.0 + 0.0j
-    for mode, p, q in zip(key.modes, key.p, key.q):
-        val *= np.conj(beta[mode]) ** p * beta[mode] ** q
-    return val
-
-
 def real_design_matrix(points: np.ndarray, params: list[tuple]) -> np.ndarray:
     """Design matrix of real C contributions for the real parameterization.
 
     A canonical key k with coefficient c = a + ib contributes
-    2 Re(c m_k(beta)) when paired, or a m_k(beta) when self-conjugate.
+    2 Re(c m_k(beta)) when paired, or a m_k(beta) when self-conjugate, with
+    the monomial m_k(beta) = prod over k's modes of conj(beta_m)^p beta_m^q.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
+    conj = np.conj(points)
     cols = []
     for key, part in params:
-        m = np.array([_monomial(key, b) for b in points])
+        m = np.prod(
+            [conj[:, mode] ** p * points[:, mode] ** q for mode, p, q in zip(key.modes, key.p, key.q)],
+            axis=0,
+        )
         if key.is_self_conjugate:
             col = m.real
         elif part == "re":
@@ -377,6 +375,7 @@ def params_to_coeffs(params: list[tuple], x: np.ndarray) -> dict:
 @dataclass
 class MultidimFit:
     params: list[tuple]
+    x: np.ndarray
     estimates: dict
     design: np.ndarray
     sigma_min: float
@@ -395,29 +394,33 @@ class MultidimFit:
 
 
 def multidim_fit(points: np.ndarray, residuals: np.ndarray, keys, eps_c: float = 0.0,
-                 extra_cov: np.ndarray | None = None) -> MultidimFit:
-    """Least-squares fit of coupling coefficients on single-mode-subtracted data.
+                 coherent=()) -> MultidimFit:
+    """Least-squares fit of real coefficient parameters from one SVD of the design.
 
-    extra_cov, if given, is added to the eps_c^2 I measurement covariance
-    (e.g. the propagated stage-1 subtraction noise).
+    The measurement covariance is eps_c^2 I plus A S A^T for each (A, S) in
+    coherent: a shared offset error, or a subtracted stage-1 fit with design
+    A and covariance S.  It stays factored: with P = pinv(Phi), the parameter
+    covariance is eps_c^2 P P^T + sum (P A) S (P A)^T, and no points x points
+    matrix is formed.
     """
     params = real_parameters(keys)
     phi = real_design_matrix(points, params)
-    sv = np.linalg.svd(phi, compute_uv=False)
-    sigma_min = float(sv[-1]) if len(sv) else 0.0
-    if sigma_min <= 0:
-        raise np.linalg.LinAlgError("coupling design matrix is rank deficient")
-    x, *_ = np.linalg.lstsq(phi, np.asarray(residuals, dtype=float), rcond=None)
-    pinv = np.linalg.pinv(phi)
-    meas_cov = eps_c**2 * np.eye(phi.shape[0])
-    if extra_cov is not None:
-        meas_cov = meas_cov + extra_cov
-    cov = pinv @ meas_cov @ pinv.T
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    # pinv's cutoff: below it a direction would be dropped silently.
+    if not len(s) or s[-1] <= 1e-15 * s[0]:
+        raise np.linalg.LinAlgError("fit design matrix is rank deficient")
+    pinv = (vt.T / s) @ u.T
+    x = pinv @ np.asarray(residuals, dtype=float)
+    cov = eps_c**2 * pinv @ pinv.T
+    for a, s_a in coherent:
+        pa = pinv @ a
+        cov = cov + pa @ np.asarray(s_a) @ pa.T
     return MultidimFit(
         params=params,
+        x=x,
         estimates=params_to_coeffs(params, x),
         design=phi,
-        sigma_min=sigma_min,
+        sigma_min=float(s[-1]),
         covariance=cov,
     )
 

@@ -108,6 +108,12 @@ def test_unknown_strategy_is_schema_error(tmp_path):
     assert main(["learn-multi", "--config", cfg, "--noiseless"]) == 2
 
 
+@pytest.mark.parametrize("rpe", [{"t0": -0.1}, {"t0": 0}, {"M": 5}])
+def test_bad_rpe_block_is_schema_error(tmp_path, rpe):
+    cfg = write_config(tmp_path, "c.json", {"generator": {"modes": 1, "d": 2}, "rpe": rpe})
+    assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
+
+
 def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

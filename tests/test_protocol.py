@@ -59,6 +59,13 @@ def test_rpe_config_validation():
     RpeConfig(k_max=4, shots=1, t0=0.5, c_bound=1.0, noiseless=True)
 
 
+@pytest.mark.parametrize("t0", [0.0, -0.5])
+def test_rpe_config_rejects_nonpositive_t0(t0):
+    # c_bound * t0 < pi holds for any t0 <= 0, so only this check stops it
+    with pytest.raises(ValueError, match="t0 must be > 0"):
+        RpeConfig(k_max=4, shots=100, t0=t0, c_bound=1.0)
+
+
 def test_predicted_eps_c_formula():
     cfg = RpeConfig(k_max=6, shots=100, t0=0.5, c_bound=1.0)
     assert cfg.predicted_eps_c == pytest.approx(1.0 / (64 * 0.5 * 10))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonlearn.hamiltonian import TermKey, constant_term, random_spec, single_key
+from bosonlearn.hamiltonian import TermKey, admissible_keys, constant_term, random_spec, single_key
+from bosonlearn.protocol import joint_grid
 from bosonlearn.recovery import (
     angular_angles,
     angular_idft,
@@ -231,10 +233,64 @@ def test_multidim_fit_extra_covariance_inflates_variances():
     y = np.zeros(12)
     plain = multidim_fit(pts, y, [key, key.conjugate], eps_c=0.01)
     inflated = multidim_fit(
-        pts, y, [key, key.conjugate], eps_c=0.01, extra_cov=1e-4 * np.ones((12, 12))
+        pts, y, [key, key.conjugate], eps_c=0.01, coherent=[(np.ones((12, 1)), [[1e-4]])]
     )
     for k in plain.coefficient_variances():
         assert inflated.coefficient_variances()[k] >= plain.coefficient_variances()[k]
+
+
+def test_multidim_fit_factored_covariance_matches_dense():
+    grid = joint_grid(2, 2)
+    n = len(grid)
+    rng = np.random.default_rng(21)
+    y = rng.normal(size=n)
+    a = rng.normal(size=(n, 3))
+    b = rng.normal(size=(3, 3))
+    s = b @ b.T + np.eye(3)
+    eps_c, eps_offset = 0.02, 0.03
+    offset = (np.ones((n, 1)), [[eps_offset**2]])
+    fit = multidim_fit(grid, y, admissible_keys(2, 2), eps_c=eps_c, coherent=[offset, (a, s)])
+    pinv = np.linalg.pinv(fit.design)
+    meas_cov = eps_c**2 * np.eye(n) + eps_offset**2 * np.ones((n, n)) + a @ s @ a.T
+    np.testing.assert_allclose(fit.covariance, pinv @ meas_cov @ pinv.T, rtol=1e-12)
+    x, *_ = np.linalg.lstsq(fit.design, y, rcond=None)
+    np.testing.assert_allclose(fit.x, x, rtol=1e-12)
+
+
+@pytest.mark.parametrize("modes,d", [(2, 2), (2, 3), (3, 2)])
+def test_isolated_single_design_is_its_joint_design(modes, d):
+    grid = joint_grid(modes, d)
+    keys = admissible_keys(modes, d)
+    for m in range(modes):
+        iso = np.zeros_like(grid)
+        iso[:, m] = grid[:, m]
+        params = real_parameters([k for k in keys if k.modes == (m,)])
+        assert np.array_equal(real_design_matrix(iso, params), real_design_matrix(grid, params))
+
+
+def test_multidim_fit_rejects_numerically_rank_deficient_design():
+    # mode 1 shrunk to |beta| <= 1e-9: its second-order columns sit near 1e-18,
+    # so sigma_min / sigma_max ~ 1e-19, nonzero but below pinv's 1e-15 cutoff
+    grid = joint_grid(2, 2)
+    grid[:, 1] *= 1e-9
+    with pytest.raises(np.linalg.LinAlgError):
+        multidim_fit(grid, np.zeros(len(grid)), admissible_keys(2, 2))
+
+
+def test_multidim_fit_forms_no_points_by_points_matrix():
+    # 13,824 points: one dense points x points float64 matrix would be 1.53 GB
+    grid = joint_grid(3, 3)
+    n = len(grid)
+    y = np.zeros(n)
+    tracemalloc.start()
+    try:
+        multidim_fit(
+            grid, y, admissible_keys(3, 3), eps_c=0.01, coherent=[(np.ones((n, 1)), [[1e-4]])]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_covariance_compare_ordering_and_woodbury():
