@@ -36,6 +36,7 @@ from .hamiltonian import (
     validate_hermitian,
 )
 from .protocol import (
+    RpeConfig,
     derive_config,
     joint_grid,
     learn_displacement_biased,
@@ -152,6 +153,25 @@ def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
     return cfg
 
 
+def _schedule(config: dict, spec: HamiltonianSpec) -> tuple[int, RpeConfig, float]:
+    """The grid order, RPE schedule and largest displacement an experiment runs.
+
+    The SPAM sweep runs its own schedule on the exact channel, whatever the
+    config's rpe block says, over displacements up to 1.1 (the unit grid plus
+    its bias).
+    """
+    grid = config.get("grid", {})
+    if config["experiment"] == "spam-sweep":
+        if spec.modes != 1:
+            raise ConfigError("spam-sweep needs a single-mode spec")
+        d = int(grid.get("d", 2))
+        cfg = derive_config(d, g_max=spec.g_max, noiseless=True, shots=20, l_steps=None, k_max=10)
+        return d, cfg, 1.1
+    d = int(grid.get("d", spec.max_order))
+    r_max = float(grid.get("r_max", 1.0))
+    return d, _rpe_config(config, d, r_max, spec.g_max, spec.modes), r_max
+
+
 def _coeff_rows(learned, spec: HamiltonianSpec) -> list[dict]:
     rows = []
     for key, val in sorted(learned.estimates.items(), key=lambda kv: (kv[0].modes, kv[0].p, kv[0].q)):
@@ -176,11 +196,9 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
     spec = _build_spec(config)
     if spec.modes != 1:
         raise ConfigError("learn-single needs a single-mode spec")
-    grid = config.get("grid", {})
-    d = int(grid.get("d", spec.max_order))
-    r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
+    d, cfg, r_max = _schedule(config, spec)
+    r_min = float(config.get("grid", {}).get("r_min", 0.2))
     device = _build_device(config, spec, checked)
-    cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
     learned = learn_single_mode(
         device, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
     )
@@ -200,11 +218,9 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
 
 def _run_learn_multi(config: dict, checked: dict) -> dict:
     spec = _build_spec(config)
-    grid = config.get("grid", {})
-    d = int(grid.get("d", spec.max_order))
-    r_min, r_max = float(grid.get("r_min", 0.2)), float(grid.get("r_max", 1.0))
+    d, cfg, r_max = _schedule(config, spec)
+    r_min = float(config.get("grid", {}).get("r_min", 0.2))
     device = _build_device(config, spec, checked)
-    cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
     strategy = config.get("strategy", "hierarchical")
     if strategy == "hierarchical":
         learned = learn_multimode_hierarchical(
@@ -340,21 +356,17 @@ def _run_compare_covariance(config: dict, _checked: dict) -> dict:
     }
 
 
-def _run_spam_sweep(config: dict, _checked: dict) -> dict:
+def _run_spam_sweep(config: dict, checked: dict) -> dict:
     sweep = config.get("sweep", {})
     scales = [float(s) for s in sweep.get("delta_norms", (1e-3, 1e-2))]
-    grid_cfg = config.get("grid", {})
-    d = int(grid_cfg.get("d", 2))
     spec = _build_spec(config)
-    if spec.modes != 1:
-        raise ConfigError("spam-sweep needs a single-mode spec")
+    d, cfg, _ = _schedule(config, spec)
+    cutoff = FockCutoff(n_max=checked["cutoff_n_max"], modes=1)
     pipe = single_mode_pipeline(d)
     sums, weighted = coefficient_order_sums(
         {(k.p[0], k.q[0]): v for k, v in spec.terms.items()}
     )
     l_c = lipschitz_bound(d, 1.0, sums, weighted)
-    cfg = derive_config(d, g_max=spec.g_max, noiseless=True, shots=20, l_steps=None, k_max=10)
-    cutoff = adaptive_cutoff(spec, 1.1)
     rng = np.random.default_rng(int(config["seed"]))
     direction = rng.normal(size=len(pipe.points)) + 1j * rng.normal(size=len(pipe.points))
     direction /= np.linalg.norm(direction)
@@ -400,11 +412,8 @@ def validate(config: dict) -> dict:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
     if config["experiment"] in ("learn-single", "learn-multi", "spam-sweep"):
         spec = _build_spec(config)
-        grid = config.get("grid", {})
-        d = int(grid.get("d", spec.max_order))
-        r_max = float(grid.get("r_max", 1.0))
-        cfg = _rpe_config(config, d, r_max, spec.g_max, spec.modes)
-        cutoff = adaptive_cutoff(spec, r_max)
+        _, cfg, beta_max = _schedule(config, spec)
+        cutoff = adaptive_cutoff(spec, beta_max)
         diagnostics.update(
             {
                 "hermitian": True,

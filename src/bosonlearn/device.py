@@ -277,6 +277,10 @@ class SimulatedDevice:
 
     # -- noise control ------------------------------------------------------
 
+    @property
+    def noise(self) -> NoiseModel:
+        return self._noise
+
     def set_noise(self, model: NoiseModel) -> None:
         self._noise = model
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .device import NoiseModel, ShotRequest, SimulatedDevice
+from .device import ShotRequest, SimulatedDevice
 from .hamiltonian import TermKey, admissible_keys, single_key
-from .recovery import multidim_fit, single_mode_pipeline
+from .recovery import MultidimFit, single_mode_pipeline, staged_fit
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,8 @@ def derive_config(
 
 
 @dataclass(slots=True)
-class RpeRound:
-    kappa: int
-    p_x: float
-    p_y: float
-    estimate: float
-    consistent: bool
-
-
-@dataclass(slots=True)
 class PhaseEstimate:
     c_hat: float
-    rounds: list[RpeRound]
     time_cost: float
     inconsistent_rounds: list[int]
 
@@ -130,7 +120,6 @@ def _unwrap(p0: list[float], cfg: RpeConfig, time_cost: float) -> PhaseEstimate:
     round's estimate.  Rounds that jump by more than pi/(3 kappa t0) are
     flagged as inconsistent but the run proceeds.
     """
-    rounds: list[RpeRound] = []
     inconsistent: list[int] = []
     estimate = 0.0
     for j in range(cfg.k_max + 1):
@@ -143,11 +132,8 @@ def _unwrap(p0: list[float], cfg: RpeConfig, time_cost: float) -> PhaseEstimate:
         ok = j == 0 or abs(candidate - estimate) <= math.pi / (3.0 * kappa * cfg.t0)
         if not ok:
             inconsistent.append(j)
-        rounds.append(RpeRound(kappa, p_x, p_y, candidate, ok))
         estimate = candidate
-    return PhaseEstimate(
-        c_hat=estimate, rounds=rounds, time_cost=time_cost, inconsistent_rounds=inconsistent
-    )
+    return PhaseEstimate(c_hat=estimate, time_cost=time_cost, inconsistent_rounds=inconsistent)
 
 
 def rpe_estimates(
@@ -289,18 +275,22 @@ def learn_displacement_biased(
     """Single-mode coefficients, keyed by (p, q), recovered while point i of
     single_mode_pipeline(d) executes its displacement shifted by delta[i].
 
-    delta = None is the clean learn.  Each point gets its own RPE run under
-    NoiseModel(delta_beta=(delta[i],)), so the bias differs per point as in a
-    SPAM sweep.
+    delta = None is the clean learn.  Each point gets its own RPE run with
+    delta[i] as the device's displacement bias, so the bias differs per point
+    as in a SPAM sweep; the rest of the device's noise model applies
+    throughout, and the device leaves with the noise model it came with.
     """
     pipe = single_mode_pipeline(d)
+    noise = device.noise
     c_values = np.empty(len(pipe.points))
-    for i, (r, theta) in enumerate(pipe.points):
-        if delta is not None:
-            device.set_noise(NoiseModel(delta_beta=(complex(delta[i]),)))
-        beta = r * np.exp(1j * theta)
-        c_values[i] = rpe_estimate(device, [beta], cfg, token=f"spam{i}").c_hat
-        device.clear_noise()
+    try:
+        for i, (r, theta) in enumerate(pipe.points):
+            if delta is not None:
+                device.set_noise(replace(noise, delta_beta=(complex(delta[i]),)))
+            beta = r * np.exp(1j * theta)
+            c_values[i] = rpe_estimate(device, [beta], cfg, token=f"spam{i}").c_hat
+    finally:
+        device.set_noise(noise)
     return pipe.solve(c_values)
 
 
@@ -320,18 +310,47 @@ def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _measure_grid(
+def _learn_stages(
     device: SimulatedDevice,
-    points: np.ndarray,
     cfg: RpeConfig,
+    stages: list[tuple[str, np.ndarray, list[TermKey]]],
     frame_z,
+    subtract_offset: bool,
     token: str,
-) -> tuple[np.ndarray, int]:
-    """C at every grid point from one rpe_estimates call, and the grid's
-    inconsistent-round count."""
-    tokens = [f"{token}:g{i}" for i in range(len(points))]
-    runs = rpe_estimates(device, points, cfg, frame_z, tokens)
-    return np.array([est.c_hat for est in runs]), sum(len(est.inconsistent_rounds) for est in runs)
+) -> tuple[LearnedCoefficients, list[MultidimFit]]:
+    """Measure the beta = 0 offset (when subtracted), then each stage's grid
+    with one rpe_estimates call, and fit the stages in order with staged_fit.
+
+    stages lists (tag, points, keys); point i of a stage carries the token
+    f"{token}:{tag}:g{i}".  Each stage's fit subtracts every earlier one at
+    its own points, and each coefficient's stderr counts every measured
+    value, the shared offset included, once.
+    """
+    start = device.ledger().total_evolution_time
+    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else None
+    measured = []
+    inconsistent = 0
+    for tag, points, keys in stages:
+        tokens = [f"{token}:{tag}:g{i}" for i in range(len(points))]
+        runs = rpe_estimates(device, points, cfg, frame_z, tokens)
+        inconsistent += sum(len(est.inconsistent_rounds) for est in runs)
+        measured.append((points, np.array([est.c_hat for est in runs]), keys))
+    fits = staged_fit(measured, offset)
+    estimates: dict[TermKey, complex] = {}
+    stderr: dict[TermKey, float] = {}
+    for fit in fits:
+        estimates.update(fit.estimates)
+        for key, var in fit.coefficient_variances(cfg.predicted_eps_c).items():
+            stderr[key] = math.sqrt(var)
+    learned = LearnedCoefficients(
+        estimates=estimates,
+        stderr=stderr,
+        eps_c=cfg.predicted_eps_c,
+        time_cost=device.ledger().total_evolution_time - start,
+        identity_offset=0.0 if offset is None else offset,
+        diagnostics={"inconsistent_rounds": inconsistent},
+    )
+    return learned, fits
 
 
 def learn_multimode_hierarchical(
@@ -350,68 +369,30 @@ def learn_multimode_hierarchical(
 
     Step 1 measures, for every joint grid point, its per-mode isolated
     projections (all other modes at beta = 0), so coupling terms contribute
-    exactly nothing there; singles come from a per-mode least-squares fit.
-    Step 2 measures the joint grid once, subtracts the fitted single-mode
-    model, and fits the coupling coefficients on the residual, propagating
-    the Step-1 uncertainty into the coupling covariance.
+    exactly nothing there; each mode's singles come from their own fit.
+    Step 2 measures the joint grid once and fits the coupling coefficients on
+    what the single-mode models leave, with the Step-1 uncertainty carried
+    into the coupling stderr.
     """
     if modes > 3:
         raise ValueError("hierarchical strategy is desk-scale: modes <= 3")
-    start = device.ledger().total_evolution_time
     grid = joint_grid(modes, d, r_min, r_max)
     keys = admissible_keys(modes, d)
-    eps_c = cfg.predicted_eps_c
-    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
-    # Shared beta = 0 subtraction error is a coherent rank-1 measurement
-    # covariance across every grid point.
-    coherent = [(np.ones((len(grid), 1)), [[eps_c**2]])] if subtract_offset else []
-
-    estimates: dict[TermKey, complex] = {}
-    stderr: dict[TermKey, float] = {}
-    single_fits = []
-    inconsistent = 0
+    stages = []
     for m in range(modes):
         iso = np.zeros_like(grid)
         iso[:, m] = grid[:, m]
-        y, bad = _measure_grid(device, iso, cfg, frame_z, f"{token}:s{m}")
-        y -= offset
-        inconsistent += bad
-        fit = multidim_fit(
-            iso, y, [k for k in keys if k.modes == (m,)], eps_c=eps_c, coherent=coherent
-        )
-        single_fits.append(fit)
-        estimates.update(fit.estimates)
-        for key, var in fit.coefficient_variances().items():
-            stderr[key] = math.sqrt(var)
-
+        stages.append((f"s{m}", iso, [k for k in keys if k.modes == (m,)]))
     coupling_keys = [k for k in keys if k.is_coupling]
-    fit2 = None
     if coupling_keys:
-        residual, bad = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
-        residual -= offset
-        inconsistent += bad
-        # A single's monomial reads only its own mode, so its isolated design
-        # is also its design on the joint grid.
-        for fit in single_fits:
-            residual -= fit.design @ fit.x
-            coherent.append((fit.design, fit.covariance))
-        fit2 = multidim_fit(grid, residual, coupling_keys, eps_c=eps_c, coherent=coherent)
-        estimates.update(fit2.estimates)
-        for key, var in fit2.coefficient_variances().items():
-            stderr[key] = math.sqrt(var)
-
-    return LearnedCoefficients(
-        estimates=estimates,
-        stderr=stderr,
-        eps_c=eps_c,
-        time_cost=device.ledger().total_evolution_time - start,
-        identity_offset=offset,
-        diagnostics={
-            "strategy": "hierarchical",
-            "step2_sigma_min": None if fit2 is None else fit2.sigma_min,
-            "inconsistent_rounds": inconsistent,
-        },
-    )
+        stages.append(("j", grid, coupling_keys))
+    learned, fits = _learn_stages(device, cfg, stages, frame_z, subtract_offset, token)
+    learned.diagnostics = {
+        "strategy": "hierarchical",
+        "step2_sigma_min": fits[-1].sigma_min if coupling_keys else None,
+        **learned.diagnostics,
+    }
+    return learned
 
 
 def learn_multimode_simultaneous(
@@ -427,24 +408,11 @@ def learn_multimode_simultaneous(
 ) -> LearnedCoefficients:
     """Baseline strategy: one least-squares solve for every coefficient
     (singles and couplings together) on the joint displacement grid."""
-    start = device.ledger().total_evolution_time
-    grid = joint_grid(modes, d, r_min, r_max)
-    eps_c = cfg.predicted_eps_c
-    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else 0.0
-    y, inconsistent = _measure_grid(device, grid, cfg, frame_z, f"{token}:j")
-    y -= offset
-    coherent = [(np.ones((len(grid), 1)), [[eps_c**2]])] if subtract_offset else []
-    fit = multidim_fit(grid, y, admissible_keys(modes, d), eps_c=eps_c, coherent=coherent)
-    stderr = {key: math.sqrt(var) for key, var in fit.coefficient_variances().items()}
-    return LearnedCoefficients(
-        estimates=fit.estimates,
-        stderr=stderr,
-        eps_c=eps_c,
-        time_cost=device.ledger().total_evolution_time - start,
-        identity_offset=offset,
-        diagnostics={
-            "strategy": "simultaneous",
-            "sigma_min": fit.sigma_min,
-            "inconsistent_rounds": inconsistent,
-        },
-    )
+    stages = [("j", joint_grid(modes, d, r_min, r_max), admissible_keys(modes, d))]
+    learned, fits = _learn_stages(device, cfg, stages, frame_z, subtract_offset, token)
+    learned.diagnostics = {
+        "strategy": "simultaneous",
+        "sigma_min": fits[0].sigma_min,
+        **learned.diagnostics,
+    }
+    return learned

@@ -1,7 +1,7 @@
 """Classical linear algebra of the coefficient-recovery pipeline.
 
 Chebyshev radial interpolation, angular inverse DFT, covariance prediction,
-the Lipschitz/SPAM bound, the multi-mode least-squares fit, and the
+the Lipschitz/SPAM bound, the staged multi-mode least-squares fit, and the
 hierarchical-vs-simultaneous covariance ordering check.  Everything here is a
 pure function of its inputs.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -124,7 +124,6 @@ class SingleModePipeline:
 
     degree: int
     design: RadialDesign
-    angle_fracs: tuple[Fraction, ...]
     points: tuple[tuple[float, float], ...]
     coeff_keys: tuple[tuple[int, int], ...]
     kplus: np.ndarray
@@ -192,7 +191,6 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
     return SingleModePipeline(
         degree=degree,
         design=design,
-        angle_fracs=tuple(fracs),
         points=tuple(points),
         coeff_keys=tuple(coeff_keys),
         kplus=kplus,
@@ -374,55 +372,66 @@ def params_to_coeffs(params: list[tuple], x: np.ndarray) -> dict:
 
 @dataclass
 class MultidimFit:
+    """One stage of a staged fit: real parameters, their estimates, and the
+    linear map from every measured value of the fit to the parameters."""
+
     params: list[tuple]
     x: np.ndarray
     estimates: dict
-    design: np.ndarray
     sigma_min: float
-    covariance: np.ndarray
+    linear_map: np.ndarray
 
-    def coefficient_variances(self) -> dict:
-        """Total variance per complex coefficient (re + im parameters)."""
+    def coefficient_variances(self, eps_c: float) -> dict:
+        """Total variance per complex coefficient (re + im parameters) under
+        iid measurement noise eps_c^2: eps_c^2 times squared map row norms."""
         out: dict = {}
-        for i, (key, _) in enumerate(self.params):
-            out[key] = out.get(key, 0.0) + float(self.covariance[i, i])
-        full = {}
-        for key, v in out.items():
-            full[key] = v
-            full[key.conjugate] = v
-        return full
+        for (key, _), row in zip(self.params, self.linear_map):
+            out[key] = out[key.conjugate] = out.get(key, 0.0) + eps_c**2 * float(row @ row)
+        return out
 
 
-def multidim_fit(points: np.ndarray, residuals: np.ndarray, keys, eps_c: float = 0.0,
-                 coherent=()) -> MultidimFit:
-    """Least-squares fit of real coefficient parameters from one SVD of the design.
+def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
+    """Least-squares fits of stages (points, values, keys), one after another.
 
-    The measurement covariance is eps_c^2 I plus A S A^T for each (A, S) in
-    coherent: a shared offset error, or a subtracted stage-1 fit with design
-    A and covariance S.  It stays factored: with P = pinv(Phi), the parameter
-    covariance is eps_c^2 P P^T + sum (P A) S (P A)^T, and no points x points
-    matrix is formed.
+    Each stage fits its keys, from one SVD of its design, to its values minus
+    the offset (the beta = 0 value, when given) and minus every earlier
+    stage's model at its own points.  Each fit keeps its parameters' linear
+    map of every measured value: the offset run (a column only when offset is
+    given), then each stage's points in order.  A value that enters several
+    stages, the offset or an earlier fit, thus counts once in a variance.  A
+    map is built as (pinv @ prior design) @ prior map, so no points x
+    measurements matrix is formed.
     """
-    params = real_parameters(keys)
-    phi = real_design_matrix(points, params)
-    u, s, vt = np.linalg.svd(phi, full_matrices=False)
-    # pinv's cutoff: below it a direction would be dropped silently.
-    if not len(s) or s[-1] <= 1e-15 * s[0]:
-        raise np.linalg.LinAlgError("fit design matrix is rank deficient")
-    pinv = (vt.T / s) @ u.T
-    x = pinv @ np.asarray(residuals, dtype=float)
-    cov = eps_c**2 * pinv @ pinv.T
-    for a, s_a in coherent:
-        pa = pinv @ a
-        cov = cov + pa @ np.asarray(s_a) @ pa.T
-    return MultidimFit(
-        params=params,
-        x=x,
-        estimates=params_to_coeffs(params, x),
-        design=phi,
-        sigma_min=float(s[-1]),
-        covariance=cov,
-    )
+    first = 0 if offset is None else 1
+    n_values = first + sum(len(points) for points, _, _ in stages)
+    fits: list[MultidimFit] = []
+    for points, values, keys in stages:
+        params = real_parameters(keys)
+        u, s, vt = np.linalg.svd(real_design_matrix(points, params), full_matrices=False)
+        # pinv's cutoff: below it a direction would be dropped silently.
+        if not len(s) or s[-1] <= 1e-15 * s[0]:
+            raise np.linalg.LinAlgError("fit design matrix is rank deficient")
+        pinv = (vt.T / s) @ u.T
+        y = np.array(values, dtype=float)
+        linear_map = np.zeros((len(params), n_values))
+        linear_map[:, first : first + len(points)] = pinv
+        if offset is not None:
+            y -= offset
+            linear_map[:, 0] = -pinv.sum(axis=1)
+        for prior in fits:
+            prior_design = real_design_matrix(points, prior.params)
+            y -= prior_design @ prior.x
+            linear_map -= (pinv @ prior_design) @ prior.linear_map
+        x = pinv @ y
+        fits.append(MultidimFit(params, x, params_to_coeffs(params, x), float(s[-1]), linear_map))
+        first += len(points)
+    return fits
+
+
+def multidim_fit(points: np.ndarray, residuals: np.ndarray, keys) -> MultidimFit:
+    """Least-squares fit of real coefficient parameters: the one-stage case
+    of staged_fit."""
+    return staged_fit([(points, residuals, keys)])[0]
 
 
 @dataclass

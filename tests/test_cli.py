@@ -228,3 +228,31 @@ def test_spam_sweep_rows_and_one_clean_learn(tmp_path, capsys, monkeypatch):
     assert all(row["within_bound"] and 0.0 < row["observed"] <= row["bound"] for row in rows)
     # one clean learn shared by every norm, plus one biased learn per norm
     assert len(built) == 1 + len(norms)
+
+
+def test_spam_sweep_validate_reports_what_the_sweep_runs(tmp_path, capsys, monkeypatch):
+    cutoffs = []
+
+    class RecordedDevice(cli.SimulatedDevice):
+        def __init__(self, spec, cutoff, **kwargs):
+            cutoffs.append(cutoff.n_max)
+            super().__init__(spec, cutoff, **kwargs)
+
+    monkeypatch.setattr(cli, "SimulatedDevice", RecordedDevice)
+    # the sweep runs its own exact-channel schedule, so an rpe block it never
+    # reads is no config error
+    doc = {
+        "generator": {"modes": 1, "d": 2, "seed": 3, "include_couplings": False},
+        "sweep": {"delta_norms": [1e-3]},
+        "rpe": {"M": 10},
+    }
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["validate", "--config", cfg, "--experiment-kind", "spam-sweep"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    spec = random_spec(1, 2, seed=3, include_couplings=False)
+    assert checked["cutoff_n_max"] == adaptive_cutoff(spec, 1.1).n_max == 13
+    assert main(["spam-sweep", "--config", cfg, "--seed", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["validate"] == checked
+    assert cutoffs == [checked["cutoff_n_max"]] * 2
+    assert report["validate"]["c_bound"] == 5.0

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bosonlearn.device import ShotRequest, SimulatedDevice
+from bosonlearn.bogoliubov import frame_from_ratio
+from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
@@ -16,12 +17,14 @@ from bosonlearn.protocol import (
     RpeConfig,
     derive_config,
     joint_grid,
+    learn_displacement_biased,
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
     rpe_estimate,
     rpe_estimates,
 )
+from bosonlearn.recovery import single_mode_pipeline
 
 
 def test_derive_config_prior_bound():
@@ -319,3 +322,44 @@ def test_multimode_learners_report_inconsistent_rounds():
     for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
         learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, exact)
         assert learned.diagnostics["inconsistent_rounds"] == 0
+
+
+def test_hierarchical_offset_counts_each_shared_error_once():
+    # acceptance test 10's spec, frames and schedule, with the two-mode prior.
+    # The beta = 0 offset enters the coupling residual once, as
+    # -1 + sum_m Phi_m P_m 1; counted in each single fit and again as its own
+    # term, it gave every coupling a stderr of 0.0208.
+    coupling = TermKey((0, 1), (1, 0), (0, 1))
+    spec = HamiltonianSpec(
+        2,
+        2,
+        {
+            single_key(1, 1, 0): 1.0 + 0j,
+            single_key(1, 1, 1): 0.7 + 0j,
+            coupling: 0.3 + 0j,
+            coupling.conjugate: 0.3 + 0j,
+        },
+    )
+    true_z = tuple(complex(-frame_from_ratio(1.0, 1.0 / r).signed_r) for r in (1.2, 0.8))
+    dev = SimulatedDevice(spec, FockCutoff(20, 2), master_seed=202, true_frame_z=true_z)
+    cfg = derive_config(2, g_max=2.0, k_max=6, shots=100, l_steps=None, modes=2)
+    learned = learn_multimode_hierarchical(
+        dev, 2, 2, cfg, frame_z=true_z, subtract_offset=True, token="inv202"
+    )
+    couplings = [se for key, se in learned.stderr.items() if key.is_coupling]
+    assert len(couplings) == 4
+    assert all(round(se, 4) == 0.0124 for se in couplings)
+
+
+def test_displacement_biased_learn_keeps_the_device_noise():
+    spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.8})
+    dev = SimulatedDevice(
+        spec, FockCutoff(n_max=16), noise=NoiseModel(state_prep_infidelity=0.2)
+    )
+    cfg = derive_config(2, k_max=4, noiseless=True, shots=20, l_steps=None)
+    probe = ShotRequest(kappa=1, t0=cfg.t0, beta=(0.3,), basis="X")
+    before = dev.probability(probe)
+    delta = np.full(len(single_mode_pipeline(2).points), 1e-3)
+    for bias in (None, delta):
+        learn_displacement_biased(dev, 2, cfg, bias)
+        assert dev.probability(probe) == before

@@ -24,6 +24,7 @@ from bosonlearn.recovery import (
     real_parameters,
     single_mode_pipeline,
     spam_bound,
+    staged_fit,
 )
 
 
@@ -226,35 +227,86 @@ def test_multidim_fit_exact_recovery():
         assert abs(fit.estimates[k] - v) < 1e-9
 
 
-def test_multidim_fit_extra_covariance_inflates_variances():
+def test_staged_fit_shared_offset_inflates_variances():
     key = TermKey((0, 1), (1, 0), (0, 1))
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
     y = np.zeros(12)
-    plain = multidim_fit(pts, y, [key, key.conjugate], eps_c=0.01)
-    inflated = multidim_fit(
-        pts, y, [key, key.conjugate], eps_c=0.01, coherent=[(np.ones((12, 1)), [[1e-4]])]
-    )
-    for k in plain.coefficient_variances():
-        assert inflated.coefficient_variances()[k] >= plain.coefficient_variances()[k]
+    plain = multidim_fit(pts, y, [key, key.conjugate])
+    (inflated,) = staged_fit([(pts, y, [key, key.conjugate])], offset=0.0)
+    plain_var, inflated_var = plain.coefficient_variances(0.01), inflated.coefficient_variances(0.01)
+    for k in plain_var:
+        assert inflated_var[k] > plain_var[k]
 
 
-def test_multidim_fit_factored_covariance_matches_dense():
-    grid = joint_grid(2, 2)
+def _hierarchical_stages(modes, d, values):
+    """The hierarchical learner's stages on joint_grid(modes, d), with values
+    cut from one vector in measurement order (offset first)."""
+    grid = joint_grid(modes, d)
+    keys = admissible_keys(modes, d)
+    stages = []
+    for m in range(modes):
+        iso = np.zeros_like(grid)
+        iso[:, m] = grid[:, m]
+        stages.append((iso, [k for k in keys if k.modes == (m,)]))
+    stages.append((grid, [k for k in keys if k.is_coupling]))
     n = len(grid)
+    return values[0], [(pts, values[1 + i * n : 1 + (i + 1) * n], ks) for i, (pts, ks) in enumerate(stages)]
+
+
+def test_staged_fit_variances_are_its_linear_map_row_norms():
+    # the fit is linear in its values, so the unit vectors trace out its map
+    n_values = 1 + 3 * len(joint_grid(2, 2))
+    columns = []
+    for j in range(n_values):
+        offset, stages = _hierarchical_stages(2, 2, np.eye(n_values)[j])
+        columns.append(np.concatenate([fit.x for fit in staged_fit(stages, offset)]))
+    traced = np.column_stack(columns)
+    eps_c = 0.02
+    offset, stages = _hierarchical_stages(2, 2, np.zeros(n_values))
+    row = 0
+    for fit in staged_fit(stages, offset):
+        rows = traced[row : row + len(fit.params)]
+        row += len(fit.params)
+        np.testing.assert_allclose(fit.linear_map, rows, rtol=1e-12, atol=1e-14)
+        expected: dict = {}
+        for (key, _), v in zip(fit.params, eps_c**2 * np.sum(rows**2, axis=1)):
+            expected[key] = expected.get(key, 0.0) + v
+        for key, var in fit.coefficient_variances(eps_c).items():
+            assert var == pytest.approx(expected[key if key in expected else key.conjugate], rel=1e-12)
+    assert row == len(traced)
+
+
+def test_staged_fit_variances_match_dense_propagation():
+    # Dense oracle: with x_m = P_m (y_m - o 1) and r = y_j - o 1 - sum_m Phi_m x_m,
+    # Cov(r) = eps^2 (I + v v^T + sum_m Phi_m P_m P_m^T Phi_m^T), v = 1 - sum_m Phi_m P_m 1.
+    n = len(joint_grid(2, 2))
     rng = np.random.default_rng(21)
-    y = rng.normal(size=n)
-    a = rng.normal(size=(n, 3))
-    b = rng.normal(size=(3, 3))
-    s = b @ b.T + np.eye(3)
-    eps_c, eps_offset = 0.02, 0.03
-    offset = (np.ones((n, 1)), [[eps_offset**2]])
-    fit = multidim_fit(grid, y, admissible_keys(2, 2), eps_c=eps_c, coherent=[offset, (a, s)])
-    pinv = np.linalg.pinv(fit.design)
-    meas_cov = eps_c**2 * np.eye(n) + eps_offset**2 * np.ones((n, n)) + a @ s @ a.T
-    np.testing.assert_allclose(fit.covariance, pinv @ meas_cov @ pinv.T, rtol=1e-12)
-    x, *_ = np.linalg.lstsq(fit.design, y, rcond=None)
-    np.testing.assert_allclose(fit.x, x, rtol=1e-12)
+    offset, stages = _hierarchical_stages(2, 2, rng.normal(size=1 + 3 * n))
+    eps_c = 0.02
+    fits = staged_fit(stages, offset)
+    ones = np.ones(n)
+    v = ones.copy()
+    r_cov = np.eye(n)
+    residual = stages[-1][1] - offset
+    for (pts, y, keys), fit in zip(stages[:-1], fits[:-1]):
+        phi = real_design_matrix(pts, fit.params)
+        pinv = np.linalg.pinv(phi)
+        x, *_ = np.linalg.lstsq(phi, y - offset, rcond=None)
+        np.testing.assert_allclose(fit.x, x, rtol=1e-12)
+        single_cov = eps_c**2 * pinv @ (np.eye(n) + np.outer(ones, ones)) @ pinv.T
+        np.testing.assert_allclose(eps_c**2 * fit.linear_map @ fit.linear_map.T, single_cov, rtol=1e-12)
+        v -= phi @ pinv @ ones
+        r_cov += phi @ pinv @ pinv.T @ phi.T
+        residual = residual - phi @ fit.x
+    r_cov += np.outer(v, v)
+    phi2 = real_design_matrix(stages[-1][0], fits[-1].params)
+    pinv2 = np.linalg.pinv(phi2)
+    dense = eps_c**2 * pinv2 @ r_cov @ pinv2.T
+    staged = eps_c**2 * fits[-1].linear_map @ fits[-1].linear_map.T
+    np.testing.assert_allclose(staged, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+    x2, *_ = np.linalg.lstsq(phi2, residual, rcond=None)
+    np.testing.assert_allclose(fits[-1].x, x2, rtol=1e-12)
 
 
 @pytest.mark.parametrize("modes,d", [(2, 2), (2, 3), (3, 2)])
@@ -277,16 +329,13 @@ def test_multidim_fit_rejects_numerically_rank_deficient_design():
         multidim_fit(grid, np.zeros(len(grid)), admissible_keys(2, 2))
 
 
-def test_multidim_fit_forms_no_points_by_points_matrix():
-    # 13,824 points: one dense points x points float64 matrix would be 1.53 GB
-    grid = joint_grid(3, 3)
-    n = len(grid)
-    y = np.zeros(n)
+def test_staged_fit_forms_no_points_by_values_matrix():
+    # the hierarchical stages on 13,824 points: a dense points x values float64
+    # matrix would be 6.1 GB, and one points x points matrix 1.53 GB
+    offset, stages = _hierarchical_stages(3, 3, np.zeros(1 + 4 * len(joint_grid(3, 3))))
     tracemalloc.start()
     try:
-        multidim_fit(
-            grid, y, admissible_keys(3, 3), eps_c=0.01, coherent=[(np.ones((n, 1)), [[1e-4]])]
-        )
+        staged_fit(stages, offset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
