@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -58,10 +58,6 @@ class BogoliubovFrame:
         return 0.5 * math.log(self.ratio)
 
     @property
-    def r(self) -> float:
-        return abs(self.signed_r)
-
-    @property
     def phi(self) -> float:
         return math.pi if self.ratio > 1.0 else 0.0
 
@@ -90,13 +86,6 @@ def frame_from_signed_r(signed_r: float) -> BogoliubovFrame:
 def overlap_feasible(u: float) -> bool:
     """True iff the vacuum overlap 1/u stays above the phase-estimation floor."""
     return u < U_FEASIBLE_MAX
-
-
-def nb_expansion(frame: BogoliubovFrame) -> dict[tuple[int, int], float]:
-    """Number operator of the B mode written in the bare basis:
-    N_B = (u^2+v^2) N + u v (b^2 + b†^2) + v^2."""
-    u, v = frame.u, frame.v
-    return {(1, 1): u * u + v * v, (2, 0): u * v, (0, 2): u * v, (0, 0): v * v}
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +137,6 @@ def normal_to_symmetrized(p: int, q: int) -> dict[tuple[int, int], sp.Expr]:
     bdag = {(1, 0): 1 / _SQRT2, (0, 1): -sp.I / _SQRT2}
     b = {(1, 0): 1 / _SQRT2, (0, 1): sp.I / _SQRT2}
     return _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q, -sp.I))
-
-
-def symmetrized_to_normal(j: int, k: int) -> dict[tuple[int, int], sp.Expr]:
-    """{X^j P^k}_S as an exact normal-ordered polynomial in B, B†."""
-    x = {(1, 0): 1 / _SQRT2, (0, 1): 1 / _SQRT2}
-    p = {(1, 0): sp.I / _SQRT2, (0, 1): -sp.I / _SQRT2}
-    word_xp = _ordered_product([x] * j + [p] * k)
-    word_px = _ordered_product([p] * k + [x] * j)
-    out = {}
-    for key in set(word_xp) | set(word_px):
-        v = sp.expand(sp.Rational(1, 2) * (word_xp.get(key, 0) + word_px.get(key, 0)))
-        if v != 0:
-            out[key] = v
-    return out
-
-
-def conjugate_spec_by_mismatch(
-    terms: dict[tuple[int, int], complex], delta_r: float
-) -> dict[tuple[int, int], complex]:
-    """Rewrite a normal-ordered single-mode polynomial into the frame that is
-    mismatched by delta_r, via B = B' cosh(delta_r) + B'† sinh(delta_r)."""
-    c, s = math.cosh(delta_r), math.sinh(delta_r)
-    bdag = {(1, 0): c, (0, 1): s}
-    b = {(0, 1): c, (1, 0): s}
-    out: dict[tuple[int, int], complex] = {}
-    for (p, q), g in terms.items():
-        poly = _ordered_product([bdag] * p + [b] * q)
-        for key, coeff in poly.items():
-            out[key] = out.get(key, 0.0) + g * coeff
-    return {k: v for k, v in out.items() if abs(v) > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +310,7 @@ class BisectionResult:
 def mismatch_derivative(
     terms: dict[tuple[int, int], complex],
 ) -> dict[tuple[int, int], complex]:
-    """d/d(delta_r) of conjugate_spec_by_mismatch at delta_r = 0, exactly.
+    """d/d(delta_r) of oracles.conjugate_spec_by_mismatch at delta_r = 0, exactly.
 
     At delta_r = 0, dB/d(delta_r) = B† and dB†/d(delta_r) = B; substituting
     one factor at a time and normal ordering gives
@@ -379,9 +338,7 @@ def _signal_row_norm(d: int) -> float:
 
 def _noiseless_config(d: int, modes: int) -> RpeConfig:
     """Exact-channel schedule for every search stage and final learn on `modes` modes."""
-    return derive_config(
-        d, g_max=G_MAX_PRIOR, k_max=10, shots=20, l_steps=None, noiseless=True, modes=modes
-    )
+    return derive_config(d, g_max=G_MAX_PRIOR, k_max=10, shots=None, l_steps=None, modes=modes)
 
 
 def _cfg_for_precision(

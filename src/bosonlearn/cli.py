@@ -32,7 +32,6 @@ from .hamiltonian import (
     load_spec,
     random_spec,
     single_key,
-    spec_to_dict,
     validate_hermitian,
 )
 from .protocol import (
@@ -100,10 +99,15 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _build_spec(config: dict) -> HamiltonianSpec:
     if "spec_path" in config:
+        path = config["spec_path"]
         try:
-            spec = load_spec(config["spec_path"])
+            spec = load_spec(path)
         except FileNotFoundError as exc:
-            raise ConfigError(f"spec file not found: {config['spec_path']}") from exc
+            raise ConfigError(f"spec file not found: {path}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"spec file {path} has no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad spec file {path}: {exc}") from exc
         return validate_hermitian(spec, check_matrix=False)
     gen = config.get("generator")
     if gen is None:
@@ -135,9 +139,8 @@ def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> Simulat
 
 def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
     rpe = config.get("rpe", {})
-    kwargs = {}
     if config["noiseless"]:
-        kwargs = {"noiseless": True, "l_steps": None, "shots": 20}
+        kwargs = {"l_steps": None, "shots": None}
     else:
         kwargs = {"shots": int(rpe.get("M", 200))}
         if "L" in rpe:
@@ -165,7 +168,7 @@ def _schedule(config: dict, spec: HamiltonianSpec) -> tuple[int, RpeConfig, floa
         if spec.modes != 1:
             raise ConfigError("spam-sweep needs a single-mode spec")
         d = int(grid.get("d", 2))
-        cfg = derive_config(d, g_max=spec.g_max, noiseless=True, shots=20, l_steps=None, k_max=10)
+        cfg = derive_config(d, g_max=spec.g_max, shots=None, l_steps=None, k_max=10)
         return d, cfg, 1.1
     d = int(grid.get("d", spec.max_order))
     r_max = float(grid.get("r_max", 1.0))
@@ -247,34 +250,45 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
     }
 
 
-def _firstq_device(config: dict) -> tuple[SimulatedDevice, dict, float, int]:
+def _firstq_block(config: dict) -> dict:
+    """The parsed firstq block: gprime keyed by (p, q), its order d, the true
+    frame, the search bracket, eps_g and n_max.  validate and the runner both
+    read the block through here."""
     fq = config.get("firstq")
     if fq is None:
         raise ConfigError("learn-firstq needs a firstq block")
-    gprime = {tuple(int(x) for x in key.split(",")): float(v) for key, v in fq["gprime"].items()}
-    ratio = float(fq.get("ratio", 1.0))
-    d = max(p + q for p, q in gprime)
-    terms = {single_key(p, q): complex(v) for (p, q), v in gprime.items() if p + q > 0}
-    spec = HamiltonianSpec(1, d, terms, identity_offset=gprime.get((0, 0), 0.0))
-    frame = frame_from_ratio(1.0, 1.0 / ratio)
-    n_max = int(fq.get("n_max", 48))
-    device = SimulatedDevice(
-        spec,
-        FockCutoff(n_max, 1),
-        master_seed=int(config["seed"]),
-        true_frame_z=(complex(-frame.signed_r),),
-    )
-    return device, gprime, frame.signed_r, d
+    if "gprime" not in fq:
+        raise ConfigError("firstq block needs gprime")
+    try:
+        gprime = {tuple(int(x) for x in key.split(",")): float(v) for key, v in fq["gprime"].items()}
+        lo, hi = (float(x) for x in fq.get("bracket", (-0.3, 0.3)))
+        return {
+            "gprime": gprime,
+            "d": max(p + q for p, q in gprime),
+            "frame": frame_from_ratio(1.0, 1.0 / float(fq.get("ratio", 1.0))),
+            "bracket": (lo, hi),
+            "eps_g": float(fq.get("eps_g", 5e-3)),
+            "n_max": int(fq.get("n_max", 48)),
+        }
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad firstq block: {exc}") from exc
 
 
 def _run_learn_firstq(config: dict, _checked: dict) -> dict:
-    fq = config["firstq"]
-    device, gprime, signed_r_true, d = _firstq_device(config)
+    fq = _firstq_block(config)
+    gprime, d, frame = fq["gprime"], fq["d"], fq["frame"]
+    terms = {single_key(p, q): complex(v) for (p, q), v in gprime.items() if p + q > 0}
+    device = SimulatedDevice(
+        HamiltonianSpec(1, d, terms, identity_offset=gprime.get((0, 0), 0.0)),
+        FockCutoff(fq["n_max"], 1),
+        master_seed=int(config["seed"]),
+        true_frame_z=(complex(-frame.signed_r),),
+    )
     res = learn_firstq(
         device,
         d,
-        eps_g=float(fq.get("eps_g", 5e-3)),
-        bracket=tuple(float(x) for x in fq.get("bracket", (-0.3, 0.3))),
+        eps_g=fq["eps_g"],
+        bracket=fq["bracket"],
         shots=int(config.get("rpe", {}).get("M", 200)),
         noiseless=bool(config["noiseless"]),
         token=f"cli{config['seed']}",
@@ -282,7 +296,7 @@ def _run_learn_firstq(config: dict, _checked: dict) -> dict:
     ledger = device.ledger()
     return {
         "r_hat": res.r_hat,
-        "r_true": signed_r_true,
+        "r_true": frame.signed_r,
         "mw_hat": res.mw_hat,
         "bisection": {
             "iterations": res.bisection.iterations,
@@ -424,13 +438,9 @@ def validate(config: dict) -> dict:
             }
         )
     if config["experiment"] == "learn-firstq":
-        fq = config.get("firstq")
-        if fq is None:
-            raise ConfigError("learn-firstq needs a firstq block")
-        bracket = tuple(float(x) for x in fq.get("bracket", (-0.3, 0.3)))
-        ratio = float(fq.get("ratio", 1.0))
-        frame = frame_from_ratio(1.0, 1.0 / ratio)
-        u_edge = math.cosh(max(abs(bracket[0]), abs(bracket[1])))
+        fq = _firstq_block(config)
+        frame = fq["frame"]
+        u_edge = math.cosh(max(abs(b) for b in fq["bracket"]))
         feasible = overlap_feasible(u_edge) and overlap_feasible(frame.u)
         diagnostics.update({"u_bracket_edge": u_edge, "u_true": frame.u, "feasible": feasible})
         if not feasible:

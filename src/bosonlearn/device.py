@@ -38,9 +38,10 @@ Philox generator is then reset to each key with counter 0 and an empty
 buffer, which is the state a fresh Philox(SeedSequence(...)) starts in.
 run_shot_batch is the one-request case.
 
-Oracles.  _rng builds that stream the slow way, through numpy's own
-SeedSequence, and run_shot keeps the literal per-shot product on dense
-joint-space matrices; both serve only as cross-checks of the batch sampler.
+Oracles.  bosonlearn.oracles builds the same streams the slow way, through
+numpy's own SeedSequence (shot_stream), and keeps the literal per-shot product
+on dense joint-space matrices (literal_shot); both take only public inputs and
+serve as cross-checks of the batch sampler, so the device holds neither.
 """
 
 from __future__ import annotations
@@ -56,11 +57,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fockspace import (
-    CutoffError,
     FockCutoff,
     displacement_matrix,
     herm_eig,
-    rotation_phases,
     squeeze_matrix,
     vacuum_state,
 )
@@ -156,7 +155,7 @@ def _philox_keys(master_seed: int, tokens: Sequence[str]) -> np.ndarray:
     """Philox keys of the shot streams of `tokens`, shape (len(tokens), 2).
 
     Token t's entropy is the first 16 bytes of sha256(t) read as a big-endian
-    integer, as in SimulatedDevice._rng.
+    integer, as in oracles.shot_stream.
     """
     digests = b"".join(hashlib.sha256(t.encode()).digest()[:16] for t in tokens)
     entropy = np.frombuffer(digests, dtype=">u4").reshape(-1, 4)[:, ::-1].astype(np.uint32)
@@ -335,11 +334,16 @@ class SimulatedDevice:
 
     def _state_weights(self, key: tuple) -> tuple[np.ndarray, float]:
         """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached
-        under its _state_key."""
+        under its _state_key.  A beta or frame_z without one entry per mode is
+        rejected before it is first cached, so a hit needs no check."""
         with self._phi_lock:
             hit = self._phi_cache.get(key)
         if hit is not None:
             return hit
+        modes = self.cutoff.modes
+        for name, values in zip(("beta", "frame_z"), key):
+            if values is not None and len(values) != modes:
+                raise ValueError(f"{name} has {len(values)} entries but the device has {modes} modes")
         weights = np.abs(self._vh @ self._prepared_state(*key)) ** 2
         hit = (weights, float(weights @ self._w))
         with self._phi_lock:
@@ -377,52 +381,6 @@ class SimulatedDevice:
         return self._probability(request, weights, energy)
 
     # -- shot execution -------------------------------------------------------
-
-    def _rng(self, token: str) -> np.random.Generator:
-        """Oracle of a request's shot stream, built through numpy's SeedSequence."""
-        digest = hashlib.sha256(token.encode()).digest()
-        entropy = int.from_bytes(digest[:16], "big")
-        seq = np.random.SeedSequence(entropy=(self.master_seed, entropy))
-        return np.random.Generator(np.random.Philox(seq))
-
-    def run_shot(self, request: ShotRequest) -> int:
-        """One literal shot: fresh theta per Trotter step, full joint amplitude.
-
-        Slow path kept as a physics cross-check of the batch sampler; the
-        amplitude includes finite-L leakage out of the vacuum exactly.
-        """
-        if request.l_steps is None:
-            raise ValueError("run_shot needs a concrete l_steps; use probability for the ideal limit")
-        rng = self._rng(request.rng_token or "shot")
-        beta = self._noise.executed_beta(request.beta)
-        cut = self.cutoff
-        dim = cut.dim
-        d_op = np.eye(dim, dtype=complex)
-        for m in range(cut.modes):
-            if beta[m]:
-                d_op = displacement_matrix(beta[m], cut, m) @ d_op
-        if request.frame_z is not None:
-            s_op = np.eye(dim, dtype=complex)
-            for m, z in enumerate(request.frame_z):
-                if z:
-                    s_op = squeeze_matrix(z, cut, m) @ s_op
-            d_op = d_op @ s_op.conj().T
-        tau = request.evolution_time / request.l_steps
-        evo = (self._v * np.exp(-1j * self._w * tau)) @ self._vh
-        step_core = d_op.conj().T @ evo @ d_op
-        state = vacuum_state(cut)
-        for _ in range(request.l_steps):
-            phases = np.ones(dim, dtype=complex)
-            for m in range(cut.modes):
-                phases = phases * rotation_phases(rng.uniform(0.0, 2.0 * np.pi), cut, m)
-            state = np.conj(phases) * (step_core @ (phases * state))
-        norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > 1e-9:
-            raise CutoffError(f"state norm drift {abs(norm - 1.0):.2e}; cutoff inadequate")
-        amp = complex(state[0])
-        p = self._basis_probability(amp, request.basis, self._noise.state_prep_infidelity)
-        self._charge(request.evolution_time, 1)
-        return int(rng.uniform() >= p)
 
     def run_shot_batches(self, requests: Sequence[ShotRequest], shots: int) -> list[int]:
         """Count of outcome 1 over `shots` independent shots, for each request.

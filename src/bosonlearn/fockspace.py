@@ -151,25 +151,6 @@ def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.
     return _embed(_rotated_unitary("displacement", r, theta, cutoff.n_max), cutoff, mode)
 
 
-def rotation_matrix(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Phase rotation U(theta) = exp(-i theta N), diagonal with entries e^{-i theta n}."""
-    cutoff.check_mode(mode)
-    d = cutoff.dim_per_mode
-    diag = np.exp(-1j * theta * np.arange(d))
-    return _embed(np.diag(diag), cutoff, mode)
-
-
-def rotation_phases(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Diagonal of rotation_matrix as a vector over the joint basis."""
-    cutoff.check_mode(mode)
-    d = cutoff.dim_per_mode
-    single = np.exp(-1j * theta * np.arange(d))
-    out = np.ones(1, dtype=complex)
-    for m in range(cutoff.modes):
-        out = np.kron(out, single if m == mode else np.ones(d))
-    return out
-
-
 def squeeze_matrix(z: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
     """Unitary S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode.
 
@@ -188,7 +169,7 @@ def _check_unitary(u: np.ndarray, label: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition and matrix exponential.
+# Hermitian eigendecomposition.
 
 
 def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -199,12 +180,6 @@ def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, n
         raise ValueError(f"matrix is not Hermitian: defect {defect:.2e}")
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     return w, v
-
-
-def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via its eigendecomposition."""
-    w, v = herm_eig(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:

@@ -2,21 +2,20 @@
 
 A Hamiltonian is a sparse map from per-mode operator powers to complex
 coefficients, H = sum_terms g * prod_modes (b†_m)^p_m (b_m)^q_m, plus an
-optional identity offset.  Alongside matrix construction this module provides
-the analytic oracles for the displaced, phase-averaged constant term that the
-learner targets.
+optional identity offset.  Alongside matrix construction this module gives the
+displaced, phase-averaged constant term C(beta) that the learner targets
+(constant_term); its matrix-level cross-checks live in bosonlearn.oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fockspace import FockCutoff, displacement_matrix, normal_ordered_factor
+from .fockspace import FockCutoff, normal_ordered_factor
 
 PAIRING_TOL = 1e-12
 
@@ -148,84 +147,6 @@ def constant_term(spec: HamiltonianSpec, beta) -> float:
     if abs(total.imag) > 1e-12 * scale:
         raise ValueError(f"constant term has imaginary part {total.imag:.2e}; spec not Hermitian?")
     return float(total.real)
-
-
-def _falling_factorial(n: np.ndarray, i: int) -> np.ndarray:
-    out = np.ones_like(n, dtype=float)
-    for k in range(i):
-        out *= n - k
-    return out
-
-
-def effective_diagonal(spec: HamiltonianSpec, beta, cutoff: FockCutoff) -> np.ndarray:
-    """Diagonal (joint number basis) of the exactly projected displaced Hamiltonian.
-
-    Conjugates every term by the displacement algebraically and keeps only the
-    per-mode number-conserving contributions; this is the infinite-cutoff
-    oracle evaluated on the truncated index set.  Includes identity_offset.
-    """
-    beta = np.asarray(beta, dtype=complex).ravel()
-    d = cutoff.dim_per_mode
-    ns = np.arange(d)
-    diag = np.full(cutoff.dim, spec.identity_offset, dtype=complex)
-    for key, coeff in spec.terms.items():
-        per_mode = []
-        for m in range(spec.modes):
-            if m in key.modes:
-                idx = key.modes.index(m)
-                p, q, b = key.p[idx], key.q[idx], beta[m]
-                vec = np.zeros(d, dtype=complex)
-                for i in range(min(p, q) + 1):
-                    vec += (
-                        math.comb(p, i)
-                        * math.comb(q, i)
-                        * np.conj(b) ** (p - i)
-                        * b ** (q - i)
-                        * _falling_factorial(ns, i)
-                    )
-                per_mode.append(vec)
-            else:
-                per_mode.append(np.ones(d, dtype=complex))
-        joint = per_mode[0]
-        for vec in per_mode[1:]:
-            joint = np.kron(joint, vec)
-        diag += coeff * joint
-    return diag
-
-
-def effective_exact(spec: HamiltonianSpec, beta, cutoff: FockCutoff) -> np.ndarray:
-    """effective_diagonal assembled as a dense diagonal matrix."""
-    return np.diag(effective_diagonal(spec, beta, cutoff))
-
-
-def phase_averaged_matrix(
-    spec: HamiltonianSpec, beta, cutoff: FockCutoff, n_angles: int = 720
-) -> np.ndarray:
-    """Quadrature oracle: average U†(theta) D† H D U(theta) over a uniform theta grid.
-
-    Averaging is applied per mode with independent grids.  Exact for
-    polynomial integrands once n_angles > 2d, so this cross-checks
-    effective_exact through an entirely different code path.
-    """
-    beta = np.asarray(beta, dtype=complex).ravel()
-    h = build_matrix(spec, cutoff)
-    for m in range(spec.modes):
-        h = displacement_matrix(beta[m], cutoff, m).conj().T @ h @ displacement_matrix(
-            beta[m], cutoff, m
-        )
-    d = cutoff.dim_per_mode
-    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    # The average depends only on the index difference i - j: average each of
-    # the 2d - 1 differences once, then index it as a Toeplitz matrix.
-    diffs = np.arange(-(d - 1), d)
-    averaged = np.exp(1j * diffs[:, None] * thetas).mean(axis=-1)
-    single = averaged[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
-    for m in range(spec.modes):
-        joint = np.ones((1, 1), dtype=complex)
-        for mm in range(spec.modes):
-            joint = np.kron(joint, single if mm == m else np.ones((d, d)))
-        h = h * joint
-    return h
 
 
 def admissible_keys(modes: int, d: int) -> list[TermKey]:

@@ -1,0 +1,302 @@
+"""Independent reference implementations that the tests compare the runtime to.
+
+Each function computes, by a route of its own, something the learner or the
+device also computes: the displaced phase-averaged Hamiltonian, the recovery
+stages one at a time, the inverse quadrature algebra and frame mismatch,
+dense rotations and exponentials, and the device's literal per-shot path with
+its SeedSequence-built streams.  No other bosonlearn module imports this one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+import sympy as sp
+
+from .bogoliubov import BogoliubovFrame, _ordered_product
+from .device import ShotRequest
+from .fockspace import (
+    CutoffError,
+    FockCutoff,
+    displacement_matrix,
+    herm_eig,
+    number_matrix,
+    squeeze_matrix,
+    vacuum_state,
+)
+from .hamiltonian import HamiltonianSpec, build_matrix
+from .recovery import RadialDesign
+
+
+def rotation_matrix(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """Phase rotation U(theta) = exp(-i theta N), diagonal with entries e^{-i theta n}."""
+    return np.diag(np.exp(-1j * theta * np.diag(number_matrix(cutoff, mode)).real))
+
+
+def rotation_phases(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """Diagonal of rotation_matrix as a vector over the joint basis."""
+    cutoff.check_mode(mode)
+    d = cutoff.dim_per_mode
+    single = np.exp(-1j * theta * np.arange(d))
+    out = np.ones(1, dtype=complex)
+    for m in range(cutoff.modes):
+        out = np.kron(out, single if m == mode else np.ones(d))
+    return out
+
+
+def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) for Hermitian H, via its eigendecomposition."""
+    w, v = herm_eig(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _falling_factorial(n: np.ndarray, i: int) -> np.ndarray:
+    out = np.ones_like(n, dtype=float)
+    for k in range(i):
+        out *= n - k
+    return out
+
+
+def effective_diagonal(spec: HamiltonianSpec, beta, cutoff: FockCutoff) -> np.ndarray:
+    """Diagonal (joint number basis) of the exactly projected displaced Hamiltonian.
+
+    Conjugates every term by the displacement algebraically and keeps only the
+    per-mode number-conserving contributions; this is the infinite-cutoff
+    value evaluated on the truncated index set.  Includes identity_offset.
+    """
+    beta = np.asarray(beta, dtype=complex).ravel()
+    d = cutoff.dim_per_mode
+    ns = np.arange(d)
+    diag = np.full(cutoff.dim, spec.identity_offset, dtype=complex)
+    for key, coeff in spec.terms.items():
+        per_mode = []
+        for m in range(spec.modes):
+            if m in key.modes:
+                idx = key.modes.index(m)
+                p, q, b = key.p[idx], key.q[idx], beta[m]
+                vec = np.zeros(d, dtype=complex)
+                for i in range(min(p, q) + 1):
+                    vec += (
+                        math.comb(p, i)
+                        * math.comb(q, i)
+                        * np.conj(b) ** (p - i)
+                        * b ** (q - i)
+                        * _falling_factorial(ns, i)
+                    )
+                per_mode.append(vec)
+            else:
+                per_mode.append(np.ones(d, dtype=complex))
+        joint = per_mode[0]
+        for vec in per_mode[1:]:
+            joint = np.kron(joint, vec)
+        diag += coeff * joint
+    return diag
+
+
+def phase_averaged_matrix(
+    spec: HamiltonianSpec, beta, cutoff: FockCutoff, n_angles: int = 720
+) -> np.ndarray:
+    """Quadrature value: average U†(theta) D† H D U(theta) over a uniform theta grid.
+
+    Averaging is applied per mode with independent grids.  Exact for
+    polynomial integrands once n_angles > 2d, so this cross-checks
+    effective_diagonal through an entirely different code path.
+    """
+    beta = np.asarray(beta, dtype=complex).ravel()
+    h = build_matrix(spec, cutoff)
+    for m in range(spec.modes):
+        h = displacement_matrix(beta[m], cutoff, m).conj().T @ h @ displacement_matrix(
+            beta[m], cutoff, m
+        )
+    d = cutoff.dim_per_mode
+    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    # The average depends only on the index difference i - j: average each of
+    # the 2d - 1 differences once, then index it as a Toeplitz matrix.
+    diffs = np.arange(-(d - 1), d)
+    averaged = np.exp(1j * diffs[:, None] * thetas).mean(axis=-1)
+    single = averaged[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
+    for m in range(spec.modes):
+        joint = np.ones((1, 1), dtype=complex)
+        for mm in range(spec.modes):
+            joint = np.kron(joint, single if mm == m else np.ones((d, d)))
+        h = h * joint
+    return h
+
+
+COND_WARN = 1e8
+
+
+def radial_fit(design: RadialDesign, c_values: np.ndarray) -> np.ndarray:
+    """Least-squares solution g_l, l = 1..d, from C values at the design nodes.
+
+    c_values may be (d+1,) or (d+1, batch).
+    """
+    c_values = np.asarray(c_values)
+    if c_values.shape[0] != design.degree + 1:
+        raise ValueError("c_values not aligned with design nodes")
+    if design.cond > COND_WARN:
+        warnings.warn(f"radial Vandermonde condition number {design.cond:.2e}", stacklevel=2)
+    return design.pinv @ c_values
+
+
+def angular_idft(values: np.ndarray, order: int, symmetrize: bool = True) -> dict[tuple[int, int], complex]:
+    """Invert g_l(theta_u) -> {g_{p, l-p}} at the canonical l+1 angles.
+
+    Applies g_{p,l-p} = (1/(l+1)) sum_u e^{-i l theta_u} g_l(theta_u) e^{2 pi i p u/(l+1)},
+    then restores exact Hermitian pairing by averaging each coefficient with
+    the conjugate of its partner.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (order + 1,):
+        raise ValueError(f"need exactly {order + 1} values for order {order}")
+    l = order
+    u = np.arange(l + 1)
+    theta = np.pi * u / (l + 1)
+    out: dict[tuple[int, int], complex] = {}
+    for p in range(l + 1):
+        out[(p, l - p)] = complex(
+            np.sum(np.exp(-1j * l * theta) * values * np.exp(2j * np.pi * p * u / (l + 1))) / (l + 1)
+        )
+    if symmetrize:
+        sym = {}
+        for (p, q), v in out.items():
+            sym[(p, q)] = 0.5 * (v + np.conj(out[(q, p)]))
+        out = sym
+    return out
+
+
+@dataclass
+class CovarianceReport:
+    eps_c: float
+    radial_cov: np.ndarray
+    idft_cov: dict[int, np.ndarray]
+    order_mse: dict[int, float]
+    gram_eigenvalues: np.ndarray
+    inverse_eigenvalue_sum: float
+
+
+def predict_covariance(design: RadialDesign, eps_c: float) -> CovarianceReport:
+    """Propagate iid C-noise through both recovery stages.
+
+    radial_cov = eps_c^2 (L†L)^-1; per order l the inverse DFT gives
+    Cov(g_{p,l-p}) = F_l^-1 Cov(g_l) F_l^-† and the trace identity
+    tr Cov = (1/(l+1)) sum_u Var(g_l(theta_u)).
+    """
+    gram = design.vandermonde.T @ design.vandermonde
+    radial_cov = eps_c**2 * np.linalg.inv(gram)
+    lam = np.linalg.eigvalsh(gram)
+    if np.min(lam) <= 0:
+        raise np.linalg.LinAlgError("Gram matrix is singular")
+    idft_cov: dict[int, np.ndarray] = {}
+    order_mse: dict[int, float] = {}
+    for l in range(1, design.degree + 1):
+        var_l = radial_cov[l - 1, l - 1]
+        u = np.arange(l + 1)
+        theta = np.pi * u / (l + 1)
+        finv = np.array(
+            [
+                np.exp(-1j * l * theta) * np.exp(2j * np.pi * p * u / (l + 1)) / (l + 1)
+                for p in range(l + 1)
+            ]
+        )
+        cov = finv @ (var_l * np.eye(l + 1)) @ finv.conj().T
+        idft_cov[l] = cov
+        order_mse[l] = float(np.real(np.trace(cov)))
+    return CovarianceReport(
+        eps_c=eps_c,
+        radial_cov=radial_cov,
+        idft_cov=idft_cov,
+        order_mse=order_mse,
+        gram_eigenvalues=lam,
+        inverse_eigenvalue_sum=float(np.sum(1.0 / lam)),
+    )
+
+
+def nb_expansion(frame: BogoliubovFrame) -> dict[tuple[int, int], float]:
+    """Number operator of the B mode written in the bare basis:
+    N_B = (u^2+v^2) N + u v (b^2 + b†^2) + v^2."""
+    u, v = frame.u, frame.v
+    return {(1, 1): u * u + v * v, (2, 0): u * v, (0, 2): u * v, (0, 0): v * v}
+
+
+def symmetrized_to_normal(j: int, k: int) -> dict[tuple[int, int], sp.Expr]:
+    """{X^j P^k}_S as an exact normal-ordered polynomial in B, B†."""
+    root2 = sp.sqrt(2)
+    x = {(1, 0): 1 / root2, (0, 1): 1 / root2}
+    p = {(1, 0): sp.I / root2, (0, 1): -sp.I / root2}
+    word_xp = _ordered_product([x] * j + [p] * k)
+    word_px = _ordered_product([p] * k + [x] * j)
+    out = {}
+    for key in set(word_xp) | set(word_px):
+        v = sp.expand(sp.Rational(1, 2) * (word_xp.get(key, 0) + word_px.get(key, 0)))
+        if v != 0:
+            out[key] = v
+    return out
+
+
+def conjugate_spec_by_mismatch(
+    terms: dict[tuple[int, int], complex], delta_r: float
+) -> dict[tuple[int, int], complex]:
+    """Rewrite a normal-ordered single-mode polynomial into the frame that is
+    mismatched by delta_r, via B = B' cosh(delta_r) + B'† sinh(delta_r)."""
+    c, s = math.cosh(delta_r), math.sinh(delta_r)
+    bdag = {(1, 0): c, (0, 1): s}
+    b = {(0, 1): c, (1, 0): s}
+    out: dict[tuple[int, int], complex] = {}
+    for (p, q), g in terms.items():
+        poly = _ordered_product([bdag] * p + [b] * q)
+        for key, coeff in poly.items():
+            out[key] = out.get(key, 0.0) + g * coeff
+    return {k: v for k, v in out.items() if abs(v) > 0}
+
+
+def shot_stream(master_seed: int, token: str) -> np.random.Generator:
+    """The Philox stream of the request with this token on a device seeded
+    with master_seed, built through numpy's own SeedSequence."""
+    digest = hashlib.sha256(token.encode()).digest()
+    entropy = int.from_bytes(digest[:16], "big")
+    seq = np.random.SeedSequence(entropy=(master_seed, entropy))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def literal_shot(
+    h: np.ndarray, cutoff: FockCutoff, request: ShotRequest, rng: np.random.Generator
+) -> int:
+    """One literal noiseless shot of request against the dense Hamiltonian h.
+
+    Draws a fresh theta per Trotter step and mode from rng, evolves the
+    displaced (and squeezed, with frame_z) vacuum on the joint space, and
+    returns outcome 1 with the probability set by the final vacuum amplitude.
+    That amplitude includes finite-L leakage out of the vacuum exactly.
+    """
+    if request.l_steps is None:
+        raise ValueError("literal_shot needs a concrete l_steps")
+    dim = cutoff.dim
+    d_op = np.eye(dim, dtype=complex)
+    for m, beta in enumerate(request.beta):
+        if beta:
+            d_op = displacement_matrix(beta, cutoff, m) @ d_op
+    if request.frame_z is not None:
+        s_op = np.eye(dim, dtype=complex)
+        for m, z in enumerate(request.frame_z):
+            if z:
+                s_op = squeeze_matrix(z, cutoff, m) @ s_op
+        d_op = d_op @ s_op.conj().T
+    tau = request.evolution_time / request.l_steps
+    step_core = d_op.conj().T @ herm_expm(h, tau) @ d_op
+    state = vacuum_state(cutoff)
+    for _ in range(request.l_steps):
+        phases = np.ones(dim, dtype=complex)
+        for m in range(cutoff.modes):
+            phases = phases * rotation_phases(rng.uniform(0.0, 2.0 * np.pi), cutoff, m)
+        state = np.conj(phases) * (step_core @ (phases * state))
+    norm = np.linalg.norm(state)
+    if abs(norm - 1.0) > 1e-9:
+        raise CutoffError(f"state norm drift {abs(norm - 1.0):.2e}; cutoff inadequate")
+    amp = complex(state[0])
+    p = 0.5 * (1.0 + (amp.real if request.basis == "X" else amp.imag))
+    return int(rng.uniform() >= min(max(p, 0.0), 1.0))

@@ -2,7 +2,7 @@
 the single-mode / multi-mode coefficient-learning drivers.
 
 Everything here talks to the device exclusively through shot requests (or the
-exact-probability channel in noiseless mode) and the time ledger.
+exact-probability channel, with shots = None) and the time ledger.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ from .recovery import MultidimFit, single_mode_pipeline, staged_fit
 class RpeConfig:
     """Phase-estimation schedule: powers kappa = 2^0 .. 2^K, M shots per basis.
 
-    l_steps: Trotter steps per shot; "auto" applies the kappa-proportional
-    policy, None requests the ideal infinite-step limit.  noiseless switches
-    every measurement to the exact-probability channel (M -> infinity).
+    shots = None reads every measurement from the exact-probability channel
+    (M -> infinity).  l_steps: Trotter steps per shot; "auto" applies the
+    kappa-proportional policy, None requests the ideal infinite-step limit.
     """
 
     k_max: int
-    shots: int
+    shots: int | None
     t0: float
     c_bound: float
     l_steps: int | str | None = "auto"
-    noiseless: bool = False
     h_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -40,7 +39,7 @@ class RpeConfig:
             raise ValueError("k_max must be >= 0")
         if self.t0 <= 0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
-        if not self.noiseless and self.shots < 20:
+        if self.shots is not None and self.shots < 20:
             raise ValueError("shots per basis must be >= 20")
         if self.c_bound * self.t0 >= math.pi:
             raise ValueError("c_bound * t0 must be < pi for first-round unambiguity")
@@ -53,7 +52,7 @@ class RpeConfig:
     @property
     def predicted_eps_c(self) -> float:
         """RMSE scale of one estimate, alpha/(2^K t0 sqrt(M)) with alpha = 1."""
-        if self.noiseless:
+        if self.shots is None:
             return 0.0
         return 1.0 / (2**self.k_max * self.t0 * math.sqrt(self.shots))
 
@@ -158,7 +157,7 @@ def rpe_estimates(
         raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
     # Built lazily, so the exact channel holds one run's requests at a time.
     runs = (_run_requests(beta, cfg, frame_z, token) for beta, token in zip(betas, tokens))
-    if cfg.noiseless:
+    if cfg.shots is None:
         return [_unwrap([device.probability(req) for req in run], cfg, 0.0) for run in runs]
     runs = list(runs)
     total = device.ledger().total_evolution_time

@@ -1,9 +1,9 @@
 """Classical linear algebra of the coefficient-recovery pipeline.
 
-Chebyshev radial interpolation, angular inverse DFT, covariance prediction,
-the Lipschitz/SPAM bound, the staged multi-mode least-squares fit, and the
-hierarchical-vs-simultaneous covariance ordering check.  Everything here is a
-pure function of its inputs.
+The single-mode recovery map (Chebyshev radial least squares composed with
+the angular inverse DFT), the Lipschitz/SPAM bound, the staged multi-mode
+least-squares fit, and the hierarchical-vs-simultaneous covariance ordering
+check.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-COND_WARN = 1e8
 
 
 @dataclass
@@ -30,13 +28,8 @@ class RadialDesign:
     r_max: float
     nodes: np.ndarray
     vandermonde: np.ndarray
-    gram: np.ndarray
     pinv: np.ndarray
     cond: float
-
-    @property
-    def gram_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.gram)
 
 
 def chebyshev_nodes(count: int, r_min: float, r_max: float) -> np.ndarray:
@@ -54,63 +47,20 @@ def radial_design(degree: int, r_min: float = 0.2, r_max: float = 1.0) -> Radial
     """d+1 Chebyshev nodes and the degree-d Vandermonde least-squares system."""
     nodes = chebyshev_nodes(degree + 1, r_min, r_max)
     vand = nodes[:, None] ** np.arange(1, degree + 1)[None, :]
-    gram = vand.T @ vand
     return RadialDesign(
         degree=degree,
         r_min=r_min,
         r_max=r_max,
         nodes=nodes,
         vandermonde=vand,
-        gram=gram,
         pinv=np.linalg.pinv(vand),
         cond=float(np.linalg.cond(vand)),
     )
 
 
-def radial_fit(design: RadialDesign, c_values: np.ndarray) -> np.ndarray:
-    """Least-squares solution g_l, l = 1..d, from C values at the design nodes.
-
-    c_values may be (d+1,) or (d+1, batch).
-    """
-    c_values = np.asarray(c_values)
-    if c_values.shape[0] != design.degree + 1:
-        raise ValueError("c_values not aligned with design nodes")
-    if design.cond > COND_WARN:
-        import warnings
-
-        warnings.warn(f"radial Vandermonde condition number {design.cond:.2e}", stacklevel=2)
-    return design.pinv @ c_values
-
-
 def angular_angles(order: int) -> list[Fraction]:
     """Canonical angles theta_{u,l} = pi*u/(l+1), as exact fractions of pi."""
     return [Fraction(u, order + 1) for u in range(order + 1)]
-
-
-def angular_idft(values: np.ndarray, order: int, symmetrize: bool = True) -> dict[tuple[int, int], complex]:
-    """Invert g_l(theta_u) -> {g_{p, l-p}} at the canonical l+1 angles.
-
-    Applies g_{p,l-p} = (1/(l+1)) sum_u e^{-i l theta_u} g_l(theta_u) e^{2 pi i p u/(l+1)},
-    then restores exact Hermitian pairing by averaging each coefficient with
-    the conjugate of its partner.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (order + 1,):
-        raise ValueError(f"need exactly {order + 1} values for order {order}")
-    l = order
-    u = np.arange(l + 1)
-    theta = np.pi * u / (l + 1)
-    out: dict[tuple[int, int], complex] = {}
-    for p in range(l + 1):
-        out[(p, l - p)] = complex(
-            np.sum(np.exp(-1j * l * theta) * values * np.exp(2j * np.pi * p * u / (l + 1))) / (l + 1)
-        )
-    if symmetrize:
-        sym = {}
-        for (p, q), v in out.items():
-            sym[(p, q)] = 0.5 * (v + np.conj(out[(q, p)]))
-        out = sym
-    return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +136,7 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
 
     stacked = np.vstack([kplus.real, kplus.imag])
     sigma_max_plus = float(np.linalg.svd(stacked, compute_uv=False)[0])
-    for array in (kplus, design.nodes, design.vandermonde, design.gram, design.pinv):
+    for array in (kplus, design.nodes, design.vandermonde, design.pinv):
         array.setflags(write=False)
     return SingleModePipeline(
         degree=degree,
@@ -195,53 +145,6 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
         coeff_keys=tuple(coeff_keys),
         kplus=kplus,
         sigma_min=1.0 / sigma_max_plus,
-    )
-
-
-@dataclass
-class CovarianceReport:
-    eps_c: float
-    radial_cov: np.ndarray
-    idft_cov: dict[int, np.ndarray]
-    order_mse: dict[int, float]
-    gram_eigenvalues: np.ndarray
-    inverse_eigenvalue_sum: float
-
-
-def predict_covariance(design: RadialDesign, eps_c: float) -> CovarianceReport:
-    """Propagate iid C-noise through both recovery stages.
-
-    radial_cov = eps_c^2 (L†L)^-1; per order l the inverse DFT gives
-    Cov(g_{p,l-p}) = F_l^-1 Cov(g_l) F_l^-† and the trace identity
-    tr Cov = (1/(l+1)) sum_u Var(g_l(theta_u)).
-    """
-    gram_inv = np.linalg.inv(design.gram)
-    radial_cov = eps_c**2 * gram_inv
-    lam = np.linalg.eigvalsh(design.gram)
-    if np.min(lam) <= 0:
-        raise np.linalg.LinAlgError("Gram matrix is singular")
-    idft_cov: dict[int, np.ndarray] = {}
-    order_mse: dict[int, float] = {}
-    for l in range(1, design.degree + 1):
-        var_l = radial_cov[l - 1, l - 1]
-        u = np.arange(l + 1)
-        theta = np.pi * u / (l + 1)
-        finv = np.array(
-            [
-                np.exp(-1j * l * theta) * np.exp(2j * np.pi * p * u / (l + 1)) / (l + 1)
-                for p in range(l + 1)
-            ]
-        )
-        cov = finv @ (var_l * np.eye(l + 1)) @ finv.conj().T
-        idft_cov[l] = cov
-        order_mse[l] = float(np.real(np.trace(cov)))
-    return CovarianceReport(
-        eps_c=eps_c,
-        radial_cov=radial_cov,
-        idft_cov=idft_cov,
-        order_mse=order_mse,
-        gram_eigenvalues=lam,
-        inverse_eigenvalue_sum=float(np.sum(1.0 / lam)),
     )
 
 
@@ -426,12 +329,6 @@ def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
         fits.append(MultidimFit(params, x, params_to_coeffs(params, x), float(s[-1]), linear_map))
         first += len(points)
     return fits
-
-
-def multidim_fit(points: np.ndarray, residuals: np.ndarray, keys) -> MultidimFit:
-    """Least-squares fit of real coefficient parameters: the one-stage case
-    of staged_fit."""
-    return staged_fit([(points, residuals, keys)])[0]
 
 
 @dataclass

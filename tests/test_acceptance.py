@@ -19,8 +19,6 @@ from bosonlearn.hamiltonian import (
     admissible_keys,
     canonical_key,
     constant_term,
-    effective_exact,
-    phase_averaged_matrix,
     random_spec,
     single_key,
 )
@@ -31,6 +29,7 @@ from bosonlearn.bogoliubov import (
     parallel_two_mode_search,
     tensor_transform,
 )
+from bosonlearn.oracles import effective_diagonal, phase_averaged_matrix
 from bosonlearn.protocol import (
     LearnedCoefficients,
     derive_config,
@@ -69,7 +68,7 @@ def test_01_constant_term_oracle_equivalence():
         for _ in range(20):
             beta = rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             analytic = constant_term(spec, [beta])
-            exact = float(np.real(vac.conj() @ (effective_exact(spec, [beta], cut) @ vac)))
+            exact = float(np.real(vac.conj() @ (np.diag(effective_diagonal(spec, [beta], cut)) @ vac)))
             quad = float(np.real(phase_averaged_matrix(spec, [beta], cut)[0, 0]))
             worst_exact = max(worst_exact, abs(analytic - exact))
             worst_quad = max(worst_quad, abs(analytic - quad))
@@ -84,7 +83,7 @@ def test_02_noiseless_pipeline_exactness():
         for seed in (21, 22, 23):
             spec = random_spec(1, d, seed=seed, include_couplings=False)
             cut = adaptive_cutoff(spec, 1.0)
-            cfg = derive_config(d, k_max=9, noiseless=True, shots=20, l_steps=None)
+            cfg = derive_config(d, k_max=9, shots=None, l_steps=None)
             learned = learn_single_mode(SimulatedDevice(spec, cut), d, cfg)
             for key, truth in spec.terms.items():
                 worst = max(worst, abs(learned.estimates[key] - truth))
@@ -210,7 +209,7 @@ def test_07_spam_bound_and_linearity():
     pipe = single_mode_pipeline(d)
     sums, weighted = coefficient_order_sums({(k.p[0], k.q[0]): v for k, v in spec.terms.items()})
     lipschitz = lipschitz_bound(d, 1.0, sums, weighted)
-    cfg = derive_config(d, g_max=spec.g_max, k_max=10, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(d, g_max=spec.g_max, k_max=10, shots=None, l_steps=None)
     cut = adaptive_cutoff(spec, 1.2)
 
     def learn(delta):

@@ -68,6 +68,35 @@ def test_validate_accepts_feasible_frame(tmp_path):
     assert main(["validate", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize(
+    "firstq, reason",
+    [
+        ({"ratio": 1.3}, "gprime"),
+        ({"gprime": {"1,1": 1.0}, "ratio": 0}, "bad firstq block"),
+        ({"gprime": {"1,1": 1.0}, "bracket": [0.3]}, "bad firstq block"),
+        ({"gprime": {"x": 1.0}}, "bad firstq block"),
+    ],
+)
+def test_bad_firstq_block_is_schema_error(tmp_path, capsys, firstq, reason):
+    cfg = write_config(tmp_path, "c.json", {"experiment": "learn-firstq", "firstq": firstq})
+    assert main(["learn-firstq", "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+    assert main(["validate", "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"modes": 1, "d": 2}', "has no 'terms' field"), ("{not json", "bad spec file")],
+)
+def test_bad_spec_file_is_schema_error(tmp_path, capsys, text, reason):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    cfg = write_config(tmp_path, "c.json", {"spec_path": str(spec_path)})
+    assert main(["learn-single", "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_learn_single_report_contents(tmp_path, capsys, monkeypatch):
     cutoff_calls = []
 

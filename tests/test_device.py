@@ -23,6 +23,7 @@ from bosonlearn.fockspace import (
     vacuum_state,
 )
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
+from bosonlearn.oracles import literal_shot, shot_stream
 
 NUMBER_SPEC = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
 CUT = FockCutoff(n_max=16)
@@ -46,6 +47,29 @@ def test_shot_request_validation():
     with pytest.raises(ValueError):
         ShotRequest(kappa=1, t0=0.3, beta=(0j,), basis="X", l_steps=0)
     assert request(0.5j, kappa=4, t0=0.2).evolution_time == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize(
+    "modes, beta, frame_z",
+    [
+        (1, (0.5, 0.9), None),
+        (2, (0.5, 0.1, 0.7), None),
+        (2, (0.5,), None),
+        (1, (0.5,), (0.1, 0.2)),
+        (2, (0.5, 0.1), (0.1,)),
+    ],
+)
+def test_request_without_one_entry_per_mode_is_rejected(modes, beta, frame_z):
+    dev = SimulatedDevice(random_spec(modes, 2, seed=1), FockCutoff(n_max=6, modes=modes))
+    req = ShotRequest(kappa=1, t0=0.3, beta=beta, basis="X", frame_z=frame_z)
+    name, entries = ("beta", len(beta)) if len(beta) != modes else ("frame_z", len(frame_z))
+    message = f"{name} has {entries} entries but the device has {modes} modes"
+    with pytest.raises(ValueError, match=message):
+        dev.probability(req)
+    with pytest.raises(ValueError, match=message):
+        dev.run_shot_batches([req], 30)
+    assert dev.ledger().total_evolution_time == 0.0
+    assert dev.ledger().shot_count == 0
 
 
 def test_noise_model_validation():
@@ -108,19 +132,16 @@ def test_literal_shot_path_matches_batch_marginal():
     req = request(0.6 + 0.2j, kappa=1, t0=0.3, l_steps=8)
     p = dev.probability(req)
     shots = 400
-    ones = sum(
-        SimulatedDevice(spec, cut, master_seed=1).run_shot(
-            request(0.6 + 0.2j, kappa=1, t0=0.3, l_steps=8, rng_token=f"s{i}")
-        )
-        for i in range(shots)
-    )
+    h = build_matrix(spec, cut)
+    ones = sum(literal_shot(h, cut, req, shot_stream(1, f"s{i}")) for i in range(shots))
     se = math.sqrt(p * (1 - p) / shots)
     assert abs((shots - ones) / shots - p) < 4 * se + 1e-3
 
 
 def test_run_shot_requires_finite_steps():
+    h = build_matrix(NUMBER_SPEC, CUT)
     with pytest.raises(ValueError):
-        number_device().run_shot(request(0.5, l_steps=None))
+        literal_shot(h, CUT, request(0.5, l_steps=None), shot_stream(0, "shot"))
 
 
 def test_finite_step_amplitude_converges_to_ideal():
@@ -301,11 +322,11 @@ def test_entropy_keys_match_seed_sequence(master_seed, entropies):
 @settings(max_examples=30, deadline=None)
 @given(master_seed=MASTER_SEEDS, tokens=st.lists(st.text(max_size=40), max_size=8))
 def test_philox_keys_match_the_rng_oracle(master_seed, tokens):
-    dev = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=2), master_seed=master_seed)
     keys = _philox_keys(master_seed, tokens)
     assert keys.shape == (len(tokens), 2)
     for token, key in zip(tokens, keys):
-        assert np.array_equal(dev._rng(token).bit_generator.state["state"]["key"], key)
+        stream = shot_stream(master_seed, token)
+        assert np.array_equal(stream.bit_generator.state["state"]["key"], key)
 
 
 def test_negative_master_seed_raises_as_numpy_does():
@@ -320,11 +341,12 @@ def test_negative_master_seed_raises_as_numpy_does():
 
 
 def _oracle_batches(dev, requests, shots):
-    """One fresh _rng stream and one device.probability per request."""
+    """One fresh shot_stream and one device.probability per request."""
     ones = []
     for req in requests:
         p = dev.probability(req)
-        ones.append(int(dev._rng(req.rng_token or "batch").binomial(shots, 1.0 - p)))
+        stream = shot_stream(dev.master_seed, req.rng_token or "batch")
+        ones.append(int(stream.binomial(shots, 1.0 - p)))
         dev._charge(shots * req.evolution_time, shots)
     return ones
 

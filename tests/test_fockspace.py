@@ -16,14 +16,12 @@ from bosonlearn.fockspace import (
     displaced_vacuum_energy,
     displacement_matrix,
     herm_eig,
-    herm_expm,
     number_matrix,
-    rotation_matrix,
-    rotation_phases,
     squeeze_matrix,
     vacuum_state,
 )
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
+from bosonlearn.oracles import herm_expm, rotation_matrix, rotation_phases
 
 CUT = FockCutoff(n_max=20)
 

@@ -58,8 +58,8 @@ def test_rpe_config_validation():
         RpeConfig(k_max=4, shots=5, t0=0.5, c_bound=1.0)
     with pytest.raises(ValueError):
         RpeConfig(k_max=4, shots=100, t0=2.0, c_bound=2.0)
-    # noiseless mode lifts the shot floor
-    RpeConfig(k_max=4, shots=1, t0=0.5, c_bound=1.0, noiseless=True)
+    # the exact channel (shots=None) has no shot floor
+    RpeConfig(k_max=4, shots=None, t0=0.5, c_bound=1.0)
 
 
 @pytest.mark.parametrize("t0", [0.0, -0.5])
@@ -72,7 +72,7 @@ def test_rpe_config_rejects_nonpositive_t0(t0):
 def test_predicted_eps_c_formula():
     cfg = RpeConfig(k_max=6, shots=100, t0=0.5, c_bound=1.0)
     assert cfg.predicted_eps_c == pytest.approx(1.0 / (64 * 0.5 * 10))
-    assert RpeConfig(k_max=6, shots=1, t0=0.5, c_bound=1.0, noiseless=True).predicted_eps_c == 0.0
+    assert RpeConfig(k_max=6, shots=None, t0=0.5, c_bound=1.0).predicted_eps_c == 0.0
 
 
 def test_steps_policy():
@@ -86,7 +86,7 @@ def test_rpe_noiseless_is_exact():
     spec = random_spec(1, 2, seed=1, include_couplings=False)
     cut = adaptive_cutoff(spec, 0.8)
     dev = SimulatedDevice(spec, cut)
-    cfg = derive_config(2, k_max=8, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=8, shots=None, l_steps=None)
     beta = 0.8 * np.exp(0.5j)
     est = rpe_estimate(dev, [beta], cfg)
     assert est.c_hat == pytest.approx(constant_term(spec, [beta]), abs=1e-9)
@@ -97,7 +97,7 @@ def test_rpe_unwrapping_beyond_single_round_range():
     # at kappa = 2^8 the phase wraps many times; unwrapping must still recover C
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
     dev = SimulatedDevice(spec, FockCutoff(n_max=16))
-    cfg = derive_config(2, k_max=8, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=8, shots=None, l_steps=None)
     c = 0.9**2
     assert 2**8 * cfg.t0 * c > 2 * math.pi
     est = rpe_estimate(dev, [0.9], cfg)
@@ -130,7 +130,7 @@ def test_learn_single_mode_noiseless_exact():
     spec = random_spec(1, 3, seed=12, include_couplings=False)
     cut = adaptive_cutoff(spec, 1.0)
     dev = SimulatedDevice(spec, cut)
-    cfg = derive_config(3, k_max=9, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(3, k_max=9, shots=None, l_steps=None)
     learned = learn_single_mode(dev, 3, cfg)
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-8
@@ -139,7 +139,7 @@ def test_learn_single_mode_noiseless_exact():
 def test_learn_single_mode_offset_subtraction():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.8}, identity_offset=0.37)
     dev = SimulatedDevice(spec, FockCutoff(n_max=24))
-    cfg = derive_config(2, k_max=9, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=9, shots=None, l_steps=None)
     learned = learn_single_mode(dev, 2, cfg, subtract_offset=True)
     assert learned.identity_offset == pytest.approx(0.37, abs=1e-8)
     assert abs(learned.estimates[single_key(1, 1)] - 0.8) < 1e-8
@@ -160,7 +160,7 @@ def test_offset_error_propagates_into_stderr():
 def test_as_pq_dict_view():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.5})
     dev = SimulatedDevice(spec, FockCutoff(n_max=16))
-    cfg = derive_config(2, k_max=6, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=6, shots=None, l_steps=None)
     learned = learn_single_mode(dev, 2, cfg)
     assert learned.as_pq_dict()[(1, 1)] == pytest.approx(0.5, abs=1e-8)
 
@@ -175,7 +175,7 @@ def test_multimode_hierarchical_noiseless_exact():
     spec = random_spec(2, 2, seed=11, sparsity=0.8)
     cut = adaptive_cutoff(spec, 1.0)
     dev = SimulatedDevice(spec, cut)
-    cfg = derive_config(2, k_max=9, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=9, shots=None, l_steps=None)
     learned = learn_multimode_hierarchical(dev, 2, 2, cfg)
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-7
@@ -186,7 +186,7 @@ def test_multimode_simultaneous_noiseless_exact():
     spec = random_spec(2, 2, seed=11, sparsity=0.8)
     cut = adaptive_cutoff(spec, 1.0)
     dev = SimulatedDevice(spec, cut)
-    cfg = derive_config(2, k_max=9, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=9, shots=None, l_steps=None)
     learned = learn_multimode_simultaneous(dev, 2, 2, cfg)
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-7
@@ -199,7 +199,7 @@ def test_hierarchical_singles_unaffected_by_couplings():
     with_c = dict(base)
     with_c[k] = 0.4 + 0j
     with_c[k.conjugate] = 0.4 + 0j
-    cfg = derive_config(2, k_max=8, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=8, shots=None, l_steps=None)
     cut = FockCutoff(n_max=16, modes=2)
     l0 = learn_multimode_hierarchical(
         SimulatedDevice(HamiltonianSpec(2, 2, base), cut), 2, 2, cfg
@@ -214,7 +214,7 @@ def test_hierarchical_singles_unaffected_by_couplings():
 def test_hierarchical_mode_limit():
     spec = random_spec(4, 1, seed=0)
     cut = FockCutoff(n_max=2, modes=4)
-    cfg = derive_config(1, k_max=4, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(1, k_max=4, shots=None, l_steps=None)
     with pytest.raises(ValueError):
         learn_multimode_hierarchical(SimulatedDevice(spec, cut), 4, 1, cfg)
 
@@ -266,7 +266,7 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
 
 
 def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
-    cfg = derive_config(2, k_max=4, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
     dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
     exact = _count_calls(monkeypatch, "probability")
     batches = _count_calls(monkeypatch, "run_shot_batches")
@@ -318,7 +318,7 @@ def test_multimode_learners_report_inconsistent_rounds():
     expected = _grid_inconsistent([("j", grid)], cfg, "s")
     assert simul.diagnostics["inconsistent_rounds"] == expected > 0
     # the exact channel never jumps
-    exact = derive_config(2, k_max=6, noiseless=True, shots=20, l_steps=None)
+    exact = derive_config(2, k_max=6, shots=None, l_steps=None)
     for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
         learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, exact)
         assert learned.diagnostics["inconsistent_rounds"] == 0
@@ -356,7 +356,7 @@ def test_displacement_biased_learn_keeps_the_device_noise():
     dev = SimulatedDevice(
         spec, FockCutoff(n_max=16), noise=NoiseModel(state_prep_infidelity=0.2)
     )
-    cfg = derive_config(2, k_max=4, noiseless=True, shots=20, l_steps=None)
+    cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
     probe = ShotRequest(kappa=1, t0=cfg.t0, beta=(0.3,), basis="X")
     before = dev.probability(probe)
     delta = np.full(len(single_mode_pipeline(2).points), 1e-3)

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlearn.hamiltonian import TermKey, admissible_keys, constant_term, random_spec, single_key
+from bosonlearn.oracles import angular_idft, predict_covariance, radial_fit
 from bosonlearn.protocol import joint_grid
 from bosonlearn.recovery import (
     angular_angles,
-    angular_idft,
     chebyshev_nodes,
     coefficient_order_sums,
     covariance_compare,
     lipschitz_bound,
-    multidim_fit,
     params_to_coeffs,
-    predict_covariance,
     radial_design,
-    radial_fit,
     real_design_matrix,
     real_parameters,
     single_mode_pipeline,
@@ -222,7 +219,7 @@ def test_multidim_fit_exact_recovery():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
     y = np.array([constant_term(spec, b) for b in pts])
-    fit = multidim_fit(pts, y, keys)
+    (fit,) = staged_fit([(pts, y, keys)])
     for k, v in spec.terms.items():
         assert abs(fit.estimates[k] - v) < 1e-9
 
@@ -232,7 +229,7 @@ def test_staged_fit_shared_offset_inflates_variances():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
     y = np.zeros(12)
-    plain = multidim_fit(pts, y, [key, key.conjugate])
+    (plain,) = staged_fit([(pts, y, [key, key.conjugate])])
     (inflated,) = staged_fit([(pts, y, [key, key.conjugate])], offset=0.0)
     plain_var, inflated_var = plain.coefficient_variances(0.01), inflated.coefficient_variances(0.01)
     for k in plain_var:
@@ -326,7 +323,7 @@ def test_multidim_fit_rejects_numerically_rank_deficient_design():
     grid = joint_grid(2, 2)
     grid[:, 1] *= 1e-9
     with pytest.raises(np.linalg.LinAlgError):
-        multidim_fit(grid, np.zeros(len(grid)), admissible_keys(2, 2))
+        staged_fit([(grid, np.zeros(len(grid)), admissible_keys(2, 2))])
 
 
 def test_staged_fit_forms_no_points_by_values_matrix():
