@@ -108,7 +108,10 @@ def _build_spec(config: dict) -> HamiltonianSpec:
             raise ConfigError(f"spec file {path} has no {exc} field") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad spec file {path}: {exc}") from exc
-        return validate_hermitian(spec, check_matrix=False)
+        try:
+            return validate_hermitian(spec, check_matrix=False)
+        except ValueError as exc:
+            raise ConfigError(f"bad spec file {path}: {exc}") from exc
     gen = config.get("generator")
     if gen is None:
         raise ConfigError("config needs either spec_path or generator")

@@ -12,26 +12,35 @@ factorizes, E[A] = a^L with a = <phi| e^{-iH kappa t0 / L} |phi> and
 phi = S(z)† D(beta)|vac>.  Each measured bit is therefore exactly Bernoulli
 with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
 
-The hidden matrix is decomposed once, when the device is built.  A prepared
-state phi is the Kronecker product of one single-mode vector per mode, built
-from displacement and squeeze matrices that reuse one generator
-eigendecomposition per cutoff (see fockspace), so no eigh runs per state.
-Each distinct phi is projected onto the eigenbasis once, and its weights
-|V† phi|^2 and energy <phi|H|phi> are cached under the exact executed values
-(beta, frame_z), so every request for that state is a dict lookup plus one
-phase.  Each projection also records the state's population of the top Fock
-level (edge_population), a diagnostic of truncation clipping.
+Ideal path.  In the ideal limit (l_steps = None) a is the pure phase
+e^{-i t E} with E = <phi|H|phi>.  phi is a product state, so E factorises
+over modes (fockspace.product_state_energy).  Each mode's vector is built
+with mat-vecs on the cached generator basis (fockspace.displace_vector,
+squeeze_vector), and a true frame enters as u_m = S(z_true,m) v_m.  No
+joint-space matrix, vector or eigendecomposition is made.  E is cached under
+the exact executed (beta, frame_z), so a repeated state costs a dict lookup.
+Each new state also records its population of the top Fock level
+(edge_population), a diagnostic of truncation clipping.
 
-Shot sampling.  run_shot_batches serves many requests in one call, typically
-every RPE run of a measurement grid: it looks up each distinct prepared
-state's weights once, computes each probability with the same arithmetic as
-probability(), draws one binomial per request, and charges the ledger per
-request in request order.  Each request's draw comes from its own Philox
+Finite-L path.  The first request with a concrete l_steps builds the hidden
+matrix, conjugates it into the true frame and decomposes it, once, under a
+lock.  Each state's weights |V† phi|^2 are computed and cached only then, and
+a = weights . e^{-i w tau}.  A device that serves only ideal requests never
+decomposes H.
+
+Shot sampling.  Two entries draw shots, and both reduce to one sampler.
+run_shot_grid serves a whole RPE grid as arrays: one prepared state per run
+and one schedule row (kappa, basis, l_steps) per request of a run.
+run_shot_batches serves a list of ShotRequest objects.  Each computes every
+probability in one numpy pass with the arithmetic of probability(), draws
+one binomial per request, and charges the ledger in request order with a
+sequential running sum.  Each request's draw comes from its own Philox
 stream, keyed by
     SeedSequence(entropy=(master_seed, int(sha256(rng_token)[:16]))
                  ).generate_state(2, np.uint64),
 so a draw depends only on the device seed and the request's token, never on
-what else is in the batch.  The keys of a whole batch come from one
+what else is in the batch.  Request (i, j) of a grid has the token
+f"{tokens[i]}:k{kappa_j}:{basis_j}".  The keys of a whole batch come from one
 vectorised pass over uint32 words that repeats numpy's SeedSequence hash
 (hashmix, mix, generate_state) bit for bit (_philox_keys); one device-held
 Philox generator is then reset to each key with counter 0 and an empty
@@ -39,9 +48,10 @@ buffer, which is the state a fresh Philox(SeedSequence(...)) starts in.
 run_shot_batch is the one-request case.
 
 Oracles.  bosonlearn.oracles builds the same streams the slow way, through
-numpy's own SeedSequence (shot_stream), and keeps the literal per-shot product
-on dense joint-space matrices (literal_shot); both take only public inputs and
-serve as cross-checks of the batch sampler, so the device holds neither.
+numpy's own SeedSequence (shot_stream), computes probabilities on the dense
+joint space (dense_probability), and keeps the literal per-shot product
+(literal_shot).  They take only public inputs and serve as cross-checks, so
+the device holds none of them.
 """
 
 from __future__ import annotations
@@ -58,10 +68,11 @@ import numpy as np
 
 from .fockspace import (
     FockCutoff,
-    displacement_matrix,
+    displace_vector,
     herm_eig,
+    product_state_energy,
     squeeze_matrix,
-    vacuum_state,
+    squeeze_vector,
 )
 from .hamiltonian import HamiltonianSpec, build_matrix, validate_hermitian
 
@@ -240,6 +251,9 @@ class SimulatedDevice:
     Bogoliubov frame: the physical matrix is S(z)† H_spec S(z) per mode.
     """
 
+    # Each per-state cache is emptied once it holds this many states.
+    _CACHE_LIMIT = 4096
+
     def __init__(
         self,
         spec: HamiltonianSpec,
@@ -251,23 +265,23 @@ class SimulatedDevice:
         validate_hermitian(spec, check_matrix=False)
         if cutoff.modes != spec.modes:
             raise ValueError("cutoff mode count does not match spec")
+        if true_frame_z is not None and len(true_frame_z) != cutoff.modes:
+            raise ValueError(
+                f"true_frame_z has {len(true_frame_z)} entries but the device has {cutoff.modes} modes"
+            )
         self._spec = spec
         self.cutoff = cutoff
         self.master_seed = master_seed
-        self._noise = noise or NoiseModel()
-        h = build_matrix(spec, cutoff)
-        if true_frame_z is not None:
-            for m, z in enumerate(true_frame_z):
-                if z:
-                    s = squeeze_matrix(z, cutoff, m)
-                    h = s.conj().T @ h @ s
-            h = 0.5 * (h + h.conj().T)
-        self._w, self._v = herm_eig(h)
-        self._vh = self._v.conj().T
+        self._true_frame_z = None if true_frame_z is None else tuple(true_frame_z)
+        self._noise = self._checked(noise or NoiseModel())
         self._ledger = TimeLedger()
         self._ledger_lock = threading.Lock()
-        self._phi_cache: dict[tuple, tuple[np.ndarray, float]] = {}
-        self._phi_lock = threading.Lock()
+        # (w, V†) of the hidden matrix, built on the first finite-L request.
+        self._eigenbasis: tuple[np.ndarray, np.ndarray] | None = None
+        self._eigenbasis_lock = threading.Lock()
+        self._energies: dict[tuple, float] = {}
+        self._weights: dict[tuple, np.ndarray] = {}
+        self._state_lock = threading.Lock()
         self._edge_population = 0.0
         # Built on the first shot draw: a device that serves only the exact
         # channel never loads numpy's Philox.
@@ -280,8 +294,16 @@ class SimulatedDevice:
     def noise(self) -> NoiseModel:
         return self._noise
 
+    def _checked(self, model: NoiseModel) -> NoiseModel:
+        modes = self.cutoff.modes
+        if len(model.delta_beta) > modes:
+            raise ValueError(
+                f"delta_beta has {len(model.delta_beta)} entries but the device has {modes} modes"
+            )
+        return model
+
     def set_noise(self, model: NoiseModel) -> None:
-        self._noise = model
+        self._noise = self._checked(model)
 
     def clear_noise(self) -> None:
         self._noise = NoiseModel()
@@ -290,12 +312,7 @@ class SimulatedDevice:
         with self._ledger_lock:
             return replace(self._ledger)
 
-    def _charge(self, time: float, shots: int) -> None:
-        with self._ledger_lock:
-            self._ledger.total_evolution_time += time
-            self._ledger.shot_count += shots
-
-    # -- amplitude machinery -------------------------------------------------
+    # -- prepared states -----------------------------------------------------
 
     @property
     def edge_population(self) -> float:
@@ -306,104 +323,129 @@ class SimulatedDevice:
         """
         return self._edge_population
 
-    def _prepared_state(self, beta, frame_z) -> np.ndarray:
-        """phi = S(z)† D(beta) |vac>, built as a Kronecker product over modes.
-
-        Records the state's largest per-mode population of |n_max> in
-        edge_population.
-        """
-        single = FockCutoff(n_max=self.cutoff.n_max)
-        vs = [vacuum_state(single) for _ in range(self.cutoff.modes)]
-        for m in range(self.cutoff.modes):
-            if beta[m]:
-                vs[m] = displacement_matrix(beta[m], single) @ vs[m]
-        if frame_z is not None:
-            for m, z in enumerate(frame_z):
-                if z:
-                    vs[m] = squeeze_matrix(z, single).conj().T @ vs[m]
-        edge = max(abs(v[-1]) ** 2 for v in vs)
-        with self._phi_lock:
-            self._edge_population = max(self._edge_population, edge)
-        return functools.reduce(np.multiply.outer, vs).ravel()
-
-    def _state_key(self, request: ShotRequest) -> tuple:
+    def _state_key(self, beta, frame_z) -> tuple:
         """The prepared state of a request: its exact executed (beta, frame_z)."""
-        beta = self._noise.executed_beta(request.beta)
-        frame_z = request.frame_z
+        beta = self._noise.executed_beta(beta)
         return (tuple(beta), None if frame_z is None else tuple(frame_z))
 
-    def _state_weights(self, key: tuple) -> tuple[np.ndarray, float]:
-        """Eigenbasis weights |V† phi|^2 and energy of the prepared state, cached
-        under its _state_key.  A beta or frame_z without one entry per mode is
-        rejected before it is first cached, so a hit needs no check."""
-        with self._phi_lock:
-            hit = self._phi_cache.get(key)
-        if hit is not None:
-            return hit
+    def _mode_vectors(self, key: tuple) -> list[np.ndarray]:
+        """The factors v_m = S(z_m)† D(beta_m)|0> of the prepared state phi.
+
+        A beta or frame_z without one entry per mode is rejected here, before
+        anything is cached under the key, so a cache hit needs no check.
+        Records the state's largest top-level population in edge_population.
+        """
         modes = self.cutoff.modes
         for name, values in zip(("beta", "frame_z"), key):
             if values is not None and len(values) != modes:
                 raise ValueError(f"{name} has {len(values)} entries but the device has {modes} modes")
-        weights = np.abs(self._vh @ self._prepared_state(*key)) ** 2
-        hit = (weights, float(weights @ self._w))
-        with self._phi_lock:
-            if len(self._phi_cache) > 4096:
-                self._phi_cache.clear()
-            self._phi_cache[key] = hit
-        return hit
+        beta, frame_z = key
+        vacuum = np.zeros(self.cutoff.dim_per_mode, dtype=complex)
+        vacuum[0] = 1.0
+        vectors = []
+        for m in range(modes):
+            v = displace_vector(beta[m], vacuum) if beta[m] else vacuum
+            if frame_z is not None and frame_z[m]:
+                v = squeeze_vector(frame_z[m], v, adjoint=True)
+            vectors.append(v)
+        edge = max(abs(v[-1]) ** 2 for v in vectors)
+        with self._state_lock:
+            self._edge_population = max(self._edge_population, edge)
+        return vectors
 
-    def _probability(self, request: ShotRequest, weights: np.ndarray, energy: float) -> float:
-        """Outcome-0 probability of the request on a prepared state's (weights, energy).
+    def _store(self, cache: dict, key: tuple, value):
+        """Cache value under key and return it; a cache at its limit is emptied
+        first.  Reads need no lock: a dict lookup is atomic."""
+        with self._state_lock:
+            if len(cache) >= self._CACHE_LIMIT:
+                cache.clear()
+            cache[key] = value
+        return value
 
-        The expected interference amplitude E_theta[A] is the pure phase
-        e^{-i t E} in the ideal limit and a^L with a = weights . e^{-i w tau}
-        at L Trotter steps.
-        """
-        if request.l_steps is None:
-            amp = cmath.exp(-1j * request.evolution_time * energy)
-        else:
-            tau = request.evolution_time / request.l_steps
-            amp = complex(weights @ np.exp(-1j * self._w * tau)) ** request.l_steps
-        return self._basis_probability(amp, request.basis, self._noise.state_prep_infidelity)
+    def _energy(self, key: tuple) -> float:
+        """<phi|H|phi>, factorised over modes, with u_m = S(z_true,m) v_m."""
+        energy = self._energies.get(key)
+        if energy is None:
+            vectors = self._mode_vectors(key)
+            if self._true_frame_z is not None:
+                vectors = [
+                    squeeze_vector(z, v) if z else v for z, v in zip(self._true_frame_z, vectors)
+                ]
+            energy = self._store(self._energies, key, product_state_energy(self._spec, vectors))
+        return energy
 
-    @staticmethod
-    def _basis_probability(amp: complex, basis: str, infidelity: float) -> float:
-        p = 0.5 * (1.0 + (amp.real if basis == "X" else amp.imag))
-        p = min(max(p, 0.0), 1.0)
-        return (1.0 - infidelity) * p + 0.5 * infidelity
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V†) of the hidden matrix in its true frame, built on first use."""
+        with self._eigenbasis_lock:
+            if self._eigenbasis is None:
+                h = build_matrix(self._spec, self.cutoff)
+                if self._true_frame_z is not None:
+                    for m, z in enumerate(self._true_frame_z):
+                        if z:
+                            s = squeeze_matrix(z, self.cutoff, m)
+                            h = s.conj().T @ h @ s
+                    h = 0.5 * (h + h.conj().T)
+                w, v = herm_eig(h)
+                self._eigenbasis = (w, v.conj().T)
+            return self._eigenbasis
+
+    def _finite_amplitude(self, key: tuple, time: float, l_steps: int) -> complex:
+        """a^L with a = weights . e^{-i w tau}, tau = time / L; the weights
+        |V† phi|^2 of each state are computed once, on its first such request."""
+        weights = self._weights.get(key)
+        if weights is None:
+            phi = functools.reduce(np.multiply.outer, self._mode_vectors(key)).ravel()
+            weights = self._store(self._weights, key, np.abs(self._eigen()[1] @ phi) ** 2)
+        tau = time / l_steps
+        return complex(weights @ np.exp(-1j * self._eigen()[0] * tau)) ** l_steps
+
+    # -- probabilities --------------------------------------------------------
 
     def probability(self, request: ShotRequest) -> float:
         """Exact outcome-0 probability; the sanctioned noiseless test channel.
 
-        Does not touch the ledger: it stands in for the M -> infinity limit.
+        The expected interference amplitude E_theta[A] is the pure phase
+        e^{-i t E} in the ideal limit and a^L at L Trotter steps.  Does not
+        touch the ledger: it stands in for the M -> infinity limit.
         """
-        weights, energy = self._state_weights(self._state_key(request))
-        return self._probability(request, weights, energy)
+        key = self._state_key(request.beta, request.frame_z)
+        if request.l_steps is None:
+            amp = cmath.exp(-1j * request.evolution_time * self._energy(key))
+        else:
+            amp = self._finite_amplitude(key, request.evolution_time, request.l_steps)
+        p = 0.5 * (1.0 + (amp.real if request.basis == "X" else amp.imag))
+        infidelity = self._noise.state_prep_infidelity
+        return (1.0 - infidelity) * min(max(p, 0.0), 1.0) + 0.5 * infidelity
+
+    def _probabilities(self, keys, state, times, l_steps, is_x) -> np.ndarray:
+        """Outcome-0 probability of every request in one numpy pass, with the
+        arithmetic of probability(): request i runs for times[i] on the state
+        keys[state[i]], at l_steps[i] Trotter steps (None: the ideal limit),
+        in the X basis where is_x[i]."""
+        energies = np.array([self._energy(key) for key in keys])
+        amp = np.exp(-1j * times * energies[state])
+        for i, steps in enumerate(l_steps):
+            if steps is not None:
+                amp[i] = self._finite_amplitude(keys[state[i]], times[i], steps)
+        p = np.clip(0.5 * (1.0 + np.where(is_x, amp.real, amp.imag)), 0.0, 1.0)
+        infidelity = self._noise.state_prep_infidelity
+        return (1.0 - infidelity) * p + 0.5 * infidelity
 
     # -- shot execution -------------------------------------------------------
 
-    def run_shot_batches(self, requests: Sequence[ShotRequest], shots: int) -> list[int]:
-        """Count of outcome 1 over `shots` independent shots, for each request.
+    def _draw(
+        self, probabilities: np.ndarray, times: np.ndarray, tokens: list[str], shots: int
+    ) -> np.ndarray:
+        """Count of outcome 1 over `shots` shots of each request, drawn from
+        its token's stream; then shots * times[i] is charged per request.
 
         Bits are i.i.d. Bernoulli with the exact theta-marginal probability,
         so one binomial draw per request reproduces the literal per-shot
-        distribution.  Each distinct prepared state is looked up once per
-        call; each request draws from its own stream (see the module
-        docstring) and is charged to the ledger in request order.
+        distribution.  The ledger adds the charges one at a time in request
+        order (a cumulative sum is sequential), so its total is the one
+        request-by-request charging gives.
         """
-        if shots < 0:
-            raise ValueError("shots must be >= 0")
-        if shots == 0:
-            return [0] * len(requests)
-        states: dict[tuple, tuple[np.ndarray, float]] = {}
-        probabilities = []
-        for req in requests:
-            key = self._state_key(req)
-            state = states.get(key)
-            if state is None:
-                state = states[key] = self._state_weights(key)
-            probabilities.append(self._probability(req, *state))
-        keys = _philox_keys(self.master_seed, [req.rng_token or "batch" for req in requests])
+        keys = _philox_keys(self.master_seed, tokens)
         # A fresh Philox(seed) has counter 0 and an empty buffer (buffer_pos
         # at the buffer size, 4).
         fresh = {"counter": (0, 0, 0, 0), "key": None}
@@ -415,18 +457,90 @@ class SimulatedDevice:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        ones = []
+        ones = np.empty(len(tokens), dtype=np.int64)
         with self._shot_lock:
             if self._shot_rng is None:
                 self._shot_rng = np.random.Generator(np.random.Philox(0))
             rng = self._shot_rng
             philox = rng.bit_generator
-            for req, p, key in zip(requests, probabilities, keys.tolist()):
+            for i, (q, key) in enumerate(zip((1.0 - probabilities).tolist(), keys.tolist())):
                 fresh["key"] = key
                 philox.state = reset
-                ones.append(int(rng.binomial(shots, 1.0 - p)))
-                self._charge(shots * req.evolution_time, shots)
+                ones[i] = rng.binomial(shots, q)
+            with self._ledger_lock:
+                total = self._ledger.total_evolution_time
+                running = np.cumsum(np.concatenate(([total], shots * times)))
+                self._ledger.total_evolution_time = float(running[-1])
+                self._ledger.shot_count += shots * len(tokens)
         return ones
+
+    def run_shot_grid(
+        self,
+        betas: Sequence[tuple[complex, ...]],
+        frame_z: tuple[complex, ...] | None,
+        t0: float,
+        schedule: Sequence[tuple[int, str, int | None]],
+        shots: int,
+        tokens: Sequence[str],
+    ) -> np.ndarray:
+        """Counts of outcome 1 over `shots` shots for every request of an RPE
+        grid, shape (len(betas), len(schedule)).
+
+        Run i prepares (betas[i], frame_z) and executes each schedule row
+        (kappa, basis, l_steps) at t0 in turn.  Its request j draws from the
+        stream of token f"{tokens[i]}:k{kappa_j}:{basis_j}" and is charged in
+        run-major order, so the counts and the ledger equal run_shot_batches
+        on the equivalent list of ShotRequest objects.  Each row is validated
+        once, as a ShotRequest.
+        """
+        if len(tokens) != len(betas):
+            raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
+        if shots < 0:
+            raise ValueError("shots must be >= 0")
+        rows = [
+            ShotRequest(kappa=kappa, t0=t0, beta=(), basis=basis, l_steps=l_steps, frame_z=frame_z)
+            for kappa, basis, l_steps in schedule
+        ]
+        runs, width = len(betas), len(rows)
+        if shots == 0 or runs * width == 0:
+            return np.zeros((runs, width), dtype=np.int64)
+        times = np.tile([row.evolution_time for row in rows], runs)
+        probabilities = self._probabilities(
+            [self._state_key(beta, frame_z) for beta in betas],
+            np.repeat(np.arange(runs), width),
+            times,
+            [row.l_steps for row in rows] * runs,
+            np.tile([row.basis == "X" for row in rows], runs),
+        )
+        suffixes = [f":k{row.kappa}:{row.basis}" for row in rows]
+        request_tokens = [token + suffix for token in tokens for suffix in suffixes]
+        return self._draw(probabilities, times, request_tokens, shots).reshape(runs, width)
+
+    def run_shot_batches(self, requests: Sequence[ShotRequest], shots: int) -> list[int]:
+        """Count of outcome 1 over `shots` independent shots, for each request.
+
+        Each distinct prepared state is looked up once per call; each request
+        draws from the stream of its rng_token ("batch" when empty) and is
+        charged to the ledger in request order.
+        """
+        if shots < 0:
+            raise ValueError("shots must be >= 0")
+        if shots == 0 or not requests:
+            return [0] * len(requests)
+        keys: dict[tuple, int] = {}
+        state = [
+            keys.setdefault(self._state_key(req.beta, req.frame_z), len(keys)) for req in requests
+        ]
+        times = np.array([req.evolution_time for req in requests], dtype=float)
+        probabilities = self._probabilities(
+            list(keys),
+            np.array(state, dtype=np.intp),
+            times,
+            [req.l_steps for req in requests],
+            np.array([req.basis == "X" for req in requests]),
+        )
+        tokens = [req.rng_token or "batch" for req in requests]
+        return self._draw(probabilities, times, tokens, shots).tolist()
 
     def run_shot_batch(self, request: ShotRequest, shots: int) -> dict[int, int]:
         """Counts of outcomes over `shots` independent shots of one request."""

@@ -13,7 +13,13 @@ real-parameter generators, i(b† - b) and (i/2)(b^2 - b†^2), cached by
 (kind, n_max); a complex parameter is reached by the diagonal phase rotation
 R(theta) = e^{i theta N}, so D(r e^{i theta}) = R(theta) D(r) R(theta)† and
 S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Building either matrix is then two
-diagonal scalings and one product, with no eigh.
+diagonal scalings and one product, with no eigh; applying either to one
+single-mode vector (displace_vector, squeeze_vector) is two mat-vecs on the
+cached basis, with no matrix built.
+
+The energy <phi|H|phi> of a product state phi = ⊗_m v_m factorises over
+modes (product_state_energy), so neither it nor the cutoff choice that rests
+on it builds a joint-space matrix.
 """
 
 from __future__ import annotations
@@ -109,32 +115,59 @@ def vacuum_state(cutoff: FockCutoff) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, U) of a single-mode generator, once per (kind, n_max).
+def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, U, U†) of a single-mode generator, once per (kind, n_max).
 
     "displacement" is i(b† - b), so D(r) = U e^{-i r w} U† for real r;
     "squeeze" is (i/2)(b^2 - b†^2), so S(s) = U e^{-i s w} U† for real s.
     U is checked for unitarity once, here, so every product built from it is
-    unitary; both arrays are read-only because the cache shares them.
+    unitary; the arrays are read-only because the cache shares them.
     """
     b = annihilation_matrix(FockCutoff(n_max=n_max))
     bdag = b.conj().T
     g = 1j * (bdag - b) if kind == "displacement" else 0.5j * (b @ b - bdag @ bdag)
     w, u = herm_eig(g)
     _check_unitary(u, f"{kind} generator basis")
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return w, u
+    uh = u.conj().T.copy()
+    for array in (w, u, uh):
+        array.setflags(write=False)
+    return w, u, uh
 
 
 def _rotated_unitary(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
     """R(theta) U e^{-i r w} U† R(theta)† with R(theta) = diag(e^{i theta n})."""
-    w, u = _generator_basis(kind, n_max)
-    out = (u * np.exp(-1j * r * w)) @ u.conj().T
+    w, u, uh = _generator_basis(kind, n_max)
+    out = (u * np.exp(-1j * r * w)) @ uh
     if theta:
         rot = np.exp(1j * theta * np.arange(n_max + 1))
         out = rot[:, None] * out * rot.conj()
     return out
+
+
+def _rotated_apply(kind: str, r: float, theta: float, v: np.ndarray, sign: float) -> np.ndarray:
+    """R(theta) U e^{sign i r w} U† R(theta)† v on one single-mode vector.
+
+    sign = -1 applies the unitary of _rotated_unitary, sign = +1 its adjoint.
+    """
+    w, u, uh = _generator_basis(kind, len(v) - 1)
+    if theta:
+        rot = np.exp(1j * theta * np.arange(len(v)))
+        v = rot.conj() * v
+    out = u @ (np.exp(sign * 1j * r * w) * (uh @ v))
+    return rot * out if theta else out
+
+
+def displace_vector(beta: complex, v: np.ndarray) -> np.ndarray:
+    """D(beta) v for a single-mode vector v, without building D(beta)."""
+    r, theta = cmath.polar(complex(beta))
+    return _rotated_apply("displacement", r, theta, v, -1.0)
+
+
+def squeeze_vector(z: complex, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """S(z) v, or S(z)† v with adjoint, for a single-mode vector v, without
+    building S(z)."""
+    s, phi = cmath.polar(complex(z))
+    return _rotated_apply("squeeze", s, 0.5 * phi, v, 1.0 if adjoint else -1.0)
 
 
 def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
@@ -182,21 +215,44 @@ def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, n
     return w, v
 
 
-def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
-    """<0|D† H D|0> at truncation n_max, with the same displacement beta on every mode.
+def _moment_table(v: np.ndarray, order: int) -> np.ndarray:
+    """T[p, q] = <v|b†^p b^q|v> = <b^p v|b^q v> for p, q <= order, at the
+    truncation of v."""
+    lowered = np.zeros((order + 1, len(v)), dtype=complex)
+    lowered[0] = v
+    sqrt_n = np.sqrt(np.arange(1, len(v)))
+    for k in range(1, order + 1):
+        lowered[k, :-1] = sqrt_n * lowered[k - 1, 1:]
+    return lowered.conj() @ lowered.T
 
-    The displaced vacuum is a product state, so the value factorises exactly:
-    offset + sum_terms g prod_modes <v|b†^p b^q|v> with v = D(beta)|0> on a
-    single mode.  No joint-space matrix is built.
+
+def product_state_energy(spec, vectors) -> float:
+    """<phi|H|phi> for the normalised product state phi = ⊗_m vectors[m].
+
+    The value factorises exactly: offset + sum_terms g prod_m <v_m|b†^p b^q|v_m>
+    over the modes each term touches (an untouched mode contributes
+    <v|v> = 1).  Each mode's moments come from one small table, so no
+    joint-space matrix or vector is built.
     """
-    v = displacement_matrix(beta, FockCutoff(n_max=n_max))[:, 0]
+    tables = [_moment_table(v, spec.max_order) for v in vectors]
     total = complex(spec.identity_offset)
     for key, coeff in spec.terms.items():
         term = complex(coeff)
-        for p, q in zip(key.p, key.q):
-            term *= np.vdot(v, normal_ordered_factor(p, q, n_max) @ v)
+        for mode, p, q in zip(key.modes, key.p, key.q):
+            term *= tables[mode][p, q]
         total += term
     return float(total.real)
+
+
+def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
+    """<0|D† H D|0> at truncation n_max, with the same displacement beta on every mode.
+
+    The displaced vacuum is a product state: this is product_state_energy of
+    v = D(beta)|0> on every mode.
+    """
+    vacuum = np.zeros(n_max + 1, dtype=complex)
+    vacuum[0] = 1.0
+    return product_state_energy(spec, [displace_vector(beta, vacuum)] * spec.modes)
 
 
 def adaptive_cutoff(spec, beta_max: float, tol: float = 1e-8, ceiling: int = 256) -> FockCutoff:

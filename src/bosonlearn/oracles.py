@@ -3,8 +3,9 @@
 Each function computes, by a route of its own, something the learner or the
 device also computes: the displaced phase-averaged Hamiltonian, the recovery
 stages one at a time, the inverse quadrature algebra and frame mismatch,
-dense rotations and exponentials, and the device's literal per-shot path with
-its SeedSequence-built streams.  No other bosonlearn module imports this one.
+dense rotations and exponentials, the device's outcome probabilities on the
+dense joint space, and its literal per-shot path with its SeedSequence-built
+streams.  No other bosonlearn module imports this one.
 """
 
 from __future__ import annotations
@@ -261,6 +262,37 @@ def shot_stream(master_seed: int, token: str) -> np.random.Generator:
     entropy = int.from_bytes(digest[:16], "big")
     seq = np.random.SeedSequence(entropy=(master_seed, entropy))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def dense_probability(
+    spec: HamiltonianSpec, cutoff: FockCutoff, request: ShotRequest, true_frame_z=None
+) -> float:
+    """Noiseless outcome-0 probability of request on the dense joint space.
+
+    Builds the hidden matrix, conjugates it into the true frame with embedded
+    squeeze matrices, decomposes it, and weighs the eigenbasis by |V† phi|^2,
+    with phi = S(z)† D(beta)|vac> built from embedded D and S matrices: the
+    ideal amplitude is e^{-i t weights.w}, the L-step one
+    (weights . e^{-i w t/L})^L.
+    """
+    h = build_matrix(spec, cutoff)
+    for m, z in enumerate(true_frame_z or ()):
+        s = squeeze_matrix(z, cutoff, m)
+        h = s.conj().T @ h @ s
+    w, v = herm_eig(0.5 * (h + h.conj().T))
+    phi = vacuum_state(cutoff)
+    for m, b in enumerate(request.beta):
+        phi = displacement_matrix(b, cutoff, m) @ phi
+    for m, z in enumerate(request.frame_z or ()):
+        phi = squeeze_matrix(z, cutoff, m).conj().T @ phi
+    weights = np.abs(v.conj().T @ phi) ** 2
+    t = request.evolution_time
+    if request.l_steps is None:
+        amp = np.exp(-1j * t * (weights @ w))
+    else:
+        amp = (weights @ np.exp(-1j * w * t / request.l_steps)) ** request.l_steps
+    p = 0.5 * (1.0 + (amp.real if request.basis == "X" else amp.imag))
+    return float(min(max(p, 0.0), 1.0))
 
 
 def literal_shot(

@@ -88,27 +88,12 @@ class PhaseEstimate:
     inconsistent_rounds: list[int]
 
 
-def _run_requests(
-    beta: tuple[complex, ...], cfg: RpeConfig, frame_z, token: str
-) -> list[ShotRequest]:
-    """The 2(K+1) requests of one RPE run: an X and a Y request per round."""
-    requests = []
-    for j in range(cfg.k_max + 1):
-        kappa = 2**j
-        l_steps = cfg.steps_for(kappa)
-        for basis in ("X", "Y"):
-            requests.append(
-                ShotRequest(
-                    kappa=kappa,
-                    t0=cfg.t0,
-                    beta=beta,
-                    basis=basis,
-                    l_steps=l_steps,
-                    frame_z=frame_z,
-                    rng_token=f"{token}:k{kappa}:{basis}",
-                )
-            )
-    return requests
+def _schedule(cfg: RpeConfig) -> list[tuple[int, str, int | None]]:
+    """The 2(K+1) rows (kappa, basis, l_steps) of one RPE run: an X and a Y
+    request per round kappa = 2^j."""
+    return [
+        (2**j, basis, cfg.steps_for(2**j)) for j in range(cfg.k_max + 1) for basis in ("X", "Y")
+    ]
 
 
 def _unwrap(p0: list[float], cfg: RpeConfig, time_cost: float) -> PhaseEstimate:
@@ -145,32 +130,34 @@ def rpe_estimates(
     """Estimate the constant term at each beta, one RPE run per beta and token.
 
     A run's schedule (kappa = 2^j, an X and a Y request per round) is fixed
-    before any bit is seen, so on the shot channel every request of every run
-    goes to the device in one run_shot_batches call; only the unwrapping is
-    sequential.  The exact channel is asked once per request.  Each run's
-    time_cost is the ledger's growth over its own requests, which the device
-    charges in request order.
+    before any bit is seen, so on the shot channel the whole grid of runs
+    goes to the device in one run_shot_grid call; only the unwrapping is
+    sequential.  The exact channel is asked once per request, through
+    device.probability.  Each run's time_cost is the ledger's growth over its
+    own requests, which the device charges in run-major order with a
+    sequential running sum, repeated here.
     """
     betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
     tokens = list(tokens)
     if len(tokens) != len(betas):
         raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
-    # Built lazily, so the exact channel holds one run's requests at a time.
-    runs = (_run_requests(beta, cfg, frame_z, token) for beta, token in zip(betas, tokens))
+    schedule = _schedule(cfg)
     if cfg.shots is None:
-        return [_unwrap([device.probability(req) for req in run], cfg, 0.0) for run in runs]
-    runs = list(runs)
-    total = device.ledger().total_evolution_time
-    ones = iter(device.run_shot_batches([req for run in runs for req in run], cfg.shots))
-    estimates = []
-    for run in runs:
-        run_start = total
-        p0 = []
-        for req in run:
-            p0.append((cfg.shots - next(ones)) / cfg.shots)
-            total += cfg.shots * req.evolution_time
-        estimates.append(_unwrap(p0, cfg, total - run_start))
-    return estimates
+        estimates = []
+        for beta in betas:
+            p0 = [
+                device.probability(ShotRequest(kappa, cfg.t0, beta, basis, l_steps, frame_z))
+                for kappa, basis, l_steps in schedule
+            ]
+            estimates.append(_unwrap(p0, cfg, 0.0))
+        return estimates
+    start = device.ledger().total_evolution_time
+    ones = device.run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
+    p0 = ((cfg.shots - ones) / cfg.shots).tolist()
+    charges = cfg.shots * (np.array([kappa for kappa, _, _ in schedule]) * cfg.t0)
+    running = np.cumsum(np.concatenate(([start], np.tile(charges, len(betas)))))
+    run_starts = running[:: len(schedule)].tolist()
+    return [_unwrap(p0[i], cfg, run_starts[i + 1] - run_starts[i]) for i in range(len(betas))]
 
 
 def rpe_estimate(

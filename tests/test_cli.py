@@ -97,6 +97,24 @@ def test_bad_spec_file_is_schema_error(tmp_path, capsys, text, reason):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "term, reason",
+    [
+        ({"modes": [0], "p": [2], "q": [0], "re": 0.3, "im": 0.1}, "unpaired terms"),
+        ({"modes": [0], "p": [3], "q": [3], "re": 0.3, "im": 0.0}, "order outside"),
+    ],
+)
+def test_spec_file_that_is_not_hermitian_is_schema_error(tmp_path, capsys, term, reason):
+    spec_path = tmp_path / "spec.json"
+    number = {"modes": [0], "p": [1], "q": [1], "re": 1.0, "im": 0.0}
+    spec_path.write_text(json.dumps({"modes": 1, "d": 2, "terms": [number, term]}))
+    cfg = write_config(tmp_path, "c.json", {"spec_path": str(spec_path)})
+    for argv in (["learn-single", "--config", cfg], ["validate", "--config", cfg]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: bad spec file" in err and reason in err
+
+
 def test_learn_single_report_contents(tmp_path, capsys, monkeypatch):
     cutoff_calls = []
 

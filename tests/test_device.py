@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import sys
 import threading
 
@@ -7,23 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonlearn import device as device_module
 from bosonlearn import fockspace
 from bosonlearn.device import (
     NoiseModel,
     ShotRequest,
     SimulatedDevice,
+    TimeLedger,
     _entropy_keys,
     _philox_keys,
 )
-from bosonlearn.fockspace import (
-    FockCutoff,
-    adaptive_cutoff,
-    displacement_matrix,
-    squeeze_matrix,
-    vacuum_state,
-)
+from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
-from bosonlearn.oracles import literal_shot, shot_stream
+from bosonlearn.oracles import dense_probability, literal_shot, shot_stream
 
 NUMBER_SPEC = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
 CUT = FockCutoff(n_max=16)
@@ -70,6 +67,27 @@ def test_request_without_one_entry_per_mode_is_rejected(modes, beta, frame_z):
         dev.run_shot_batches([req], 30)
     assert dev.ledger().total_evolution_time == 0.0
     assert dev.ledger().shot_count == 0
+
+
+def test_noise_model_longer_than_the_device_is_rejected():
+    spec = random_spec(2, 2, seed=1)
+    cut = FockCutoff(n_max=6, modes=2)
+    long = NoiseModel(delta_beta=(0.1, 0.2j, 0.3))
+    message = "delta_beta has 3 entries but the device has 2 modes"
+    with pytest.raises(ValueError, match=message):
+        SimulatedDevice(spec, cut, noise=long)
+    dev = SimulatedDevice(spec, cut, noise=NoiseModel(delta_beta=(0.1,)))
+    with pytest.raises(ValueError, match=message):
+        dev.set_noise(long)
+    assert dev.noise == NoiseModel(delta_beta=(0.1,))
+    dev.set_noise(NoiseModel(delta_beta=(0.1, 0.2j)))
+
+
+@pytest.mark.parametrize("true_frame_z", [(0.1,), (0.1, 0.2, 0.3), ()])
+def test_true_frame_of_the_wrong_length_is_rejected(true_frame_z):
+    message = f"true_frame_z has {len(true_frame_z)} entries but the device has 2 modes"
+    with pytest.raises(ValueError, match=message):
+        SimulatedDevice(random_spec(2, 2, seed=1), FockCutoff(n_max=6, modes=2), true_frame_z=true_frame_z)
 
 
 def test_noise_model_validation():
@@ -173,14 +191,17 @@ def test_displacement_bias_shifts_constant_term():
 
 
 def test_true_frame_matches_explicit_conjugation():
+    # oracle: the dense matrix conjugated by the embedded squeeze, S† H S
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0, single_key(2, 0): 0.2, single_key(0, 2): 0.2})
     cut = FockCutoff(n_max=40)
-    r = 0.15
-    dev = SimulatedDevice(spec, cut, master_seed=0, true_frame_z=(complex(-r),))
-    s = squeeze_matrix(-r, cut)
-    h_manual = s.conj().T @ build_matrix(spec, cut) @ s
-    h_frame = (dev._v * dev._w) @ dev._vh
-    assert np.max(np.abs(h_frame - 0.5 * (h_manual + h_manual.conj().T))) < 1e-12
+    true_z = (complex(-0.15),)
+    dev = SimulatedDevice(spec, cut, master_seed=0, true_frame_z=true_z)
+    for beta in (0j, 0.7 - 0.2j):
+        for l_steps in (None, 1, 6):
+            for basis in ("X", "Y"):
+                req = request(beta, basis, kappa=3, l_steps=l_steps)
+                expected = dense_probability(spec, cut, req, true_frame_z=true_z)
+                assert abs(dev.probability(req) - expected) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -193,28 +214,80 @@ def test_true_frame_matches_explicit_conjugation():
     ],
 )
 def test_product_state_matches_embedded_operators(modes, n_max, beta, frame_z):
-    # oracle: the joint-space construction with embedded D and S matrices
+    # oracle: the joint-space state built with embedded D and S matrices; the
+    # finite-L amplitude reads every eigenbasis weight of the state
     cut = FockCutoff(n_max=n_max, modes=modes)
-    dev = SimulatedDevice(random_spec(modes, 2, seed=5, sparsity=0.8), cut)
-    expected = vacuum_state(cut)
-    for m, b in enumerate(beta):
-        expected = displacement_matrix(b, cut, m) @ expected
-    for m, z in enumerate(frame_z or ()):
-        expected = squeeze_matrix(z, cut, m).conj().T @ expected
-    beta = np.array(beta)
-    phi = dev._prepared_state(beta, frame_z)
-    assert np.max(np.abs(phi - expected)) < 1e-13
-    # the outer product is bit-identical to the Kronecker chain of the same vectors
-    single = FockCutoff(n_max=n_max)
-    chain = np.ones(1, dtype=complex)
-    for m in range(modes):
-        v = vacuum_state(single)
-        if beta[m]:
-            v = displacement_matrix(beta[m], single) @ v
-        if frame_z is not None and frame_z[m]:
-            v = squeeze_matrix(frame_z[m], single).conj().T @ v
-        chain = np.kron(chain, v)
-    assert np.array_equal(phi, chain)
+    spec = random_spec(modes, 2, seed=5, sparsity=0.8)
+    dev = SimulatedDevice(spec, cut)
+    for l_steps in (None, 1, 4):
+        for basis in ("X", "Y"):
+            req = ShotRequest(kappa=1, t0=0.3, beta=beta, basis=basis, l_steps=l_steps, frame_z=frame_z)
+            assert abs(dev.probability(req) - dense_probability(spec, cut, req)) < 1e-13
+
+
+COMPLEX = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False)
+SQUEEZE = st.complex_numbers(max_magnitude=0.25, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 3), seed=st.integers(0, 50))
+def test_probability_matches_the_dense_oracle(data, modes, seed):
+    n_max = {1: 24, 2: 10, 3: 5}[modes]
+    cut = FockCutoff(n_max=n_max, modes=modes)
+    spec = random_spec(modes, 2, seed=seed, sparsity=0.8)
+    squeezes = st.tuples(*[SQUEEZE] * modes)
+    true_z = data.draw(st.none() | squeezes, label="true_frame_z")
+    frame_z = data.draw(st.none() | squeezes, label="frame_z")
+    beta = data.draw(st.tuples(*[COMPLEX] * modes), label="beta")
+    delta = data.draw(st.lists(st.complex_numbers(max_magnitude=0.05), max_size=modes), label="delta")
+    noise = NoiseModel(delta_beta=tuple(delta), state_prep_infidelity=data.draw(st.floats(0.0, 0.3)))
+    dev = SimulatedDevice(spec, cut, true_frame_z=true_z, noise=noise)
+    executed = noise.executed_beta(beta)
+    for l_steps in (None, 3):
+        for basis in ("X", "Y"):
+            req = ShotRequest(kappa=2, t0=0.35, beta=beta, basis=basis, l_steps=l_steps, frame_z=frame_z)
+            exact = dense_probability(spec, cut, replace(req, beta=executed), true_frame_z=true_z)
+            eps = noise.state_prep_infidelity
+            assert abs(dev.probability(req) - ((1 - eps) * exact + 0.5 * eps)) < 1e-12
+
+
+def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
+    eigh_dims = []
+    builds = []
+    eigh = np.linalg.eigh
+    build = device_module.build_matrix
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    cut = FockCutoff(n_max=8, modes=2)
+    # the per-cutoff generator bases are shared and cached; build them first
+    fockspace.displace_vector(0.1, np.eye(9)[0])
+    fockspace.squeeze_vector(0.1, np.eye(9)[0])
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(device_module, "build_matrix", counted_build)
+    spec = random_spec(2, 2, seed=3, sparsity=0.8)
+    dev = SimulatedDevice(spec, cut, master_seed=1, true_frame_z=(0.1, -0.05j))
+    ideal = [
+        ShotRequest(kappa=k, t0=0.3, beta=(0.3 * k, 0.2j), basis=b, frame_z=(0.05, 0j), rng_token=f"{k}{b}")
+        for k in (1, 2, 4)
+        for b in ("X", "Y")
+    ]
+    for req in ideal:
+        dev.probability(req)
+    dev.run_shot_batches(ideal, 30)
+    dev.run_shot_grid([(0.1, 0.2), (0j, 0.4j)], None, 0.3, [(1, "X", None), (2, "Y", None)], 30, ["a", "b"])
+    assert eigh_dims == [] and builds == []
+    # the first finite-L request decomposes H once; later ones reuse it
+    for l_steps in (2, 5):
+        dev.probability(replace(ideal[0], l_steps=l_steps))
+        dev.run_shot_batches([replace(req, l_steps=l_steps) for req in ideal], 30)
+    assert eigh_dims == [cut.dim] and len(builds) == 1
 
 
 def test_matching_request_frame_recovers_frame_coefficients():
@@ -341,14 +414,17 @@ def test_negative_master_seed_raises_as_numpy_does():
 
 
 def _oracle_batches(dev, requests, shots):
-    """One fresh shot_stream and one device.probability per request."""
+    """One fresh shot_stream and one device.probability per request, and the
+    ledger that charging the requests one by one gives."""
     ones = []
+    ledger = TimeLedger()
     for req in requests:
         p = dev.probability(req)
         stream = shot_stream(dev.master_seed, req.rng_token or "batch")
         ones.append(int(stream.binomial(shots, 1.0 - p)))
-        dev._charge(shots * req.evolution_time, shots)
-    return ones
+        ledger.total_evolution_time += shots * req.evolution_time
+        ledger.shot_count += shots
+    return ones, ledger
 
 
 BATCH_SPEC = random_spec(2, 2, seed=4, sparsity=0.7)
@@ -388,8 +464,9 @@ def test_run_shot_batches_equals_per_request_oracle(noise, master_seed):
     batch = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
     oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
     ones = batch.run_shot_batches(requests, 57)
-    assert ones == _oracle_batches(oracle, requests, 57)
-    assert batch.ledger() == oracle.ledger()
+    expected, ledger = _oracle_batches(oracle, requests, 57)
+    assert ones == expected
+    assert batch.ledger() == ledger
     # a batch of one is run_shot_batch, and its stream does not depend on the batch
     single = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
     counts = [single.run_shot_batch(req, 57) for req in requests]
@@ -413,7 +490,7 @@ def test_run_shot_batches_is_thread_safe():
     # The device holds one Philox generator; threads sharing a device must
     # still each get their own requests' streams.
     requests = _batch_requests()
-    expected = _oracle_batches(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5), requests, 40)
+    expected, _ = _oracle_batches(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5), requests, 40)
     dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5)
     results: dict[int, list[list[int]]] = {}
 

@@ -13,11 +13,14 @@ from bosonlearn.fockspace import (
     adaptive_cutoff,
     annihilation_matrix,
     creation_matrix,
+    displace_vector,
     displaced_vacuum_energy,
     displacement_matrix,
     herm_eig,
     number_matrix,
+    product_state_energy,
     squeeze_matrix,
+    squeeze_vector,
     vacuum_state,
 )
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
@@ -212,6 +215,53 @@ def test_displaced_vacuum_energy_matches_dense(modes, d, n_max):
         psi = displacement_matrix(beta, cut, m) @ psi
     dense = float(np.real(psi.conj() @ (build_matrix(spec, cut) @ psi)))
     assert displaced_vacuum_energy(spec, beta, n_max) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [6, 24, 48])
+def test_vector_unitaries_match_the_matrices(n_max):
+    cut = FockCutoff(n_max=n_max)
+    v = np.random.default_rng(n_max).normal(size=n_max + 1) + 0j
+    v /= np.linalg.norm(v)
+    for beta in (0.7 - 0.4j, -1.1 + 0j, 0.9j):
+        assert np.max(np.abs(displace_vector(beta, v) - displacement_matrix(beta, cut) @ v)) < 1e-13
+    for z in (0.4 + 0j, -0.3j, 0.2 - 0.45j):
+        s = squeeze_matrix(z, cut)
+        assert np.max(np.abs(squeeze_vector(z, v) - s @ v)) < 1e-13
+        assert np.max(np.abs(squeeze_vector(z, v, adjoint=True) - s.conj().T @ v)) < 1e-13
+
+
+@pytest.mark.parametrize("modes, d, n_max", [(1, 4, 20), (2, 3, 8), (3, 2, 5)])
+def test_product_state_energy_matches_dense(modes, d, n_max):
+    # oracle: <phi|H|phi> with the dense joint matrix and the Kronecker product
+    spec = random_spec(modes, d, seed=21, sparsity=0.9)
+    spec.identity_offset = -0.3
+    rng = np.random.default_rng(modes)
+    vectors = []
+    for _ in range(modes):
+        v = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        vectors.append(v / np.linalg.norm(v))
+    phi = vectors[0]
+    for v in vectors[1:]:
+        phi = np.kron(phi, v)
+    dense = np.vdot(phi, build_matrix(spec, FockCutoff(n_max=n_max, modes=modes)) @ phi).real
+    assert product_state_energy(spec, vectors) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec_args, beta_max, n_max",
+    [
+        ((2, 2, {"seed": 11, "sparsity": 0.8}), 1.0, 12),
+        ((2, 3, {"seed": 7, "sparsity": 0.5}), 1.0, 16),
+        ((1, 2, {"seed": 3, "include_couplings": False}), 1.0, 12),
+        ((1, 3, {"seed": 2, "include_couplings": False}), 0.8, 15),
+        ((3, 2, {"seed": 0}), 1.0, 12),
+        ((1, 2, {"seed": 0, "include_couplings": False}), 1.1, 13),
+    ],
+)
+def test_adaptive_cutoff_choices_are_pinned(spec_args, beta_max, n_max):
+    # the truncations the benchmark workloads and the learner tests run at
+    modes, d, kwargs = spec_args
+    assert adaptive_cutoff(random_spec(modes, d, **kwargs), beta_max).n_max == n_max
 
 
 def test_adaptive_cutoff_builds_no_joint_space_matrix():

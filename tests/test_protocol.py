@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosonlearn.bogoliubov import frame_from_ratio
-from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice
+from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice, TimeLedger
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
@@ -24,6 +24,7 @@ from bosonlearn.protocol import (
     rpe_estimate,
     rpe_estimates,
 )
+from bosonlearn.oracles import shot_stream
 from bosonlearn.recovery import single_mode_pipeline
 
 
@@ -258,20 +259,107 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
         one_by_one.append(est)
     batched = SimulatedDevice(spec, cut, master_seed=9)
     batched.run_shot_batch(warm_up, 33)
-    batches = _count_calls(monkeypatch, "run_shot_batches")
+    grids = _count_calls(monkeypatch, "run_shot_grid")
     ests = rpe_estimates(batched, betas, cfg, frame_z, tokens)
-    assert len(batches) == 1 and len(batches[0][0]) == len(betas) * 2 * (cfg.k_max + 1)
+    assert len(grids) == 1
+    betas_sent, _, _, schedule = grids[0][:4]
+    assert len(betas_sent) == len(betas) and len(schedule) == 2 * (cfg.k_max + 1)
     assert ests == one_by_one
     assert batched.ledger() == sequential.ledger()
+
+
+def _equivalent_requests(betas, cfg, frame_z, tokens):
+    """The ShotRequest list a grid stands for, with the grid's documented
+    tokens f"{token}:k{kappa}:{basis}", run-major."""
+    return [
+        ShotRequest(
+            kappa=2**j,
+            t0=cfg.t0,
+            beta=tuple(beta),
+            basis=basis,
+            l_steps=cfg.steps_for(2**j),
+            frame_z=frame_z,
+            rng_token=f"{token}:k{2**j}:{basis}",
+        )
+        for beta, token in zip(betas, tokens)
+        for j in range(cfg.k_max + 1)
+        for basis in ("X", "Y")
+    ]
+
+
+@pytest.mark.parametrize("l_steps", [None, "auto"])
+@pytest.mark.parametrize("frame_z", [None, (0.1 + 0.05j, -0.2j)])
+def test_columnar_grid_equals_shot_requests_and_stream_oracle(l_steps, frame_z):
+    cfg = derive_config(2, k_max=4, shots=40, l_steps=l_steps)
+    betas = [(0.3 + 0j, 0.5j), (0j, -0.4 + 0j), (0.3 + 0j, 0.5j), (0.6 - 0.2j, 0.1 + 0j)]
+    tokens = ["g0", "g1", "g2", "g3"]
+    noise = NoiseModel(delta_beta=(0.01j,), state_prep_infidelity=0.05)
+    warm_up = ShotRequest(kappa=3, t0=0.1234567, beta=(0.2, 0j), basis="X", rng_token="w")
+
+    def fresh():
+        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=17, noise=noise)
+        dev.run_shot_batch(warm_up, 33)
+        return dev
+
+    grid_dev = fresh()
+    before = grid_dev.ledger().total_evolution_time
+    ests = rpe_estimates(grid_dev, betas, cfg, frame_z, tokens)
+    requests = _equivalent_requests(betas, cfg, frame_z, tokens)
+    list_dev = fresh()
+    ones = list_dev.run_shot_batches(requests, cfg.shots)
+    assert grid_dev.ledger() == list_dev.ledger()
+    # the draws of numpy's own SeedSequence streams, and the running ledger
+    oracle_dev = fresh()
+    oracle_ones = []
+    total = before
+    run_costs = []
+    width = 2 * (cfg.k_max + 1)
+    for i, req in enumerate(requests):
+        if i % width == 0:
+            run_start = total
+        p = oracle_dev.probability(req)
+        oracle_ones.append(int(shot_stream(17, req.rng_token).binomial(cfg.shots, 1.0 - p)))
+        total += cfg.shots * req.evolution_time
+        if i % width == width - 1:
+            run_costs.append(total - run_start)
+    assert ones == oracle_ones
+    assert grid_dev.ledger().total_evolution_time == total
+    assert [est.time_cost for est in ests] == run_costs
+    counts = grid_dev.run_shot_grid(
+        betas, frame_z, cfg.t0, [(r.kappa, r.basis, r.l_steps) for r in requests[:width]], cfg.shots, tokens
+    )
+    assert counts.shape == (len(betas), width)
+    assert counts.ravel().tolist() == ones
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0, "X", None), "kappa must be a positive integer"),
+        ((1, "Z", None), "basis must be 'X' or 'Y'"),
+        ((2, "Y", 0), "l_steps must be >= 1"),
+    ],
+)
+def test_invalid_schedule_row_raises_the_shot_request_error(row, message):
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=2)
+    schedule = [(1, "X", None), row]
+    with pytest.raises(ValueError, match=message):
+        dev.run_shot_grid([(0.1, 0.2)], None, 0.3, schedule, 30, ["a"])
+    with pytest.raises(ValueError, match="t0 must be positive"):
+        dev.run_shot_grid([(0.1, 0.2)], None, -0.3, schedule[:1], 30, ["a"])
+    with pytest.raises(ValueError, match="need one token per beta"):
+        dev.run_shot_grid([(0.1, 0.2)], None, 0.3, schedule[:1], 30, ["a", "b"])
+    assert dev.ledger() == TimeLedger()
 
 
 def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
     cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
     dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
     exact = _count_calls(monkeypatch, "probability")
+    grids = _count_calls(monkeypatch, "run_shot_grid")
     batches = _count_calls(monkeypatch, "run_shot_batches")
     ests = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
-    assert len(exact) == 2 * 2 * (cfg.k_max + 1) and batches == []
+    assert len(exact) == 2 * 2 * (cfg.k_max + 1) and grids == [] and batches == []
     assert all(est.time_cost == 0.0 for est in ests)
     with pytest.raises(ValueError):
         rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a"])
@@ -279,7 +367,7 @@ def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
 
 def test_learners_make_one_device_call_per_grid(monkeypatch):
     cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
-    batches = _count_calls(monkeypatch, "run_shot_batches")
+    batches = _count_calls(monkeypatch, "run_shot_grid")
     learn_single_mode(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, mode=1, subtract_offset=True
     )
