@@ -211,6 +211,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
     ledger = device.ledger()
     return {
         "coefficients": _coeff_rows(learned, spec),
+        "diagnostics": learned.diagnostics,
         "eps_c_predicted": learned.eps_c,
         "ledger": {
             "total_evolution_time": ledger.total_evolution_time,
@@ -219,6 +220,7 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
         "derived_t0": cfg.t0,
         "cutoff_n_max": device.cutoff.n_max,
         "edge_population": device.edge_population,
+        "clipped_probabilities": device.clipped_probabilities,
     }
 
 
@@ -250,6 +252,7 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
         "derived_t0": cfg.t0,
         "cutoff_n_max": device.cutoff.n_max,
         "edge_population": device.edge_population,
+        "clipped_probabilities": device.clipped_probabilities,
     }
 
 

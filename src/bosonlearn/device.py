@@ -13,20 +13,34 @@ phi = S(z)† D(beta)|vac>.  Each measured bit is therefore exactly Bernoulli
 with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
 
 Ideal path.  In the ideal limit (l_steps = None) a is the pure phase
-e^{-i t E} with E = <phi|H|phi>.  phi is a product state, so E factorises
-over modes (fockspace.product_state_energy).  Each mode's vector is built
+e^{-i t E} with E = <phi|H|phi>.  phi is a product state ⊗_m v_m, so E
+factorises over modes.  Each distinct per-mode factor v_m = S(z_m)†
+D(beta_m)|0> is built once per device, under (mode, executed beta_m, z_m),
 with mat-vecs on the cached generator basis (fockspace.displace_vector,
-squeeze_vector), and a true frame enters as u_m = S(z_true,m) v_m.  No
-joint-space matrix, vector or eigendecomposition is made.  E is cached under
-the exact executed (beta, frame_z), so a repeated state costs a dict lookup.
-Each new state also records its population of the top Fock level
-(edge_population), a diagnostic of truncation clipping.
+squeeze_vector); a true frame enters as u_m = S(z_true,m) v_m, and the factor
+keeps the (d+1) x (d+1) moment table of u_m.  The energies of all of a
+batch's new states come from one (states x terms) numpy pass over those
+tables (fockspace.product_state_energy), and E is cached under the exact
+executed (beta, frame_z), so a repeated state costs a dict lookup.  No
+joint-space matrix, vector or eigendecomposition is made.  Each new factor
+also records its population of the top Fock level (edge_population), a
+diagnostic of truncation clipping.
+
+Bit-identity.  A state's energy does not depend on which other states share
+its batch, and equals the term-by-term scalar loop bit for bit: the pass
+multiplies complex numbers as separate real products and sums (numpy's
+complex multiply may fuse them) and adds the terms with a sequential
+cumulative sum, never a pairwise reduction.  So seeded counts and ledgers do
+not move when a grid is split or merged.  protocol's grid unwrap keeps the
+same rule (math.atan2 per run, since np.arctan2 rounds differently).
 
 Finite-L path.  The first request with a concrete l_steps builds the hidden
 matrix, conjugates it into the true frame and decomposes it, once, under a
-lock.  Each state's weights |V† phi|^2 are computed and cached only then, and
+lock.  Each state's weights |V† phi|^2 are computed and cached only then,
+with phi the Kronecker product of its cached factors v_m, and
 a = weights . e^{-i w tau}.  A device that serves only ideal requests never
-decomposes H.
+decomposes H.  A probability that rounding pushes out of [0, 1] is clipped
+and counted (clipped_probabilities).
 
 Shot sampling.  Two entries draw shots, and both reduce to one sampler.
 run_shot_grid serves a whole RPE grid as arrays: one prepared state per run
@@ -68,8 +82,10 @@ import numpy as np
 
 from .fockspace import (
     FockCutoff,
+    TermColumns,
     displace_vector,
     herm_eig,
+    moment_table,
     product_state_energy,
     squeeze_matrix,
     squeeze_vector,
@@ -270,6 +286,7 @@ class SimulatedDevice:
                 f"true_frame_z has {len(true_frame_z)} entries but the device has {cutoff.modes} modes"
             )
         self._spec = spec
+        self._terms = TermColumns.of(spec)
         self.cutoff = cutoff
         self.master_seed = master_seed
         self._true_frame_z = None if true_frame_z is None else tuple(true_frame_z)
@@ -279,10 +296,12 @@ class SimulatedDevice:
         # (w, V†) of the hidden matrix, built on the first finite-L request.
         self._eigenbasis: tuple[np.ndarray, np.ndarray] | None = None
         self._eigenbasis_lock = threading.Lock()
+        self._factors: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._energies: dict[tuple, float] = {}
         self._weights: dict[tuple, np.ndarray] = {}
         self._state_lock = threading.Lock()
         self._edge_population = 0.0
+        self._clipped = 0
         # Built on the first shot draw: a device that serves only the exact
         # channel never loads numpy's Philox.
         self._shot_rng: np.random.Generator | None = None
@@ -323,56 +342,90 @@ class SimulatedDevice:
         """
         return self._edge_population
 
+    @property
+    def clipped_probabilities(self) -> int:
+        """How many outcome probabilities fell outside [0, 1] and were clipped.
+
+        Only rounding at finite l_steps can push a probability out; a count
+        far from 0 means the Trotter amplitude lost unitarity.
+        """
+        return self._clipped
+
+    def _count_clipped(self, count: int) -> None:
+        with self._state_lock:
+            self._clipped += count
+
     def _state_key(self, beta, frame_z) -> tuple:
         """The prepared state of a request: its exact executed (beta, frame_z)."""
         beta = self._noise.executed_beta(beta)
         return (tuple(beta), None if frame_z is None else tuple(frame_z))
 
-    def _mode_vectors(self, key: tuple) -> list[np.ndarray]:
-        """The factors v_m = S(z_m)† D(beta_m)|0> of the prepared state phi.
+    def _store(self, cache: dict, items: dict) -> None:
+        """Add items to cache; a cache that would grow past its limit is
+        emptied first.  Reads need no lock: a dict lookup is atomic."""
+        with self._state_lock:
+            if len(cache) + len(items) > self._CACHE_LIMIT:
+                cache.clear()
+            cache.update(items)
+
+    def _factor(self, mode: int, beta: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(v, T) of one per-mode factor: v = S(z)† D(beta)|0> and the moment
+        table T of u = S(z_true,mode) v, built once per (mode, beta, z).
+
+        Records the factor's top-level population in edge_population.
+        """
+        key = (mode, beta, z)
+        factor = self._factors.get(key)
+        if factor is None:
+            v = np.zeros(self.cutoff.dim_per_mode, dtype=complex)
+            v[0] = 1.0
+            if beta:
+                v = displace_vector(beta, v)
+            if z:
+                v = squeeze_vector(z, v, adjoint=True)
+            z_true = self._true_frame_z[mode] if self._true_frame_z is not None else 0
+            u = squeeze_vector(z_true, v) if z_true else v
+            factor = (v, moment_table(u, self._spec.max_order))
+            with self._state_lock:
+                self._edge_population = max(self._edge_population, abs(v[-1]) ** 2)
+            self._store(self._factors, {key: factor})
+        return factor
+
+    def _mode_columns(self, keys: list[tuple]) -> list[list[tuple[complex, complex]]]:
+        """(beta_m, z_m) of each state, per mode m.
 
         A beta or frame_z without one entry per mode is rejected here, before
         anything is cached under the key, so a cache hit needs no check.
-        Records the state's largest top-level population in edge_population.
         """
         modes = self.cutoff.modes
-        for name, values in zip(("beta", "frame_z"), key):
-            if values is not None and len(values) != modes:
-                raise ValueError(f"{name} has {len(values)} entries but the device has {modes} modes")
-        beta, frame_z = key
-        vacuum = np.zeros(self.cutoff.dim_per_mode, dtype=complex)
-        vacuum[0] = 1.0
-        vectors = []
-        for m in range(modes):
-            v = displace_vector(beta[m], vacuum) if beta[m] else vacuum
-            if frame_z is not None and frame_z[m]:
-                v = squeeze_vector(frame_z[m], v, adjoint=True)
-            vectors.append(v)
-        edge = max(abs(v[-1]) ** 2 for v in vectors)
-        with self._state_lock:
-            self._edge_population = max(self._edge_population, edge)
-        return vectors
+        for key in keys:
+            for name, values in zip(("beta", "frame_z"), key):
+                if values is not None and len(values) != modes:
+                    raise ValueError(
+                        f"{name} has {len(values)} entries but the device has {modes} modes"
+                    )
+        return [
+            [(beta[m], 0 if frame_z is None else frame_z[m]) for beta, frame_z in keys]
+            for m in range(modes)
+        ]
 
-    def _store(self, cache: dict, key: tuple, value):
-        """Cache value under key and return it; a cache at its limit is emptied
-        first.  Reads need no lock: a dict lookup is atomic."""
-        with self._state_lock:
-            if len(cache) >= self._CACHE_LIMIT:
-                cache.clear()
-            cache[key] = value
-        return value
-
-    def _energy(self, key: tuple) -> float:
-        """<phi|H|phi>, factorised over modes, with u_m = S(z_true,m) v_m."""
-        energy = self._energies.get(key)
-        if energy is None:
-            vectors = self._mode_vectors(key)
-            if self._true_frame_z is not None:
-                vectors = [
-                    squeeze_vector(z, v) if z else v for z, v in zip(self._true_frame_z, vectors)
-                ]
-            energy = self._store(self._energies, key, product_state_energy(self._spec, vectors))
-        return energy
+    def _state_energies(self, keys: Sequence[tuple]) -> list[float]:
+        """<phi|H|phi> of each state.  The states not yet cached are computed
+        together: each distinct per-mode factor is looked up once, and one
+        product_state_energy pass runs over their tables."""
+        energies = [self._energies.get(key) for key in keys]
+        if None not in energies:
+            return energies
+        new = list(dict.fromkeys(k for k, e in zip(keys, energies) if e is None))
+        tables = []
+        for m, column in enumerate(self._mode_columns(new)):
+            distinct: dict[tuple, int] = {}
+            index = [distinct.setdefault(f, len(distinct)) for f in column]
+            stack = np.stack([self._factor(m, beta, z)[1] for beta, z in distinct])
+            tables.append(stack[index])
+        computed = dict(zip(new, product_state_energy(self._terms, tables).tolist()))
+        self._store(self._energies, computed)
+        return [computed[k] if e is None else e for k, e in zip(keys, energies)]
 
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V†) of the hidden matrix in its true frame, built on first use."""
@@ -394,8 +447,11 @@ class SimulatedDevice:
         |V† phi|^2 of each state are computed once, on its first such request."""
         weights = self._weights.get(key)
         if weights is None:
-            phi = functools.reduce(np.multiply.outer, self._mode_vectors(key)).ravel()
-            weights = self._store(self._weights, key, np.abs(self._eigen()[1] @ phi) ** 2)
+            columns = self._mode_columns([key])
+            vectors = [self._factor(m, beta, z)[0] for m, [(beta, z)] in enumerate(columns)]
+            phi = functools.reduce(np.multiply.outer, vectors).ravel()
+            weights = np.abs(self._eigen()[1] @ phi) ** 2
+            self._store(self._weights, {key: weights})
         tau = time / l_steps
         return complex(weights @ np.exp(-1j * self._eigen()[0] * tau)) ** l_steps
 
@@ -410,10 +466,15 @@ class SimulatedDevice:
         """
         key = self._state_key(request.beta, request.frame_z)
         if request.l_steps is None:
-            amp = cmath.exp(-1j * request.evolution_time * self._energy(key))
+            energy = self._energies.get(key)
+            if energy is None:
+                energy = self._state_energies([key])[0]
+            amp = cmath.exp(-1j * request.evolution_time * energy)
         else:
             amp = self._finite_amplitude(key, request.evolution_time, request.l_steps)
         p = 0.5 * (1.0 + (amp.real if request.basis == "X" else amp.imag))
+        if p < 0.0 or p > 1.0:
+            self._count_clipped(1)
         infidelity = self._noise.state_prep_infidelity
         return (1.0 - infidelity) * min(max(p, 0.0), 1.0) + 0.5 * infidelity
 
@@ -422,12 +483,16 @@ class SimulatedDevice:
         arithmetic of probability(): request i runs for times[i] on the state
         keys[state[i]], at l_steps[i] Trotter steps (None: the ideal limit),
         in the X basis where is_x[i]."""
-        energies = np.array([self._energy(key) for key in keys])
+        energies = np.array(self._state_energies(keys))
         amp = np.exp(-1j * times * energies[state])
         for i, steps in enumerate(l_steps):
             if steps is not None:
                 amp[i] = self._finite_amplitude(keys[state[i]], times[i], steps)
-        p = np.clip(0.5 * (1.0 + np.where(is_x, amp.real, amp.imag)), 0.0, 1.0)
+        p = 0.5 * (1.0 + np.where(is_x, amp.real, amp.imag))
+        clipped = np.count_nonzero((p < 0.0) | (p > 1.0))
+        if clipped:
+            self._count_clipped(clipped)
+        p = np.clip(p, 0.0, 1.0)
         infidelity = self._noise.state_prep_infidelity
         return (1.0 - infidelity) * p + 0.5 * infidelity
 

@@ -18,8 +18,9 @@ single-mode vector (displace_vector, squeeze_vector) is two mat-vecs on the
 cached basis, with no matrix built.
 
 The energy <phi|H|phi> of a product state phi = ⊗_m v_m factorises over
-modes (product_state_energy), so neither it nor the cutoff choice that rests
-on it builds a joint-space matrix.
+modes into per-mode moment tables (moment_table, product_state_energy, which
+takes a batch of states in one pass), so neither it nor the cutoff choice
+that rests on it builds a joint-space matrix.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, n
     return w, v
 
 
-def _moment_table(v: np.ndarray, order: int) -> np.ndarray:
+def moment_table(v: np.ndarray, order: int) -> np.ndarray:
     """T[p, q] = <v|b†^p b^q|v> = <b^p v|b^q v> for p, q <= order, at the
     truncation of v."""
     lowered = np.zeros((order + 1, len(v)), dtype=complex)
@@ -226,22 +227,61 @@ def _moment_table(v: np.ndarray, order: int) -> np.ndarray:
     return lowered.conj() @ lowered.T
 
 
-def product_state_energy(spec, vectors) -> float:
-    """<phi|H|phi> for the normalised product state phi = ⊗_m vectors[m].
+@dataclass(frozen=True)
+class TermColumns:
+    """A spec's terms laid out for product_state_energy, built once per spec.
 
-    The value factorises exactly: offset + sum_terms g prod_m <v_m|b†^p b^q|v_m>
-    over the modes each term touches (an untouched mode contributes
-    <v|v> = 1).  Each mode's moments come from one small table, so no
-    joint-space matrix or vector is built.
+    coeffs holds the coefficients in key order.  factors[m] = (cols, p, q)
+    lists the terms that touch mode m, in key order, with their powers there.
     """
-    tables = [_moment_table(v, spec.max_order) for v in vectors]
-    total = complex(spec.identity_offset)
-    for key, coeff in spec.terms.items():
-        term = complex(coeff)
-        for mode, p, q in zip(key.modes, key.p, key.q):
-            term *= tables[mode][p, q]
-        total += term
-    return float(total.real)
+
+    offset: float
+    coeffs: np.ndarray
+    factors: tuple[tuple[list[int], list[int], list[int]], ...]
+
+    @classmethod
+    def of(cls, spec) -> "TermColumns":
+        factors = tuple(([], [], []) for _ in range(spec.modes))
+        for t, key in enumerate(spec.terms):
+            for mode, p, q in zip(key.modes, key.p, key.q):
+                cols, ps, qs = factors[mode]
+                cols.append(t)
+                ps.append(p)
+                qs.append(q)
+        coeffs = np.array([complex(c) for c in spec.terms.values()], dtype=complex)
+        return cls(float(spec.identity_offset), coeffs, factors)
+
+
+def product_state_energy(terms: TermColumns, tables) -> np.ndarray:
+    """<phi_s|H|phi_s> for a batch of normalised product states phi_s = ⊗_m v_{s,m}.
+
+    tables[m] stacks the moment_table of mode m's factor of every state, shape
+    (states, d+1, d+1).  The value factorises exactly: offset +
+    sum_terms g prod_m <v_m|b†^p b^q|v_m> over the modes each term touches
+    (an untouched mode contributes <v|v> = 1), so no joint-space matrix or
+    vector is built.  All states are computed in one (states x terms) pass.
+
+    Each state's value is bit-identical to the scalar loop
+        total = complex(offset); term = complex(g); term *= T_m[p, q]; total += term
+    over the terms in key order and their modes in increasing order, and so
+    does not depend on the other states of the batch: complex products are
+    taken as separate real multiplies and adds (numpy's complex multiply may
+    fuse them), and the terms are summed sequentially with a cumulative sum
+    (a pairwise reduction rounds differently).
+    """
+    states = len(tables[0])
+    re = np.tile(terms.coeffs.real, (states, 1))
+    im = np.tile(terms.coeffs.imag, (states, 1))
+    for (cols, p, q), table in zip(terms.factors, tables):
+        if not cols:
+            continue
+        factor = table[:, p, q]
+        f_re, f_im = factor.real, factor.imag
+        t_re, t_im = re[:, cols], im[:, cols]
+        re[:, cols] = t_re * f_re - t_im * f_im
+        im[:, cols] = t_re * f_im + t_im * f_re
+    offset = np.full((states, 1), terms.offset)
+    return np.cumsum(np.hstack([offset, re]), axis=1)[:, -1]
 
 
 def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
@@ -252,7 +292,8 @@ def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
     """
     vacuum = np.zeros(n_max + 1, dtype=complex)
     vacuum[0] = 1.0
-    return product_state_energy(spec, [displace_vector(beta, vacuum)] * spec.modes)
+    table = moment_table(displace_vector(beta, vacuum), spec.max_order)[None]
+    return float(product_state_energy(TermColumns.of(spec), [table] * spec.modes)[0])
 
 
 def adaptive_cutoff(spec, beta_max: float, tol: float = 1e-8, ceiling: int = 256) -> FockCutoff:

@@ -301,7 +301,8 @@ def literal_shot(
     """One literal noiseless shot of request against the dense Hamiltonian h.
 
     Draws a fresh theta per Trotter step and mode from rng, evolves the
-    displaced (and squeezed, with frame_z) vacuum on the joint space, and
+    prepared state S(z)† D(beta)|vac> (S = 1 without frame_z) on the joint
+    space, and
     returns outcome 1 with the probability set by the final vacuum amplitude.
     That amplitude includes finite-L leakage out of the vacuum exactly.
     """
@@ -317,7 +318,7 @@ def literal_shot(
         for m, z in enumerate(request.frame_z):
             if z:
                 s_op = squeeze_matrix(z, cutoff, m) @ s_op
-        d_op = d_op @ s_op.conj().T
+        d_op = s_op.conj().T @ d_op
     tau = request.evolution_time / request.l_steps
     step_core = d_op.conj().T @ herm_expm(h, tau) @ d_op
     state = vacuum_state(cutoff)

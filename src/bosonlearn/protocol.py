@@ -96,28 +96,36 @@ def _schedule(cfg: RpeConfig) -> list[tuple[int, str, int | None]]:
     ]
 
 
-def _unwrap(p0: list[float], cfg: RpeConfig, time_cost: float) -> PhaseEstimate:
-    """Iterative phase unwrapping of one run's outcome-0 frequencies (X, Y per round).
+def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[list[float], np.ndarray]:
+    """Iterative phase unwrapping of every run of a grid at once.
 
-    Round j measures the phase of the kappa = 2^j amplitude modulo 2 pi and
-    picks, among the unwrapping candidates, the one closest to the previous
-    round's estimate.  Rounds that jump by more than pi/(3 kappa t0) are
-    flagged as inconsistent but the run proceeds.
+    p0[i] holds run i's outcome-0 frequencies (X, Y per round).  Round j
+    measures the phase of the kappa = 2^j amplitude modulo 2 pi and picks,
+    among the unwrapping candidates, the one closest to the previous round's
+    estimate; rounds that jump by more than pi/(3 kappa t0) are flagged as
+    inconsistent but the run proceeds.  Each round is one numpy pass over the
+    runs.  Returns each run's final estimate and the (runs, rounds) mask of
+    inconsistent rounds.
+
+    Every run is bit-identical to the scalar unwrap of that run alone: the
+    phase comes from math.atan2 (np.arctan2 rounds differently), and every
+    other step is a single rounded operation; np.rint rounds half to even,
+    as round() does.
     """
-    inconsistent: list[int] = []
-    estimate = 0.0
+    runs = len(p0)
+    estimate = np.zeros(runs)
+    inconsistent = np.zeros((runs, cfg.k_max + 1), dtype=bool)
     for j in range(cfg.k_max + 1):
         kappa = 2**j
-        p_x, p_y = p0[2 * j], p0[2 * j + 1]
-        phi = math.atan2(1.0 - 2.0 * p_y, 2.0 * p_x - 1.0)
-        base = phi / (kappa * cfg.t0)
+        y = (1.0 - 2.0 * p0[:, 2 * j + 1]).tolist()
+        x = (2.0 * p0[:, 2 * j] - 1.0).tolist()
+        base = np.array(list(map(math.atan2, y, x))) / (kappa * cfg.t0)
         period = 2.0 * math.pi / (kappa * cfg.t0)
-        candidate = base + period * round((estimate - base) / period)
-        ok = j == 0 or abs(candidate - estimate) <= math.pi / (3.0 * kappa * cfg.t0)
-        if not ok:
-            inconsistent.append(j)
+        candidate = base + period * np.rint((estimate - base) / period)
+        if j > 0:
+            inconsistent[:, j] = np.abs(candidate - estimate) > math.pi / (3.0 * kappa * cfg.t0)
         estimate = candidate
-    return PhaseEstimate(c_hat=estimate, time_cost=time_cost, inconsistent_rounds=inconsistent)
+    return estimate.tolist(), inconsistent
 
 
 def rpe_estimates(
@@ -131,33 +139,52 @@ def rpe_estimates(
 
     A run's schedule (kappa = 2^j, an X and a Y request per round) is fixed
     before any bit is seen, so on the shot channel the whole grid of runs
-    goes to the device in one run_shot_grid call; only the unwrapping is
-    sequential.  The exact channel is asked once per request, through
-    device.probability.  Each run's time_cost is the ledger's growth over its
-    own requests, which the device charges in run-major order with a
+    goes to the device in one run_shot_grid call.  The exact channel is asked
+    once per request, through device.probability.  Both channels unwrap the
+    whole grid together.  Each run's time_cost is the ledger's growth over
+    its own requests, which the device charges in run-major order with a
     sequential running sum, repeated here.
     """
-    betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
+    if isinstance(betas, np.ndarray) and betas.ndim == 2:
+        betas = [tuple(row) for row in betas.astype(complex).tolist()]
+    else:
+        betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
     tokens = list(tokens)
     if len(tokens) != len(betas):
         raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
     schedule = _schedule(cfg)
     if cfg.shots is None:
-        estimates = []
-        for beta in betas:
-            p0 = [
-                device.probability(ShotRequest(kappa, cfg.t0, beta, basis, l_steps, frame_z))
-                for kappa, basis, l_steps in schedule
+        p0 = np.array(
+            [
+                [
+                    device.probability(ShotRequest(kappa, cfg.t0, beta, basis, l_steps, frame_z))
+                    for kappa, basis, l_steps in schedule
+                ]
+                for beta in betas
             ]
-            estimates.append(_unwrap(p0, cfg, 0.0))
-        return estimates
-    start = device.ledger().total_evolution_time
-    ones = device.run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
-    p0 = ((cfg.shots - ones) / cfg.shots).tolist()
-    charges = cfg.shots * (np.array([kappa for kappa, _, _ in schedule]) * cfg.t0)
-    running = np.cumsum(np.concatenate(([start], np.tile(charges, len(betas)))))
-    run_starts = running[:: len(schedule)].tolist()
-    return [_unwrap(p0[i], cfg, run_starts[i + 1] - run_starts[i]) for i in range(len(betas))]
+        ).reshape(len(betas), len(schedule))
+        costs = [0.0] * len(betas)
+    else:
+        start = device.ledger().total_evolution_time
+        ones = device.run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
+        p0 = (cfg.shots - ones) / cfg.shots
+        charges = cfg.shots * (np.array([kappa for kappa, _, _ in schedule]) * cfg.t0)
+        running = np.cumsum(np.concatenate(([start], np.tile(charges, len(betas)))))
+        run_starts = running[:: len(schedule)].tolist()
+        costs = [run_starts[i + 1] - run_starts[i] for i in range(len(betas))]
+    estimates, inconsistent = _unwrap(p0, cfg)
+    rounds: list[list[int]] = [[] for _ in betas]
+    for run, j in zip(*(ix.tolist() for ix in np.nonzero(inconsistent))):
+        rounds[run].append(j)
+    return [
+        PhaseEstimate(c_hat=c, time_cost=cost, inconsistent_rounds=r)
+        for c, cost, r in zip(estimates, costs, rounds)
+    ]
+
+
+def _inconsistent_runs(tokens: list[str], runs: list[PhaseEstimate]) -> dict[str, list[int]]:
+    """The inconsistent rounds of each run that has any, keyed by its token."""
+    return {tok: est.inconsistent_rounds for tok, est in zip(tokens, runs) if est.inconsistent_rounds}
 
 
 def rpe_estimate(
@@ -223,12 +250,13 @@ def learn_single_mode(
     pipe = single_mode_pipeline(d, r_min, r_max)
     modes = device.cutoff.modes
     offset = _identity_offset(device, cfg, frame_z, f"{token}:m{mode}") if subtract_offset else 0.0
+    tokens = [f"{token}:m{mode}:p{i}" for i in range(len(pipe.points))]
     runs = rpe_estimates(
         device,
         [_embedded_beta(r * np.exp(1j * theta), mode, modes) for r, theta in pipe.points],
         cfg,
         frame_z,
-        [f"{token}:m{mode}:p{i}" for i in range(len(pipe.points))],
+        tokens,
     )
     c_values = np.array([est.c_hat for est in runs]) - offset
     inconsistent = sum(len(est.inconsistent_rounds) for est in runs)
@@ -248,7 +276,11 @@ def learn_single_mode(
         eps_c=cfg.predicted_eps_c,
         time_cost=device.ledger().total_evolution_time - start,
         identity_offset=offset,
-        diagnostics={"inconsistent_rounds": inconsistent, "sigma_min": pipe.sigma_min},
+        diagnostics={
+            "inconsistent_rounds": inconsistent,
+            "inconsistent_runs": _inconsistent_runs(tokens, runs),
+            "sigma_min": pipe.sigma_min,
+        },
     )
 
 
@@ -316,10 +348,12 @@ def _learn_stages(
     offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else None
     measured = []
     inconsistent = 0
+    inconsistent_runs: dict[str, list[int]] = {}
     for tag, points, keys in stages:
         tokens = [f"{token}:{tag}:g{i}" for i in range(len(points))]
         runs = rpe_estimates(device, points, cfg, frame_z, tokens)
         inconsistent += sum(len(est.inconsistent_rounds) for est in runs)
+        inconsistent_runs.update(_inconsistent_runs(tokens, runs))
         measured.append((points, np.array([est.c_hat for est in runs]), keys))
     fits = staged_fit(measured, offset)
     estimates: dict[TermKey, complex] = {}
@@ -334,7 +368,7 @@ def _learn_stages(
         eps_c=cfg.predicted_eps_c,
         time_cost=device.ledger().total_evolution_time - start,
         identity_offset=0.0 if offset is None else offset,
-        diagnostics={"inconsistent_rounds": inconsistent},
+        diagnostics={"inconsistent_rounds": inconsistent, "inconsistent_runs": inconsistent_runs},
     )
     return learned, fits
 

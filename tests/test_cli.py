@@ -173,7 +173,28 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     assert len(rows) > 0
     assert max(row["abs_error"] for row in rows) < 1e-6
     assert 0.0 <= report["result"]["edge_population"] < 1e-6
+    assert report["result"]["clipped_probabilities"] == 0
     assert report["result"]["diagnostics"]["inconsistent_rounds"] == 0
+    assert report["result"]["diagnostics"]["inconsistent_runs"] == {}
+
+
+def test_learn_single_shot_report_names_inconsistent_runs(tmp_path, capsys):
+    # 20 shots per basis are few enough that some rounds jump
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "generator": {"modes": 1, "d": 2, "seed": 3, "include_couplings": False},
+            "rpe": {"M": 20, "K": 6, "L": None},
+        },
+    )
+    assert main(["learn-single", "--config", cfg, "--seed", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    diagnostics = result["diagnostics"]
+    runs = diagnostics["inconsistent_runs"]
+    assert runs and all(token.startswith("cli1:m0:p") for token in runs)
+    assert sum(map(len, runs.values())) == diagnostics["inconsistent_rounds"]
+    assert result["clipped_probabilities"] == 0
 
 
 def test_learn_multi_prior_covers_the_joint_grid(tmp_path, capsys):

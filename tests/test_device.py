@@ -156,6 +156,21 @@ def test_literal_shot_path_matches_batch_marginal():
     assert abs((shots - ones) / shots - p) < 4 * se + 1e-3
 
 
+def test_literal_shot_prepares_the_frame_state_of_the_device():
+    # the prepared state is S(z)† D(beta)|0>; D(beta) S(z)†|0> reads about 10 SE off
+    spec = HamiltonianSpec(
+        1, 2, {single_key(1, 1): 1.0, single_key(2, 0): 0.3, single_key(0, 2): 0.3}
+    )
+    cut = FockCutoff(n_max=14)
+    req = request(0.7, l_steps=1, frame_z=(0.3,))
+    p = SimulatedDevice(spec, cut).probability(req)
+    shots = 3000
+    h = build_matrix(spec, cut)
+    ones = sum(literal_shot(h, cut, req, shot_stream(1, f"f{i}")) for i in range(shots))
+    se = math.sqrt(p * (1 - p) / shots)
+    assert abs((shots - ones) / shots - p) < 4 * se
+
+
 def test_run_shot_requires_finite_steps():
     h = build_matrix(NUMBER_SPEC, CUT)
     with pytest.raises(ValueError):
@@ -361,6 +376,73 @@ def test_edge_population_reports_truncation_clipping():
     small = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=40))
     small.probability(request(0.5 + 0j))
     assert small.edge_population < 1e-20
+
+
+def test_clipped_probabilities_counts_each_clip(monkeypatch):
+    # a Trotter amplitude that rounding pushed just past the unit circle
+    amplitude = {"a": 1.0 + 1e-12 + 0j}
+    monkeypatch.setattr(
+        SimulatedDevice, "_finite_amplitude", lambda self, key, time, steps: amplitude["a"]
+    )
+    dev = number_device()
+    finite = request(0.3, l_steps=4, rng_token="c")
+    dev.probability(request(0.3))
+    assert dev.clipped_probabilities == 0  # an ideal phase never leaves [0, 1]
+    assert dev.probability(finite) == 1.0
+    assert dev.clipped_probabilities == 1
+    # the Y basis reads Im a = 0, so p = 1/2 there and only the X requests clip
+    dev.run_shot_batches([finite, replace(finite, basis="Y"), finite], 20)
+    assert dev.clipped_probabilities == 3
+    amplitude["a"] = -1.0 - 1e-12 + 0j
+    assert dev.probability(finite) == 0.0
+    assert dev.clipped_probabilities == 4
+    dev.run_shot_grid([(0.3,)], None, 0.3, [(1, "X", 4), (2, "Y", 4)], 20, ["g"])
+    assert dev.clipped_probabilities == 5
+
+
+def _scalar_energy(spec, tables):
+    """The term-by-term scalar loop that the batched energy reproduces bit for bit."""
+    total = complex(spec.identity_offset)
+    for key, coeff in spec.terms.items():
+        term = complex(coeff)
+        for mode, p, q in zip(key.modes, key.p, key.q):
+            term *= tables[mode][p, q]
+        total += term
+    return float(total.real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 3), seed=st.integers(0, 50))
+def test_state_energy_is_bit_identical_alone_and_in_a_grid(data, modes, seed):
+    n_max = {1: 24, 2: 10, 3: 5}[modes]
+    cut = FockCutoff(n_max=n_max, modes=modes)
+    spec = random_spec(modes, 2, seed=seed, sparsity=0.8)
+    spec.identity_offset = data.draw(st.sampled_from([0.0, -0.3]), label="offset")
+    squeezes = st.tuples(*[SQUEEZE] * modes)
+    true_z = data.draw(st.none() | squeezes, label="true_frame_z")
+    # a matched frame makes beta = 0 the p = 0.5 knife edge: E is 0 up to rounding
+    frame_z = data.draw(st.none() | st.just(true_z) | squeezes, label="frame_z")
+    betas = data.draw(st.lists(st.tuples(*[COMPLEX] * modes), min_size=1, max_size=12), label="betas")
+    betas.append((0j,) * modes)
+    grid = SimulatedDevice(spec, cut, true_frame_z=true_z)
+    keys = [grid._state_key(beta, frame_z) for beta in betas]
+    energies = grid._state_energies(keys)
+    for beta, key, energy in zip(betas, keys, energies):
+        alone = SimulatedDevice(spec, cut, true_frame_z=true_z)
+        assert alone._state_energies([key]) == [energy]
+        tables = []
+        for m in range(modes):
+            v = np.eye(n_max + 1, dtype=complex)[0]
+            if beta[m]:
+                v = fockspace.displace_vector(beta[m], v)
+            if frame_z is not None and frame_z[m]:
+                v = fockspace.squeeze_vector(frame_z[m], v, adjoint=True)
+            if true_z is not None and true_z[m]:
+                v = fockspace.squeeze_vector(true_z[m], v)
+            tables.append(fockspace.moment_table(v, spec.max_order))
+        assert energy == _scalar_energy(spec, tables)
+        req = ShotRequest(kappa=64, t0=0.3, beta=beta, basis="Y", frame_z=frame_z)
+        assert alone.probability(req) == grid.probability(req)
 
 
 # -- batched shot sampler ------------------------------------------------------

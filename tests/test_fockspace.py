@@ -10,6 +10,7 @@ from bosonlearn.fockspace import (
     UNITARITY_TOL,
     CutoffError,
     FockCutoff,
+    TermColumns,
     adaptive_cutoff,
     annihilation_matrix,
     creation_matrix,
@@ -17,6 +18,7 @@ from bosonlearn.fockspace import (
     displaced_vacuum_energy,
     displacement_matrix,
     herm_eig,
+    moment_table,
     number_matrix,
     product_state_energy,
     squeeze_matrix,
@@ -244,7 +246,9 @@ def test_product_state_energy_matches_dense(modes, d, n_max):
     for v in vectors[1:]:
         phi = np.kron(phi, v)
     dense = np.vdot(phi, build_matrix(spec, FockCutoff(n_max=n_max, modes=modes)) @ phi).real
-    assert product_state_energy(spec, vectors) == pytest.approx(dense, abs=1e-12)
+    tables = [moment_table(v, d)[None] for v in vectors]
+    energy = product_state_energy(TermColumns.of(spec), tables)[0]
+    assert energy == pytest.approx(dense, abs=1e-12)
 
 
 @pytest.mark.parametrize(

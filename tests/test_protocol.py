@@ -15,6 +15,7 @@ from bosonlearn.hamiltonian import (
 )
 from bosonlearn.protocol import (
     RpeConfig,
+    _unwrap,
     derive_config,
     joint_grid,
     learn_displacement_biased,
@@ -50,6 +51,17 @@ def test_multimode_prior_bounds_the_joint_grid():
             spec = random_spec(2, 2, seed=seed, sparsity=sparsity)
             worst = max(abs(constant_term(spec, beta)) for beta in grid)
             assert worst * t0 < math.pi
+
+
+def test_three_mode_prior_bounds_the_joint_grid():
+    # the three-mode prior keeps |C| t0 < pi at every joint grid point a
+    # three-mode learner measures, over random specs
+    t0 = derive_config(2, modes=3).t0
+    grid = joint_grid(3, 2)
+    for seed in range(10):
+        spec = random_spec(3, 2, seed=seed, sparsity=1.0 if seed % 2 else 0.8)
+        worst = max(abs(constant_term(spec, beta)) for beta in grid)
+        assert worst * t0 < math.pi
 
 
 def test_rpe_config_validation():
@@ -383,11 +395,13 @@ def test_learners_make_one_device_call_per_grid(monkeypatch):
 def _grid_inconsistent(grids, cfg, token_of):
     dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1)
     total = 0
+    by_run = {}
     for name, grid in grids:
         tokens = [f"{token_of}:{name}:g{i}" for i in range(len(grid))]
         runs = rpe_estimates(dev, grid, cfg, None, tokens)
         total += sum(len(e.inconsistent_rounds) for e in runs)
-    return total
+        by_run.update({t: e.inconsistent_rounds for t, e in zip(tokens, runs) if e.inconsistent_rounds})
+    return total, by_run
 
 
 def test_multimode_learners_report_inconsistent_rounds():
@@ -398,18 +412,58 @@ def test_multimode_learners_report_inconsistent_rounds():
     hier = learn_multimode_hierarchical(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="h"
     )
-    expected = _grid_inconsistent([("s0", iso[0]), ("s1", iso[1]), ("j", grid)], cfg, "h")
+    expected, by_run = _grid_inconsistent([("s0", iso[0]), ("s1", iso[1]), ("j", grid)], cfg, "h")
     assert hier.diagnostics["inconsistent_rounds"] == expected > 0
+    assert hier.diagnostics["inconsistent_runs"] == by_run
+    assert sum(map(len, by_run.values())) == expected
     simul = learn_multimode_simultaneous(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="s"
     )
-    expected = _grid_inconsistent([("j", grid)], cfg, "s")
+    expected, by_run = _grid_inconsistent([("j", grid)], cfg, "s")
     assert simul.diagnostics["inconsistent_rounds"] == expected > 0
+    assert simul.diagnostics["inconsistent_runs"] == by_run
+    single = learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, cfg)
+    runs = single.diagnostics["inconsistent_runs"]
+    assert runs and all(token.startswith("single:m0:p") and rounds for token, rounds in runs.items())
+    assert sum(map(len, runs.values())) == single.diagnostics["inconsistent_rounds"]
     # the exact channel never jumps
     exact = derive_config(2, k_max=6, shots=None, l_steps=None)
     for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
         learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, exact)
         assert learned.diagnostics["inconsistent_rounds"] == 0
+        assert learned.diagnostics["inconsistent_runs"] == {}
+
+
+def _scalar_unwrap(p0, cfg):
+    """One run unwrapped round by round with Python floats: the reference the
+    grid unwrap reproduces bit for bit."""
+    estimate, inconsistent = 0.0, []
+    for j in range(cfg.k_max + 1):
+        kappa = 2**j
+        phi = math.atan2(1.0 - 2.0 * p0[2 * j + 1], 2.0 * p0[2 * j] - 1.0)
+        base = phi / (kappa * cfg.t0)
+        period = 2.0 * math.pi / (kappa * cfg.t0)
+        candidate = base + period * round((estimate - base) / period)
+        if j > 0 and abs(candidate - estimate) > math.pi / (3.0 * kappa * cfg.t0):
+            inconsistent.append(j)
+        estimate = candidate
+    return estimate, inconsistent
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_unwrap_equals_the_scalar_unwrap(seed):
+    rng = np.random.default_rng(seed)
+    k_max, shots = int(rng.integers(1, 9)), int(rng.integers(20, 200))
+    cfg = derive_config(2, k_max=k_max, shots=shots)
+    # uniform counts jump often; half-shot counts put p at exactly 0.5
+    ones = rng.integers(0, shots + 1, size=(40, 2 * (k_max + 1)))
+    ones[rng.random(ones.shape) < 0.2] = shots // 2
+    p0 = (shots - ones) / shots
+    estimates, inconsistent = _unwrap(p0, cfg)
+    assert inconsistent.any()
+    for i in range(len(p0)):
+        expected = _scalar_unwrap(p0[i].tolist(), cfg)
+        assert (estimates[i], np.flatnonzero(inconsistent[i]).tolist()) == expected
 
 
 def test_hierarchical_offset_counts_each_shared_error_once():
