@@ -267,7 +267,9 @@ class SimulatedDevice:
     Bogoliubov frame: the physical matrix is S(z)† H_spec S(z) per mode.
     """
 
-    # Each per-state cache is emptied once it holds this many states.
+    # Each cache (per-mode factors, state energies, finite-L weights) is
+    # emptied before it would grow past this many entries, and never holds
+    # more than this many.
     _CACHE_LIMIT = 4096
 
     def __init__(
@@ -337,8 +339,9 @@ class SimulatedDevice:
     def edge_population(self) -> float:
         """Largest top-Fock-level population of any mode of any prepared state.
 
-        Recorded once per distinct prepared state; a value far from 0 means
-        the truncation clips the states the learner asked for.
+        Recorded once per distinct per-mode factor, when the factor is built;
+        a value far from 0 means the truncation clips the states the learner
+        asked for.
         """
         return self._edge_population
 
@@ -362,7 +365,11 @@ class SimulatedDevice:
 
     def _store(self, cache: dict, items: dict) -> None:
         """Add items to cache; a cache that would grow past its limit is
-        emptied first.  Reads need no lock: a dict lookup is atomic."""
+        emptied first, and of a batch larger than the limit only the last
+        _CACHE_LIMIT items are kept.  Reads need no lock: a dict lookup is
+        atomic."""
+        if len(items) > self._CACHE_LIMIT:
+            items = dict(list(items.items())[-self._CACHE_LIMIT :])
         with self._state_lock:
             if len(cache) + len(items) > self._CACHE_LIMIT:
                 cache.clear()
@@ -466,9 +473,7 @@ class SimulatedDevice:
         """
         key = self._state_key(request.beta, request.frame_z)
         if request.l_steps is None:
-            energy = self._energies.get(key)
-            if energy is None:
-                energy = self._state_energies([key])[0]
+            energy = self._state_energies([key])[0]
             amp = cmath.exp(-1j * request.evolution_time * energy)
         else:
             amp = self._finite_amplitude(key, request.evolution_time, request.l_steps)

@@ -145,10 +145,7 @@ def rpe_estimates(
     its own requests, which the device charges in run-major order with a
     sequential running sum, repeated here.
     """
-    if isinstance(betas, np.ndarray) and betas.ndim == 2:
-        betas = [tuple(row) for row in betas.astype(complex).tolist()]
-    else:
-        betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
+    betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
     tokens = list(tokens)
     if len(tokens) != len(betas):
         raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")

@@ -364,6 +364,17 @@ def test_noise_change_reaches_cached_state():
     assert dev.probability(req) == clean
 
 
+def test_caches_never_exceed_the_limit(monkeypatch):
+    # a batch of new states larger than the limit keeps only its last entries
+    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 3)
+    dev = number_device()
+    keys = [dev._state_key((0.1 * k + 0.2j,), None) for k in range(5)]
+    energies = dev._state_energies(keys)
+    assert len(dev._energies) <= 3 and len(dev._factors) <= 3
+    assert list(dev._energies) == keys[-3:]
+    assert energies == [number_device()._state_energies([key])[0] for key in keys]
+
+
 def test_edge_population_reports_truncation_clipping():
     cut = FockCutoff(n_max=8)
     dev = SimulatedDevice(NUMBER_SPEC, cut)

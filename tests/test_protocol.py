@@ -43,25 +43,15 @@ def test_derive_config_prior_counts_every_admissible_key(d, modes, c_bound):
 
 def test_multimode_prior_bounds_the_joint_grid():
     # at r_max = 1 every |beta_m| <= 1, so |C| stays below the joint key count
-    # times g_max and the first RPE round never wraps
-    t0 = derive_config(2, modes=2).t0
-    grid = joint_grid(2, 2)
-    for sparsity in (0.8, 1.0):
-        for seed in range(40):
-            spec = random_spec(2, 2, seed=seed, sparsity=sparsity)
-            worst = max(abs(constant_term(spec, beta)) for beta in grid)
-            assert worst * t0 < math.pi
-
-
-def test_three_mode_prior_bounds_the_joint_grid():
-    # the three-mode prior keeps |C| t0 < pi at every joint grid point a
-    # three-mode learner measures, over random specs
-    t0 = derive_config(2, modes=3).t0
-    grid = joint_grid(3, 2)
-    for seed in range(10):
-        spec = random_spec(3, 2, seed=seed, sparsity=1.0 if seed % 2 else 0.8)
-        worst = max(abs(constant_term(spec, beta)) for beta in grid)
-        assert worst * t0 < math.pi
+    # times g_max and the first RPE round never wraps, for two and three modes
+    for modes, seeds in ((2, 40), (3, 5)):
+        t0 = derive_config(2, modes=modes).t0
+        grid = joint_grid(modes, 2)
+        for sparsity in (0.8, 1.0):
+            for seed in range(seeds):
+                spec = random_spec(modes, 2, seed=seed, sparsity=sparsity)
+                worst = max(abs(constant_term(spec, beta)) for beta in grid)
+                assert worst * t0 < math.pi
 
 
 def test_rpe_config_validation():
