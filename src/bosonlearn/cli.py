@@ -198,6 +198,21 @@ def _coeff_rows(learned, spec: HamiltonianSpec) -> list[dict]:
     return rows
 
 
+def _device_report(device: SimulatedDevice, cfg: RpeConfig) -> dict:
+    """The device block of a learn-single / learn-multi report."""
+    ledger = device.ledger()
+    return {
+        "ledger": {
+            "total_evolution_time": ledger.total_evolution_time,
+            "shot_count": ledger.shot_count,
+        },
+        "derived_t0": cfg.t0,
+        "cutoff_n_max": device.cutoff.n_max,
+        "edge_population": device.edge_population,
+        "clipped_probabilities": device.clipped_probabilities,
+    }
+
+
 def _run_learn_single(config: dict, checked: dict) -> dict:
     spec = _build_spec(config)
     if spec.modes != 1:
@@ -208,19 +223,11 @@ def _run_learn_single(config: dict, checked: dict) -> dict:
     learned = learn_single_mode(
         device, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
     )
-    ledger = device.ledger()
     return {
         "coefficients": _coeff_rows(learned, spec),
         "diagnostics": learned.diagnostics,
         "eps_c_predicted": learned.eps_c,
-        "ledger": {
-            "total_evolution_time": ledger.total_evolution_time,
-            "shot_count": ledger.shot_count,
-        },
-        "derived_t0": cfg.t0,
-        "cutoff_n_max": device.cutoff.n_max,
-        "edge_population": device.edge_population,
-        "clipped_probabilities": device.clipped_probabilities,
+        **_device_report(device, cfg),
     }
 
 
@@ -240,19 +247,11 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
         )
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    ledger = device.ledger()
     return {
         "strategy": strategy,
         "coefficients": _coeff_rows(learned, spec),
         "diagnostics": {k: v for k, v in learned.diagnostics.items() if v is not None},
-        "ledger": {
-            "total_evolution_time": ledger.total_evolution_time,
-            "shot_count": ledger.shot_count,
-        },
-        "derived_t0": cfg.t0,
-        "cutoff_n_max": device.cutoff.n_max,
-        "edge_population": device.edge_population,
-        "clipped_probabilities": device.clipped_probabilities,
+        **_device_report(device, cfg),
     }
 
 

@@ -17,14 +17,15 @@ e^{-i t E} with E = <phi|H|phi>.  phi is a product state ⊗_m v_m, so E
 factorises over modes.  Each distinct per-mode factor v_m = S(z_m)†
 D(beta_m)|0> is built once per device, under (mode, executed beta_m, z_m),
 with mat-vecs on the cached generator basis (fockspace.displace_vector,
-squeeze_vector); a true frame enters as u_m = S(z_true,m) v_m, and the factor
-keeps the (d+1) x (d+1) moment table of u_m.  The energies of all of a
-batch's new states come from one (states x terms) numpy pass over those
+squeeze_vector).  A true frame enters the state, not the Hamiltonian: the
+factor keeps u_m = S(z_true,m) v_m, the mode's state in the frame the spec is
+written in, and the (d+1) x (d+1) moment table of u_m.  The energies of all
+of a batch's new states come from one (states x terms) numpy pass over those
 tables (fockspace.product_state_energy), and E is cached under the exact
 executed (beta, frame_z), so a repeated state costs a dict lookup.  No
 joint-space matrix, vector or eigendecomposition is made.  Each new factor
-also records its population of the top Fock level (edge_population), a
-diagnostic of truncation clipping.
+also records the top-Fock-level population of the prepared v_m
+(edge_population), a diagnostic of truncation clipping.
 
 Bit-identity.  A state's energy does not depend on which other states share
 its batch, and equals the term-by-term scalar loop bit for bit: the pass
@@ -34,32 +35,34 @@ cumulative sum, never a pairwise reduction.  So seeded counts and ledgers do
 not move when a grid is split or merged.  protocol's grid unwrap keeps the
 same rule (math.atan2 per run, since np.arctan2 rounds differently).
 
-Finite-L path.  The first request with a concrete l_steps builds the hidden
-matrix, conjugates it into the true frame and decomposes it, once, under a
-lock.  Each state's weights |V† phi|^2 are computed and cached only then,
-with phi the Kronecker product of its cached factors v_m, and
-a = weights . e^{-i w tau}.  A device that serves only ideal requests never
-decomposes H.  A probability that rounding pushes out of [0, 1] is clipped
-and counted (clipped_probabilities).
+Finite-L path.  The first request with a concrete l_steps builds the spec's
+matrix and decomposes it, once, under a lock.  Each state's weights
+|V† phi|^2 are computed and cached only then, with phi the Kronecker product
+of its cached factors u_m, and a = weights . e^{-i w tau}.  The physical
+matrix S† H_spec S has eigenvectors S† V, so the prepared psi = ⊗_m v_m has
+weights |(S† V)† psi|^2 = |V† S psi|^2 = |V† phi|^2: no joint-space squeeze
+is built.
+A device that serves only ideal requests never decomposes H.  A probability
+that rounding pushes out of [0, 1] is clipped and counted
+(clipped_probabilities).
 
-Shot sampling.  Two entries draw shots, and both reduce to one sampler.
-run_shot_grid serves a whole RPE grid as arrays: one prepared state per run
-and one schedule row (kappa, basis, l_steps) per request of a run.
-run_shot_batches serves a list of ShotRequest objects.  Each computes every
-probability in one numpy pass with the arithmetic of probability(), draws
-one binomial per request, and charges the ledger in request order with a
-sequential running sum.  Each request's draw comes from its own Philox
-stream, keyed by
-    SeedSequence(entropy=(master_seed, int(sha256(rng_token)[:16]))
-                 ).generate_state(2, np.uint64),
-so a draw depends only on the device seed and the request's token, never on
-what else is in the batch.  Request (i, j) of a grid has the token
-f"{tokens[i]}:k{kappa_j}:{basis_j}".  The keys of a whole batch come from one
-vectorised pass over uint32 words that repeats numpy's SeedSequence hash
-(hashmix, mix, generate_state) bit for bit (_philox_keys); one device-held
-Philox generator is then reset to each key with counter 0 and an empty
-buffer, which is the state a fresh Philox(SeedSequence(...)) starts in.
-run_shot_batch is the one-request case.
+Requests.  The device has two entries: probability(request), the exact
+channel, one ShotRequest at a time, and run_shot_grid, the shot channel,
+which serves a whole RPE grid as arrays: one prepared state per run and one
+schedule row (kappa, basis, l_steps) per request of a run.  run_shot_grid
+computes the (runs x rows) probabilities in one numpy pass with the
+arithmetic of probability(), draws one binomial per request, and charges
+the ledger run-major with a sequential running sum.  Request (i, j) draws
+from its own Philox stream, keyed by
+    SeedSequence(entropy=(master_seed, int(sha256(token)[:16]))
+                 ).generate_state(2, np.uint64)
+with token = f"{tokens[i]}:k{kappa_j}:{basis_j}", so a draw depends only on
+the device seed and the request's token, never on what else is in the grid.
+The keys of a whole grid come from one vectorised pass over uint32 words
+that repeats numpy's SeedSequence hash (hashmix, mix, generate_state) bit
+for bit (_philox_keys); one device-held Philox generator is then reset to
+each key with counter 0 and an empty buffer, which is the state a fresh
+Philox(SeedSequence(...)) starts in.
 
 Oracles.  bosonlearn.oracles builds the same streams the slow way, through
 numpy's own SeedSequence (shot_stream), computes probabilities on the dense
@@ -87,7 +90,6 @@ from .fockspace import (
     herm_eig,
     moment_table,
     product_state_energy,
-    squeeze_matrix,
     squeeze_vector,
 )
 from .hamiltonian import HamiltonianSpec, build_matrix, validate_hermitian
@@ -235,7 +237,6 @@ class ShotRequest:
     basis: str
     l_steps: int | None = None
     frame_z: tuple[complex, ...] | None = None
-    rng_token: str = ""
 
     def __post_init__(self) -> None:
         if self.kappa < 1:
@@ -326,9 +327,6 @@ class SimulatedDevice:
     def set_noise(self, model: NoiseModel) -> None:
         self._noise = self._checked(model)
 
-    def clear_noise(self) -> None:
-        self._noise = NoiseModel()
-
     def ledger(self) -> TimeLedger:
         with self._ledger_lock:
             return replace(self._ledger)
@@ -376,10 +374,11 @@ class SimulatedDevice:
             cache.update(items)
 
     def _factor(self, mode: int, beta: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(v, T) of one per-mode factor: v = S(z)† D(beta)|0> and the moment
-        table T of u = S(z_true,mode) v, built once per (mode, beta, z).
+        """(u, T) of one per-mode factor, built once per (mode, beta, z): the
+        prepared v = S(z)† D(beta)|0> carried into the spec's frame,
+        u = S(z_true,mode) v, and the moment table T of u.
 
-        Records the factor's top-level population in edge_population.
+        Records the top-level population of v in edge_population.
         """
         key = (mode, beta, z)
         factor = self._factors.get(key)
@@ -392,7 +391,7 @@ class SimulatedDevice:
                 v = squeeze_vector(z, v, adjoint=True)
             z_true = self._true_frame_z[mode] if self._true_frame_z is not None else 0
             u = squeeze_vector(z_true, v) if z_true else v
-            factor = (v, moment_table(u, self._spec.max_order))
+            factor = (u, moment_table(u, self._spec.max_order))
             with self._state_lock:
                 self._edge_population = max(self._edge_population, abs(v[-1]) ** 2)
             self._store(self._factors, {key: factor})
@@ -435,17 +434,11 @@ class SimulatedDevice:
         return [computed[k] if e is None else e for k, e in zip(keys, energies)]
 
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V†) of the hidden matrix in its true frame, built on first use."""
+        """(w, V†) of the spec's matrix, built on first use; the true frame
+        reaches the finite-L path through the per-mode factors u_m."""
         with self._eigenbasis_lock:
             if self._eigenbasis is None:
-                h = build_matrix(self._spec, self.cutoff)
-                if self._true_frame_z is not None:
-                    for m, z in enumerate(self._true_frame_z):
-                        if z:
-                            s = squeeze_matrix(z, self.cutoff, m)
-                            h = s.conj().T @ h @ s
-                    h = 0.5 * (h + h.conj().T)
-                w, v = herm_eig(h)
+                w, v = herm_eig(build_matrix(self._spec, self.cutoff))
                 self._eigenbasis = (w, v.conj().T)
             return self._eigenbasis
 
@@ -483,16 +476,17 @@ class SimulatedDevice:
         infidelity = self._noise.state_prep_infidelity
         return (1.0 - infidelity) * min(max(p, 0.0), 1.0) + 0.5 * infidelity
 
-    def _probabilities(self, keys, state, times, l_steps, is_x) -> np.ndarray:
-        """Outcome-0 probability of every request in one numpy pass, with the
-        arithmetic of probability(): request i runs for times[i] on the state
-        keys[state[i]], at l_steps[i] Trotter steps (None: the ideal limit),
-        in the X basis where is_x[i]."""
+    def _probabilities(self, keys, times, l_steps, is_x) -> np.ndarray:
+        """Outcome-0 probability of every request of a grid in one numpy pass,
+        with the arithmetic of probability(), shape (runs, rows): run i
+        prepares the state keys[i], and its request j runs for times[j] at
+        l_steps[j] Trotter steps (None: the ideal limit), in the X basis where
+        is_x[j]."""
         energies = np.array(self._state_energies(keys))
-        amp = np.exp(-1j * times * energies[state])
-        for i, steps in enumerate(l_steps):
+        amp = np.exp(-1j * times * energies[:, None])
+        for j, steps in enumerate(l_steps):
             if steps is not None:
-                amp[i] = self._finite_amplitude(keys[state[i]], times[i], steps)
+                amp[:, j] = [self._finite_amplitude(key, times[j], steps) for key in keys]
         p = 0.5 * (1.0 + np.where(is_x, amp.real, amp.imag))
         clipped = np.count_nonzero((p < 0.0) | (p > 1.0))
         if clipped:
@@ -506,13 +500,14 @@ class SimulatedDevice:
     def _draw(
         self, probabilities: np.ndarray, times: np.ndarray, tokens: list[str], shots: int
     ) -> np.ndarray:
-        """Count of outcome 1 over `shots` shots of each request, drawn from
-        its token's stream; then shots * times[i] is charged per request.
+        """Count of outcome 1 over `shots` shots of each request of a grid,
+        shaped like probabilities (runs, rows): request (i, j) draws from the
+        stream of tokens[i * rows + j] and is charged shots * times[j].
 
         Bits are i.i.d. Bernoulli with the exact theta-marginal probability,
         so one binomial draw per request reproduces the literal per-shot
-        distribution.  The ledger adds the charges one at a time in request
-        order (a cumulative sum is sequential), so its total is the one
+        distribution.  The ledger adds the charges one at a time, run-major
+        (a cumulative sum is sequential), so its total is the one
         request-by-request charging gives.
         """
         keys = _philox_keys(self.master_seed, tokens)
@@ -533,16 +528,17 @@ class SimulatedDevice:
                 self._shot_rng = np.random.Generator(np.random.Philox(0))
             rng = self._shot_rng
             philox = rng.bit_generator
-            for i, (q, key) in enumerate(zip((1.0 - probabilities).tolist(), keys.tolist())):
+            for i, (q, key) in enumerate(zip((1.0 - probabilities).ravel().tolist(), keys.tolist())):
                 fresh["key"] = key
                 philox.state = reset
                 ones[i] = rng.binomial(shots, q)
             with self._ledger_lock:
                 total = self._ledger.total_evolution_time
-                running = np.cumsum(np.concatenate(([total], shots * times)))
+                charges = np.tile(shots * times, len(probabilities))
+                running = np.cumsum(np.concatenate(([total], charges)))
                 self._ledger.total_evolution_time = float(running[-1])
                 self._ledger.shot_count += shots * len(tokens)
-        return ones
+        return ones.reshape(probabilities.shape)
 
     def run_shot_grid(
         self,
@@ -559,9 +555,9 @@ class SimulatedDevice:
         Run i prepares (betas[i], frame_z) and executes each schedule row
         (kappa, basis, l_steps) at t0 in turn.  Its request j draws from the
         stream of token f"{tokens[i]}:k{kappa_j}:{basis_j}" and is charged in
-        run-major order, so the counts and the ledger equal run_shot_batches
-        on the equivalent list of ShotRequest objects.  Each row is validated
-        once, as a ShotRequest.
+        run-major order, so the counts and the ledger equal the per-request
+        stream oracle (oracles.shot_stream with probability(), charged one
+        request at a time).  Each row is validated once, as a ShotRequest.
         """
         if len(tokens) != len(betas):
             raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
@@ -571,48 +567,15 @@ class SimulatedDevice:
             ShotRequest(kappa=kappa, t0=t0, beta=(), basis=basis, l_steps=l_steps, frame_z=frame_z)
             for kappa, basis, l_steps in schedule
         ]
-        runs, width = len(betas), len(rows)
-        if shots == 0 or runs * width == 0:
-            return np.zeros((runs, width), dtype=np.int64)
-        times = np.tile([row.evolution_time for row in rows], runs)
+        if shots == 0 or len(betas) * len(rows) == 0:
+            return np.zeros((len(betas), len(rows)), dtype=np.int64)
+        times = np.array([row.evolution_time for row in rows])
         probabilities = self._probabilities(
             [self._state_key(beta, frame_z) for beta in betas],
-            np.repeat(np.arange(runs), width),
             times,
-            [row.l_steps for row in rows] * runs,
-            np.tile([row.basis == "X" for row in rows], runs),
+            [row.l_steps for row in rows],
+            np.array([row.basis == "X" for row in rows]),
         )
         suffixes = [f":k{row.kappa}:{row.basis}" for row in rows]
         request_tokens = [token + suffix for token in tokens for suffix in suffixes]
-        return self._draw(probabilities, times, request_tokens, shots).reshape(runs, width)
-
-    def run_shot_batches(self, requests: Sequence[ShotRequest], shots: int) -> list[int]:
-        """Count of outcome 1 over `shots` independent shots, for each request.
-
-        Each distinct prepared state is looked up once per call; each request
-        draws from the stream of its rng_token ("batch" when empty) and is
-        charged to the ledger in request order.
-        """
-        if shots < 0:
-            raise ValueError("shots must be >= 0")
-        if shots == 0 or not requests:
-            return [0] * len(requests)
-        keys: dict[tuple, int] = {}
-        state = [
-            keys.setdefault(self._state_key(req.beta, req.frame_z), len(keys)) for req in requests
-        ]
-        times = np.array([req.evolution_time for req in requests], dtype=float)
-        probabilities = self._probabilities(
-            list(keys),
-            np.array(state, dtype=np.intp),
-            times,
-            [req.l_steps for req in requests],
-            np.array([req.basis == "X" for req in requests]),
-        )
-        tokens = [req.rng_token or "batch" for req in requests]
-        return self._draw(probabilities, times, tokens, shots).tolist()
-
-    def run_shot_batch(self, request: ShotRequest, shots: int) -> dict[int, int]:
-        """Counts of outcomes over `shots` independent shots of one request."""
-        ones = self.run_shot_batches((request,), shots)[0]
-        return {0: shots - ones, 1: ones}
+        return self._draw(probabilities, times, request_tokens, shots)

@@ -12,10 +12,11 @@ Displacements and squeezes share one eigendecomposition per cutoff of their
 real-parameter generators, i(b† - b) and (i/2)(b^2 - b†^2), cached by
 (kind, n_max); a complex parameter is reached by the diagonal phase rotation
 R(theta) = e^{i theta N}, so D(r e^{i theta}) = R(theta) D(r) R(theta)† and
-S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Building either matrix is then two
-diagonal scalings and one product, with no eigh; applying either to one
-single-mode vector (displace_vector, squeeze_vector) is two mat-vecs on the
-cached basis, with no matrix built.
+S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Applying either to one
+single-mode vector (displace_vector, squeeze_vector) is then two diagonal
+scalings and two mat-vecs on the cached basis, with no eigh and no matrix
+built; the dense matrices (displacement_matrix, squeeze_matrix) apply the
+same path to the columns of the identity.
 
 The energy <phi|H|phi> of a product state phi = ⊗_m v_m factorises over
 modes into per-mode moment tables (moment_table, product_state_energy, which
@@ -135,26 +136,19 @@ def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.
     return w, u, uh
 
 
-def _rotated_unitary(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
-    """R(theta) U e^{-i r w} U† R(theta)† with R(theta) = diag(e^{i theta n})."""
-    w, u, uh = _generator_basis(kind, n_max)
-    out = (u * np.exp(-1j * r * w)) @ uh
-    if theta:
-        rot = np.exp(1j * theta * np.arange(n_max + 1))
-        out = rot[:, None] * out * rot.conj()
-    return out
-
-
 def _rotated_apply(kind: str, r: float, theta: float, v: np.ndarray, sign: float) -> np.ndarray:
-    """R(theta) U e^{sign i r w} U† R(theta)† v on one single-mode vector.
+    """R(theta) U e^{sign i r w} U† R(theta)† v on a single-mode vector v, or
+    on each column of a matrix v.
 
-    sign = -1 applies the unitary of _rotated_unitary, sign = +1 its adjoint.
+    sign = -1 applies the unitary D(r e^{i theta}) or S(r e^{2i theta}),
+    sign = +1 its adjoint.
     """
     w, u, uh = _generator_basis(kind, len(v) - 1)
+    column = (-1,) + (1,) * (v.ndim - 1)
     if theta:
-        rot = np.exp(1j * theta * np.arange(len(v)))
+        rot = np.exp(1j * theta * np.arange(len(v))).reshape(column)
         v = rot.conj() * v
-    out = u @ (np.exp(sign * 1j * r * w) * (uh @ v))
+    out = u @ (np.exp(sign * 1j * r * w).reshape(column) * (uh @ v))
     return rot * out if theta else out
 
 
@@ -178,22 +172,21 @@ def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.
     R(theta) = e^{i theta N} and D(r) comes from the cached eigendecomposition
     of i(b† - b) at this n_max.  The single-mode block is tensored with
     identities afterwards; the generator commutes with the embedding, so this
-    is exact.
+    is exact.  The block is displace_vector applied to each basis vector.
     """
     cutoff.check_mode(mode)
-    r, theta = cmath.polar(complex(beta))
-    return _embed(_rotated_unitary("displacement", r, theta, cutoff.n_max), cutoff, mode)
+    return _embed(displace_vector(beta, np.eye(cutoff.dim_per_mode, dtype=complex)), cutoff, mode)
 
 
 def squeeze_matrix(z: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
     """Unitary S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode.
 
     With z = s e^{i phi}, S(z) = R(phi/2) S(s) R(phi/2)†, where S(s) comes from
-    the cached eigendecomposition of (i/2)(b^2 - b†^2) at this n_max.
+    the cached eigendecomposition of (i/2)(b^2 - b†^2) at this n_max.  The
+    single-mode block is squeeze_vector applied to each basis vector.
     """
     cutoff.check_mode(mode)
-    s, phi = cmath.polar(complex(z))
-    return _embed(_rotated_unitary("squeeze", s, 0.5 * phi, cutoff.n_max), cutoff, mode)
+    return _embed(squeeze_vector(z, np.eye(cutoff.dim_per_mode, dtype=complex)), cutoff, mode)
 
 
 def _check_unitary(u: np.ndarray, label: str) -> None:

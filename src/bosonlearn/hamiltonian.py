@@ -78,14 +78,6 @@ class HamiltonianSpec:
     identity_offset: float = 0.0
     g_max: float = 1.0
 
-    def single_mode_restriction(self, mode: int) -> "HamiltonianSpec":
-        terms = {
-            single_key(k.p[0], k.q[0], 0): v
-            for k, v in self.terms.items()
-            if not k.is_coupling and k.modes[0] == mode
-        }
-        return HamiltonianSpec(1, self.max_order, terms, self.identity_offset, self.g_max)
-
 
 def validate_hermitian(spec: HamiltonianSpec, check_matrix: bool = True) -> HamiltonianSpec:
     """Return spec iff every term is conjugate-paired; list offenders otherwise."""

@@ -64,7 +64,7 @@ def test_request_without_one_entry_per_mode_is_rejected(modes, beta, frame_z):
     with pytest.raises(ValueError, match=message):
         dev.probability(req)
     with pytest.raises(ValueError, match=message):
-        dev.run_shot_batches([req], 30)
+        dev.run_shot_grid([beta], frame_z, 0.3, [(1, "X", None)], 30, ["a"])
     assert dev.ledger().total_evolution_time == 0.0
     assert dev.ledger().shot_count == 0
 
@@ -118,29 +118,30 @@ def test_probability_does_not_charge_ledger():
     assert dev.ledger().shot_count == 0
 
 
+def one_run(dev, beta, kappa, t0, shots, token):
+    """Count of outcome 1 of one X-basis ideal request, as a one-run grid."""
+    counts = dev.run_shot_grid([(beta,)], None, t0, [(kappa, "X", None)], shots, [token])
+    assert counts.shape == (1, 1)
+    return int(counts[0, 0])
+
+
 def test_batch_charges_ledger_and_is_deterministic():
     dev = number_device(seed=7)
-    req = request(0.6, kappa=2, t0=0.25, rng_token="a")
-    counts = dev.run_shot_batch(req, 100)
-    assert counts[0] + counts[1] == 100
+    ones = one_run(dev, 0.6, 2, 0.25, 100, "a")
+    assert 0 <= ones <= 100
     assert dev.ledger().total_evolution_time == pytest.approx(100 * 2 * 0.25)
     assert dev.ledger().shot_count == 100
-    counts2 = SimulatedDevice(NUMBER_SPEC, CUT, master_seed=7).run_shot_batch(req, 100)
-    assert counts == counts2
+    assert one_run(number_device(seed=7), 0.6, 2, 0.25, 100, "a") == ones
     # one other seed may coincide, but the draws must depend on the seed
-    by_seed = {
-        tuple(SimulatedDevice(NUMBER_SPEC, CUT, master_seed=s).run_shot_batch(req, 100).values())
-        for s in range(8, 16)
-    }
+    by_seed = {one_run(number_device(seed=s), 0.6, 2, 0.25, 100, "a") for s in range(8, 16)}
     assert len(by_seed) > 1
 
 
 def test_batch_mean_matches_probability():
     dev = number_device(seed=3)
-    req = request(0.7, kappa=1, t0=0.4, rng_token="m")
-    p = dev.probability(req)
-    counts = dev.run_shot_batch(req, 40_000)
-    assert counts[0] / 40_000 == pytest.approx(p, abs=0.01)
+    p = dev.probability(request(0.7, kappa=1, t0=0.4))
+    ones = one_run(dev, 0.7, 1, 0.4, 40_000, "m")
+    assert (40_000 - ones) / 40_000 == pytest.approx(p, abs=0.01)
 
 
 def test_literal_shot_path_matches_batch_marginal():
@@ -193,7 +194,7 @@ def test_state_prep_infidelity_mixes_probability():
     p = dev.probability(req)
     dev.set_noise(NoiseModel(state_prep_infidelity=0.2))
     assert dev.probability(req) == pytest.approx(0.8 * p + 0.1, abs=1e-12)
-    dev.clear_noise()
+    dev.set_noise(NoiseModel())
     assert dev.probability(req) == pytest.approx(p, abs=1e-12)
 
 
@@ -269,8 +270,10 @@ def test_probability_matches_the_dense_oracle(data, modes, seed):
 def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
     eigh_dims = []
     builds = []
+    embeds = []
     eigh = np.linalg.eigh
     build = device_module.build_matrix
+    embed = fockspace._embed
 
     def counted_eigh(a, *args, **kwargs):
         eigh_dims.append(a.shape[0])
@@ -280,29 +283,35 @@ def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
         builds.append(args)
         return build(*args, **kwargs)
 
+    def counted_embed(op, cutoff, mode):
+        # a single-mode factor is returned as it is; count joint-space embeddings
+        if cutoff.modes > 1:
+            embeds.append(mode)
+        return embed(op, cutoff, mode)
+
     cut = FockCutoff(n_max=8, modes=2)
     # the per-cutoff generator bases are shared and cached; build them first
     fockspace.displace_vector(0.1, np.eye(9)[0])
     fockspace.squeeze_vector(0.1, np.eye(9)[0])
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(device_module, "build_matrix", counted_build)
+    monkeypatch.setattr(fockspace, "_embed", counted_embed)
     spec = random_spec(2, 2, seed=3, sparsity=0.8)
     dev = SimulatedDevice(spec, cut, master_seed=1, true_frame_z=(0.1, -0.05j))
-    ideal = [
-        ShotRequest(kappa=k, t0=0.3, beta=(0.3 * k, 0.2j), basis=b, frame_z=(0.05, 0j), rng_token=f"{k}{b}")
-        for k in (1, 2, 4)
-        for b in ("X", "Y")
-    ]
-    for req in ideal:
-        dev.probability(req)
-    dev.run_shot_batches(ideal, 30)
-    dev.run_shot_grid([(0.1, 0.2), (0j, 0.4j)], None, 0.3, [(1, "X", None), (2, "Y", None)], 30, ["a", "b"])
-    assert eigh_dims == [] and builds == []
-    # the first finite-L request decomposes H once; later ones reuse it
+    frame_z = (0.05, 0j)
+    schedule = [(k, b, None) for k in (1, 2, 4) for b in ("X", "Y")]
+    for kappa, basis, _ in schedule:
+        dev.probability(ShotRequest(kappa=kappa, t0=0.3, beta=(0.3, 0.2j), basis=basis, frame_z=frame_z))
+    dev.run_shot_grid([(0.3, 0.2j), (0.6, 0.2j)], frame_z, 0.3, schedule, 30, ["a", "b"])
+    dev.run_shot_grid([(0.1, 0.2), (0j, 0.4j)], None, 0.3, schedule[:2], 30, ["a", "b"])
+    assert eigh_dims == [] and builds == [] and embeds == []
+    # the first finite-L request decomposes H once; later ones reuse it, and
+    # the true frame reaches them through the per-mode factors
     for l_steps in (2, 5):
-        dev.probability(replace(ideal[0], l_steps=l_steps))
-        dev.run_shot_batches([replace(req, l_steps=l_steps) for req in ideal], 30)
-    assert eigh_dims == [cut.dim] and len(builds) == 1
+        dev.probability(ShotRequest(kappa=1, t0=0.3, beta=(0.3, 0.2j), basis="X", l_steps=l_steps, frame_z=frame_z))
+        finite = [(k, b, l_steps) for k, b, _ in schedule]
+        dev.run_shot_grid([(0.3, 0.2j), (0.6, 0.2j)], frame_z, 0.3, finite, 30, ["a", "b"])
+    assert eigh_dims == [cut.dim] and len(builds) == 1 and embeds == []
 
 
 def test_matching_request_frame_recovers_frame_coefficients():
@@ -360,7 +369,7 @@ def test_noise_change_reaches_cached_state():
     noisy = dev.probability(req)
     assert noisy == SimulatedDevice(spec, CUT, noise=noise).probability(req)
     assert noisy != clean
-    dev.clear_noise()
+    dev.set_noise(NoiseModel())
     assert dev.probability(req) == clean
 
 
@@ -396,13 +405,13 @@ def test_clipped_probabilities_counts_each_clip(monkeypatch):
         SimulatedDevice, "_finite_amplitude", lambda self, key, time, steps: amplitude["a"]
     )
     dev = number_device()
-    finite = request(0.3, l_steps=4, rng_token="c")
+    finite = request(0.3, l_steps=4)
     dev.probability(request(0.3))
     assert dev.clipped_probabilities == 0  # an ideal phase never leaves [0, 1]
     assert dev.probability(finite) == 1.0
     assert dev.clipped_probabilities == 1
     # the Y basis reads Im a = 0, so p = 1/2 there and only the X requests clip
-    dev.run_shot_batches([finite, replace(finite, basis="Y"), finite], 20)
+    dev.run_shot_grid([(0.3,)], None, 0.3, [(1, "X", 4), (1, "Y", 4), (1, "X", 4)], 20, ["c"])
     assert dev.clipped_probabilities == 3
     amplitude["a"] = -1.0 - 1e-12 + 0j
     assert dev.probability(finite) == 0.0
@@ -501,50 +510,41 @@ def test_negative_master_seed_raises_as_numpy_does():
     with pytest.raises(ValueError):
         _entropy_keys(-1, np.zeros((1, 4), dtype=np.uint32))
     with pytest.raises(ValueError):
-        number_device(seed=-1).run_shot_batches([request(0.5, rng_token="a")], 10)
+        number_device(seed=-1).run_shot_grid([(0.5,)], None, 0.3, [(1, "X", None)], 10, ["a"])
     with pytest.raises(TypeError):
         _entropy_keys(2.5, np.zeros((1, 4), dtype=np.uint32))
 
 
-def _oracle_batches(dev, requests, shots):
-    """One fresh shot_stream and one device.probability per request, and the
-    ledger that charging the requests one by one gives."""
+def _oracle_grid(dev, ledger, betas, frame_z, schedule, shots, tokens):
+    """One device.probability and one fresh shot_stream per request of a grid,
+    run-major, each charged to ledger one by one."""
     ones = []
-    ledger = TimeLedger()
-    for req in requests:
-        p = dev.probability(req)
-        stream = shot_stream(dev.master_seed, req.rng_token or "batch")
-        ones.append(int(stream.binomial(shots, 1.0 - p)))
-        ledger.total_evolution_time += shots * req.evolution_time
-        ledger.shot_count += shots
-    return ones, ledger
+    for beta, token in zip(betas, tokens):
+        for kappa, basis, l_steps in schedule:
+            req = ShotRequest(kappa, T0, beta, basis, l_steps=l_steps, frame_z=frame_z)
+            p = dev.probability(req)
+            stream = shot_stream(dev.master_seed, f"{token}:k{kappa}:{basis}")
+            ones.append(int(stream.binomial(shots, 1.0 - p)))
+            ledger.total_evolution_time += shots * req.evolution_time
+            ledger.shot_count += shots
+    return np.array(ones).reshape(len(betas), len(schedule))
 
 
 BATCH_SPEC = random_spec(2, 2, seed=4, sparsity=0.7)
 BATCH_CUT = FockCutoff(n_max=10, modes=2)
+T0 = 0.31
+# a repeated run, and ideal and finite-L rows in both bases
+BETAS = [(0.4 + 0.1j, 0.2j), (0.0j, 0.7 + 0j), (0.4 + 0.1j, 0.2j), (0.3 - 0.5j, 0.1 + 0j)]
+FRAMES = [None, (0.15 + 0j, 0j), (0.1 - 0.05j, 0.2j)]
+SCHEDULE = [(k, b, l) for k, l in ((1, None), (4, None), (2, 8), (8, 3)) for b in ("X", "Y")]
 
 
-def _batch_requests():
-    betas = [(0.4 + 0.1j, 0.2j), (0.0j, 0.7 + 0j), (0.4 + 0.1j, 0.2j), (0.3 - 0.5j, 0.1 + 0j)]
-    frames = [None, (0.15 + 0j, 0j), (0.1 - 0.05j, 0.2j)]
-    out = []
-    for i, beta in enumerate(betas):
-        for frame_z in frames:
-            for kappa, l_steps in ((1, None), (4, None), (2, 8), (8, 3)):
-                for basis in ("X", "Y"):
-                    token = f"b{i}:{frame_z}:k{kappa}:{basis}" if basis == "X" or kappa > 1 else ""
-                    out.append(
-                        ShotRequest(
-                            kappa=kappa,
-                            t0=0.31,
-                            beta=beta,
-                            basis=basis,
-                            l_steps=l_steps,
-                            frame_z=frame_z,
-                            rng_token=token,
-                        )
-                    )
-    return out
+def _grid_args(frame_z, shots):
+    return BETAS, frame_z, SCHEDULE, shots, [f"b{i}:{frame_z}" for i in range(len(BETAS))]
+
+
+def _run_grid(dev, betas, frame_z, schedule, shots, tokens):
+    return dev.run_shot_grid(betas, frame_z, T0, schedule, shots, tokens)
 
 
 @pytest.mark.parametrize(
@@ -552,43 +552,44 @@ def _batch_requests():
     [None, NoiseModel(delta_beta=(0.02 - 0.01j, 0.03j), state_prep_infidelity=0.07)],
 )
 @pytest.mark.parametrize("master_seed", [0, 12345, 2**40 + 7])
-def test_run_shot_batches_equals_per_request_oracle(noise, master_seed):
-    requests = _batch_requests()
-    batch = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
-    oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
-    ones = batch.run_shot_batches(requests, 57)
-    expected, ledger = _oracle_batches(oracle, requests, 57)
-    assert ones == expected
-    assert batch.ledger() == ledger
-    # a batch of one is run_shot_batch, and its stream does not depend on the batch
-    single = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
-    counts = [single.run_shot_batch(req, 57) for req in requests]
-    assert [c[1] for c in counts] == ones
-    assert all(c[0] + c[1] == 57 for c in counts)
-    assert single.ledger() == batch.ledger()
+def test_run_shot_grid_equals_per_request_oracle(noise, master_seed):
+    def device():
+        return SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
+
+    grid, oracle, ledger = device(), device(), TimeLedger()
+    for frame_z in FRAMES:
+        ones = _run_grid(grid, *_grid_args(frame_z, 57))
+        assert np.array_equal(ones, _oracle_grid(oracle, ledger, *_grid_args(frame_z, 57)))
+        assert grid.ledger() == ledger
+    # a run's draws come from its own token's streams, whatever else is in the grid
+    _, frame_z, schedule, shots, tokens = _grid_args(FRAMES[1], 57)
+    for beta, token, row in zip(BETAS, tokens, _run_grid(device(), *_grid_args(FRAMES[1], 57))):
+        assert np.array_equal(_run_grid(device(), [beta], frame_z, schedule, shots, [token])[0], row)
 
 
-def test_run_shot_batches_with_zero_shots_draws_and_charges_nothing():
+def test_run_shot_grid_with_zero_shots_draws_and_charges_nothing():
     dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=3)
-    assert dev.run_shot_batches(_batch_requests(), 0) == [0] * len(_batch_requests())
-    assert dev.run_shot_batch(_batch_requests()[0], 0) == {0: 0, 1: 0}
+    counts = _run_grid(dev, *_grid_args(None, 0))
+    assert counts.shape == (len(BETAS), len(SCHEDULE)) and not counts.any()
     assert dev.ledger().total_evolution_time == 0.0
     assert dev.ledger().shot_count == 0
-    assert dev.run_shot_batches([], 10) == []
+    assert _run_grid(dev, [], None, SCHEDULE, 10, []).shape == (0, len(SCHEDULE))
+    assert _run_grid(dev, BETAS, None, [], 10, ["a"] * len(BETAS)).shape == (len(BETAS), 0)
     with pytest.raises(ValueError):
-        dev.run_shot_batches(_batch_requests(), -1)
+        _run_grid(dev, *_grid_args(None, -1))
 
 
-def test_run_shot_batches_is_thread_safe():
+def test_run_shot_grid_is_thread_safe():
     # The device holds one Philox generator; threads sharing a device must
     # still each get their own requests' streams.
-    requests = _batch_requests()
-    expected, _ = _oracle_batches(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5), requests, 40)
+    grids = [_grid_args(frame_z, 40) for frame_z in FRAMES]
+    oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5)
+    expected = [_oracle_grid(oracle, TimeLedger(), *args) for args in grids]
     dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5)
-    results: dict[int, list[list[int]]] = {}
+    results: dict[int, list[list[np.ndarray]]] = {}
 
     def work(i):
-        results[i] = [dev.run_shot_batches(requests, 40) for _ in range(5)]
+        results[i] = [[_run_grid(dev, *args) for args in grids] for _ in range(5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -601,5 +602,10 @@ def test_run_shot_batches_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(batch == expected for i in range(6) for batch in results[i])
-    assert dev.ledger().shot_count == 6 * 5 * len(requests) * 40
+    assert all(
+        np.array_equal(count, want)
+        for i in range(6)
+        for counts in results[i]
+        for count, want in zip(counts, expected)
+    )
+    assert dev.ledger().shot_count == 6 * 5 * len(FRAMES) * len(BETAS) * len(SCHEDULE) * 40

@@ -182,15 +182,3 @@ def test_serialization_round_trip():
     assert back.terms == spec.terms
     assert back.identity_offset == spec.identity_offset
 
-
-def test_single_mode_restriction():
-    spec = random_spec(2, 2, seed=8)
-    sub = spec.single_mode_restriction(1)
-    assert sub.modes == 1
-    assert all(not k.is_coupling for k in sub.terms)
-    orig = {
-        (k.p[0], k.q[0]): v
-        for k, v in spec.terms.items()
-        if not k.is_coupling and k.modes[0] == 1
-    }
-    assert {(k.p[0], k.q[0]): v for k, v in sub.terms.items()} == orig

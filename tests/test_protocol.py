@@ -250,9 +250,9 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
     frame_z = (0.1 + 0.05j,)
     # an uneven ledger total first, so that a difference of running totals is
     # not the plain sum of a run's charges
-    warm_up = ShotRequest(kappa=3, t0=0.1234567, beta=(0.2,), basis="X", rng_token="w")
+    warm_up = ([(0.2,)], None, 0.1234567, [(3, "X", None)], 33, ["w"])
     sequential = SimulatedDevice(spec, cut, master_seed=9)
-    sequential.run_shot_batch(warm_up, 33)
+    sequential.run_shot_grid(*warm_up)
     one_by_one = []
     for beta, token in zip(betas, tokens):
         before = sequential.ledger().total_evolution_time
@@ -260,7 +260,7 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
         assert est.time_cost == sequential.ledger().total_evolution_time - before
         one_by_one.append(est)
     batched = SimulatedDevice(spec, cut, master_seed=9)
-    batched.run_shot_batch(warm_up, 33)
+    batched.run_shot_grid(*warm_up)
     grids = _count_calls(monkeypatch, "run_shot_grid")
     ests = rpe_estimates(batched, betas, cfg, frame_z, tokens)
     assert len(grids) == 1
@@ -271,17 +271,19 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
 
 
 def _equivalent_requests(betas, cfg, frame_z, tokens):
-    """The ShotRequest list a grid stands for, with the grid's documented
-    tokens f"{token}:k{kappa}:{basis}", run-major."""
+    """(ShotRequest, stream token) of each request a grid stands for, run-major,
+    with the grid's documented tokens f"{token}:k{kappa}:{basis}"."""
     return [
-        ShotRequest(
-            kappa=2**j,
-            t0=cfg.t0,
-            beta=tuple(beta),
-            basis=basis,
-            l_steps=cfg.steps_for(2**j),
-            frame_z=frame_z,
-            rng_token=f"{token}:k{2**j}:{basis}",
+        (
+            ShotRequest(
+                kappa=2**j,
+                t0=cfg.t0,
+                beta=tuple(beta),
+                basis=basis,
+                l_steps=cfg.steps_for(2**j),
+                frame_z=frame_z,
+            ),
+            f"{token}:k{2**j}:{basis}",
         )
         for beta, token in zip(betas, tokens)
         for j in range(cfg.k_max + 1)
@@ -296,42 +298,37 @@ def test_columnar_grid_equals_shot_requests_and_stream_oracle(l_steps, frame_z):
     betas = [(0.3 + 0j, 0.5j), (0j, -0.4 + 0j), (0.3 + 0j, 0.5j), (0.6 - 0.2j, 0.1 + 0j)]
     tokens = ["g0", "g1", "g2", "g3"]
     noise = NoiseModel(delta_beta=(0.01j,), state_prep_infidelity=0.05)
-    warm_up = ShotRequest(kappa=3, t0=0.1234567, beta=(0.2, 0j), basis="X", rng_token="w")
 
     def fresh():
         dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=17, noise=noise)
-        dev.run_shot_batch(warm_up, 33)
+        # an uneven ledger total first
+        dev.run_shot_grid([(0.2, 0j)], None, 0.1234567, [(3, "X", None)], 33, ["w"])
         return dev
 
     grid_dev = fresh()
     before = grid_dev.ledger().total_evolution_time
     ests = rpe_estimates(grid_dev, betas, cfg, frame_z, tokens)
     requests = _equivalent_requests(betas, cfg, frame_z, tokens)
-    list_dev = fresh()
-    ones = list_dev.run_shot_batches(requests, cfg.shots)
-    assert grid_dev.ledger() == list_dev.ledger()
     # the draws of numpy's own SeedSequence streams, and the running ledger
     oracle_dev = fresh()
     oracle_ones = []
     total = before
     run_costs = []
     width = 2 * (cfg.k_max + 1)
-    for i, req in enumerate(requests):
+    for i, (req, token) in enumerate(requests):
         if i % width == 0:
             run_start = total
         p = oracle_dev.probability(req)
-        oracle_ones.append(int(shot_stream(17, req.rng_token).binomial(cfg.shots, 1.0 - p)))
+        oracle_ones.append(int(shot_stream(17, token).binomial(cfg.shots, 1.0 - p)))
         total += cfg.shots * req.evolution_time
         if i % width == width - 1:
             run_costs.append(total - run_start)
-    assert ones == oracle_ones
-    assert grid_dev.ledger().total_evolution_time == total
+    assert grid_dev.ledger() == TimeLedger(total, 33 + len(requests) * cfg.shots)
     assert [est.time_cost for est in ests] == run_costs
-    counts = grid_dev.run_shot_grid(
-        betas, frame_z, cfg.t0, [(r.kappa, r.basis, r.l_steps) for r in requests[:width]], cfg.shots, tokens
-    )
+    schedule = [(r.kappa, r.basis, r.l_steps) for r, _ in requests[:width]]
+    counts = fresh().run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
     assert counts.shape == (len(betas), width)
-    assert counts.ravel().tolist() == ones
+    assert counts.ravel().tolist() == oracle_ones
 
 
 @pytest.mark.parametrize(
@@ -359,9 +356,8 @@ def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
     dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
     exact = _count_calls(monkeypatch, "probability")
     grids = _count_calls(monkeypatch, "run_shot_grid")
-    batches = _count_calls(monkeypatch, "run_shot_batches")
     ests = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
-    assert len(exact) == 2 * 2 * (cfg.k_max + 1) and grids == [] and batches == []
+    assert len(exact) == 2 * 2 * (cfg.k_max + 1) and grids == []
     assert all(est.time_cost == 0.0 for est in ests)
     with pytest.raises(ValueError):
         rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a"])
