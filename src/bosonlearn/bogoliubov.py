@@ -345,10 +345,13 @@ def _cfg_for_precision(
     eps_coeff: float,
     row_norm: float,
     d: int,
-    shots: int,
+    shots: int | None,
     k_cap: int,
 ) -> RpeConfig:
-    """Smallest RPE depth whose predicted coefficient error meets eps_coeff."""
+    """Smallest RPE depth whose predicted coefficient error meets eps_coeff;
+    with shots = None, the exact-channel schedule."""
+    if shots is None:
+        return _noiseless_config(d, 1)
     base = derive_config(d, g_max=G_MAX_PRIOR, k_max=4, shots=shots, l_steps=None)
     eps_c_target = eps_coeff / row_norm
     k = math.ceil(math.log2(1.0 / (eps_c_target * base.t0 * math.sqrt(shots))))
@@ -384,8 +387,7 @@ def bisection_search(
     d: int = 2,
     mode: int = 0,
     other_frames: dict[int, float] | None = None,
-    shots: int = 200,
-    noiseless: bool = False,
+    shots: int | None = 200,
     k_cap: int = 12,
     token: str = "bisect",
 ) -> BisectionResult:
@@ -396,7 +398,8 @@ def bisection_search(
     eps_g into eps_r and to schedule the inner-learner precision per
     iteration.  A sign-ambiguous evaluation is retried once at higher
     precision, then the search falls back to golden-section minimization of
-    the signal magnitude.
+    the signal magnitude.  shots = None reads every signal from the exact
+    channel, whose standard error is 0, so only an exact zero is ambiguous.
     """
     lo, hi = bracket
     if not lo < hi:
@@ -412,10 +415,7 @@ def bisection_search(
 
     def measure(r_prime: float, eps_target: float) -> tuple[float, float]:
         nonlocal evaluations
-        if noiseless:
-            cfg = _noiseless_config(d, 1)
-        else:
-            cfg = _cfg_for_precision(eps_target, row_norm, d, shots, k_cap)
+        cfg = _cfg_for_precision(eps_target, row_norm, d, shots, k_cap)
         evaluations += 1
         f, se, _ = signal_measure(
             device,
@@ -433,13 +433,13 @@ def bisection_search(
     coarse = max(width / 6.0, eps_r or 0.0, (eps_g or 0.0))
     f_lo, se_lo = measure(lo, coarse)
     f_hi, se_hi = measure(hi, coarse)
-    if not noiseless and abs(f_lo) <= 3 * se_lo:
+    if abs(f_lo) <= 3 * se_lo:
         f_lo, se_lo = measure(lo, max(abs(f_lo), se_lo) / 6.0)
-    if not noiseless and abs(f_hi) <= 3 * se_hi:
+    if abs(f_hi) <= 3 * se_hi:
         f_hi, se_hi = measure(hi, max(abs(f_hi), se_hi) / 6.0)
     if f_lo * f_hi >= 0:
         raise ValueError("bracket endpoints must give opposite signal signs")
-    if not noiseless and (abs(f_lo) <= 3 * se_lo or abs(f_hi) <= 3 * se_hi):
+    if abs(f_lo) <= 3 * se_lo or abs(f_hi) <= 3 * se_hi:
         raise ValueError("endpoint signals are not significant at 3 standard errors")
     k_hat = (f_hi - f_lo) / (hi - lo)
     if eps_r is None:
@@ -454,9 +454,9 @@ def bisection_search(
         mid = 0.5 * (lo + hi)
         eps_target = abs(k_hat) * (hi - lo) / 9.0
         f_mid, se_mid = measure(mid, eps_target)
-        if not noiseless and abs(f_mid) <= 3 * se_mid:
+        if abs(f_mid) <= 3 * se_mid:
             f_mid, se_mid = measure(mid, eps_target / 4.0)
-        if not noiseless and abs(f_mid) <= 3 * se_mid:
+        if abs(f_mid) <= 3 * se_mid:
             fallback = True
             break
         if math.copysign(1.0, f_mid) == sign_hi:
@@ -503,14 +503,14 @@ def learn_firstq(
     d: int,
     eps_g: float,
     bracket: tuple[float, float],
-    shots: int = 200,
-    noiseless: bool = False,
+    shots: int | None = 200,
     k_cap: int = 13,
     token: str = "firstq",
 ) -> FirstQResult:
     """Full first-quantization pipeline: feasibility gate, bisection over the
     frame parameter, final coefficient learn in the converged frame, and the
-    exact transform to symmetrized-quadrature coefficients."""
+    exact transform to symmetrized-quadrature coefficients.  shots = None runs
+    every stage on the exact channel."""
     start = device.ledger().total_evolution_time
     bis = bisection_search(
         device,
@@ -518,16 +518,12 @@ def learn_firstq(
         eps_g=eps_g,
         d=d,
         shots=shots,
-        noiseless=noiseless,
         k_cap=k_cap,
         token=f"{token}:b",
     )
     mw_hat = math.exp(-2.0 * bis.r_hat)
     t = build_T(d, mass_omega=mw_hat)
-    if noiseless:
-        cfg = _noiseless_config(d, 1)
-    else:
-        cfg = _cfg_for_precision(eps_g * t.sigma_min, _signal_row_norm(d), d, shots, k_cap)
+    cfg = _cfg_for_precision(eps_g * t.sigma_min, _signal_row_norm(d), d, shots, k_cap)
     learned = learn_single_mode(
         device,
         d,
@@ -567,8 +563,7 @@ def parallel_two_mode_search(
     brackets: tuple[tuple[float, float], tuple[float, float]],
     eps_r: float,
     d: int = 2,
-    shots: int = 200,
-    noiseless: bool = False,
+    shots: int | None = 200,
     k_cap: int = 12,
     token: str = "par2",
 ) -> TwoModeResult:
@@ -591,13 +586,12 @@ def parallel_two_mode_search(
                 mode=m,
                 other_frames=others,
                 shots=shots,
-                noiseless=noiseless,
                 k_cap=k_cap,
                 token=f"{token}:m{m}",
             )
         )
     r_hats = (results[0].r_hat, results[1].r_hat)
-    if noiseless:
+    if shots is None:
         cfg = _noiseless_config(d, 2)
     else:
         cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=k_cap, shots=shots, l_steps=None, modes=2)

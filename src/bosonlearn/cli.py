@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,12 +86,9 @@ def _load_config(args: argparse.Namespace) -> dict:
         config["seed"] = args.seed
     if args.out is not None:
         config["out"] = args.out
-    if args.workers is not None:
-        config["workers"] = args.workers
     if args.noiseless:
         config["noiseless"] = True
     config.setdefault("seed", 0)
-    config.setdefault("workers", 1)
     config.setdefault("noiseless", False)
     return config
 
@@ -294,8 +290,7 @@ def _run_learn_firstq(config: dict, _checked: dict) -> dict:
         d,
         eps_g=fq["eps_g"],
         bracket=fq["bracket"],
-        shots=int(config.get("rpe", {}).get("M", 200)),
-        noiseless=bool(config["noiseless"]),
+        shots=None if config["noiseless"] else int(config.get("rpe", {}).get("M", 200)),
         token=f"cli{config['seed']}",
     )
     ledger = device.ledger()
@@ -332,17 +327,15 @@ def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
     cutoff = adaptive_cutoff(spec, beta)
 
     def one_point(k: int) -> tuple[float, float, int]:
-        def trial(seed: int) -> tuple[float, float]:
-            device = SimulatedDevice(spec, cutoff, master_seed=seed)
-            cfg = derive_config(2, k_max=k, shots=shots, l_steps=None)
-            est = rpe_estimate(device, [beta], cfg, token=f"hs{seed}")
-            return est.c_hat, est.time_cost
-
-        with ThreadPoolExecutor(max_workers=int(config["workers"])) as pool:
-            results = list(pool.map(trial, range(int(config["seed"]), int(config["seed"]) + n_seeds)))
-        errs = np.array([r[0] - c_true for r in results])
+        cfg = derive_config(2, k_max=k, shots=shots, l_steps=None)
+        seeds = range(int(config["seed"]), int(config["seed"]) + n_seeds)
+        results = [
+            rpe_estimate(SimulatedDevice(spec, cutoff, master_seed=seed), [beta], cfg, token=f"hs{seed}")
+            for seed in seeds
+        ]
+        errs = np.array([est.c_hat - c_true for est in results])
         rmse = float(np.sqrt(np.mean(errs**2)))
-        time_per = float(np.mean([r[1] for r in results]))
+        time_per = float(np.mean([est.time_cost for est in results]))
         return time_per, rmse, 2 * shots * (k + 1)
 
     rows = []
@@ -493,7 +486,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="report output path")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--noiseless", action="store_true", help="exact-probability mode")
         if name == "validate":
             p.add_argument("--experiment-kind", default="learn-single", dest="kind")

@@ -288,12 +288,17 @@ class SimulatedDevice:
             raise ValueError(
                 f"true_frame_z has {len(true_frame_z)} entries but the device has {cutoff.modes} modes"
             )
+        noise = noise or NoiseModel()
+        if len(noise.delta_beta) > cutoff.modes:
+            raise ValueError(
+                f"delta_beta has {len(noise.delta_beta)} entries but the device has {cutoff.modes} modes"
+            )
         self._spec = spec
         self._terms = TermColumns.of(spec)
         self.cutoff = cutoff
         self.master_seed = master_seed
         self._true_frame_z = None if true_frame_z is None else tuple(true_frame_z)
-        self._noise = self._checked(noise or NoiseModel())
+        self._noise = noise
         self._ledger = TimeLedger()
         self._ledger_lock = threading.Lock()
         # (w, V†) of the hidden matrix, built on the first finite-L request.
@@ -310,22 +315,12 @@ class SimulatedDevice:
         self._shot_rng: np.random.Generator | None = None
         self._shot_lock = threading.Lock()
 
-    # -- noise control ------------------------------------------------------
+    # -- noise model and ledger ---------------------------------------------
 
     @property
     def noise(self) -> NoiseModel:
+        """The noise model, fixed when the device is made."""
         return self._noise
-
-    def _checked(self, model: NoiseModel) -> NoiseModel:
-        modes = self.cutoff.modes
-        if len(model.delta_beta) > modes:
-            raise ValueError(
-                f"delta_beta has {len(model.delta_beta)} entries but the device has {modes} modes"
-            )
-        return model
-
-    def set_noise(self, model: NoiseModel) -> None:
-        self._noise = self._checked(model)
 
     def ledger(self) -> TimeLedger:
         with self._ledger_lock:

@@ -1,12 +1,11 @@
-"""Dense complex linear algebra on truncated single- and multi-mode Fock spaces.
+"""Dense complex linear algebra on truncated single-mode Fock spaces.
 
-Operators are built per mode at (n_max+1) dimension.  Multi-mode operators
-and states are Kronecker products of single-mode factors (mode 0 is the
-leftmost factor); the ``*_matrix`` functions embed a single-mode operator into
-the joint space for callers that need the dense joint matrix.  Generators are
-truncated before exponentiation, so every unitary produced here is exactly
-unitary; truncation accuracy is assessed by the doubling test in
-:func:`adaptive_cutoff` rather than a priori bounds.  hbar = 1 throughout.
+Every operator here acts on one mode at (n_max+1) dimension; a multi-mode
+state is a Kronecker product of single-mode factors, mode 0 leftmost.  The
+joint-space builders the tests compare against live in bosonlearn.oracles.
+Generators are truncated before exponentiation, so every unitary produced
+here is exactly unitary; truncation accuracy is assessed by the doubling test
+in :func:`adaptive_cutoff` rather than a priori bounds.  hbar = 1 throughout.
 
 Displacements and squeezes share one eigendecomposition per cutoff of their
 real-parameter generators, i(b† - b) and (i/2)(b^2 - b†^2), cached by
@@ -15,8 +14,7 @@ R(theta) = e^{i theta N}, so D(r e^{i theta}) = R(theta) D(r) R(theta)† and
 S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Applying either to one
 single-mode vector (displace_vector, squeeze_vector) is then two diagonal
 scalings and two mat-vecs on the cached basis, with no eigh and no matrix
-built; the dense matrices (displacement_matrix, squeeze_matrix) apply the
-same path to the columns of the identity.
+built; given a matrix, they act on each of its columns.
 
 The energy <phi|H|phi> of a product state phi = ⊗_m v_m factorises over
 modes into per-mode moment tables (moment_table, product_state_energy, which
@@ -62,58 +60,19 @@ class FockCutoff:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.modes
 
-    def check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.modes:
-            raise IndexError(f"mode {mode} out of range for {self.modes} modes")
 
-
-def _embed(op: np.ndarray, cutoff: FockCutoff, mode: int) -> np.ndarray:
-    """Tensor a single-mode operator with identities on all other modes.
-
-    Mode 0 is the leftmost (most significant) tensor factor.
-    """
-    if cutoff.modes == 1:
-        return op
-    d = cutoff.dim_per_mode
-    out = np.array([[1.0 + 0.0j]])
-    for m in range(cutoff.modes):
-        out = np.kron(out, op if m == mode else np.eye(d, dtype=complex))
-    return out
-
-
-def annihilation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Matrix of b on the given mode: <n-1|b|n> = sqrt(n)."""
-    cutoff.check_mode(mode)
-    d = cutoff.dim_per_mode
-    b = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
+def _lowering(n_max: int) -> np.ndarray:
+    """Single-mode matrix of b at truncation n_max: <n-1|b|n> = sqrt(n)."""
+    b = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    ns = np.arange(1, n_max + 1)
     b[ns - 1, ns] = np.sqrt(ns)
-    return _embed(b, cutoff, mode)
-
-
-def creation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Matrix of b† on the given mode."""
-    return annihilation_matrix(cutoff, mode).conj().T
+    return b
 
 
 def normal_ordered_factor(p: int, q: int, n_max: int) -> np.ndarray:
     """Single-mode matrix of b†^p b^q at truncation n_max, of size (n_max+1)^2."""
-    b = annihilation_matrix(FockCutoff(n_max=n_max))
+    b = _lowering(n_max)
     return np.linalg.matrix_power(b.conj().T, p) @ np.linalg.matrix_power(b, q)
-
-
-def number_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Diagonal number operator N = b†b on the given mode."""
-    cutoff.check_mode(mode)
-    d = cutoff.dim_per_mode
-    return _embed(np.diag(np.arange(d, dtype=complex)), cutoff, mode)
-
-
-def vacuum_state(cutoff: FockCutoff) -> np.ndarray:
-    """Joint vacuum |0,...,0>."""
-    v = np.zeros(cutoff.dim, dtype=complex)
-    v[0] = 1.0
-    return v
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,7 +84,7 @@ def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.
     U is checked for unitarity once, here, so every product built from it is
     unitary; the arrays are read-only because the cache shares them.
     """
-    b = annihilation_matrix(FockCutoff(n_max=n_max))
+    b = _lowering(n_max)
     bdag = b.conj().T
     g = 1j * (bdag - b) if kind == "displacement" else 0.5j * (b @ b - bdag @ bdag)
     w, u = herm_eig(g)
@@ -141,7 +100,8 @@ def _rotated_apply(kind: str, r: float, theta: float, v: np.ndarray, sign: float
     on each column of a matrix v.
 
     sign = -1 applies the unitary D(r e^{i theta}) or S(r e^{2i theta}),
-    sign = +1 its adjoint.
+    sign = +1 its adjoint.  The scalings are shaped as columns, so that a
+    matrix is transformed column by column, not scaled along the wrong axis.
     """
     w, u, uh = _generator_basis(kind, len(v) - 1)
     column = (-1,) + (1,) * (v.ndim - 1)
@@ -163,30 +123,6 @@ def squeeze_vector(z: complex, v: np.ndarray, adjoint: bool = False) -> np.ndarr
     building S(z)."""
     s, phi = cmath.polar(complex(z))
     return _rotated_apply("squeeze", s, 0.5 * phi, v, 1.0 if adjoint else -1.0)
-
-
-def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Unitary D(beta) = exp(beta b† - beta* b) on the given mode.
-
-    With beta = r e^{i theta}, D(beta) = R(theta) D(r) R(theta)†, where
-    R(theta) = e^{i theta N} and D(r) comes from the cached eigendecomposition
-    of i(b† - b) at this n_max.  The single-mode block is tensored with
-    identities afterwards; the generator commutes with the embedding, so this
-    is exact.  The block is displace_vector applied to each basis vector.
-    """
-    cutoff.check_mode(mode)
-    return _embed(displace_vector(beta, np.eye(cutoff.dim_per_mode, dtype=complex)), cutoff, mode)
-
-
-def squeeze_matrix(z: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
-    """Unitary S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode.
-
-    With z = s e^{i phi}, S(z) = R(phi/2) S(s) R(phi/2)†, where S(s) comes from
-    the cached eigendecomposition of (i/2)(b^2 - b†^2) at this n_max.  The
-    single-mode block is squeeze_vector applied to each basis vector.
-    """
-    cutoff.check_mode(mode)
-    return _embed(squeeze_vector(z, np.eye(cutoff.dim_per_mode, dtype=complex)), cutoff, mode)
 
 
 def _check_unitary(u: np.ndarray, label: str) -> None:

@@ -1,11 +1,14 @@
 """Independent reference implementations that the tests compare the runtime to.
 
 Each function computes, by a route of its own, something the learner or the
-device also computes: the displaced phase-averaged Hamiltonian, the recovery
-stages one at a time, the inverse quadrature algebra and frame mismatch,
-dense rotations and exponentials, the device's outcome probabilities on the
-dense joint space, and its literal per-shot path with its SeedSequence-built
-streams.  No other bosonlearn module imports this one.
+device also computes: the joint-space ladder, number, displacement and
+squeeze matrices (D and S each as one exponential of its full complex
+generator, not through the runtime's cached rotated basis), the displaced
+phase-averaged Hamiltonian, the recovery stages one at a time, the inverse
+quadrature algebra and frame mismatch, dense rotations and exponentials, the
+device's outcome probabilities on the dense joint space, and its literal
+per-shot path with its SeedSequence-built streams.  No other bosonlearn
+module imports this one.
 """
 
 from __future__ import annotations
@@ -20,17 +23,49 @@ import sympy as sp
 
 from .bogoliubov import BogoliubovFrame, _ordered_product
 from .device import ShotRequest
-from .fockspace import (
-    CutoffError,
-    FockCutoff,
-    displacement_matrix,
-    herm_eig,
-    number_matrix,
-    squeeze_matrix,
-    vacuum_state,
-)
+from .fockspace import CutoffError, FockCutoff, herm_eig
 from .hamiltonian import HamiltonianSpec, build_matrix
 from .recovery import RadialDesign
+
+
+def _check_mode(cutoff: FockCutoff, mode: int) -> None:
+    if not 0 <= mode < cutoff.modes:
+        raise IndexError(f"mode {mode} out of range for {cutoff.modes} modes")
+
+
+def embed(op: np.ndarray, cutoff: FockCutoff, mode: int) -> np.ndarray:
+    """Tensor a single-mode operator with identities on all other modes.
+
+    Mode 0 is the leftmost (most significant) tensor factor.
+    """
+    _check_mode(cutoff, mode)
+    out = np.ones((1, 1), dtype=complex)
+    for m in range(cutoff.modes):
+        out = np.kron(out, op if m == mode else np.eye(cutoff.dim_per_mode))
+    return out
+
+
+def annihilation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """Matrix of b on the given mode: <n-1|b|n> = sqrt(n)."""
+    n = np.arange(cutoff.dim_per_mode)
+    return embed(np.diag(np.sqrt(n[1:]), k=1).astype(complex), cutoff, mode)
+
+
+def creation_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """Matrix of b† on the given mode."""
+    return annihilation_matrix(cutoff, mode).conj().T
+
+
+def number_matrix(cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """Diagonal number operator N = b†b on the given mode."""
+    return embed(np.diag(np.arange(cutoff.dim_per_mode, dtype=complex)), cutoff, mode)
+
+
+def vacuum_state(cutoff: FockCutoff) -> np.ndarray:
+    """Joint vacuum |0,...,0>."""
+    v = np.zeros(cutoff.dim, dtype=complex)
+    v[0] = 1.0
+    return v
 
 
 def rotation_matrix(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
@@ -40,7 +75,7 @@ def rotation_matrix(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarr
 
 def rotation_phases(theta: float, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
     """Diagonal of rotation_matrix as a vector over the joint basis."""
-    cutoff.check_mode(mode)
+    _check_mode(cutoff, mode)
     d = cutoff.dim_per_mode
     single = np.exp(-1j * theta * np.arange(d))
     out = np.ones(1, dtype=complex)
@@ -53,6 +88,23 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via its eigendecomposition."""
     w, v = herm_eig(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def displacement_matrix(beta: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """D(beta) = exp(beta b† - beta* b) on the given mode, as one exponential
+    of the truncated single-mode generator, embedded."""
+    b = annihilation_matrix(FockCutoff(cutoff.n_max))
+    generator = beta * b.conj().T - np.conj(beta) * b
+    return embed(herm_expm(1j * generator, 1.0), cutoff, mode)
+
+
+def squeeze_matrix(z: complex, cutoff: FockCutoff, mode: int = 0) -> np.ndarray:
+    """S(z) = exp[(z* b^2 - z b†^2)/2] on the given mode, as one exponential
+    of the truncated single-mode generator, embedded."""
+    b = annihilation_matrix(FockCutoff(cutoff.n_max))
+    bdag = b.conj().T
+    generator = 0.5 * (np.conj(z) * (b @ b) - z * (bdag @ bdag))
+    return embed(herm_expm(1j * generator, 1.0), cutoff, mode)
 
 
 def _falling_factorial(n: np.ndarray, i: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -290,23 +290,19 @@ def learn_displacement_biased(
     """Single-mode coefficients, keyed by (p, q), recovered while point i of
     single_mode_pipeline(d) executes its displacement shifted by delta[i].
 
-    delta = None is the clean learn.  Each point gets its own RPE run with
-    delta[i] as the device's displacement bias, so the bias differs per point
-    as in a SPAM sweep; the rest of the device's noise model applies
-    throughout, and the device leaves with the noise model it came with.
+    delta = None is the clean learn.  The whole grid is one rpe_estimates
+    call over the requested displacements beta_i + delta_i, with token
+    f"spam{i}" for point i, so the bias differs per point as in a SPAM sweep.
+    The device's own noise model applies throughout: delta adds to its
+    displacement bias, if it has one.
     """
     pipe = single_mode_pipeline(d)
-    noise = device.noise
-    c_values = np.empty(len(pipe.points))
-    try:
-        for i, (r, theta) in enumerate(pipe.points):
-            if delta is not None:
-                device.set_noise(replace(noise, delta_beta=(complex(delta[i]),)))
-            beta = r * np.exp(1j * theta)
-            c_values[i] = rpe_estimate(device, [beta], cfg, token=f"spam{i}").c_hat
-    finally:
-        device.set_noise(noise)
-    return pipe.solve(c_values)
+    betas = [r * np.exp(1j * theta) for r, theta in pipe.points]
+    if delta is not None:
+        betas = [beta + complex(shift) for beta, shift in zip(betas, delta, strict=True)]
+    tokens = [f"spam{i}" for i in range(len(betas))]
+    runs = rpe_estimates(device, betas, cfg, None, tokens)
+    return pipe.solve(np.array([est.c_hat for est in runs]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from bosonlearn.cli import main as cli_main
 from bosonlearn.device import ShotRequest, SimulatedDevice
-from bosonlearn.fockspace import FockCutoff, adaptive_cutoff, vacuum_state
+from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
     TermKey,
@@ -29,7 +29,7 @@ from bosonlearn.bogoliubov import (
     parallel_two_mode_search,
     tensor_transform,
 )
-from bosonlearn.oracles import effective_diagonal, phase_averaged_matrix
+from bosonlearn.oracles import effective_diagonal, phase_averaged_matrix, vacuum_state
 from bosonlearn.protocol import (
     LearnedCoefficients,
     derive_config,
@@ -253,7 +253,7 @@ def test_08_first_quantization_end_to_end():
         truth = build_T(4, mass_omega=1.0 / ratio).transform({(0, 0): 0.0, **gprime})
 
         dev = SimulatedDevice(spec, FockCutoff(48, 1), master_seed=5, true_frame_z=tz)
-        noiseless = learn_firstq(dev, 4, eps_g=4e-3, bracket=(-0.3, 0.3), noiseless=True)
+        noiseless = learn_firstq(dev, 4, eps_g=4e-3, bracket=(-0.3, 0.3), shots=None)
         exact_iters = math.ceil(math.log2(width / noiseless.bisection.eps_r))
         ok &= noiseless.bisection.iterations == exact_iters
 

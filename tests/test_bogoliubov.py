@@ -23,15 +23,17 @@ from bosonlearn.bogoliubov import (
     tensor_transform,
 )
 from bosonlearn.device import SimulatedDevice
-from bosonlearn.fockspace import (
-    FockCutoff,
+from bosonlearn.fockspace import FockCutoff
+from bosonlearn.hamiltonian import HamiltonianSpec, admissible_keys, build_matrix, single_key
+from bosonlearn.oracles import (
     annihilation_matrix,
+    conjugate_spec_by_mismatch,
     creation_matrix,
+    nb_expansion,
     number_matrix,
     squeeze_matrix,
+    symmetrized_to_normal,
 )
-from bosonlearn.hamiltonian import HamiltonianSpec, admissible_keys, build_matrix, single_key
-from bosonlearn.oracles import conjugate_spec_by_mismatch, nb_expansion, symmetrized_to_normal
 from bosonlearn.protocol import LearnedCoefficients, derive_config
 
 
@@ -329,12 +331,12 @@ def test_signal_function_changes_sign_at_true_frame():
 def test_bisection_rejects_infeasible_bracket():
     dev, _ = signal_device(1.3)
     with pytest.raises(FeasibilityError):
-        bisection_search(dev, (-1.5, 1.5), eps_r=1e-2, noiseless=True)
+        bisection_search(dev, (-1.5, 1.5), eps_r=1e-2, shots=None)
 
 
 def test_bisection_noiseless_exact_iteration_count():
     dev, frame = signal_device(1.3)
-    res = bisection_search(dev, (-0.3, 0.3), eps_g=1e-2, noiseless=True)
+    res = bisection_search(dev, (-0.3, 0.3), eps_g=1e-2, shots=None)
     assert res.iterations == math.ceil(math.log2(0.6 / res.eps_r))
     assert not res.fallback_used
     assert abs(res.r_hat - frame.signed_r) < res.eps_r
@@ -343,7 +345,7 @@ def test_bisection_noiseless_exact_iteration_count():
 def test_bisection_requires_sign_change():
     dev, _ = signal_device(1.3)
     with pytest.raises(ValueError):
-        bisection_search(dev, (0.2, 0.3), eps_r=1e-2, noiseless=True)
+        bisection_search(dev, (0.2, 0.3), eps_r=1e-2, shots=None)
 
 
 def test_learn_firstq_noiseless_recovers_frame_and_coefficients():
@@ -353,7 +355,7 @@ def test_learn_firstq_noiseless_recovers_frame_and_coefficients():
     dev = SimulatedDevice(
         spec, FockCutoff(48, 1), master_seed=0, true_frame_z=(complex(-frame.signed_r),)
     )
-    res = learn_firstq(dev, 4, eps_g=5e-3, bracket=(-0.3, 0.3), noiseless=True)
+    res = learn_firstq(dev, 4, eps_g=5e-3, bracket=(-0.3, 0.3), shots=None)
     assert abs(res.r_hat - frame.signed_r) < 2 * res.bisection.eps_r
     truth = build_T(4, mass_omega=1.0 / 1.3).transform({(0, 0): 0.0, **gp})
     for key, val in res.g_physical.items():

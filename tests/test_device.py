@@ -26,8 +26,8 @@ NUMBER_SPEC = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
 CUT = FockCutoff(n_max=16)
 
 
-def number_device(seed=0):
-    return SimulatedDevice(NUMBER_SPEC, CUT, master_seed=seed)
+def number_device(seed=0, noise=None):
+    return SimulatedDevice(NUMBER_SPEC, CUT, master_seed=seed, noise=noise)
 
 
 def request(beta, basis="X", kappa=1, t0=0.3, l_steps=None, **kwargs):
@@ -76,11 +76,9 @@ def test_noise_model_longer_than_the_device_is_rejected():
     message = "delta_beta has 3 entries but the device has 2 modes"
     with pytest.raises(ValueError, match=message):
         SimulatedDevice(spec, cut, noise=long)
-    dev = SimulatedDevice(spec, cut, noise=NoiseModel(delta_beta=(0.1,)))
-    with pytest.raises(ValueError, match=message):
-        dev.set_noise(long)
-    assert dev.noise == NoiseModel(delta_beta=(0.1,))
-    dev.set_noise(NoiseModel(delta_beta=(0.1, 0.2j)))
+    for delta_beta in ((0.1,), (0.1, 0.2j)):
+        model = NoiseModel(delta_beta=delta_beta)
+        assert SimulatedDevice(spec, cut, noise=model).noise == model
 
 
 @pytest.mark.parametrize("true_frame_z", [(0.1,), (0.1, 0.2, 0.3), ()])
@@ -189,18 +187,14 @@ def test_finite_step_amplitude_converges_to_ideal():
 
 
 def test_state_prep_infidelity_mixes_probability():
-    dev = number_device()
     req = request(0.9, kappa=3, t0=0.3)
-    p = dev.probability(req)
-    dev.set_noise(NoiseModel(state_prep_infidelity=0.2))
-    assert dev.probability(req) == pytest.approx(0.8 * p + 0.1, abs=1e-12)
-    dev.set_noise(NoiseModel())
-    assert dev.probability(req) == pytest.approx(p, abs=1e-12)
+    p = number_device().probability(req)
+    mixed = number_device(noise=NoiseModel(state_prep_infidelity=0.2)).probability(req)
+    assert mixed == pytest.approx(0.8 * p + 0.1, abs=1e-12)
 
 
 def test_displacement_bias_shifts_constant_term():
-    dev = number_device()
-    dev.set_noise(NoiseModel(delta_beta=(0.05,)))
+    dev = number_device(noise=NoiseModel(delta_beta=(0.05,)))
     p = dev.probability(request(0.5, kappa=1, t0=0.3))
     expected = 0.5 * (1 + math.cos(0.3 * 0.55**2))
     assert p == pytest.approx(expected, abs=1e-10)
@@ -270,10 +264,8 @@ def test_probability_matches_the_dense_oracle(data, modes, seed):
 def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
     eigh_dims = []
     builds = []
-    embeds = []
     eigh = np.linalg.eigh
     build = device_module.build_matrix
-    embed = fockspace._embed
 
     def counted_eigh(a, *args, **kwargs):
         eigh_dims.append(a.shape[0])
@@ -283,19 +275,12 @@ def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
         builds.append(args)
         return build(*args, **kwargs)
 
-    def counted_embed(op, cutoff, mode):
-        # a single-mode factor is returned as it is; count joint-space embeddings
-        if cutoff.modes > 1:
-            embeds.append(mode)
-        return embed(op, cutoff, mode)
-
     cut = FockCutoff(n_max=8, modes=2)
     # the per-cutoff generator bases are shared and cached; build them first
     fockspace.displace_vector(0.1, np.eye(9)[0])
     fockspace.squeeze_vector(0.1, np.eye(9)[0])
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(device_module, "build_matrix", counted_build)
-    monkeypatch.setattr(fockspace, "_embed", counted_embed)
     spec = random_spec(2, 2, seed=3, sparsity=0.8)
     dev = SimulatedDevice(spec, cut, master_seed=1, true_frame_z=(0.1, -0.05j))
     frame_z = (0.05, 0j)
@@ -304,14 +289,14 @@ def test_ideal_requests_never_decompose_the_hidden_matrix(monkeypatch):
         dev.probability(ShotRequest(kappa=kappa, t0=0.3, beta=(0.3, 0.2j), basis=basis, frame_z=frame_z))
     dev.run_shot_grid([(0.3, 0.2j), (0.6, 0.2j)], frame_z, 0.3, schedule, 30, ["a", "b"])
     dev.run_shot_grid([(0.1, 0.2), (0j, 0.4j)], None, 0.3, schedule[:2], 30, ["a", "b"])
-    assert eigh_dims == [] and builds == [] and embeds == []
+    assert eigh_dims == [] and builds == []
     # the first finite-L request decomposes H once; later ones reuse it, and
     # the true frame reaches them through the per-mode factors
     for l_steps in (2, 5):
         dev.probability(ShotRequest(kappa=1, t0=0.3, beta=(0.3, 0.2j), basis="X", l_steps=l_steps, frame_z=frame_z))
         finite = [(k, b, l_steps) for k, b, _ in schedule]
         dev.run_shot_grid([(0.3, 0.2j), (0.6, 0.2j)], frame_z, 0.3, finite, 30, ["a", "b"])
-    assert eigh_dims == [cut.dim] and len(builds) == 1 and embeds == []
+    assert eigh_dims == [cut.dim] and len(builds) == 1
 
 
 def test_matching_request_frame_recovers_frame_coefficients():
@@ -357,20 +342,6 @@ def test_one_generator_eigendecomposition_per_cutoff(monkeypatch):
                     )
     assert len(probabilities) > 100
     assert len(calls) <= 3
-
-
-def test_noise_change_reaches_cached_state():
-    spec = random_spec(1, 2, seed=6, include_couplings=False)
-    dev = SimulatedDevice(spec, CUT)
-    req = request(0.6 - 0.2j, kappa=3)
-    clean = dev.probability(req)
-    noise = NoiseModel(delta_beta=(0.1j,))
-    dev.set_noise(noise)
-    noisy = dev.probability(req)
-    assert noisy == SimulatedDevice(spec, CUT, noise=noise).probability(req)
-    assert noisy != clean
-    dev.set_noise(NoiseModel())
-    assert dev.probability(req) == clean
 
 
 def test_caches_never_exceed_the_limit(monkeypatch):

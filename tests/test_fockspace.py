@@ -12,23 +12,29 @@ from bosonlearn.fockspace import (
     FockCutoff,
     TermColumns,
     adaptive_cutoff,
-    annihilation_matrix,
-    creation_matrix,
     displace_vector,
     displaced_vacuum_energy,
-    displacement_matrix,
     herm_eig,
     moment_table,
-    number_matrix,
     product_state_energy,
-    squeeze_matrix,
     squeeze_vector,
-    vacuum_state,
 )
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
-from bosonlearn.oracles import herm_expm, rotation_matrix, rotation_phases
+from bosonlearn.oracles import (
+    annihilation_matrix,
+    creation_matrix,
+    displacement_matrix,
+    embed,
+    herm_expm,
+    number_matrix,
+    rotation_matrix,
+    rotation_phases,
+    squeeze_matrix,
+    vacuum_state,
+)
 
 CUT = FockCutoff(n_max=20)
+EYE = np.eye(CUT.dim_per_mode, dtype=complex)
 
 
 def low_block(m: np.ndarray, k: int = 10) -> np.ndarray:
@@ -42,8 +48,9 @@ def test_cutoff_validation():
         FockCutoff(n_max=4, modes=0)
     assert FockCutoff(n_max=4, modes=2).dim == 25
     assert FockCutoff(n_max=4, modes=2).dim_per_mode == 5
-    with pytest.raises(IndexError):
-        FockCutoff(n_max=4, modes=2).check_mode(2)
+    for mode in (2, -1):
+        with pytest.raises(IndexError, match=f"mode {mode} out of range for 2 modes"):
+            embed(np.eye(5), FockCutoff(n_max=4, modes=2), mode)
 
 
 def test_ladder_matrix_elements():
@@ -74,7 +81,7 @@ def test_vacuum_state():
 
 def test_displacement_produces_coherent_state():
     beta = 0.7 - 0.4j
-    psi = displacement_matrix(beta, CUT) @ vacuum_state(CUT)
+    psi = displace_vector(beta, vacuum_state(CUT))
     for n in range(8):
         expected = math.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n))
         assert psi[n] == pytest.approx(expected, abs=1e-10)
@@ -82,9 +89,9 @@ def test_displacement_produces_coherent_state():
 
 def test_displacement_group_law():
     a, b = 0.3 + 0.2j, -0.4 + 0.5j
-    lhs = displacement_matrix(a, CUT) @ displacement_matrix(b, CUT)
+    lhs = displace_vector(a, displace_vector(b, EYE))
     phase = np.exp(0.5 * (a * np.conj(b) - np.conj(a) * b))
-    rhs = phase * displacement_matrix(a + b, CUT)
+    rhs = phase * displace_vector(a + b, EYE)
     assert np.max(np.abs(low_block(lhs - rhs))) < 1e-9
 
 
@@ -95,8 +102,8 @@ def test_displacement_group_law():
 )
 def test_displacement_inverse_property(re, im):
     beta = complex(re, im)
-    u = displacement_matrix(beta, CUT)
-    uinv = displacement_matrix(-beta, CUT)
+    u = displace_vector(beta, EYE)
+    uinv = displace_vector(-beta, EYE)
     assert np.max(np.abs(u @ uinv - np.eye(CUT.dim))) < 1e-9
 
 
@@ -117,7 +124,7 @@ def test_rotation_phases_match_matrix_diagonal():
 def test_squeeze_bogoliubov_action():
     r = 0.4
     cut = FockCutoff(n_max=60)
-    s = squeeze_matrix(r, cut)
+    s = squeeze_vector(r, np.eye(cut.dim_per_mode, dtype=complex))
     b = annihilation_matrix(cut)
     lhs = s.conj().T @ b @ s
     rhs = math.cosh(r) * b - math.sinh(r) * b.conj().T
@@ -127,7 +134,7 @@ def test_squeeze_bogoliubov_action():
 def test_squeeze_vacuum_overlap():
     r = 0.6
     cut = FockCutoff(n_max=40)
-    v = squeeze_matrix(r, cut) @ vacuum_state(cut)
+    v = squeeze_vector(r, vacuum_state(cut))
     assert abs(v[0]) == pytest.approx(1.0 / math.sqrt(math.cosh(r)), abs=1e-10)
 
 
@@ -154,34 +161,31 @@ def test_herm_expm_against_analytic_two_level():
 
 
 def test_unitaries_are_exactly_unitary():
-    for u in (displacement_matrix(1.2 - 0.7j, CUT), squeeze_matrix(0.5 + 0.2j, CUT)):
+    for u in (displace_vector(1.2 - 0.7j, EYE), squeeze_vector(0.5 + 0.2j, EYE)):
         assert np.max(np.abs(u.conj().T @ u - np.eye(CUT.dim))) < 1e-9
 
 
 def _generator_oracle(g: np.ndarray, cut: FockCutoff, mode: int) -> np.ndarray:
     """exp(g) of the full single-mode generator g, embedded, by one dense eigh."""
-    d = cut.dim_per_mode
-    factors = [g if m == mode else np.eye(d) for m in range(cut.modes)]
-    joint = factors[0]
-    for f in factors[1:]:
-        joint = np.kron(joint, f)
-    return herm_expm(1j * joint, 1.0)
+    return herm_expm(1j * embed(g, cut, mode), 1.0)
 
 
 @pytest.mark.parametrize("n_max, modes, mode", [(8, 1, 0), (24, 1, 0), (48, 1, 0), (8, 2, 0), (8, 2, 1)])
 def test_rotated_generator_basis_matches_direct_exponential(n_max, modes, mode):
-    # oracle: the exponential of the full complex-parameter generator
+    # oracle: the exponential of the full complex-parameter generator on the
+    # joint space; the runtime's single-mode unitary is embedded to meet it
     cut = FockCutoff(n_max=n_max, modes=modes)
     b = annihilation_matrix(FockCutoff(n_max=n_max))
     bdag = b.conj().T
     eye = np.eye(cut.dim)
+    single = np.eye(n_max + 1, dtype=complex)
     for beta in (0.7 - 0.4j, -1.1 + 0j, 0.9j, -0.5 - 1.3j, 1.5):
-        u = displacement_matrix(beta, cut, mode)
+        u = embed(displace_vector(beta, single), cut, mode)
         expected = _generator_oracle(beta * bdag - np.conj(beta) * b, cut, mode)
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - eye)) < UNITARITY_TOL
     for z in (0.4 + 0j, -0.6 + 0j, 0.5j, -0.3j, -0.3 + 0.2j, 0.2 - 0.45j):
-        u = squeeze_matrix(z, cut, mode)
+        u = embed(squeeze_vector(z, single), cut, mode)
         expected = _generator_oracle(0.5 * (np.conj(z) * (b @ b) - z * (bdag @ bdag)), cut, mode)
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - eye)) < UNITARITY_TOL
@@ -221,6 +225,8 @@ def test_displaced_vacuum_energy_matches_dense(modes, d, n_max):
 
 @pytest.mark.parametrize("n_max", [6, 24, 48])
 def test_vector_unitaries_match_the_matrices(n_max):
+    # oracle: D and S each as one exponential of the full complex generator,
+    # independent of the runtime's cached rotated basis
     cut = FockCutoff(n_max=n_max)
     v = np.random.default_rng(n_max).normal(size=n_max + 1) + 0j
     v /= np.linalg.norm(v)

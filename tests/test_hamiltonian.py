@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonlearn.fockspace import FockCutoff, creation_matrix, displacement_matrix, vacuum_state
+from bosonlearn.fockspace import FockCutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
     HermiticityError,
@@ -18,7 +18,13 @@ from bosonlearn.hamiltonian import (
     spec_to_dict,
     validate_hermitian,
 )
-from bosonlearn.oracles import effective_diagonal, phase_averaged_matrix
+from bosonlearn.oracles import (
+    creation_matrix,
+    displacement_matrix,
+    effective_diagonal,
+    phase_averaged_matrix,
+    vacuum_state,
+)
 
 
 def test_term_key_validation():

@@ -480,14 +480,15 @@ def test_hierarchical_offset_counts_each_shared_error_once():
 
 
 def test_displacement_biased_learn_keeps_the_device_noise():
+    # delta adds to the device's own displacement bias
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.8})
-    dev = SimulatedDevice(
-        spec, FockCutoff(n_max=16), noise=NoiseModel(state_prep_infidelity=0.2)
-    )
+    cut = FockCutoff(n_max=16)
     cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
-    probe = ShotRequest(kappa=1, t0=cfg.t0, beta=(0.3,), basis="X")
-    before = dev.probability(probe)
     delta = np.full(len(single_mode_pipeline(2).points), 1e-3)
-    for bias in (None, delta):
-        learn_displacement_biased(dev, 2, cfg, bias)
-        assert dev.probability(probe) == before
+    own_bias = NoiseModel(delta_beta=(2e-3j,), state_prep_infidelity=0.2)
+    biased = learn_displacement_biased(SimulatedDevice(spec, cut, noise=own_bias), 2, cfg, delta)
+    clean = SimulatedDevice(spec, cut, noise=NoiseModel(state_prep_infidelity=0.2))
+    assert biased == pytest.approx(learn_displacement_biased(clean, 2, cfg, delta + 2e-3j), abs=1e-12)
+    assert biased != pytest.approx(learn_displacement_biased(clean, 2, cfg, delta), abs=1e-6)
+    with pytest.raises(ValueError):
+        learn_displacement_biased(clean, 2, cfg, delta[:-1])
