@@ -46,13 +46,16 @@ A device that serves only ideal requests never decomposes H.  A probability
 that rounding pushes out of [0, 1] is clipped and counted
 (clipped_probabilities).
 
-Requests.  The device has two entries: probability(request), the exact
-channel, one ShotRequest at a time, and run_shot_grid, the shot channel,
-which serves a whole RPE grid as arrays: one prepared state per run and one
-schedule row (kappa, basis, l_steps) per request of a run.  run_shot_grid
-computes the (runs x rows) probabilities in one numpy pass with the
-arithmetic of probability(), draws one binomial per request, and charges
-the ledger run-major with a sequential running sum.  Request (i, j) draws
+Requests.  Each channel serves a whole RPE grid in one call, as arrays: one
+prepared state per run and one schedule row (kappa, basis, l_steps) per
+request of a run.  probability_grid, the exact channel, first computes the
+energies of the grid's new states in one product_state_energy pass, then
+asks probability(request), the channel's unit of work and its only
+arithmetic, once per request; each of those reads its state's energy from
+the cache.  run_shot_grid, the shot channel, computes the (runs x rows)
+probabilities in one numpy pass with the arithmetic of probability(), draws
+one binomial per request, and charges the ledger run-major with a
+sequential running sum.  Request (i, j) draws
 from its own Philox stream, keyed by
     SeedSequence(entropy=(master_seed, int(sha256(token)[:16]))
                  ).generate_state(2, np.uint64)
@@ -221,7 +224,7 @@ class NoiseModel:
         return tuple(shifted)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ShotRequest:
     """One interference experiment: kappa repetitions of the L-step sequence.
 
@@ -461,7 +464,9 @@ class SimulatedDevice:
         """
         key = self._state_key(request.beta, request.frame_z)
         if request.l_steps is None:
-            energy = self._state_energies([key])[0]
+            energy = self._energies.get(key)
+            if energy is None:
+                energy = self._state_energies([key])[0]
             amp = cmath.exp(-1j * request.evolution_time * energy)
         else:
             amp = self._finite_amplitude(key, request.evolution_time, request.l_steps)
@@ -470,6 +475,37 @@ class SimulatedDevice:
             self._count_clipped(1)
         infidelity = self._noise.state_prep_infidelity
         return (1.0 - infidelity) * min(max(p, 0.0), 1.0) + 0.5 * infidelity
+
+    def probability_grid(
+        self,
+        betas: Sequence[tuple[complex, ...]],
+        frame_z: tuple[complex, ...] | None,
+        t0: float,
+        schedule: Sequence[tuple[int, str, int | None]],
+    ) -> np.ndarray:
+        """Exact outcome-0 probability of every request of an RPE grid, shape
+        (len(betas), len(schedule)); the exact twin of run_shot_grid.
+
+        Run i prepares (betas[i], frame_z) and executes each schedule row
+        (kappa, basis, l_steps) at t0.  Entry (i, j) is probability() of that
+        ShotRequest, asked once per request.  When the schedule has ideal
+        rows, the runs go in blocks of at most _CACHE_LIMIT states: the
+        energies of a block's new states come from one pass, so storing them
+        never evicts one that the block's requests have still to read.
+        """
+        ideal = any(l_steps is None for _, _, l_steps in schedule)
+        out = np.empty((len(betas), len(schedule)))
+        for start in range(0, len(betas), self._CACHE_LIMIT):
+            block = betas[start : start + self._CACHE_LIMIT]
+            if ideal:
+                keys = (self._state_key(beta, frame_z) for beta in block)
+                self._state_energies([k for k in dict.fromkeys(keys) if k not in self._energies])
+            for i, beta in enumerate(block, start):
+                out[i] = [
+                    self.probability(ShotRequest(kappa, t0, beta, basis, l_steps, frame_z))
+                    for kappa, basis, l_steps in schedule
+                ]
+        return out
 
     def _probabilities(self, keys, times, l_steps, is_x) -> np.ndarray:
         """Outcome-0 probability of every request of a grid in one numpy pass,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import ShotRequest, SimulatedDevice
+from .device import SimulatedDevice
 from .hamiltonian import TermKey, admissible_keys, single_key
 from .recovery import MultidimFit, single_mode_pipeline, staged_fit
 
@@ -138,12 +138,12 @@ def rpe_estimates(
     """Estimate the constant term at each beta, one RPE run per beta and token.
 
     A run's schedule (kappa = 2^j, an X and a Y request per round) is fixed
-    before any bit is seen, so on the shot channel the whole grid of runs
-    goes to the device in one run_shot_grid call.  The exact channel is asked
-    once per request, through device.probability.  Both channels unwrap the
-    whole grid together.  Each run's time_cost is the ledger's growth over
-    its own requests, which the device charges in run-major order with a
-    sequential running sum, repeated here.
+    before any bit is seen, so the whole grid of runs goes to the device in
+    one call: run_shot_grid on the shot channel, probability_grid on the
+    exact channel, which asks device.probability once per request.  Both
+    channels unwrap the whole grid together.  Each run's time_cost is the
+    ledger's growth over its own requests, which the device charges in
+    run-major order with a sequential running sum, repeated here.
     """
     betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
     tokens = list(tokens)
@@ -151,15 +151,7 @@ def rpe_estimates(
         raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
     schedule = _schedule(cfg)
     if cfg.shots is None:
-        p0 = np.array(
-            [
-                [
-                    device.probability(ShotRequest(kappa, cfg.t0, beta, basis, l_steps, frame_z))
-                    for kappa, basis, l_steps in schedule
-                ]
-                for beta in betas
-            ]
-        ).reshape(len(betas), len(schedule))
+        p0 = device.probability_grid(betas, frame_z, cfg.t0, schedule)
         costs = [0.0] * len(betas)
     else:
         start = device.ledger().total_evolution_time
@@ -277,6 +269,7 @@ def learn_single_mode(
             "inconsistent_rounds": inconsistent,
             "inconsistent_runs": _inconsistent_runs(tokens, runs),
             "sigma_min": pipe.sigma_min,
+            "max_residual": pipe.max_residual(c_values),
         },
     )
 
@@ -335,7 +328,9 @@ def _learn_stages(
     stages lists (tag, points, keys); point i of a stage carries the token
     f"{token}:{tag}:g{i}".  Each stage's fit subtracts every earlier one at
     its own points, and each coefficient's stderr counts every measured
-    value, the shared offset included, once.
+    value, the shared offset included, once.  diagnostics["max_residual"]
+    maps each stage's tag to its fit's largest residual, which flags a
+    wrapped first RPE round without the truth.
     """
     start = device.ledger().total_evolution_time
     offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else None
@@ -361,7 +356,11 @@ def _learn_stages(
         eps_c=cfg.predicted_eps_c,
         time_cost=device.ledger().total_evolution_time - start,
         identity_offset=0.0 if offset is None else offset,
-        diagnostics={"inconsistent_rounds": inconsistent, "inconsistent_runs": inconsistent_runs},
+        diagnostics={
+            "inconsistent_rounds": inconsistent,
+            "inconsistent_runs": inconsistent_runs,
+            "max_residual": {tag: fit.max_residual for (tag, _, _), fit in zip(stages, fits)},
+        },
     )
     return learned, fits
 

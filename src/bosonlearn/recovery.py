@@ -78,10 +78,25 @@ class SingleModePipeline:
     coeff_keys: tuple[tuple[int, int], ...]
     kplus: np.ndarray
     sigma_min: float
+    # (points x points): the measured C values to the fitted model's C at the
+    # same points, Re(M kplus) with M[i, k] = conj(beta_i)^p_k beta_i^q_k.
+    hat: np.ndarray
 
     def solve(self, c_values: np.ndarray) -> dict[tuple[int, int], complex]:
         g = self.kplus @ np.asarray(c_values, dtype=float)
         return dict(zip(self.coeff_keys, (complex(x) for x in g)))
+
+    def max_residual(self, c_values: np.ndarray) -> float:
+        """max |C - model| over the grid, the model being C(beta) =
+        sum g_pq conj(beta)^p beta^q with the coefficients solve() returns.
+
+        About 0 on exact data; a wrapped RPE value is off by a multiple of
+        2 pi/t0, which no degree-d model absorbs.  hat is an oblique
+        projection (spectral norm 57 at d = 3), so on shot data the residual
+        is shot noise amplified, not a multiple of eps_c.
+        """
+        c = np.asarray(c_values, dtype=float)
+        return float(np.max(np.abs(c - self.hat @ c)))
 
     def coefficient_variances(self, eps_c: float) -> dict[tuple[int, int], float]:
         """Total (real+imag) variance per coefficient under iid C-noise eps_c^2."""
@@ -136,7 +151,10 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
 
     stacked = np.vstack([kplus.real, kplus.imag])
     sigma_max_plus = float(np.linalg.svd(stacked, compute_uv=False)[0])
-    for array in (kplus, design.nodes, design.vandermonde, design.pinv):
+    beta = np.array([r * np.exp(1j * theta) for r, theta in points])[:, None]
+    p, q = np.array(coeff_keys).T
+    hat = ((np.conj(beta) ** p * beta**q) @ kplus).real
+    for array in (kplus, hat, design.nodes, design.vandermonde, design.pinv):
         array.setflags(write=False)
     return SingleModePipeline(
         degree=degree,
@@ -145,6 +163,7 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
         coeff_keys=tuple(coeff_keys),
         kplus=kplus,
         sigma_min=1.0 / sigma_max_plus,
+        hat=hat,
     )
 
 
@@ -283,6 +302,9 @@ class MultidimFit:
     estimates: dict
     sigma_min: float
     linear_map: np.ndarray
+    # max |y - design x| over the stage's points: about 0 on exact data, and
+    # about 2 pi/t0 where a first RPE round wrapped.
+    max_residual: float
 
     def coefficient_variances(self, eps_c: float) -> dict:
         """Total variance per complex coefficient (re + im parameters) under
@@ -298,7 +320,8 @@ def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
 
     Each stage fits its keys, from one SVD of its design, to its values minus
     the offset (the beta = 0 value, when given) and minus every earlier
-    stage's model at its own points.  Each fit keeps its parameters' linear
+    stage's model at its own points, and records the largest residual of
+    that fit.  Each fit keeps its parameters' linear
     map of every measured value: the offset run (a column only when offset is
     given), then each stage's points in order.  A value that enters several
     stages, the offset or an earlier fit, thus counts once in a variance.  A
@@ -310,7 +333,8 @@ def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
     fits: list[MultidimFit] = []
     for points, values, keys in stages:
         params = real_parameters(keys)
-        u, s, vt = np.linalg.svd(real_design_matrix(points, params), full_matrices=False)
+        design = real_design_matrix(points, params)
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
         # pinv's cutoff: below it a direction would be dropped silently.
         if not len(s) or s[-1] <= 1e-15 * s[0]:
             raise np.linalg.LinAlgError("fit design matrix is rank deficient")
@@ -326,7 +350,10 @@ def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
             y -= prior_design @ prior.x
             linear_map -= (pinv @ prior_design) @ prior.linear_map
         x = pinv @ y
-        fits.append(MultidimFit(params, x, params_to_coeffs(params, x), float(s[-1]), linear_map))
+        residual = float(np.max(np.abs(y - design @ x)))
+        fits.append(
+            MultidimFit(params, x, params_to_coeffs(params, x), float(s[-1]), linear_map, residual)
+        )
         first += len(points)
     return fits
 

@@ -176,6 +176,8 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     assert report["result"]["clipped_probabilities"] == 0
     assert report["result"]["diagnostics"]["inconsistent_rounds"] == 0
     assert report["result"]["diagnostics"]["inconsistent_runs"] == {}
+    residuals = report["result"]["diagnostics"]["max_residual"]
+    assert set(residuals) == {"s0", "s1", "j"} and max(residuals.values()) < 1e-8
 
 
 def test_learn_single_shot_report_names_inconsistent_runs(tmp_path, capsys):

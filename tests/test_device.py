@@ -580,3 +580,71 @@ def test_run_shot_grid_is_thread_safe():
         for count, want in zip(counts, expected)
     )
     assert dev.ledger().shot_count == 6 * 5 * len(FRAMES) * len(BETAS) * len(SCHEDULE) * 40
+
+
+# -- exact grid ----------------------------------------------------------------
+
+# ideal and finite-L rows in both bases
+EXACT_SCHEDULE = [(k, b, l) for k, l in ((1, None), (2, 3), (8, None)) for b in ("X", "Y")]
+
+
+@pytest.mark.parametrize(
+    "noise", [NoiseModel(), NoiseModel(delta_beta=(0.03 - 0.02j,), state_prep_infidelity=0.1)]
+)
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_probability_grid_equals_per_request_probability(modes, noise):
+    cut = FockCutoff(n_max={1: 20, 2: 8, 3: 5}[modes], modes=modes)
+    spec = random_spec(modes, 2, seed=6, sparsity=0.8)
+    true_z = tuple(0.1j * (m + 1) for m in range(modes))
+    # a repeated state, and the beta = 0 state
+    betas = [tuple(complex(0.2 * (i + m), 0.1 * i - 0.3 * m) for m in range(modes)) for i in range(4)]
+    betas += [betas[1], (0j,) * modes]
+    for frame_z in (None, tuple(0.05 - 0.1j * m for m in range(modes))):
+        grid = SimulatedDevice(spec, cut, true_frame_z=true_z, noise=noise)
+        loop = SimulatedDevice(spec, cut, true_frame_z=true_z, noise=noise)
+        expected = [
+            [loop.probability(ShotRequest(k, T0, beta, b, l, frame_z)) for k, b, l in EXACT_SCHEDULE]
+            for beta in betas
+        ]
+        assert grid.probability_grid(betas, frame_z, T0, EXACT_SCHEDULE).tolist() == expected
+        assert grid.ledger() == TimeLedger()
+    assert grid.probability_grid([], None, T0, EXACT_SCHEDULE).shape == (0, len(EXACT_SCHEDULE))
+    with pytest.raises(ValueError):
+        grid.probability_grid([(0.1,) * (modes + 1)], None, T0, EXACT_SCHEDULE)
+
+
+def _count_energy_passes(monkeypatch) -> list[int]:
+    """The number of states of each product_state_energy pass."""
+    passes = []
+    original = device_module.product_state_energy
+
+    def counted(terms, tables):
+        passes.append(len(tables[0]))
+        return original(terms, tables)
+
+    monkeypatch.setattr(device_module, "product_state_energy", counted)
+    return passes
+
+
+def test_probability_grid_computes_new_energies_in_one_pass(monkeypatch):
+    passes = _count_energy_passes(monkeypatch)
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT)
+    first = dev.probability_grid(BETAS, FRAMES[1], T0, SCHEDULE)
+    assert passes == [len(set(BETAS))]
+    assert np.array_equal(dev.probability_grid(BETAS, FRAMES[1], T0, SCHEDULE), first)
+    assert passes == [len(set(BETAS))]
+    # a finite-L schedule reads no energy
+    dev.probability_grid([(0.9j, 0.1 + 0j)], None, T0, [(2, "X", 4)])
+    assert passes == [len(set(BETAS))]
+
+
+def test_probability_grid_blocks_never_evict_an_unread_energy(monkeypatch):
+    betas = [(0.05 * i + 0.1j, -0.02 * i + 0j) for i in range(30)]
+    expected = SimulatedDevice(BATCH_SPEC, BATCH_CUT).probability_grid(betas, None, T0, SCHEDULE)
+    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 8)
+    passes = _count_energy_passes(monkeypatch)
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT)
+    assert np.array_equal(dev.probability_grid(betas, None, T0, SCHEDULE), expected)
+    # each state's energy is computed once, in passes of at most 8 states
+    assert sum(passes) == len(betas) and max(passes) <= 8
+    assert len(dev._energies) <= 8

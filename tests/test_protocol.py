@@ -137,6 +137,7 @@ def test_learn_single_mode_noiseless_exact():
     learned = learn_single_mode(dev, 3, cfg)
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-8
+    assert learned.diagnostics["max_residual"] < 1e-8
 
 
 def test_learn_single_mode_offset_subtraction():
@@ -183,6 +184,8 @@ def test_multimode_hierarchical_noiseless_exact():
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-7
     assert learned.diagnostics["strategy"] == "hierarchical"
+    residuals = learned.diagnostics["max_residual"]
+    assert set(residuals) == {"s0", "s1", "j"} and max(residuals.values()) < 1e-8
 
 
 def test_multimode_simultaneous_noiseless_exact():
@@ -193,6 +196,18 @@ def test_multimode_simultaneous_noiseless_exact():
     learned = learn_multimode_simultaneous(dev, 2, 2, cfg)
     for key, truth in spec.terms.items():
         assert abs(learned.estimates[key] - truth) < 1e-7
+    assert learned.diagnostics["max_residual"]["j"] < 1e-8
+
+
+def test_fit_residual_flags_a_wrapped_first_round():
+    # a one-mode prior on the full 3-mode joint grid: |C| t0 passes pi at some
+    # points, their first RPE round wraps, and the values there are off by
+    # about 2 pi/t0, which no model of the grid absorbs
+    spec = random_spec(3, 2, seed=0)
+    cfg = derive_config(2, k_max=4, shots=None, l_steps=None, modes=1)
+    dev = SimulatedDevice(spec, FockCutoff(n_max=8, modes=3))
+    learned = learn_multimode_simultaneous(dev, 3, 2, cfg)
+    assert learned.diagnostics["max_residual"]["j"] > 1.0
 
 
 def test_hierarchical_singles_unaffected_by_couplings():
@@ -355,9 +370,11 @@ def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
     cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
     dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
     exact = _count_calls(monkeypatch, "probability")
+    exact_grids = _count_calls(monkeypatch, "probability_grid")
     grids = _count_calls(monkeypatch, "run_shot_grid")
     ests = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
     assert len(exact) == 2 * 2 * (cfg.k_max + 1) and grids == []
+    assert len(exact_grids) == 1
     assert all(est.time_cost == 0.0 for est in ests)
     with pytest.raises(ValueError):
         rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a"])

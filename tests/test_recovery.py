@@ -113,6 +113,11 @@ def test_pipeline_exact_recovery():
         out = pipe.solve(c)
         for key, val in coeffs.items():
             assert abs(out[key] - val) < 1e-9
+        assert pipe.max_residual(c) < 1e-9
+        # one value off by a full RPE period, 2 pi/t0 at t0 = 0.6
+        wrapped = c.copy()
+        wrapped[len(c) // 2] += 2 * np.pi / 0.6
+        assert pipe.max_residual(wrapped) > 1.0
 
 
 def test_pipeline_is_built_once_and_read_only():
@@ -120,7 +125,7 @@ def test_pipeline_is_built_once_and_read_only():
     assert single_mode_pipeline(3) is pipe
     assert single_mode_pipeline(3, r_min=0.2, r_max=1) is pipe
     assert single_mode_pipeline(3, 0.3) is not pipe
-    for array in (pipe.kplus, pipe.design.nodes, pipe.design.pinv):
+    for array in (pipe.kplus, pipe.hat, pipe.design.nodes, pipe.design.pinv):
         assert array.flags.writeable is False
     with pytest.raises(ValueError):
         pipe.kplus[0, 0] = 0.0
