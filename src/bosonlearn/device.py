@@ -61,11 +61,27 @@ from its own Philox stream, keyed by
                  ).generate_state(2, np.uint64)
 with token = f"{tokens[i]}:k{kappa_j}:{basis_j}", so a draw depends only on
 the device seed and the request's token, never on what else is in the grid.
-The keys of a whole grid come from one vectorised pass over uint32 words
-that repeats numpy's SeedSequence hash (hashmix, mix, generate_state) bit
-for bit (_philox_keys); one device-held Philox generator is then reset to
-each key with counter 0 and an empty buffer, which is the state a fresh
-Philox(SeedSequence(...)) starts in.
+The sha256 entropy of a grid's tokens depends only on its run tokens and
+schedule suffixes, which repeat on every fresh device, so it is kept in a
+process-wide lru_cache of at most _ENTROPY_CACHE_SIZE grids, as read-only
+arrays (_grid_entropy).  The keys of a whole grid then come from one
+vectorised pass over uint32 words that repeats numpy's SeedSequence hash
+(hashmix, mix, generate_state) bit for bit (_entropy_keys), once per grid.
+A request whose q = 1 - p has shots * min(q, 1 - q) <= 30 is one numpy's
+binomial serves by inversion.  Those requests are drawn together: one numpy
+pass computes the first Philox4x64-10 block of each key (a fresh stream's
+counter steps from 0 to 1 first), and numpy's inversion walk runs over all
+of them at once from that block's first uniform, in numpy's operation order
+and with its flip at q > 0.5 (_inversion_binomials).  q^n = exp(n log q)
+comes from math.exp and math.log per request: those are the libm calls of
+numpy's C code, while numpy's SIMD np.exp and np.log may round differently.
+The other requests, those numpy sends to BTPE and the rare inversion that
+runs past its bound and restarts on a second uniform, reset one
+device-held Philox generator to their key, with counter 0 and an empty
+buffer (the state a fresh Philox(SeedSequence(...)) starts in), and make
+numpy's scalar rng.binomial call.  So every count equals the stream
+oracle's.  shots must be an integer: numpy's binomial would truncate a
+fraction that the ledger still charges.
 
 Oracles.  bosonlearn.oracles builds the same streams the slow way, through
 numpy's own SeedSequence (shot_stream), computes probabilities on the dense
@@ -79,6 +95,7 @@ from __future__ import annotations
 import cmath
 import functools
 import hashlib
+import math
 import operator
 import threading
 from collections.abc import Sequence
@@ -183,15 +200,118 @@ def _entropy_keys(master_seed: int, entropy: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _philox_keys(master_seed: int, tokens: Sequence[str]) -> np.ndarray:
-    """Philox keys of the shot streams of `tokens`, shape (len(tokens), 2).
-
-    Token t's entropy is the first 16 bytes of sha256(t) read as a big-endian
-    integer, as in oracles.shot_stream.
-    """
+def _token_entropy(tokens: Sequence[str]) -> np.ndarray:
+    """(len(tokens), 4) uint32 little-endian words of each token's entropy:
+    the first 16 bytes of sha256(t) read as a big-endian integer, as in
+    oracles.shot_stream."""
     digests = b"".join(hashlib.sha256(t.encode()).digest()[:16] for t in tokens)
-    entropy = np.frombuffer(digests, dtype=">u4").reshape(-1, 4)[:, ::-1].astype(np.uint32)
-    return _entropy_keys(master_seed, entropy)
+    return np.frombuffer(digests, dtype=">u4").reshape(-1, 4)[:, ::-1].astype(np.uint32)
+
+
+# Grids repeat their tokens on every fresh device, so a grid's entropy is
+# kept for this many grids, whatever the device and its seed.
+_ENTROPY_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_ENTROPY_CACHE_SIZE)
+def _grid_entropy(run_tokens: tuple[str, ...], suffixes: tuple[str, ...]) -> np.ndarray:
+    """Read-only _token_entropy of the grid's request tokens, run-major:
+    run_tokens[i] + suffixes[j] is row i * len(suffixes) + j."""
+    entropy = _token_entropy([token + suffix for token in run_tokens for suffix in suffixes])
+    entropy.flags.writeable = False
+    return entropy
+
+
+def _philox_keys(master_seed: int, tokens: Sequence[str]) -> np.ndarray:
+    """Philox keys of the shot streams of `tokens`, shape (len(tokens), 2)."""
+    return _entropy_keys(master_seed, _token_entropy(tokens))
+
+
+# Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h):
+# the multipliers of counter words 0 and 2, and the key's Weyl increments.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+
+
+def _philox_first_block(keys: np.ndarray) -> np.ndarray:
+    """The Philox4x64-10 block at counter (1, 0, 0, 0) under each key, shape
+    (len(keys), 4): the first four outputs of a fresh numpy Philox stream,
+    whose counter steps from 0 to 1 before its first block.
+
+    Counter words (0, 2) and (1, 3) are each one (2, n) array.  A round
+    multiplies words 0 and 2 by their constants into 128-bit products, whose
+    high words are assembled from 32-bit halves (numpy has no 128-bit type),
+    and sets the counter to (hi_2 ^ c1 ^ k0, lo_2, hi_0 ^ c3 ^ k1, lo_0).
+    """
+    even = np.zeros((2, len(keys)), dtype=np.uint64)
+    even[0] = 1
+    odd = np.zeros_like(even)
+    key = keys.T.astype(np.uint64)
+    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        c_lo, c_hi = even & _LO32, even >> _SHIFT32
+        lo_hi = m_lo * c_hi
+        cross = ((m_lo * c_lo) >> _SHIFT32) + (lo_hi & _LO32) + m_hi * c_lo
+        hi = m_hi * c_hi + (cross >> _SHIFT32) + (lo_hi >> _SHIFT32)
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+
+
+def _first_uniforms(keys: np.ndarray) -> np.ndarray:
+    """The first next_double of a fresh numpy Philox stream under each key:
+    the top 53 bits of its first output, times 2**-53."""
+    return (_philox_first_block(keys)[:, 0] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _inversion_regime(n: int, p: np.ndarray) -> np.ndarray:
+    """Where numpy's binomial(n, p) uses inversion, n * min(p, 1 - p) <= 30;
+    the other rows go to its BTPE algorithm."""
+    return np.where(p > 0.5, 1.0 - p, p) * n <= 30.0
+
+
+def _inversion_binomials(n: int, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's random_binomial(n, p[i]) by inversion, for rows in its
+    inversion regime, when the first uniform it reads is u[i].
+
+    Returns (counts, restarted).  A restarted row's inversion ran past its
+    bound (X > bound) and would read a second uniform; its count is left at
+    0 and must be drawn by numpy itself.  Every other count equals numpy's:
+    the same flip at p > 0.5, numpy's operation order, and
+    qn = exp(n log q) from math.exp and math.log, the libm calls of numpy's
+    C code (numpy's SIMD np.exp and np.log may round differently).
+    """
+    flip = p > 0.5
+    p = np.where(flip, 1.0 - p, p)
+    q = 1.0 - p
+    log_q = np.fromiter(map(math.log, q.tolist()), dtype=float, count=len(q))
+    px = np.fromiter(map(math.exp, (n * log_q).tolist()), dtype=float, count=len(q))
+    mean = n * p
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
+    first_restart = bound.min(initial=n) + 1
+    counts = np.zeros(len(p), dtype=np.int64)
+    restarted = np.zeros(len(p), dtype=bool)
+    # numpy's loop over every row at once: step x = 1, 2, ... while U > px,
+    # and count the steps each row takes.
+    walking = u > px
+    x = 0
+    while walking.any():
+        x += 1
+        if x >= first_restart:
+            over = walking & (x > bound)
+            restarted |= over
+            walking &= ~over
+        counts += walking
+        u = u - px
+        px = ((n - x + 1) * p * px) / (x * q)
+        walking &= u > px
+    counts[flip] = n - counts[flip]
+    counts[restarted] = 0
+    return counts, restarted
 
 
 @dataclass(frozen=True)
@@ -529,46 +649,59 @@ class SimulatedDevice:
     # -- shot execution -------------------------------------------------------
 
     def _draw(
-        self, probabilities: np.ndarray, times: np.ndarray, tokens: list[str], shots: int
+        self, probabilities: np.ndarray, times: np.ndarray, keys: np.ndarray, shots: int
     ) -> np.ndarray:
         """Count of outcome 1 over `shots` shots of each request of a grid,
-        shaped like probabilities (runs, rows): request (i, j) draws from the
-        stream of tokens[i * rows + j] and is charged shots * times[j].
+        shaped like probabilities (runs, rows): request (i, j) draws
+        binomial(shots, 1 - p) from the Philox stream under keys[i * rows + j]
+        and is charged shots * times[j].
 
         Bits are i.i.d. Bernoulli with the exact theta-marginal probability,
         so one binomial draw per request reproduces the literal per-shot
-        distribution.  The ledger adds the charges one at a time, run-major
-        (a cumulative sum is sequential), so its total is the one
+        distribution.  The keys come from the grid's cached token entropy
+        (_grid_entropy, at most _ENTROPY_CACHE_SIZE grids per process).  The
+        requests numpy serves by inversion, shots * min(q, 1 - q) <= 30 with
+        q = 1 - p, are drawn together from their first Philox block
+        (_inversion_binomials), with q^shots from math.exp and math.log per
+        request because numpy's C code calls libm and numpy's SIMD np.exp and
+        np.log may round differently.  Each other request (numpy's BTPE
+        regime, or an inversion that restarts on a second uniform) resets the
+        device's Philox generator to its key, with counter 0 and an empty
+        buffer, as a fresh Philox(SeedSequence(...)) starts, and makes numpy's
+        scalar rng.binomial call.  The ledger adds the charges one at a time,
+        run-major (a cumulative sum is sequential), so its total is the one
         request-by-request charging gives.
         """
-        keys = _philox_keys(self.master_seed, tokens)
-        # A fresh Philox(seed) has counter 0 and an empty buffer (buffer_pos
-        # at the buffer size, 4).
-        fresh = {"counter": (0, 0, 0, 0), "key": None}
-        reset = {
-            "bit_generator": "Philox",
-            "state": fresh,
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        ones = np.empty(len(tokens), dtype=np.int64)
-        with self._shot_lock:
-            if self._shot_rng is None:
-                self._shot_rng = np.random.Generator(np.random.Philox(0))
-            rng = self._shot_rng
-            philox = rng.bit_generator
-            for i, (q, key) in enumerate(zip((1.0 - probabilities).ravel().tolist(), keys.tolist())):
-                fresh["key"] = key
-                philox.state = reset
-                ones[i] = rng.binomial(shots, q)
-            with self._ledger_lock:
-                total = self._ledger.total_evolution_time
-                charges = np.tile(shots * times, len(probabilities))
-                running = np.cumsum(np.concatenate(([total], charges)))
-                self._ledger.total_evolution_time = float(running[-1])
-                self._ledger.shot_count += shots * len(tokens)
+        q = (1.0 - probabilities).ravel()
+        ones = np.zeros(len(q), dtype=np.int64)
+        rows = np.flatnonzero(_inversion_regime(shots, q))
+        ones[rows], restarted = _inversion_binomials(shots, q[rows], _first_uniforms(keys[rows]))
+        scalar = np.setdiff1d(np.arange(len(q)), rows[~restarted], assume_unique=True)
+        if len(scalar):
+            fresh = {"counter": (0, 0, 0, 0), "key": None}
+            reset = {
+                "bit_generator": "Philox",
+                "state": fresh,
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            with self._shot_lock:
+                if self._shot_rng is None:
+                    self._shot_rng = np.random.Generator(np.random.Philox(0))
+                rng = self._shot_rng
+                philox = rng.bit_generator
+                for i, q_i, key in zip(scalar.tolist(), q[scalar].tolist(), keys[scalar].tolist()):
+                    fresh["key"] = key
+                    philox.state = reset
+                    ones[i] = rng.binomial(shots, q_i)
+        with self._ledger_lock:
+            total = self._ledger.total_evolution_time
+            charges = np.tile(shots * times, len(probabilities))
+            running = np.cumsum(np.concatenate(([total], charges)))
+            self._ledger.total_evolution_time = float(running[-1])
+            self._ledger.shot_count += shots * len(ones)
         return ones.reshape(probabilities.shape)
 
     def run_shot_grid(
@@ -592,6 +725,7 @@ class SimulatedDevice:
         """
         if len(tokens) != len(betas):
             raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
+        shots = operator.index(shots)
         if shots < 0:
             raise ValueError("shots must be >= 0")
         rows = [
@@ -607,6 +741,6 @@ class SimulatedDevice:
             [row.l_steps for row in rows],
             np.array([row.basis == "X" for row in rows]),
         )
-        suffixes = [f":k{row.kappa}:{row.basis}" for row in rows]
-        request_tokens = [token + suffix for token in tokens for suffix in suffixes]
-        return self._draw(probabilities, times, request_tokens, shots)
+        suffixes = tuple(f":k{row.kappa}:{row.basis}" for row in rows)
+        keys = _entropy_keys(self.master_seed, _grid_entropy(tuple(tokens), suffixes))
+        return self._draw(probabilities, times, keys, shots)

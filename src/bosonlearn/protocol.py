@@ -8,6 +8,7 @@ exact-probability channel, with shots = None) and the time ledger.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -39,7 +40,9 @@ class RpeConfig:
             raise ValueError("k_max must be >= 0")
         if self.t0 <= 0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
-        if self.shots is not None and self.shots < 20:
+        # numpy's binomial would truncate a fractional count that the ledger
+        # and the estimates still use in full.
+        if self.shots is not None and operator.index(self.shots) < 20:
             raise ValueError("shots per basis must be >= 20")
         if self.c_bound * self.t0 >= math.pi:
             raise ValueError("c_bound * t0 must be < pi for first-round unambiguity")

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonlearn import device as device_module
@@ -15,8 +15,15 @@ from bosonlearn.device import (
     ShotRequest,
     SimulatedDevice,
     TimeLedger,
+    _ENTROPY_CACHE_SIZE,
     _entropy_keys,
+    _first_uniforms,
+    _grid_entropy,
+    _inversion_binomials,
+    _inversion_regime,
+    _philox_first_block,
     _philox_keys,
+    _token_entropy,
 )
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
@@ -475,6 +482,157 @@ def test_philox_keys_match_the_rng_oracle(master_seed, tokens):
         assert np.array_equal(stream.bit_generator.state["state"]["key"], key)
 
 
+@settings(max_examples=30, deadline=None)
+@given(keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), max_size=8))
+def test_philox_first_block_matches_numpy(keys):
+    keys = np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    block = _philox_first_block(keys)
+    assert block.shape == (len(keys), 4) and block.dtype == np.uint64
+    for key, words in zip(keys, block):
+        assert np.array_equal(np.random.Philox(key=key).random_raw(4), words)
+
+
+@st.composite
+def binomial_rows(draw):
+    """A shot count and probabilities mixing numpy's edge cases: 0, 1, the
+    p = 0.5 flip and its neighbours, and n * p = 30 on either side."""
+    n = draw(st.integers(0, 1000))
+    edges = [0.0, 1.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)]
+    if n:
+        edge = 30.0 / n
+        edges += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), 1.0 - edge]
+    edges = [e for e in edges if 0.0 <= e <= 1.0]
+    p = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    return n, draw(st.lists(p, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=binomial_rows(), master_seed=st.integers(0, 2**64))
+# n * min(p, 1 - p) = 30 exactly, and the p = 0.5 flip
+@example(case=(60, [0.5, math.nextafter(0.5, 1.0)]), master_seed=1)
+@example(case=(120, [0.25, 0.75]), master_seed=2)
+def test_inversion_binomials_match_numpy(case, master_seed):
+    n, p = case
+    p = np.array(p)
+    tokens = [f"r{i}" for i in range(len(p))]
+    rows = np.flatnonzero(_inversion_regime(n, p))
+    keys = _philox_keys(master_seed, tokens)[rows]
+    counts, restarted = _inversion_binomials(n, p[rows], _first_uniforms(keys))
+    for i, count, again in zip(rows, counts, restarted):
+        if not again:
+            assert count == shot_stream(master_seed, tokens[i]).binomial(n, p[i])
+    assert _inversion_regime(120, np.array([0.25, 0.75])).all()
+    assert not _inversion_regime(121, np.array([0.25, 0.75])).any()
+
+
+def _numpy_inversion(n, p, uniforms):
+    """numpy's random_binomial(n, p) in its inversion regime, transcribed
+    line for line from distributions.c, reading U from the iterator uniforms."""
+    flip = p > 0.5
+    p = 1.0 - p if flip else p
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
+    x, px, u = 0, qn, next(uniforms)
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, next(uniforms)
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return n - x if flip else x
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 200, 1000])
+def test_inversion_binomials_at_the_uniforms_that_end_each_step(n):
+    # U on and next to the running sums where the walk stops, where a change
+    # of operation order or of the bound would show.  The probabilities
+    # include some whose qn = exp(n log q) numpy's SIMD np.exp and np.log
+    # round differently from libm's, where this host has any.
+    rng = np.random.default_rng(n)
+    pool = rng.uniform(0.0, 1.0, 4000)
+    pool = pool[_inversion_regime(n, pool)]
+    q = 1.0 - np.where(pool > 0.5, 1.0 - pool, pool)
+    libm = np.array([math.exp(n * math.log(x)) for x in q.tolist()])
+    simd = pool[np.exp(n * np.log(q)) != libm]
+    p = np.concatenate([pool[:6], simd[:4], [0.5, 30.0 / n, 1.0 - 30.0 / n]])
+    p = p[_inversion_regime(n, p) & (p >= 0.0) & (p <= 1.0)]
+    cases = []
+    for p_i in p.tolist():
+        pp = min(p_i, 1.0 - p_i)
+        pmf = [math.exp(n * math.log(1.0 - pp))]
+        for x in range(1, n + 1):
+            pmf.append(((n - x + 1) * pp * pmf[-1]) / (x * (1.0 - pp)))
+        for total in np.cumsum(pmf)[: int(n * pp) + 15].tolist():
+            for u in (total, math.nextafter(total, 0.0), math.nextafter(total, 2.0)):
+                if 0.0 <= u < 1.0:
+                    cases.append((p_i, u))
+        cases.append((p_i, 1.0 - 2.0**-53))
+    p, u = np.array(cases).T
+    counts, restarted = _inversion_binomials(n, p, u)
+    for p_i, u_i, count, again in zip(p, u, counts, restarted):
+        try:
+            want = _numpy_inversion(n, p_i, iter([u_i]))
+        except StopIteration:  # the walk restarted and read a second uniform
+            assert again
+        else:
+            assert not again and count == want
+
+
+def test_a_restarted_inversion_is_left_to_numpy(monkeypatch):
+    # U = 1 - 2**-53 outlasts the whole distribution, so the walk passes its
+    # bound and numpy would read a second uniform
+    u = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0])
+    counts, restarted = _inversion_binomials(50, np.array([0.3, 0.8, 0.3]), u)
+    assert restarted.tolist() == [True, True, False] and counts.tolist() == [0, 0, 0]
+    # through the device, every restarted row goes to numpy's scalar call
+    # and still draws the oracle's count
+    class CountingGenerator:
+        def __init__(self):
+            self.rng = np.random.Generator(np.random.Philox(0))
+            self.bit_generator = self.rng.bit_generator
+            self.calls = 0
+
+        def binomial(self, n, p):
+            self.calls += 1
+            return self.rng.binomial(n, p)
+
+    monkeypatch.setattr(device_module, "_first_uniforms", lambda keys: np.full(len(keys), u[0]))
+    dev, oracle = (SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=9) for _ in range(2))
+    dev._shot_rng = CountingGenerator()
+    ones = _run_grid(dev, *_grid_args(None, 40)).ravel()
+    want = _oracle_grid(oracle, TimeLedger(), *_grid_args(None, 40)).ravel()
+    p = [oracle.probability(ShotRequest(k, T0, b, s, l)) for b in BETAS for k, s, l in SCHEDULE]
+    counts, restarted = _inversion_binomials(40, 1.0 - np.array(p), np.full(len(p), u[0]))
+    assert dev._shot_rng.calls == np.count_nonzero(restarted) > 0
+    assert np.array_equal(ones[restarted], want[restarted])
+    assert np.array_equal(ones[~restarted], counts[~restarted])
+
+
+def test_grid_entropy_cache_is_bounded_read_only_and_exact():
+    _grid_entropy.cache_clear()
+    runs, suffixes = ("a", "b:m1"), (":k1:X", ":k2:Y", ":k4:X")
+    miss = _grid_entropy(runs, suffixes)
+    hit = _grid_entropy(runs, suffixes)
+    assert hit is miss and _grid_entropy.cache_info().hits == 1
+    assert not miss.flags.writeable
+    with pytest.raises(ValueError):
+        miss[0, 0] = 1
+    tokens = [r + s for r in runs for s in suffixes]
+    assert np.array_equal(miss, _token_entropy(tokens))
+    assert np.array_equal(_entropy_keys(77, hit), _philox_keys(77, tokens))
+    for i in range(_ENTROPY_CACHE_SIZE + 10):
+        _grid_entropy((f"g{i}",), suffixes)
+        assert _grid_entropy.cache_info().currsize <= _ENTROPY_CACHE_SIZE
+    assert _grid_entropy.cache_info().currsize == _ENTROPY_CACHE_SIZE
+    # a device with a fresh cache draws the counts of a device with a warm one
+    warm = _run_grid(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=4), *_grid_args(None, 30))
+    _grid_entropy.cache_clear()
+    cold = _run_grid(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=4), *_grid_args(None, 30))
+    assert np.array_equal(warm, cold)
+
+
 def test_negative_master_seed_raises_as_numpy_does():
     with pytest.raises(ValueError):
         np.random.SeedSequence(entropy=(-1, 5))
@@ -527,15 +685,21 @@ def test_run_shot_grid_equals_per_request_oracle(noise, master_seed):
     def device():
         return SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
 
-    grid, oracle, ledger = device(), device(), TimeLedger()
-    for frame_z in FRAMES:
-        ones = _run_grid(grid, *_grid_args(frame_z, 57))
-        assert np.array_equal(ones, _oracle_grid(oracle, ledger, *_grid_args(frame_z, 57)))
-        assert grid.ledger() == ledger
-    # a run's draws come from its own token's streams, whatever else is in the grid
-    _, frame_z, schedule, shots, tokens = _grid_args(FRAMES[1], 57)
-    for beta, token, row in zip(BETAS, tokens, _run_grid(device(), *_grid_args(FRAMES[1], 57))):
-        assert np.array_equal(_run_grid(device(), [beta], frame_z, schedule, shots, [token])[0], row)
+    # 57 shots keep every request in numpy's inversion regime (57 * 0.5 <= 30);
+    # at 200 shots the grid mixes inversion and BTPE requests
+    for shots in (57, 200):
+        grid, oracle, ledger = device(), device(), TimeLedger()
+        for frame_z in FRAMES:
+            ones = _run_grid(grid, *_grid_args(frame_z, shots))
+            assert np.array_equal(ones, _oracle_grid(oracle, ledger, *_grid_args(frame_z, shots)))
+            assert grid.ledger() == ledger
+        # a run's draws come from its own token's streams, whatever else is in the grid
+        _, frame_z, schedule, _, tokens = args = _grid_args(FRAMES[1], shots)
+        for beta, token, row in zip(BETAS, tokens, _run_grid(device(), *args)):
+            alone = _run_grid(device(), [beta], frame_z, schedule, shots, [token])
+            assert np.array_equal(alone[0], row)
+    p = [grid.probability(ShotRequest(k, T0, b, s, l)) for b in BETAS for k, s, l in SCHEDULE]
+    assert 0 < np.count_nonzero(_inversion_regime(200, 1.0 - np.array(p))) < len(p)
 
 
 def test_run_shot_grid_with_zero_shots_draws_and_charges_nothing():
@@ -548,6 +712,19 @@ def test_run_shot_grid_with_zero_shots_draws_and_charges_nothing():
     assert _run_grid(dev, BETAS, None, [], 10, ["a"] * len(BETAS)).shape == (len(BETAS), 0)
     with pytest.raises(ValueError):
         _run_grid(dev, *_grid_args(None, -1))
+
+
+@pytest.mark.parametrize(
+    "shots", [20.9, 20.0, np.float64(20.0)], ids=["fraction", "float", "numpy-float"]
+)
+def test_run_shot_grid_rejects_non_integer_shots(shots):
+    # numpy's binomial would draw int(shots) shots and the ledger charge all of them
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=3)
+    with pytest.raises(TypeError):
+        _run_grid(dev, *_grid_args(None, shots))
+    assert dev.ledger() == TimeLedger()
+    counts = _run_grid(dev, *_grid_args(None, np.int64(20)))
+    assert dev.ledger().shot_count == 20 * counts.size
 
 
 def test_run_shot_grid_is_thread_safe():

@@ -65,6 +65,20 @@ def test_rpe_config_validation():
     RpeConfig(k_max=4, shots=None, t0=0.5, c_bound=1.0)
 
 
+@pytest.mark.parametrize(
+    "shots", [50.5, 50.0, np.float64(60.0)], ids=["fraction", "float", "numpy-float"]
+)
+def test_rpe_config_rejects_non_integer_shots(shots):
+    # numpy's binomial would draw int(shots) while the ledger and the
+    # estimates used the fractional count
+    with pytest.raises(TypeError):
+        RpeConfig(k_max=3, shots=shots, t0=0.5, c_bound=1.0)
+    cfg = RpeConfig(k_max=3, shots=np.int64(50), t0=0.5, c_bound=1.0)
+    device = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 1.0}), FockCutoff(n_max=12))
+    rpe_estimate(device, (0.3 + 0j,), cfg)
+    assert device.ledger().shot_count == 50 * 2 * 4
+
+
 @pytest.mark.parametrize("t0", [0.0, -0.5])
 def test_rpe_config_rejects_nonpositive_t0(t0):
     # c_bound * t0 < pi holds for any t0 <= 0, so only this check stops it
