@@ -167,16 +167,36 @@ class TransformT:
         return dict(zip(self.keys_sym, (complex(x) for x in out)))
 
 
+@functools.lru_cache(maxsize=8)
+def _exact_entries(d: int) -> tuple[tuple[int, int, sp.Expr, sp.Rational], ...]:
+    """The nonzero entries (row, col, expr, exponent) of build_T before its
+    quadrature rescaling: expr is the exact normal_to_symmetrized coefficient
+    of row (p, q) at column (j, k), and exponent = (j - k)/2.  Only the
+    rescaling depends on mass_omega, so the sympy algebra runs once per
+    degree; the entries are a tuple of immutable sympy objects, so no caller
+    can change what a later build_T reads."""
+    keys = _degree_keys(d)
+    col_index = {k: i for i, k in enumerate(keys)}
+    return tuple(
+        (i, col_index[(j, k)], expr, sp.Rational(j - k, 2))
+        for i, (p, q) in enumerate(keys)
+        for (j, k), expr in normal_to_symmetrized(p, q).items()
+    )
+
+
 def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     """Stack normal_to_symmetrized rows for 0 <= p+q <= d and apply the
-    quadrature rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S."""
+    quadrature rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S.
+
+    The exact rows come from a per-degree cache (_exact_entries); each entry
+    is still rescaled and evaluated in sympy, sp.N(expr * mw**e, 25), so the
+    matrix is the one a fresh sympy build gives, bit for bit.
+    """
     rows = cols = _degree_keys(d)
-    col_index = {k: i for i, k in enumerate(cols)}
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
     mw = sp.Float(mass_omega, 30)
-    for i, (p, q) in enumerate(rows):
-        for (j, k), expr in normal_to_symmetrized(p, q).items():
-            mat[i, col_index[(j, k)]] = complex(sp.N(expr * mw ** sp.Rational(j - k, 2), 25))
+    for i, col, expr, exponent in _exact_entries(d):
+        mat[i, col] = complex(sp.N(expr * mw**exponent, 25))
     sv = np.linalg.svd(mat, compute_uv=False)
     sigma_min = float(sv[-1])
     if sigma_min <= 1e-12:

@@ -15,17 +15,22 @@ with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
 Ideal path.  In the ideal limit (l_steps = None) a is the pure phase
 e^{-i t E} with E = <phi|H|phi>.  phi is a product state ⊗_m v_m, so E
 factorises over modes.  Each distinct per-mode factor v_m = S(z_m)†
-D(beta_m)|0> is built once per device, under (mode, executed beta_m, z_m),
-with mat-vecs on the cached generator basis (fockspace.displace_vector,
-squeeze_vector).  A true frame enters the state, not the Hamiltonian: the
-factor keeps u_m = S(z_true,m) v_m, the mode's state in the frame the spec is
-written in, and the (d+1) x (d+1) moment table of u_m.  The energies of all
-of a batch's new states come from one (states x terms) numpy pass over those
-tables (fockspace.product_state_energy), and E is cached under the exact
-executed (beta, frame_z), so a repeated state costs a dict lookup.  No
-joint-space matrix, vector or eigendecomposition is made.  Each new factor
-also records the top-Fock-level population of the prepared v_m
-(edge_population), a diagnostic of truncation clipping.
+D(beta_m)|0> is built once per device, under (mode, executed beta_m, z_m).
+A true frame enters the state, not the Hamiltonian: the factor keeps
+u_m = S(z_true,m) v_m, the mode's state in the frame the spec is written in,
+and the (d+1) x (d+1) moment table of u_m.  All the factors a batch of new
+states lacks on one mode are built in one pass: at most three stacked calls
+of fockspace.displace_vector and squeeze_vector on the cached generator
+basis, whose products are per-row mat-vecs, and one stacked moment_table.
+A stacked mat-vec gives each row the BLAS mat-vec a lone vector gets, so a
+factor is bit-identical however many are built with it; one GEMM over the
+stack would round differently.  The energies of all of a batch's new states
+come from one (states x terms) numpy pass over those tables
+(fockspace.product_state_energy), and E is cached under the exact executed
+(beta, frame_z), so a repeated state costs a dict lookup.  No joint-space
+matrix, vector or eigendecomposition is made.  Each new factor also records
+the top-Fock-level population of the prepared v_m (edge_population), a
+diagnostic of truncation clipping.
 
 Bit-identity.  A state's energy does not depend on which other states share
 its batch, and equals the term-by-term scalar loop bit for bit: the pass
@@ -491,29 +496,48 @@ class SimulatedDevice:
                 cache.clear()
             cache.update(items)
 
-    def _factor(self, mode: int, beta: complex, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(u, T) of one per-mode factor, built once per (mode, beta, z): the
-        prepared v = S(z)† D(beta)|0> carried into the spec's frame,
-        u = S(z_true,mode) v, and the moment table T of u.
+    def _mode_factors(
+        self, mode: int, column: Sequence[tuple[complex, complex]]
+    ) -> dict[tuple[complex, complex], tuple[np.ndarray, np.ndarray]]:
+        """(u, T) of the per-mode factor of each distinct (beta, z) of column,
+        in order of first appearance: the prepared v = S(z)† D(beta)|0> on
+        `mode`, carried into the spec's frame as u = S(z_true,mode) v, and the
+        moment table T of u.
 
-        Records the top-level population of v in edge_population.
+        Cached factors are looked up.  The rest are built together, in at
+        most three stacked passes (displace_vector over the rows with
+        beta != 0, squeeze_vector back over the rows with z != 0, then into
+        the true frame) and one stacked moment_table, so the number of numpy
+        calls does not grow with the number of new factors.  A zero parameter
+        skips its pass, as a lone vector's build does.  The result comes from
+        the lookups and the new batch, never from the cache after the store,
+        which may have emptied it.  Records the top-level population of each
+        new v in edge_population.
         """
-        key = (mode, beta, z)
-        factor = self._factors.get(key)
-        if factor is None:
-            v = np.zeros(self.cutoff.dim_per_mode, dtype=complex)
-            v[0] = 1.0
-            if beta:
-                v = displace_vector(beta, v)
-            if z:
-                v = squeeze_vector(z, v, adjoint=True)
-            z_true = self._true_frame_z[mode] if self._true_frame_z is not None else 0
-            u = squeeze_vector(z_true, v) if z_true else v
-            factor = (u, moment_table(u, self._spec.max_order))
-            with self._state_lock:
-                self._edge_population = max(self._edge_population, abs(v[-1]) ** 2)
-            self._store(self._factors, {key: factor})
-        return factor
+        factors = {f: self._factors.get((mode, *f)) for f in column}
+        new = [f for f, factor in factors.items() if factor is None]
+        if not new:
+            return factors
+        betas = np.array([beta for beta, _ in new], dtype=complex)
+        zs = np.array([z for _, z in new], dtype=complex)
+        v = np.zeros((len(new), self.cutoff.dim_per_mode), dtype=complex)
+        v[:, 0] = 1.0
+        rows = np.flatnonzero(betas)
+        if len(rows):
+            v[rows] = displace_vector(betas[rows], v[rows])
+        rows = np.flatnonzero(zs)
+        if len(rows):
+            v[rows] = squeeze_vector(zs[rows], v[rows], adjoint=True)
+        z_true = self._true_frame_z[mode] if self._true_frame_z is not None else 0
+        u = squeeze_vector(np.full(len(new), z_true, dtype=complex), v) if z_true else v
+        built = dict(zip(new, zip(u, moment_table(u, self._spec.max_order))))
+        # Scalar abs per entry: np.abs on an array rounds differently.
+        top = max(abs(x) ** 2 for x in v[:, -1])
+        with self._state_lock:
+            self._edge_population = max(self._edge_population, top)
+        self._store(self._factors, {(mode, *f): factor for f, factor in built.items()})
+        factors.update(built)
+        return factors
 
     def _mode_columns(self, keys: list[tuple]) -> list[list[tuple[complex, complex]]]:
         """(beta_m, z_m) of each state, per mode m.
@@ -535,7 +559,8 @@ class SimulatedDevice:
 
     def _state_energies(self, keys: Sequence[tuple]) -> list[float]:
         """<phi|H|phi> of each state.  The states not yet cached are computed
-        together: each distinct per-mode factor is looked up once, and one
+        together: per mode, each distinct factor is looked up once and the
+        missing ones are built in one stacked pass (_mode_factors); then one
         product_state_energy pass runs over their tables."""
         energies = [self._energies.get(key) for key in keys]
         if None not in energies:
@@ -543,10 +568,10 @@ class SimulatedDevice:
         new = list(dict.fromkeys(k for k, e in zip(keys, energies) if e is None))
         tables = []
         for m, column in enumerate(self._mode_columns(new)):
-            distinct: dict[tuple, int] = {}
-            index = [distinct.setdefault(f, len(distinct)) for f in column]
-            stack = np.stack([self._factor(m, beta, z)[1] for beta, z in distinct])
-            tables.append(stack[index])
+            factors = self._mode_factors(m, column)
+            index = {f: i for i, f in enumerate(factors)}
+            stack = np.stack([table for _, table in factors.values()])
+            tables.append(stack[[index[f] for f in column]])
         computed = dict(zip(new, product_state_energy(self._terms, tables).tolist()))
         self._store(self._energies, computed)
         return [computed[k] if e is None else e for k, e in zip(keys, energies)]
@@ -566,7 +591,7 @@ class SimulatedDevice:
         weights = self._weights.get(key)
         if weights is None:
             columns = self._mode_columns([key])
-            vectors = [self._factor(m, beta, z)[0] for m, [(beta, z)] in enumerate(columns)]
+            vectors = [self._mode_factors(m, column)[column[0]][0] for m, column in enumerate(columns)]
             phi = functools.reduce(np.multiply.outer, vectors).ravel()
             weights = np.abs(self._eigen()[1] @ phi) ** 2
             self._store(self._weights, {key: weights})

@@ -14,7 +14,12 @@ R(theta) = e^{i theta N}, so D(r e^{i theta}) = R(theta) D(r) R(theta)† and
 S(s e^{i phi}) = R(phi/2) S(s) R(phi/2)†.  Applying either to one
 single-mode vector (displace_vector, squeeze_vector) is then two diagonal
 scalings and two mat-vecs on the cached basis, with no eigh and no matrix
-built; given a matrix, they act on each of its columns.
+built; given a matrix, they act on each of its columns.  Given k parameters
+and a (k, n) stack of vectors, they transform every row in one pass whose
+basis products are stacked mat-vecs, np.matmul(U, X[..., None]): each row
+gets the BLAS mat-vec a lone vector gets, so its result is bit-identical to
+its own call (one GEMM over the stack rounds differently).  moment_table
+takes such a stack too, through one stacked matrix product.
 
 The energy <phi|H|phi> of a product state phi = ⊗_m v_m factorises over
 modes into per-mode moment tables (moment_table, product_state_energy, which
@@ -95,34 +100,55 @@ def _generator_basis(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.
     return w, u, uh
 
 
-def _rotated_apply(kind: str, r: float, theta: float, v: np.ndarray, sign: float) -> np.ndarray:
-    """R(theta) U e^{sign i r w} U† R(theta)† v on a single-mode vector v, or
-    on each column of a matrix v.
+def _rotated_apply(kind: str, r: np.ndarray, theta: np.ndarray, v: np.ndarray, sign: float) -> np.ndarray:
+    """R(theta_i) U e^{sign i r_i w} U† R(theta_i)† v_i for each row v_i of a
+    (k, n) stack of single-mode vectors, with one (r_i, theta_i) per row.
 
     sign = -1 applies the unitary D(r e^{i theta}) or S(r e^{2i theta}),
-    sign = +1 its adjoint.  The scalings are shaped as columns, so that a
-    matrix is transformed column by column, not scaled along the wrong axis.
+    sign = +1 its adjoint.  The two basis products are stacked mat-vecs,
+    np.matmul(U, X[..., None]): each row gets the same BLAS mat-vec as a lone
+    vector, so a row's result does not depend on the rest of the stack (one
+    GEMM over the stack rounds differently).  A row with theta_i = 0 is
+    scaled by e^0 = 1 exactly.
     """
-    w, u, uh = _generator_basis(kind, len(v) - 1)
-    column = (-1,) + (1,) * (v.ndim - 1)
-    if theta:
-        rot = np.exp(1j * theta * np.arange(len(v))).reshape(column)
-        v = rot.conj() * v
-    out = u @ (np.exp(sign * 1j * r * w).reshape(column) * (uh @ v))
-    return rot * out if theta else out
+    w, u, uh = _generator_basis(kind, v.shape[-1] - 1)
+    rot = np.exp(1j * theta[:, None] * np.arange(v.shape[-1]))
+    v = rot.conj() * v
+    v = np.exp(sign * 1j * r[:, None] * w) * np.matmul(uh, v[..., None])[..., 0]
+    return rot * np.matmul(u, v[..., None])[..., 0]
 
 
-def displace_vector(beta: complex, v: np.ndarray) -> np.ndarray:
-    """D(beta) v for a single-mode vector v, without building D(beta)."""
-    r, theta = cmath.polar(complex(beta))
-    return _rotated_apply("displacement", r, theta, v, -1.0)
+def _apply(kind: str, params, v: np.ndarray, sign: float) -> np.ndarray:
+    """_rotated_apply of one parameter to a vector or to each column of a
+    matrix v, or of a 1-D array of k parameters to the rows of a (k, n) v.
+
+    (r, theta) come from cmath.polar per parameter (np.abs and np.angle
+    round differently); a squeeze rotates by half the phase.
+    """
+    params = np.asarray(params, dtype=complex)
+    r, phi = np.array([cmath.polar(p) for p in params.ravel().tolist()]).T
+    theta = phi if kind == "displacement" else 0.5 * phi
+    if params.ndim:
+        if params.ndim != 1 or v.shape[:-1] != params.shape:
+            raise ValueError(f"{params.shape} parameters need a (k, n) stack, got {v.shape}")
+        return _rotated_apply(kind, r, theta, v, sign)
+    states = v.T.reshape(-1, v.shape[0])
+    out = _rotated_apply(kind, np.repeat(r, len(states)), np.repeat(theta, len(states)), states, sign)
+    return out.reshape(v.T.shape).T
 
 
-def squeeze_vector(z: complex, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def displace_vector(beta, v: np.ndarray) -> np.ndarray:
+    """D(beta) v for a single-mode vector v, without building D(beta); given a
+    matrix v, D(beta) acts on each of its columns.  Stacked: beta a 1-D array
+    of k parameters and v a (k, n) array give D(beta_i) v_i in row i."""
+    return _apply("displacement", beta, v, -1.0)
+
+
+def squeeze_vector(z, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """S(z) v, or S(z)† v with adjoint, for a single-mode vector v, without
-    building S(z)."""
-    s, phi = cmath.polar(complex(z))
-    return _rotated_apply("squeeze", s, 0.5 * phi, v, 1.0 if adjoint else -1.0)
+    building S(z); a matrix v and a stack of k parameters with a (k, n) v are
+    taken as in displace_vector."""
+    return _apply("squeeze", z, v, 1.0 if adjoint else -1.0)
 
 
 def _check_unitary(u: np.ndarray, label: str) -> None:
@@ -147,13 +173,18 @@ def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, n
 
 def moment_table(v: np.ndarray, order: int) -> np.ndarray:
     """T[p, q] = <v|b†^p b^q|v> = <b^p v|b^q v> for p, q <= order, at the
-    truncation of v."""
-    lowered = np.zeros((order + 1, len(v)), dtype=complex)
-    lowered[0] = v
-    sqrt_n = np.sqrt(np.arange(1, len(v)))
+    truncation of v.
+
+    A (k, n) stack of vectors gives the (k, order+1, order+1) tables in one
+    stacked product, each bit-identical to its vector's own table.
+    """
+    n = v.shape[-1]
+    lowered = np.zeros(v.shape[:-1] + (order + 1, n), dtype=complex)
+    lowered[..., 0, :] = v
+    sqrt_n = np.sqrt(np.arange(1, n))
     for k in range(1, order + 1):
-        lowered[k, :-1] = sqrt_n * lowered[k - 1, 1:]
-    return lowered.conj() @ lowered.T
+        lowered[..., k, :-1] = sqrt_n * lowered[..., k - 1, 1:]
+    return lowered.conj() @ np.swapaxes(lowered, -1, -2)
 
 
 @dataclass(frozen=True)

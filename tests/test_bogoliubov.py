@@ -207,6 +207,34 @@ def test_transform_matrix_invertible():
     assert t.matrix.shape[0] == t.matrix.shape[1] == 15
 
 
+def _uncached_T(d: int, mass_omega: float) -> np.ndarray:
+    """build_T's matrix derived afresh in sympy, row by row."""
+    keys = [(p, l - p) for l in range(d + 1) for p in range(l + 1)]
+    mat = np.zeros((len(keys), len(keys)), dtype=complex)
+    mw = sp.Float(mass_omega, 30)
+    for i, (p, q) in enumerate(keys):
+        for (j, k), expr in normal_to_symmetrized(p, q).items():
+            mat[i, keys.index((j, k))] = complex(sp.N(expr * mw ** sp.Rational(j - k, 2), 25))
+    return mat
+
+
+def test_build_T_is_bit_identical_to_an_uncached_build():
+    # the exact rows are cached per degree; the rescaling still runs per
+    # call, and what a caller does to one result cannot reach the next
+    for d in range(1, 5):
+        for mw in (0.5, 0.77, 1.0, 1.3):
+            expected = _uncached_T(d, mw)
+            first = build_T(d, mass_omega=mw)
+            assert np.array_equal(first.matrix, expected)
+            first.matrix[:] = 0.0
+            first.keys_normal.clear()
+            for p, q in first.keys_sym:
+                normal_to_symmetrized(p, q)[(0, 0)] = sp.Integer(7)
+            again = build_T(d, mass_omega=mw)
+            assert np.array_equal(again.matrix, expected)
+            assert len(again.keys_normal) == len(again.keys_sym) == (d + 1) * (d + 2) // 2
+
+
 def _learned(modes: int, d: int, seed: int) -> LearnedCoefficients:
     """Random coefficients and standard errors on every admissible key."""
     rng = np.random.default_rng(seed)

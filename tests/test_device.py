@@ -362,6 +362,76 @@ def test_caches_never_exceed_the_limit(monkeypatch):
     assert energies == [number_device()._state_energies([key])[0] for key in keys]
 
 
+def test_a_grid_that_evicts_its_cached_factors_still_reads_them(monkeypatch):
+    # each mode column mixes one cached factor with four new ones, so storing
+    # the new ones empties the factor cache; the cached ones must still be read
+    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 3)
+    spec = random_spec(2, 2, seed=3, sparsity=0.8)
+    cut = FockCutoff(n_max=8, modes=2)
+
+    def device():
+        return SimulatedDevice(spec, cut, true_frame_z=(0.1, -0.05j))
+
+    dev = device()
+    frame_z = (0.05, 0j)
+    dev._state_energies([dev._state_key((0.1, 0.2j), frame_z)])
+    betas = [(0.1, 0.2j + 0.1 * k) for k in range(1, 5)] + [(0.1 * k, 0.2j) for k in range(2, 6)]
+    keys = [dev._state_key(beta, frame_z) for beta in betas]
+    energies = dev._state_energies(keys)
+    assert len(dev._factors) <= 3
+    assert energies == [device()._state_energies([key])[0] for key in keys]
+
+
+@pytest.mark.parametrize("states", [5, 50])
+def test_new_factors_are_built_in_a_constant_number_of_passes(monkeypatch, states):
+    # G new states sharing a frame: per mode one displacement, one frame
+    # squeeze and one true-frame squeeze pass, whatever G is
+    calls = []
+    rotated_apply = fockspace._rotated_apply
+
+    def counted(kind, r, theta, v, sign):
+        calls.append((kind, len(v)))
+        return rotated_apply(kind, r, theta, v, sign)
+
+    monkeypatch.setattr(fockspace, "_rotated_apply", counted)
+    spec = random_spec(2, 2, seed=3, sparsity=0.8)
+    dev = SimulatedDevice(spec, FockCutoff(n_max=8, modes=2), true_frame_z=(0.1, -0.05j))
+    betas = [(0.01 * (k + 1), 0.02j * (k + 1)) for k in range(states)]
+    dev._state_energies([dev._state_key(beta, (0.05, 0.03j)) for beta in betas])
+    assert len(calls) == 3 * 2
+    assert [rows for _, rows in calls] == [states] * 6
+
+
+def test_batched_factors_equal_per_vector_factors():
+    # one grid whose mode columns hold beta = 0, z = 0, a negative real beta
+    # (theta = pi) and the true-frame squeeze: each energy equals the scalar
+    # loop over per-vector tables, and edge_population is the largest
+    # per-vector |v_top|^2 (scalar abs: np.abs rounds differently)
+    spec = random_spec(2, 2, seed=5, sparsity=0.8)
+    cut = FockCutoff(n_max=10, modes=2)
+    true_z = (complex(-0.5 * math.log(1.3)), 0j)
+    dev = SimulatedDevice(spec, cut, true_frame_z=true_z)
+    betas = [(0j, 0.3), (-0.7, 0j), (0.9 - 0.2j, -1.0 + 0.67j), (-0.7, -0.4j)]
+    frames = [None, (0.1j, 0j), (0j, -0.2)]
+    keys = [dev._state_key(beta, frame_z) for beta in betas for frame_z in frames]
+    energies = dev._state_energies(keys)
+    tops = []
+    for (beta, frame_z), energy in zip(keys, energies):
+        tables = []
+        for m in range(2):
+            v = np.eye(cut.dim_per_mode, dtype=complex)[0]
+            if beta[m]:
+                v = fockspace.displace_vector(beta[m], v)
+            if frame_z is not None and frame_z[m]:
+                v = fockspace.squeeze_vector(frame_z[m], v, adjoint=True)
+            tops.append(abs(v[-1]) ** 2)
+            if true_z[m]:
+                v = fockspace.squeeze_vector(true_z[m], v)
+            tables.append(fockspace.moment_table(v, spec.max_order))
+        assert energy == _scalar_energy(spec, tables)
+    assert dev.edge_population == max(tops) > 0.0
+
+
 def test_edge_population_reports_truncation_clipping():
     cut = FockCutoff(n_max=8)
     dev = SimulatedDevice(NUMBER_SPEC, cut)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonlearn import fockspace
 from bosonlearn.fockspace import (
     UNITARITY_TOL,
     CutoffError,
@@ -236,6 +238,61 @@ def test_vector_unitaries_match_the_matrices(n_max):
         s = squeeze_matrix(z, cut)
         assert np.max(np.abs(squeeze_vector(z, v) - s @ v)) < 1e-13
         assert np.max(np.abs(squeeze_vector(z, v, adjoint=True) - s.conj().T @ v)) < 1e-13
+
+
+def _one_vector_apply(kind: str, param: complex, v: np.ndarray, sign: float) -> np.ndarray:
+    """Reference: D(beta) v (sign -1, squeeze sign -1/+1 for S(z) / S(z)†) as
+    one vector's own arithmetic: cmath.polar, the rotation only when theta != 0,
+    and two mat-vecs on the cached generator basis."""
+    r, theta = cmath.polar(complex(param))
+    if kind == "squeeze":
+        theta *= 0.5
+    w, u, uh = fockspace._generator_basis(kind, len(v) - 1)
+    if theta:
+        rot = np.exp(1j * theta * np.arange(len(v)))
+        v = rot.conj() * v
+    out = u @ (np.exp(sign * 1j * r * w) * (uh @ v))
+    return rot * out if theta else out
+
+
+def _one_vector_table(v: np.ndarray, order: int) -> np.ndarray:
+    """Reference: moment_table of one vector as a single matrix product."""
+    lowered = np.zeros((order + 1, len(v)), dtype=complex)
+    lowered[0] = v
+    sqrt_n = np.sqrt(np.arange(1, len(v)))
+    for k in range(1, order + 1):
+        lowered[k, :-1] = sqrt_n * lowered[k - 1, 1:]
+    return lowered.conj() @ lowered.T
+
+
+def test_stacked_calls_equal_per_vector_calls_bit_for_bit():
+    # a stacked call gives each row exactly one vector's arithmetic: per-row
+    # mat-vecs (one GEMM over the stack rounds differently), (r, theta) from
+    # cmath.polar (np.abs and np.angle round differently), and tables from a
+    # stacked matrix product (np.einsum sums in another order)
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(6, 49)) + 1j * rng.normal(size=(6, 49))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    # beta = 0, a negative real beta (theta = pi), then real, imaginary and complex
+    betas = np.array([0, -0.7, 0.4, 0.9j, -0.5 - 1.3j, 1.2 - 0.3j])
+    # z = 0, the true-frame squeeze of the frame ratio 1.3, then others
+    zs = np.array([0, -0.5 * math.log(1.3), 0.4, -0.3j, 0.2 - 0.45j, -0.6 + 0.1j])
+    stacked = displace_vector(betas, vectors)
+    for row, beta, v in zip(stacked, betas, vectors):
+        assert np.array_equal(row, displace_vector(beta, v))
+        assert np.array_equal(row, _one_vector_apply("displacement", beta, v, -1.0))
+    for adjoint in (False, True):
+        stacked = squeeze_vector(zs, vectors, adjoint=adjoint)
+        for row, z, v in zip(stacked, zs, vectors):
+            assert np.array_equal(row, squeeze_vector(z, v, adjoint=adjoint))
+            assert np.array_equal(row, _one_vector_apply("squeeze", z, v, 1.0 if adjoint else -1.0))
+    tables = moment_table(vectors, 4)
+    assert tables.shape == (6, 5, 5)
+    for table, v in zip(tables, vectors):
+        assert np.array_equal(table, moment_table(v, 4))
+        assert np.array_equal(table, _one_vector_table(v, 4))
+    with pytest.raises(ValueError, match="parameters need a \\(k, n\\) stack"):
+        displace_vector(betas[:3], vectors)
 
 
 @pytest.mark.parametrize("modes, d, n_max", [(1, 4, 20), (2, 3, 8), (3, 2, 5)])
