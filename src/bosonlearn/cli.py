@@ -150,7 +150,7 @@ def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
         )
         if rpe.get("t0") is not None:
             cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad rpe block: {exc}") from exc
     return cfg
 

@@ -367,11 +367,13 @@ class ShotRequest:
     frame_z: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kappa < 1:
+        # kappa counts repetitions and l_steps is the power of the Trotter
+        # amplitude, so operator.index rejects a fractional value of either
+        if operator.index(self.kappa) < 1:
             raise ValueError("kappa must be a positive integer")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
-        if self.l_steps is not None and self.l_steps < 1:
+        if self.l_steps is not None and operator.index(self.l_steps) < 1:
             raise ValueError("l_steps must be >= 1 when given")
         if self.basis not in ("X", "Y"):
             raise ValueError(f"basis must be 'X' or 'Y', got {self.basis!r}")

@@ -28,7 +28,8 @@ class HermiticityError(ValueError):
 class TermKey:
     """One normal-ordered monomial: powers (p, q) on each participating mode.
 
-    modes is strictly increasing; every listed mode carries p+q >= 1.
+    modes is strictly increasing and non-negative; every listed mode carries
+    p+q >= 1.
     """
 
     modes: tuple[int, ...]
@@ -42,6 +43,8 @@ class TermKey:
             raise ValueError("a term must involve at least one mode")
         if any(m2 <= m1 for m1, m2 in zip(self.modes, self.modes[1:])):
             raise ValueError("modes must be strictly increasing")
+        if self.modes[0] < 0:
+            raise ValueError(f"modes must be non-negative, got {self.modes}")
         if any(pi < 0 or qi < 0 for pi, qi in zip(self.p, self.q)):
             raise ValueError("powers must be non-negative")
         if any(pi + qi == 0 for pi, qi in zip(self.p, self.q)):

@@ -1,8 +1,11 @@
 """The learner: robust phase estimation of the displaced constant term and
 the single-mode / multi-mode coefficient-learning drivers.
 
-Everything here talks to the device exclusively through shot requests (or the
-exact-probability channel, with shots = None) and the time ledger.
+Every learner measures through one step, _measure: the beta = 0 offset when
+it is subtracted, then one rpe_estimates call per grid, which returns the
+grid's estimates and its mask of inconsistent rounds as columns.  Everything
+here talks to the device exclusively through RPE grids (shot counts, or the
+exact-probability channel with shots = None) and the time ledger.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .device import SimulatedDevice
 from .hamiltonian import TermKey, admissible_keys, single_key
-from .recovery import MultidimFit, single_mode_pipeline, staged_fit
+from .recovery import MultidimFit, SingleModePipeline, single_mode_pipeline, staged_fit
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,11 @@ class RpeConfig:
     h_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k_max < 0:
+        # a fractional k_max would fail in range(), a fractional l_steps as a power
+        if operator.index(self.k_max) < 0:
             raise ValueError("k_max must be >= 0")
+        if self.l_steps not in ("auto", None) and operator.index(self.l_steps) < 1:
+            raise ValueError("l_steps must be >= 1, 'auto' or None")
         if self.t0 <= 0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
         # numpy's binomial would truncate a fractional count that the ledger
@@ -86,6 +92,8 @@ def derive_config(
 
 @dataclass(slots=True)
 class PhaseEstimate:
+    """rpe_estimate's result: one run's estimate, cost and inconsistent rounds."""
+
     c_hat: float
     time_cost: float
     inconsistent_rounds: list[int]
@@ -99,7 +107,7 @@ def _schedule(cfg: RpeConfig) -> list[tuple[int, str, int | None]]:
     ]
 
 
-def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[list[float], np.ndarray]:
+def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Iterative phase unwrapping of every run of a grid at once.
 
     p0[i] holds run i's outcome-0 frequencies (X, Y per round).  Round j
@@ -120,75 +128,82 @@ def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[list[float], np.ndarray]:
     inconsistent = np.zeros((runs, cfg.k_max + 1), dtype=bool)
     for j in range(cfg.k_max + 1):
         kappa = 2**j
-        y = (1.0 - 2.0 * p0[:, 2 * j + 1]).tolist()
-        x = (2.0 * p0[:, 2 * j] - 1.0).tolist()
-        base = np.array(list(map(math.atan2, y, x))) / (kappa * cfg.t0)
+        y = 1.0 - 2.0 * p0[:, 2 * j + 1]
+        x = 2.0 * p0[:, 2 * j] - 1.0
+        base = np.fromiter(map(math.atan2, y, x), float, runs) / (kappa * cfg.t0)
         period = 2.0 * math.pi / (kappa * cfg.t0)
         candidate = base + period * np.rint((estimate - base) / period)
         if j > 0:
             inconsistent[:, j] = np.abs(candidate - estimate) > math.pi / (3.0 * kappa * cfg.t0)
         estimate = candidate
-    return estimate.tolist(), inconsistent
+    return estimate, inconsistent
 
 
 def rpe_estimates(
-    device: SimulatedDevice,
-    betas,
-    cfg: RpeConfig,
-    frame_z,
-    tokens: list[str],
-) -> list[PhaseEstimate]:
+    device: SimulatedDevice, betas, cfg: RpeConfig, frame_z, tokens: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the constant term at each beta, one RPE run per beta and token.
 
-    A run's schedule (kappa = 2^j, an X and a Y request per round) is fixed
-    before any bit is seen, so the whole grid of runs goes to the device in
-    one call: run_shot_grid on the shot channel, probability_grid on the
-    exact channel, which asks device.probability once per request.  Both
-    channels unwrap the whole grid together.  Each run's time_cost is the
-    ledger's growth over its own requests, which the device charges in
-    run-major order with a sequential running sum, repeated here.
+    betas becomes one complex (runs, modes) array, whose rows go to the device
+    as tuples; a scalar beta is a one-mode run.  A run's schedule (kappa =
+    2^j, an X and a Y request per round) is fixed before any bit is seen, so
+    the whole grid of runs goes to the device in one call: run_shot_grid on
+    the shot channel, probability_grid on the exact channel, which asks
+    device.probability once per request.  Both channels unwrap the whole grid
+    together.  Returns the columns (c_hat, inconsistent): each run's estimate
+    and the (runs, rounds) mask of its inconsistent rounds.
     """
-    betas = [tuple(complex(b) for b in np.atleast_1d(beta)) for beta in betas]
-    tokens = list(tokens)
-    if len(tokens) != len(betas):
-        raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
+    modes = device.cutoff.modes
+    try:
+        points = np.array(betas, dtype=complex).reshape(len(betas), modes)
+    except ValueError as exc:
+        raise ValueError(f"betas need one entry per mode: the device has {modes} modes") from exc
+    rows = list(map(tuple, points.tolist()))
+    if len(tokens) != len(rows):
+        raise ValueError(f"need one token per beta: {len(rows)} betas, {len(tokens)} tokens")
     schedule = _schedule(cfg)
     if cfg.shots is None:
-        p0 = device.probability_grid(betas, frame_z, cfg.t0, schedule)
-        costs = [0.0] * len(betas)
+        p0 = device.probability_grid(rows, frame_z, cfg.t0, schedule)
     else:
-        start = device.ledger().total_evolution_time
-        ones = device.run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
+        ones = device.run_shot_grid(rows, frame_z, cfg.t0, schedule, cfg.shots, tokens)
         p0 = (cfg.shots - ones) / cfg.shots
-        charges = cfg.shots * (np.array([kappa for kappa, _, _ in schedule]) * cfg.t0)
-        running = np.cumsum(np.concatenate(([start], np.tile(charges, len(betas)))))
-        run_starts = running[:: len(schedule)].tolist()
-        costs = [run_starts[i + 1] - run_starts[i] for i in range(len(betas))]
-    estimates, inconsistent = _unwrap(p0, cfg)
-    rounds: list[list[int]] = [[] for _ in betas]
-    for run, j in zip(*(ix.tolist() for ix in np.nonzero(inconsistent))):
-        rounds[run].append(j)
-    return [
-        PhaseEstimate(c_hat=c, time_cost=cost, inconsistent_rounds=r)
-        for c, cost, r in zip(estimates, costs, rounds)
-    ]
-
-
-def _inconsistent_runs(tokens: list[str], runs: list[PhaseEstimate]) -> dict[str, list[int]]:
-    """The inconsistent rounds of each run that has any, keyed by its token."""
-    return {tok: est.inconsistent_rounds for tok, est in zip(tokens, runs) if est.inconsistent_rounds}
+    return _unwrap(p0, cfg)
 
 
 def rpe_estimate(
-    device: SimulatedDevice,
-    beta,
-    cfg: RpeConfig,
-    frame_z=None,
-    token: str = "rpe",
+    device: SimulatedDevice, beta, cfg: RpeConfig, frame_z=None, token: str = "rpe"
 ) -> PhaseEstimate:
     """Estimate the constant term at beta by iterative phase unwrapping: the
-    one-run case of rpe_estimates."""
-    return rpe_estimates(device, [beta], cfg, frame_z, [token])[0]
+    one-run case of rpe_estimates.  time_cost is the ledger's growth over the
+    call, so 0 on the exact channel."""
+    start = device.ledger().total_evolution_time
+    c_hat, inconsistent = rpe_estimates(device, [beta], cfg, frame_z, [token])
+    time_cost = device.ledger().total_evolution_time - start
+    return PhaseEstimate(float(c_hat[0]), time_cost, np.flatnonzero(inconsistent[0]).tolist())
+
+
+def _measure(
+    device: SimulatedDevice, cfg: RpeConfig, frame_z, offset_token: str | None, grids: list
+) -> tuple[float | None, list[np.ndarray], dict]:
+    """Every learner's measurement step: C at beta = 0 (the identity content
+    of H in the working frame) through rpe_estimate under offset_token, unless
+    it is None, then each grid (points, stem) with one rpe_estimates call,
+    point i under the token f"{stem}{i}".  Returns the offset (or None), each
+    grid's C values, and the diagnostics of the grid runs: inconsistent_rounds
+    (a count) and inconsistent_runs (each inconsistent run's rounds, by token)."""
+    offset = None
+    if offset_token is not None:
+        beta = np.zeros(device.cutoff.modes)
+        offset = rpe_estimate(device, beta, cfg, frame_z, offset_token).c_hat
+    values, runs = [], {}
+    for points, stem in grids:
+        tokens = [f"{stem}{i}" for i in range(len(points))]
+        c_hat, inconsistent = rpe_estimates(device, points, cfg, frame_z, tokens)
+        values.append(c_hat)
+        for i in np.flatnonzero(inconsistent.any(axis=1)).tolist():
+            runs[tokens[i]] = np.flatnonzero(inconsistent[i]).tolist()
+    diagnostics = {"inconsistent_rounds": sum(map(len, runs.values())), "inconsistent_runs": runs}
+    return offset, values, diagnostics
 
 
 @dataclass
@@ -207,19 +222,6 @@ class LearnedCoefficients:
         return {(k.p[0], k.q[0]): v for k, v in self.estimates.items() if not k.is_coupling}
 
 
-def _embedded_beta(value: complex, mode: int, modes: int) -> tuple[complex, ...]:
-    beta = [0j] * modes
-    beta[mode] = value
-    return tuple(beta)
-
-
-def _identity_offset(device: SimulatedDevice, cfg: RpeConfig, frame_z, token: str) -> float:
-    """C at beta = 0: the identity content of the Hamiltonian in the working
-    frame, which subtract_offset removes from every grid value."""
-    beta = (0j,) * device.cutoff.modes
-    return rpe_estimate(device, beta, cfg, frame_z=frame_z, token=f"{token}:offset").c_hat
-
-
 def learn_single_mode(
     device: SimulatedDevice,
     d: int,
@@ -234,54 +236,45 @@ def learn_single_mode(
     """Single-mode coefficient learning: phase estimation of C on a Chebyshev
     radius x canonical angle grid, radial least squares, angular inverse DFT.
 
-    subtract_offset additionally measures C at beta = 0 (the identity content
-    of the Hamiltonian in the working frame) and removes it from every grid
-    value before recovery.
+    The grid displaces `mode` alone, point i under the token
+    f"{token}:m{mode}:p{i}".  subtract_offset additionally measures C at
+    beta = 0 (the identity content of the Hamiltonian in the working frame),
+    under f"{token}:m{mode}:offset", and removes it from every grid value
+    before recovery.
     """
+    modes = device.cutoff.modes
+    if not 0 <= mode < modes:
+        raise ValueError(f"mode {mode} is out of range: the device has {modes} modes")
     start = device.ledger().total_evolution_time
     pipe = single_mode_pipeline(d, r_min, r_max)
-    modes = device.cutoff.modes
-    offset = _identity_offset(device, cfg, frame_z, f"{token}:m{mode}") if subtract_offset else 0.0
-    tokens = [f"{token}:m{mode}:p{i}" for i in range(len(pipe.points))]
-    runs = rpe_estimates(
-        device,
-        [_embedded_beta(r * np.exp(1j * theta), mode, modes) for r, theta in pipe.points],
-        cfg,
-        frame_z,
-        tokens,
-    )
-    c_values = np.array([est.c_hat for est in runs]) - offset
-    inconsistent = sum(len(est.inconsistent_rounds) for est in runs)
-    coeffs = pipe.solve(c_values)
+    points = np.zeros((len(pipe.points), modes), dtype=complex)
+    points[:, mode] = _mode_points(pipe)
+    offset_token = f"{token}:m{mode}:offset" if subtract_offset else None
+    grids = [(points, f"{token}:m{mode}:p")]
+    offset, (c_values,), diagnostics = _measure(device, cfg, frame_z, offset_token, grids)
     variances = pipe.coefficient_variances(cfg.predicted_eps_c)
     if subtract_offset:
+        c_values = c_values - offset
         # The beta = 0 estimate is shared by every grid point, so its error is
         # a coherent constant the intercept-free design maps into coefficients.
         shift = pipe.kplus @ np.ones(len(pipe.points))
         for i, key in enumerate(pipe.coeff_keys):
             variances[key] += (cfg.predicted_eps_c * abs(shift[i])) ** 2
-    estimates = {single_key(p, q, mode): v for (p, q), v in coeffs.items()}
+    estimates = {single_key(p, q, mode): v for (p, q), v in pipe.solve(c_values).items()}
     stderr = {single_key(p, q, mode): math.sqrt(var) for (p, q), var in variances.items()}
+    diagnostics.update(sigma_min=pipe.sigma_min, max_residual=pipe.max_residual(c_values))
     return LearnedCoefficients(
         estimates=estimates,
         stderr=stderr,
         eps_c=cfg.predicted_eps_c,
         time_cost=device.ledger().total_evolution_time - start,
-        identity_offset=offset,
-        diagnostics={
-            "inconsistent_rounds": inconsistent,
-            "inconsistent_runs": _inconsistent_runs(tokens, runs),
-            "sigma_min": pipe.sigma_min,
-            "max_residual": pipe.max_residual(c_values),
-        },
+        identity_offset=offset if subtract_offset else 0.0,
+        diagnostics=diagnostics,
     )
 
 
 def learn_displacement_biased(
-    device: SimulatedDevice,
-    d: int,
-    cfg: RpeConfig,
-    delta: np.ndarray | None,
+    device: SimulatedDevice, d: int, cfg: RpeConfig, delta: np.ndarray | None
 ) -> dict[tuple[int, int], complex]:
     """Single-mode coefficients, keyed by (p, q), recovered while point i of
     single_mode_pipeline(d) executes its displacement shifted by delta[i].
@@ -293,40 +286,35 @@ def learn_displacement_biased(
     displacement bias, if it has one.
     """
     pipe = single_mode_pipeline(d)
-    betas = [r * np.exp(1j * theta) for r, theta in pipe.points]
+    betas = _mode_points(pipe)
     if delta is not None:
         betas = [beta + complex(shift) for beta, shift in zip(betas, delta, strict=True)]
-    tokens = [f"spam{i}" for i in range(len(betas))]
-    runs = rpe_estimates(device, betas, cfg, None, tokens)
-    return pipe.solve(np.array([est.c_hat for est in runs]))
+    c_values, _ = rpe_estimates(device, betas, cfg, None, [f"spam{i}" for i in range(len(betas))])
+    return pipe.solve(c_values)
 
 
 # ---------------------------------------------------------------------------
 # Multi-mode strategies.
 
 
-def _mode_points(d: int, r_min: float, r_max: float) -> list[complex]:
-    pipe = single_mode_pipeline(d, r_min, r_max)
+def _mode_points(pipe: SingleModePipeline) -> list[complex]:
+    """The pipeline's (r, theta) grid as complex displacements."""
     return [r * np.exp(1j * theta) for r, theta in pipe.points]
 
 
 def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np.ndarray:
     """Tensor product of the per-mode single-mode grids; rows are beta vectors."""
-    per_mode = [_mode_points(d, r_min, r_max) for _ in range(modes)]
+    per_mode = [_mode_points(single_mode_pipeline(d, r_min, r_max))] * modes
     grids = np.meshgrid(*per_mode, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _learn_stages(
-    device: SimulatedDevice,
-    cfg: RpeConfig,
-    stages: list[tuple[str, np.ndarray, list[TermKey]]],
-    frame_z,
-    subtract_offset: bool,
-    token: str,
+    device: SimulatedDevice, cfg: RpeConfig, stages: list, frame_z, subtract_offset: bool, token: str
 ) -> tuple[LearnedCoefficients, list[MultidimFit]]:
-    """Measure the beta = 0 offset (when subtracted), then each stage's grid
-    with one rpe_estimates call, and fit the stages in order with staged_fit.
+    """Measure the beta = 0 offset (when subtracted, under f"{token}:offset"),
+    then each stage's grid with one rpe_estimates call, and fit the stages in
+    order with staged_fit.
 
     stages lists (tag, points, keys); point i of a stage carries the token
     f"{token}:{tag}:g{i}".  Each stage's fit subtracts every earlier one at
@@ -336,34 +324,21 @@ def _learn_stages(
     wrapped first RPE round without the truth.
     """
     start = device.ledger().total_evolution_time
-    offset = _identity_offset(device, cfg, frame_z, token) if subtract_offset else None
-    measured = []
-    inconsistent = 0
-    inconsistent_runs: dict[str, list[int]] = {}
-    for tag, points, keys in stages:
-        tokens = [f"{token}:{tag}:g{i}" for i in range(len(points))]
-        runs = rpe_estimates(device, points, cfg, frame_z, tokens)
-        inconsistent += sum(len(est.inconsistent_rounds) for est in runs)
-        inconsistent_runs.update(_inconsistent_runs(tokens, runs))
-        measured.append((points, np.array([est.c_hat for est in runs]), keys))
-    fits = staged_fit(measured, offset)
-    estimates: dict[TermKey, complex] = {}
-    stderr: dict[TermKey, float] = {}
-    for fit in fits:
-        estimates.update(fit.estimates)
-        for key, var in fit.coefficient_variances(cfg.predicted_eps_c).items():
-            stderr[key] = math.sqrt(var)
+    offset_token = f"{token}:offset" if subtract_offset else None
+    grids = [(points, f"{token}:{tag}:g") for tag, points, _ in stages]
+    offset, values, diagnostics = _measure(device, cfg, frame_z, offset_token, grids)
+    fits = staged_fit([(points, c, keys) for (_, points, keys), c in zip(stages, values)], offset)
+    eps_c = cfg.predicted_eps_c
+    estimates = {k: v for fit in fits for k, v in fit.estimates.items()}
+    stderr = {k: math.sqrt(v) for fit in fits for k, v in fit.coefficient_variances(eps_c).items()}
+    diagnostics["max_residual"] = {tag: fit.max_residual for (tag, _, _), fit in zip(stages, fits)}
     learned = LearnedCoefficients(
         estimates=estimates,
         stderr=stderr,
-        eps_c=cfg.predicted_eps_c,
+        eps_c=eps_c,
         time_cost=device.ledger().total_evolution_time - start,
         identity_offset=0.0 if offset is None else offset,
-        diagnostics={
-            "inconsistent_rounds": inconsistent,
-            "inconsistent_runs": inconsistent_runs,
-            "max_residual": {tag: fit.max_residual for (tag, _, _), fit in zip(stages, fits)},
-        },
+        diagnostics=diagnostics,
     )
     return learned, fits
 

@@ -161,6 +161,13 @@ def test_bad_rpe_block_is_schema_error(tmp_path, rpe):
     assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
 
 
+@pytest.mark.parametrize("rpe", [{"L": 2.5}, {"L": 0}])
+def test_bad_rpe_steps_are_schema_errors(tmp_path, rpe):
+    # a fractional L used to reach the device as a fractional power
+    cfg = write_config(tmp_path, "c.json", {"generator": {"modes": 1, "d": 2}, "rpe": rpe})
+    assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
+
+
 def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -54,6 +54,21 @@ def test_shot_request_validation():
 
 
 @pytest.mark.parametrize(
+    "field, value", [("kappa", 1.5), ("kappa", 2.0), ("l_steps", 2.5), ("l_steps", 64.0)]
+)
+def test_shot_request_rejects_non_integer_kappa_and_l_steps(field, value):
+    # probability() would raise the amplitude to a fractional power
+    with pytest.raises(TypeError):
+        request(0.5j, **{field: value})
+    row = (value, "X", None) if field == "kappa" else (1, "X", value)
+    dev = number_device()
+    with pytest.raises(TypeError):
+        dev.run_shot_grid([(0.5j,)], None, 0.3, [row], 30, ["a"])
+    assert dev.ledger() == TimeLedger()
+    assert request(0.5j, kappa=np.int64(2), l_steps=np.int64(64)).l_steps == 64
+
+
+@pytest.mark.parametrize(
     "modes, beta, frame_z",
     [
         (1, (0.5, 0.9), None),

@@ -38,6 +38,15 @@ def test_term_key_validation():
         TermKey((0,), (-1,), (2,))
 
 
+@pytest.mark.parametrize("modes", [(-1,), (-2, 0)])
+def test_term_key_rejects_negative_modes(modes):
+    # a negative index would silently name a mode counted from the end
+    with pytest.raises(ValueError, match="modes must be non-negative"):
+        TermKey(modes, (1,) * len(modes), (1,) * len(modes))
+    with pytest.raises(ValueError, match="modes must be non-negative"):
+        single_key(1, 1, -1)
+
+
 def test_term_key_properties():
     k = TermKey((0, 2), (2, 0), (1, 1))
     assert k.order == 4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonlearn import protocol
 from bosonlearn.bogoliubov import frame_from_ratio
 from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice, TimeLedger
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
@@ -77,6 +78,25 @@ def test_rpe_config_rejects_non_integer_shots(shots):
     device = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 1.0}), FockCutoff(n_max=12))
     rpe_estimate(device, (0.3 + 0j,), cfg)
     assert device.ledger().shot_count == 50 * 2 * 4
+
+
+@pytest.mark.parametrize("k_max", [2.5, 3.0, np.float64(4.0)], ids=["fraction", "float", "numpy-float"])
+def test_rpe_config_rejects_non_integer_k_max(k_max):
+    # a fractional depth would only fail inside the learn, at range()
+    with pytest.raises(TypeError):
+        RpeConfig(k_max=k_max, shots=50, t0=0.5, c_bound=1.0)
+    assert RpeConfig(k_max=np.int64(3), shots=50, t0=0.5, c_bound=1.0).k_max == 3
+
+
+@pytest.mark.parametrize("l_steps", [2.5, 64.0], ids=["fraction", "float"])
+def test_rpe_config_rejects_non_integer_l_steps(l_steps):
+    # the device would raise the Trotter amplitude to a fractional power
+    with pytest.raises(TypeError):
+        RpeConfig(k_max=3, shots=50, t0=0.5, c_bound=1.0, l_steps=l_steps)
+    with pytest.raises(ValueError, match="l_steps must be >= 1"):
+        RpeConfig(k_max=3, shots=50, t0=0.5, c_bound=1.0, l_steps=0)
+    for valid in ("auto", None, 64, np.int64(64)):
+        assert RpeConfig(k_max=3, shots=50, t0=0.5, c_bound=1.0, l_steps=valid).l_steps == valid
 
 
 @pytest.mark.parametrize("t0", [0.0, -0.5])
@@ -173,6 +193,16 @@ def test_offset_error_propagates_into_stderr():
     )
     for key in plain.stderr:
         assert offset.stderr[key] >= plain.stderr[key]
+
+
+@pytest.mark.parametrize("mode", [1, -1, 2])
+def test_learn_single_mode_rejects_a_mode_the_device_lacks(mode):
+    # -1 used to learn the last mode under keys labelled mode -1
+    dev = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 0.5}), FockCutoff(n_max=16))
+    cfg = derive_config(2, k_max=4, shots=None, l_steps=None)
+    with pytest.raises(ValueError, match=f"mode {mode} is out of range: the device has 1 modes"):
+        learn_single_mode(dev, 2, cfg, mode=mode)
+    assert dev.ledger() == TimeLedger()
 
 
 def test_as_pq_dict_view():
@@ -291,11 +321,15 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
     batched = SimulatedDevice(spec, cut, master_seed=9)
     batched.run_shot_grid(*warm_up)
     grids = _count_calls(monkeypatch, "run_shot_grid")
-    ests = rpe_estimates(batched, betas, cfg, frame_z, tokens)
+    c_hat, inconsistent = rpe_estimates(batched, betas, cfg, frame_z, tokens)
     assert len(grids) == 1
     betas_sent, _, _, schedule = grids[0][:4]
     assert len(betas_sent) == len(betas) and len(schedule) == 2 * (cfg.k_max + 1)
-    assert ests == one_by_one
+    assert inconsistent.shape == (len(betas), cfg.k_max + 1)
+    assert c_hat.tolist() == [est.c_hat for est in one_by_one]
+    assert [np.flatnonzero(row).tolist() for row in inconsistent] == [
+        est.inconsistent_rounds for est in one_by_one
+    ]
     assert batched.ledger() == sequential.ledger()
 
 
@@ -335,25 +369,18 @@ def test_columnar_grid_equals_shot_requests_and_stream_oracle(l_steps, frame_z):
         return dev
 
     grid_dev = fresh()
-    before = grid_dev.ledger().total_evolution_time
-    ests = rpe_estimates(grid_dev, betas, cfg, frame_z, tokens)
+    total = grid_dev.ledger().total_evolution_time
+    rpe_estimates(grid_dev, betas, cfg, frame_z, tokens)
     requests = _equivalent_requests(betas, cfg, frame_z, tokens)
     # the draws of numpy's own SeedSequence streams, and the running ledger
     oracle_dev = fresh()
     oracle_ones = []
-    total = before
-    run_costs = []
     width = 2 * (cfg.k_max + 1)
-    for i, (req, token) in enumerate(requests):
-        if i % width == 0:
-            run_start = total
+    for req, token in requests:
         p = oracle_dev.probability(req)
         oracle_ones.append(int(shot_stream(17, token).binomial(cfg.shots, 1.0 - p)))
         total += cfg.shots * req.evolution_time
-        if i % width == width - 1:
-            run_costs.append(total - run_start)
     assert grid_dev.ledger() == TimeLedger(total, 33 + len(requests) * cfg.shots)
-    assert [est.time_cost for est in ests] == run_costs
     schedule = [(r.kappa, r.basis, r.l_steps) for r, _ in requests[:width]]
     counts = fresh().run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
     assert counts.shape == (len(betas), width)
@@ -386,27 +413,97 @@ def test_rpe_estimates_exact_channel_asks_once_per_request(monkeypatch):
     exact = _count_calls(monkeypatch, "probability")
     exact_grids = _count_calls(monkeypatch, "probability_grid")
     grids = _count_calls(monkeypatch, "run_shot_grid")
-    ests = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
+    c_hat, inconsistent = rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a", "b"])
     assert len(exact) == 2 * 2 * (cfg.k_max + 1) and grids == []
     assert len(exact_grids) == 1
-    assert all(est.time_cost == 0.0 for est in ests)
+    assert c_hat.shape == (2,) and not inconsistent.any()
+    assert dev.ledger() == TimeLedger()
     with pytest.raises(ValueError):
         rpe_estimates(dev, [(0.2, 0.3j), (0.4, 0.1)], cfg, None, ["a"])
 
 
+def _sent(batches):
+    """(betas, tokens) of each recorded run_shot_grid call."""
+    return [(list(args[0]), list(args[5])) for args in batches]
+
+
+def _grid(stem, points):
+    """(betas, tokens) a grid sends: each row as a tuple of Python complex,
+    row i under the token f"{stem}{i}"."""
+    rows = [tuple(complex(b) for b in row) for row in points]
+    return rows, [f"{stem}{i}" for i in range(len(rows))]
+
+
 def test_learners_make_one_device_call_per_grid(monkeypatch):
+    # each token keys a request's shot stream, so the tokens and betas of
+    # every grid, the beta = 0 offset run included, are pinned here
     cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    line = [r * np.exp(1j * theta) for r, theta in single_mode_pipeline(2).points]
+    grid = joint_grid(2, 2)
+    iso = [np.where(np.arange(2) == m, grid, 0) for m in range(2)]
     batches = _count_calls(monkeypatch, "run_shot_grid")
     learn_single_mode(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, mode=1, subtract_offset=True
     )
     assert len(batches) == 2  # the beta = 0 offset, then the grid
+    offset = ([(0j, 0j)], ["single:m1:offset"])
+    assert _sent(batches) == [offset, _grid("single:m1:p", [(0j, b) for b in line])]
     batches.clear()
     learn_multimode_hierarchical(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
     assert len(batches) == 3  # one isolated grid per mode, then the joint grid
+    assert _sent(batches) == [
+        _grid("hier:s0:g", iso[0]),
+        _grid("hier:s1:g", iso[1]),
+        _grid("hier:j:g", grid),
+    ]
     batches.clear()
     learn_multimode_simultaneous(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
     assert len(batches) == 1
+    assert _sent(batches) == [_grid("simul:j:g", grid)]
+    batches.clear()
+    learn_multimode_simultaneous(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg, subtract_offset=True, token="t"
+    )
+    assert _sent(batches) == [([(0j, 0j)], ["t:offset"]), _grid("t:j:g", grid)]
+    batches.clear()
+    one_mode = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 0.5}), FockCutoff(n_max=16))
+    delta = np.linspace(0.0, 1e-2, len(line)) * 1j
+    learn_displacement_biased(one_mode, 2, cfg, delta)
+    assert _sent(batches) == [_grid("spam", [(b + s,) for b, s in zip(line, delta)])]
+
+
+def test_offset_runs_go_through_rpe_estimate(monkeypatch):
+    # perfbench's tracer counts these runs, and their inconsistent rounds, by
+    # wrapping protocol.rpe_estimate
+    calls = []
+    original = protocol.rpe_estimate
+
+    def recorded(*args, **kwargs):
+        est = original(*args, **kwargs)
+        calls.append(est)
+        return est
+
+    monkeypatch.setattr(protocol, "rpe_estimate", recorded)
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
+        learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg, subtract_offset=True)
+        assert learned.identity_offset == calls[-1].c_hat
+    single = learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, subtract_offset=True)
+    assert single.identity_offset == calls[-1].c_hat and len(calls) == 3
+    learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "betas", [[(0.1, 0.2), (0.3,)], [(0.1, 0.2, 0.3)], [0.1, 0.2]], ids=["ragged", "wide", "scalar"]
+)
+def test_rpe_estimates_needs_one_entry_per_mode(betas):
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=2)
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    tokens = [f"b{i}" for i in range(len(betas))]
+    with pytest.raises(ValueError, match="the device has 2 modes"):
+        rpe_estimates(dev, betas, cfg, None, tokens)
+    assert dev.ledger() == TimeLedger()
 
 
 def _grid_inconsistent(grids, cfg, token_of):
@@ -415,9 +512,9 @@ def _grid_inconsistent(grids, cfg, token_of):
     by_run = {}
     for name, grid in grids:
         tokens = [f"{token_of}:{name}:g{i}" for i in range(len(grid))]
-        runs = rpe_estimates(dev, grid, cfg, None, tokens)
-        total += sum(len(e.inconsistent_rounds) for e in runs)
-        by_run.update({t: e.inconsistent_rounds for t, e in zip(tokens, runs) if e.inconsistent_rounds})
+        _, inconsistent = rpe_estimates(dev, grid, cfg, None, tokens)
+        total += int(inconsistent.sum())
+        by_run.update({t: np.flatnonzero(row).tolist() for t, row in zip(tokens, inconsistent) if row.any()})
     return total, by_run
 
 
