@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import sympy as sp
@@ -369,14 +369,14 @@ def _cfg_for_precision(
     k_cap: int,
 ) -> RpeConfig:
     """Smallest RPE depth whose predicted coefficient error meets eps_coeff;
-    with shots = None, the exact-channel schedule."""
+    with shots = None, the exact-channel schedule.  t0, c_bound and h_scale
+    do not depend on the depth, so one derived config is re-validated at it."""
     if shots is None:
         return _noiseless_config(d, 1)
     base = derive_config(d, g_max=G_MAX_PRIOR, k_max=4, shots=shots, l_steps=None)
     eps_c_target = eps_coeff / row_norm
     k = math.ceil(math.log2(1.0 / (eps_c_target * base.t0 * math.sqrt(shots))))
-    k = min(max(k, 4), k_cap)
-    return derive_config(d, g_max=G_MAX_PRIOR, k_max=k, shots=shots, l_steps=None)
+    return replace(base, k_max=min(max(k, 4), k_cap))
 
 
 def _golden_minimize(fn, lo: float, hi: float, tol: float) -> tuple[float, int]:

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -138,16 +139,16 @@ def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> Simulat
 
 def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
     rpe = config.get("rpe", {})
-    if config["noiseless"]:
-        kwargs = {"l_steps": None, "shots": None}
-    else:
-        kwargs = {"shots": int(rpe.get("M", 200))}
-        if "L" in rpe:
-            kwargs["l_steps"] = rpe["L"]
     try:
-        cfg = derive_config(
-            d, r_max=r_max, g_max=g_max, k_max=int(rpe.get("K", 8)), modes=modes, **kwargs
-        )
+        # a fractional K or M is rejected, as RpeConfig rejects it, not truncated
+        if config["noiseless"]:
+            kwargs = {"l_steps": None, "shots": None}
+        else:
+            kwargs = {"shots": operator.index(rpe.get("M", 200))}
+            if "L" in rpe:
+                kwargs["l_steps"] = rpe["L"]
+        k_max = operator.index(rpe.get("K", 8))
+        cfg = derive_config(d, r_max=r_max, g_max=g_max, k_max=k_max, modes=modes, **kwargs)
         if rpe.get("t0") is not None:
             cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
     except (TypeError, ValueError) as exc:

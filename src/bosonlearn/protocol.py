@@ -1,11 +1,12 @@
 """The learner: robust phase estimation of the displaced constant term and
 the single-mode / multi-mode coefficient-learning drivers.
 
-Every learner measures through one step, _measure: the beta = 0 offset when
-it is subtracted, then one rpe_estimates call per grid, which returns the
-grid's estimates and its mask of inconsistent rounds as columns.  Everything
-here talks to the device exclusively through RPE grids (shot counts, or the
-exact-probability channel with shots = None) and the time ledger.
+Every learner measures through one step, _measure: one rpe_estimates call
+per learn, whose runs are the beta = 0 offset when it is subtracted, then
+each grid in order, and which returns their estimates and their mask of
+inconsistent rounds as columns.  Everything here talks to the device
+exclusively through RPE grids (shot counts, or the exact-probability channel
+with shots = None) and the time ledger.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def rpe_estimate(
     device: SimulatedDevice, beta, cfg: RpeConfig, frame_z=None, token: str = "rpe"
 ) -> PhaseEstimate:
     """Estimate the constant term at beta by iterative phase unwrapping: the
-    one-run case of rpe_estimates.  time_cost is the ledger's growth over the
-    call, so 0 on the exact channel."""
+    one-run case of rpe_estimates, for a caller that wants one run (the
+    learners send all of theirs through one rpe_estimates call).  time_cost
+    is the ledger's growth over the call, so 0 on the exact channel."""
     start = device.ledger().total_evolution_time
     c_hat, inconsistent = rpe_estimates(device, [beta], cfg, frame_z, [token])
     time_cost = device.ledger().total_evolution_time - start
@@ -185,24 +187,33 @@ def rpe_estimate(
 def _measure(
     device: SimulatedDevice, cfg: RpeConfig, frame_z, offset_token: str | None, grids: list
 ) -> tuple[float | None, list[np.ndarray], dict]:
-    """Every learner's measurement step: C at beta = 0 (the identity content
-    of H in the working frame) through rpe_estimate under offset_token, unless
-    it is None, then each grid (points, stem) with one rpe_estimates call,
-    point i under the token f"{stem}{i}".  Returns the offset (or None), each
-    grid's C values, and the diagnostics of the grid runs: inconsistent_rounds
-    (a count) and inconsistent_runs (each inconsistent run's rounds, by token)."""
-    offset = None
+    """Every learner's measurement step, in one rpe_estimates call.
+
+    The runs are C at beta = 0 (the identity content of H in the working
+    frame) under offset_token, unless it is None, then each grid (points,
+    stem) in order, point i under the token f"{stem}{i}".  RPE's schedule is
+    fixed before any bit is seen, so they all go to the device together; each
+    run's shots come from its own token's streams, and the ledger is charged
+    run by run in that order, as one call per grid would charge it.  Returns
+    the offset (or None), each grid's C values, and the diagnostics of every
+    run, the offset's included: inconsistent_rounds (a count) and
+    inconsistent_runs (each inconsistent run's rounds, by token)."""
+    betas, tokens = [], []
     if offset_token is not None:
-        beta = np.zeros(device.cutoff.modes)
-        offset = rpe_estimate(device, beta, cfg, frame_z, offset_token).c_hat
-    values, runs = [], {}
+        betas.append(np.zeros(device.cutoff.modes))
+        tokens.append(offset_token)
     for points, stem in grids:
-        tokens = [f"{stem}{i}" for i in range(len(points))]
-        c_hat, inconsistent = rpe_estimates(device, points, cfg, frame_z, tokens)
-        values.append(c_hat)
-        for i in np.flatnonzero(inconsistent.any(axis=1)).tolist():
-            runs[tokens[i]] = np.flatnonzero(inconsistent[i]).tolist()
+        betas.extend(points)
+        tokens.extend(f"{stem}{i}" for i in range(len(points)))
+    c_hat, inconsistent = rpe_estimates(device, betas, cfg, frame_z, tokens)
+    runs = {
+        tokens[i]: np.flatnonzero(inconsistent[i]).tolist()
+        for i in np.flatnonzero(inconsistent.any(axis=1)).tolist()
+    }
     diagnostics = {"inconsistent_rounds": sum(map(len, runs.values())), "inconsistent_runs": runs}
+    offset = None if offset_token is None else float(c_hat[0])
+    first = 0 if offset_token is None else 1
+    values = np.split(c_hat[first:], np.cumsum([len(points) for points, _ in grids[:-1]]))
     return offset, values, diagnostics
 
 
@@ -240,7 +251,8 @@ def learn_single_mode(
     f"{token}:m{mode}:p{i}".  subtract_offset additionally measures C at
     beta = 0 (the identity content of the Hamiltonian in the working frame),
     under f"{token}:m{mode}:offset", and removes it from every grid value
-    before recovery.
+    before recovery.  The offset run goes to the device first, in the grid's
+    call, and its inconsistent rounds are reported with the grid runs'.
     """
     modes = device.cutoff.modes
     if not 0 <= mode < modes:
@@ -312,9 +324,9 @@ def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np
 def _learn_stages(
     device: SimulatedDevice, cfg: RpeConfig, stages: list, frame_z, subtract_offset: bool, token: str
 ) -> tuple[LearnedCoefficients, list[MultidimFit]]:
-    """Measure the beta = 0 offset (when subtracted, under f"{token}:offset"),
-    then each stage's grid with one rpe_estimates call, and fit the stages in
-    order with staged_fit.
+    """Measure the beta = 0 offset (when subtracted, under f"{token}:offset")
+    and every stage's grid with one rpe_estimates call, offset first, then
+    the stages in order, and fit the stages in order with staged_fit.
 
     stages lists (tag, points, keys); point i of a stage carries the token
     f"{token}:{tag}:g{i}".  Each stage's fit subtracts every earlier one at

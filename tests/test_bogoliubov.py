@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlearn.bogoliubov import (
+    G_MAX_PRIOR,
     U_FEASIBLE_MAX,
     FeasibilityError,
+    _cfg_for_precision,
     bisection_search,
     boson_mul,
     build_T,
@@ -390,3 +392,14 @@ def test_learn_firstq_noiseless_recovers_frame_and_coefficients():
         # noiseless recovery errors come only from the residual frame error
         tol = 3 * res.stderr[key] + 1e-8
         assert abs(val - truth.get(key, 0.0)) <= tol
+
+
+@pytest.mark.parametrize(
+    "eps_coeff, d, shots, k_cap", [(2e-3, 4, 200, 18), (1.0, 2, 50, 10), (1e-9, 3, 20, 7)]
+)
+def test_cfg_for_precision_equals_a_config_derived_at_its_depth(eps_coeff, d, shots, k_cap):
+    # t0, c_bound and h_scale do not depend on k_max, so re-validating one
+    # derived config at the chosen depth gives the config derived there
+    cfg = _cfg_for_precision(eps_coeff, 11.4, d, shots, k_cap)
+    assert 4 <= cfg.k_max <= k_cap
+    assert cfg == derive_config(d, g_max=G_MAX_PRIOR, k_max=cfg.k_max, shots=shots, l_steps=None)

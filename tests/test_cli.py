@@ -168,6 +168,14 @@ def test_bad_rpe_steps_are_schema_errors(tmp_path, rpe):
     assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
 
 
+@pytest.mark.parametrize("rpe", [{"K": 2.5}, {"M": 50.7}, {"K": 2.5, "M": 50.7}])
+def test_fractional_rpe_depth_and_shots_are_schema_errors(tmp_path, capsys, rpe):
+    # int() used to truncate them, so K = 2.5 and M = 50.7 ran K = 2 with 50 shots
+    cfg = write_config(tmp_path, "c.json", {"generator": {"modes": 1, "d": 2}, "rpe": rpe})
+    assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
+    assert "bad rpe block" in capsys.readouterr().err
+
+
 def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

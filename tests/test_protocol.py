@@ -434,9 +434,14 @@ def _grid(stem, points):
     return rows, [f"{stem}{i}" for i in range(len(rows))]
 
 
-def test_learners_make_one_device_call_per_grid(monkeypatch):
-    # each token keys a request's shot stream, so the tokens and betas of
-    # every grid, the beta = 0 offset run included, are pinned here
+def _joined(*parts):
+    """(betas, tokens) of grids sent together, in order."""
+    return [b for betas, _ in parts for b in betas], [t for _, tokens in parts for t in tokens]
+
+
+def test_learners_make_one_device_call_per_learn(monkeypatch):
+    # each token keys a request's shot stream, so the betas and tokens of
+    # every run, the beta = 0 offset run first, are pinned here
     cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
     line = [r * np.exp(1j * theta) for r, theta in single_mode_pipeline(2).points]
     grid = joint_grid(2, 2)
@@ -445,26 +450,25 @@ def test_learners_make_one_device_call_per_grid(monkeypatch):
     learn_single_mode(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, mode=1, subtract_offset=True
     )
-    assert len(batches) == 2  # the beta = 0 offset, then the grid
     offset = ([(0j, 0j)], ["single:m1:offset"])
-    assert _sent(batches) == [offset, _grid("single:m1:p", [(0j, b) for b in line])]
+    assert _sent(batches) == [_joined(offset, _grid("single:m1:p", [(0j, b) for b in line]))]
     batches.clear()
     learn_multimode_hierarchical(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
-    assert len(batches) == 3  # one isolated grid per mode, then the joint grid
-    assert _sent(batches) == [
-        _grid("hier:s0:g", iso[0]),
-        _grid("hier:s1:g", iso[1]),
-        _grid("hier:j:g", grid),
-    ]
+    stages = [_grid("hier:s0:g", iso[0]), _grid("hier:s1:g", iso[1]), _grid("hier:j:g", grid)]
+    assert _sent(batches) == [_joined(*stages)]
+    batches.clear()
+    learn_multimode_hierarchical(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg, subtract_offset=True
+    )
+    assert _sent(batches) == [_joined(([(0j, 0j)], ["hier:offset"]), *stages)]
     batches.clear()
     learn_multimode_simultaneous(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg)
-    assert len(batches) == 1
     assert _sent(batches) == [_grid("simul:j:g", grid)]
     batches.clear()
     learn_multimode_simultaneous(
         SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg, subtract_offset=True, token="t"
     )
-    assert _sent(batches) == [([(0j, 0j)], ["t:offset"]), _grid("t:j:g", grid)]
+    assert _sent(batches) == [_joined(([(0j, 0j)], ["t:offset"]), _grid("t:j:g", grid))]
     batches.clear()
     one_mode = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 0.5}), FockCutoff(n_max=16))
     delta = np.linspace(0.0, 1e-2, len(line)) * 1j
@@ -472,26 +476,77 @@ def test_learners_make_one_device_call_per_grid(monkeypatch):
     assert _sent(batches) == [_grid("spam", [(b + s,) for b, s in zip(line, delta)])]
 
 
-def test_offset_runs_go_through_rpe_estimate(monkeypatch):
-    # perfbench's tracer counts these runs, and their inconsistent rounds, by
-    # wrapping protocol.rpe_estimate
-    calls = []
-    original = protocol.rpe_estimate
+def _measure_grid_by_grid(device, cfg, frame_z, offset_token, grids):
+    """The learners' measurement step with one rpe_estimates call per grid,
+    the offset run first in a call of its own."""
+    offset = None
+    if offset_token is not None:
+        beta = [np.zeros(device.cutoff.modes)]
+        offset = float(rpe_estimates(device, beta, cfg, frame_z, [offset_token])[0][0])
+    values = [
+        rpe_estimates(device, points, cfg, frame_z, [f"{stem}{i}" for i in range(len(points))])[0]
+        for points, stem in grids
+    ]
+    return offset, values, {}
 
-    def recorded(*args, **kwargs):
-        est = original(*args, **kwargs)
-        calls.append(est)
-        return est
 
-    monkeypatch.setattr(protocol, "rpe_estimate", recorded)
-    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
-    for learner in (learn_multimode_hierarchical, learn_multimode_simultaneous):
-        learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, 2, cfg, subtract_offset=True)
-        assert learned.identity_offset == calls[-1].c_hat
-    single = learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg, subtract_offset=True)
-    assert single.identity_offset == calls[-1].c_hat and len(calls) == 3
-    learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT), 2, cfg)
-    assert len(calls) == 3
+_LEARNERS = {
+    "single": lambda dev, cfg, **kw: learn_single_mode(dev, 2, cfg, mode=1, **kw),
+    "hierarchical": lambda dev, cfg, **kw: learn_multimode_hierarchical(dev, 2, 2, cfg, **kw),
+    "simultaneous": lambda dev, cfg, **kw: learn_multimode_simultaneous(dev, 2, 2, cfg, **kw),
+}
+
+
+@pytest.mark.parametrize("subtract_offset", [False, True])
+@pytest.mark.parametrize("shots", [20, None], ids=["shots", "exact"])
+@pytest.mark.parametrize("learner", sorted(_LEARNERS))
+def test_one_call_learn_equals_its_grids_sent_one_by_one(monkeypatch, learner, shots, subtract_offset):
+    # each run draws from its own token's streams and the ledger is charged
+    # run by run, so sending every run of a learn together changes nothing
+    cfg = derive_config(2, k_max=3 if shots else 5, shots=shots, l_steps=None)
+    frame_z = (0.1 + 0.05j, -0.2j)
+
+    def learn():
+        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=5)
+        learned = _LEARNERS[learner](dev, cfg, frame_z=frame_z, subtract_offset=subtract_offset)
+        ledger = dev.ledger()
+        return (
+            learned.estimates,
+            learned.identity_offset,
+            ledger.total_evolution_time.hex(),
+            ledger.shot_count,
+        )
+
+    together = learn()
+    monkeypatch.setattr(protocol, "_measure", _measure_grid_by_grid)
+    one_by_one = learn()
+    assert together == one_by_one
+    assert (together[1] != 0.0) == subtract_offset
+    assert (together[3] > 0) == (shots is not None)
+
+
+def test_offset_run_inconsistent_rounds_are_reported():
+    # every grid value is shifted by the beta = 0 estimate, so a jump in that
+    # run is reported with the grid runs' jumps, under the offset's token
+    cfg = derive_config(2, k_max=4, shots=20, l_steps=None)
+    frame_z = (0.1 + 0.05j, -0.2j)
+
+    def learn(subtract_offset):
+        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
+        return learn_single_mode(
+            dev, 2, cfg, mode=1, frame_z=frame_z, subtract_offset=subtract_offset
+        ).diagnostics
+
+    runs = learn(True)["inconsistent_runs"]
+    assert runs["single:m1:offset"] == [1]
+    assert learn(True)["inconsistent_rounds"] == sum(map(len, runs.values()))
+    # the grid runs report what they report without the offset
+    del runs["single:m1:offset"]
+    assert learn(False)["inconsistent_runs"] == runs
+    alone = rpe_estimate(
+        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3), (0, 0), cfg, frame_z, "single:m1:offset"
+    )
+    assert alone.inconsistent_rounds == [1]
 
 
 @pytest.mark.parametrize(
