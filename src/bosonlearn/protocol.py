@@ -198,14 +198,14 @@ def _measure(
     the offset (or None), each grid's C values, and the diagnostics of every
     run, the offset's included: inconsistent_rounds (a count) and
     inconsistent_runs (each inconsistent run's rounds, by token)."""
-    betas, tokens = [], []
+    blocks, tokens = [], []
     if offset_token is not None:
-        betas.append(np.zeros(device.cutoff.modes))
+        blocks.append(np.zeros((1, device.cutoff.modes)))
         tokens.append(offset_token)
     for points, stem in grids:
-        betas.extend(points)
+        blocks.append(points)
         tokens.extend(f"{stem}{i}" for i in range(len(points)))
-    c_hat, inconsistent = rpe_estimates(device, betas, cfg, frame_z, tokens)
+    c_hat, inconsistent = rpe_estimates(device, np.concatenate(blocks), cfg, frame_z, tokens)
     runs = {
         tokens[i]: np.flatnonzero(inconsistent[i]).tolist()
         for i in np.flatnonzero(inconsistent.any(axis=1)).tolist()
