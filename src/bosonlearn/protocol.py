@@ -211,9 +211,8 @@ def _measure(
         for i in np.flatnonzero(inconsistent.any(axis=1)).tolist()
     }
     diagnostics = {"inconsistent_rounds": sum(map(len, runs.values())), "inconsistent_runs": runs}
-    offset = None if offset_token is None else float(c_hat[0])
-    first = 0 if offset_token is None else 1
-    values = np.split(c_hat[first:], np.cumsum([len(points) for points, _ in grids[:-1]]))
+    values = np.split(c_hat, np.cumsum([len(block) for block in blocks[:-1]]))
+    offset = None if offset_token is None else float(values.pop(0)[0])
     return offset, values, diagnostics
 
 
@@ -335,6 +334,9 @@ def _learn_stages(
     maps each stage's tag to its fit's largest residual, which flags a
     wrapped first RPE round without the truth.
     """
+    modes = device.cutoff.modes
+    if any(points.shape[1] != modes for _, points, _ in stages):
+        raise ValueError(f"every grid needs one entry per mode: the device has {modes} modes")
     start = device.ledger().total_evolution_time
     offset_token = f"{token}:offset" if subtract_offset else None
     grids = [(points, f"{token}:{tag}:g") for tag, points, _ in stages]

@@ -205,6 +205,17 @@ def test_learn_single_mode_rejects_a_mode_the_device_lacks(mode):
     assert dev.ledger() == TimeLedger()
 
 
+@pytest.mark.parametrize("subtract_offset", [False, True])
+@pytest.mark.parametrize("modes", [1, 3])
+@pytest.mark.parametrize("learner", [learn_multimode_hierarchical, learn_multimode_simultaneous])
+def test_multimode_learners_reject_a_mode_count_the_device_lacks(learner, modes, subtract_offset):
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    with pytest.raises(ValueError, match="the device has 2 modes"):
+        learner(dev, modes, 2, cfg, subtract_offset=subtract_offset)
+    assert dev.ledger() == TimeLedger()
+
+
 def test_as_pq_dict_view():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.5})
     dev = SimulatedDevice(spec, FockCutoff(n_max=16))
