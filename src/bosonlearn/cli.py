@@ -42,10 +42,9 @@ from .protocol import (
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
-    rpe_estimate,
+    rpe_estimates,
 )
 from .recovery import (
-    coefficient_order_sums,
     covariance_compare,
     lipschitz_bound,
     real_design_matrix,
@@ -66,6 +65,15 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     """Configuration fails schema or sanity checks (exit code 2)."""
+
+
+def _index(value, name: str) -> int:
+    """A config integer through operator.index, as RpeConfig takes its own: a
+    fractional or non-numeric value is a ConfigError, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -106,7 +114,7 @@ def _build_spec(config: dict) -> HamiltonianSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad spec file {path}: {exc}") from exc
         try:
-            return validate_hermitian(spec, check_matrix=False)
+            return validate_hermitian(spec)
         except ValueError as exc:
             raise ConfigError(f"bad spec file {path}: {exc}") from exc
     gen = config.get("generator")
@@ -114,11 +122,11 @@ def _build_spec(config: dict) -> HamiltonianSpec:
         raise ConfigError("config needs either spec_path or generator")
     try:
         spec = random_spec(
-            modes=int(gen.get("modes", 1)),
-            d=int(gen.get("d", 2)),
+            modes=operator.index(gen.get("modes", 1)),
+            d=operator.index(gen.get("d", 2)),
             g_max=float(gen.get("g_max", 1.0)),
             sparsity=float(gen.get("sparsity", 1.0)),
-            seed=int(gen.get("seed", config["seed"])),
+            seed=operator.index(gen.get("seed", config["seed"])),
             include_couplings=bool(gen.get("include_couplings", True)),
         )
     except (TypeError, ValueError) as exc:
@@ -167,10 +175,10 @@ def _schedule(config: dict, spec: HamiltonianSpec) -> tuple[int, RpeConfig, floa
     if config["experiment"] == "spam-sweep":
         if spec.modes != 1:
             raise ConfigError("spam-sweep needs a single-mode spec")
-        d = int(grid.get("d", 2))
+        d = _index(grid.get("d", 2), "grid.d")
         cfg = derive_config(d, g_max=spec.g_max, shots=None, l_steps=None, k_max=10)
         return d, cfg, 1.1
-    d = int(grid.get("d", spec.max_order))
+    d = _index(grid.get("d", spec.max_order), "grid.d")
     r_max = float(grid.get("r_max", 1.0))
     return d, _rpe_config(config, d, r_max, spec.g_max, spec.modes), r_max
 
@@ -254,8 +262,10 @@ def _run_learn_multi(config: dict, checked: dict) -> dict:
 
 def _firstq_block(config: dict) -> dict:
     """The parsed firstq block: gprime keyed by (p, q), its order d, the true
-    frame, the search bracket, eps_g and n_max.  validate and the runner both
-    read the block through here."""
+    frame, the search bracket, eps_g and n_max, with the shots per basis
+    (rpe.M, None on the exact channel).  validate and the runner both read the
+    block through here."""
+    shots = None if config["noiseless"] else _index(config.get("rpe", {}).get("M", 200), "rpe.M")
     fq = config.get("firstq")
     if fq is None:
         raise ConfigError("learn-firstq needs a firstq block")
@@ -270,7 +280,8 @@ def _firstq_block(config: dict) -> dict:
             "frame": frame_from_ratio(1.0, 1.0 / float(fq.get("ratio", 1.0))),
             "bracket": (lo, hi),
             "eps_g": float(fq.get("eps_g", 5e-3)),
-            "n_max": int(fq.get("n_max", 48)),
+            "n_max": operator.index(fq.get("n_max", 48)),
+            "shots": shots,
         }
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad firstq block: {exc}") from exc
@@ -291,7 +302,7 @@ def _run_learn_firstq(config: dict, _checked: dict) -> dict:
         d,
         eps_g=fq["eps_g"],
         bracket=fq["bracket"],
-        shots=None if config["noiseless"] else int(config.get("rpe", {}).get("M", 200)),
+        shots=fq["shots"],
         token=f"cli{config['seed']}",
     )
     ledger = device.ledger()
@@ -317,32 +328,39 @@ def _run_learn_firstq(config: dict, _checked: dict) -> dict:
     }
 
 
-def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
+def _sweep_block(config: dict) -> tuple[list[int], int, int, float]:
+    """The parsed sweep-heisenberg config: its depths K, seed count, rpe.M and
+    c_true.  validate and the runner both read it through here."""
     sweep = config.get("sweep", {})
-    k_values = list(sweep.get("k_values", range(4, 11)))
-    n_seeds = int(sweep.get("seeds", 20))
-    shots = int(config.get("rpe", {}).get("M", 200))
-    c_true = float(sweep.get("c_true", 0.64))
+    k_values = [_index(k, "sweep.k_values") for k in sweep.get("k_values", range(4, 11))]
+    n_seeds = _index(sweep.get("seeds", 20), "sweep.seeds")
+    shots = _index(config.get("rpe", {}).get("M", 200), "rpe.M")
+    return k_values, n_seeds, shots, float(sweep.get("c_true", 0.64))
+
+
+def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
+    k_values, n_seeds, shots, c_true = _sweep_block(config)
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
     beta = math.sqrt(c_true)
     cutoff = adaptive_cutoff(spec, beta)
 
     def one_point(k: int) -> tuple[float, float, int]:
+        """One RPE run per seed, each on a fresh device, whose ledger total is
+        the run's evolution time."""
         cfg = derive_config(2, k_max=k, shots=shots, l_steps=None)
-        seeds = range(int(config["seed"]), int(config["seed"]) + n_seeds)
-        results = [
-            rpe_estimate(SimulatedDevice(spec, cutoff, master_seed=seed), [beta], cfg, token=f"hs{seed}")
-            for seed in seeds
-        ]
-        errs = np.array([est.c_hat - c_true for est in results])
-        rmse = float(np.sqrt(np.mean(errs**2)))
-        time_per = float(np.mean([est.time_cost for est in results]))
-        return time_per, rmse, 2 * shots * (k + 1)
+        errs, times = [], []
+        for seed in range(int(config["seed"]), int(config["seed"]) + n_seeds):
+            device = SimulatedDevice(spec, cutoff, master_seed=seed)
+            c_hat, _ = rpe_estimates(device, [beta], cfg, None, [f"hs{seed}"])
+            errs.append(c_hat[0] - c_true)
+            times.append(device.ledger().total_evolution_time)
+        rmse = float(np.sqrt(np.mean(np.array(errs) ** 2)))
+        return float(np.mean(times)), rmse, 2 * shots * (k + 1)
 
     rows = []
     for k in k_values:
-        total_time, rmse, shot_count = one_point(int(k))
-        rows.append({"k": int(k), "total_time": total_time, "rmse": rmse, "shots": shot_count})
+        total_time, rmse, shot_count = one_point(k)
+        rows.append({"k": k, "total_time": total_time, "rmse": rmse, "shots": shot_count})
     slope = None
     if len(rows) >= 2:
         logt = np.log([r["total_time"] for r in rows])
@@ -353,8 +371,8 @@ def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
 
 def _run_compare_covariance(config: dict, _checked: dict) -> dict:
     grid_cfg = config.get("grid", {})
-    d = int(grid_cfg.get("d", 2))
-    modes = int(grid_cfg.get("modes", 2))
+    d = _index(grid_cfg.get("d", 2), "grid.d")
+    modes = _index(grid_cfg.get("modes", 2), "grid.modes")
     grid = joint_grid(modes, d)
     keys = admissible_keys(modes, d)
     m1 = real_design_matrix(grid, real_parameters([k for k in keys if not k.is_coupling]))
@@ -376,10 +394,7 @@ def _run_spam_sweep(config: dict, checked: dict) -> dict:
     d, cfg, _ = _schedule(config, spec)
     cutoff = FockCutoff(n_max=checked["cutoff_n_max"], modes=1)
     pipe = single_mode_pipeline(d)
-    sums, weighted = coefficient_order_sums(
-        {(k.p[0], k.q[0]): v for k, v in spec.terms.items()}
-    )
-    l_c = lipschitz_bound(d, 1.0, sums, weighted)
+    l_c = lipschitz_bound(d, 1.0, {(k.p[0], k.q[0]): v for k, v in spec.terms.items()})
     rng = np.random.default_rng(int(config["seed"]))
     direction = rng.normal(size=len(pipe.points)) + 1j * rng.normal(size=len(pipe.points))
     direction /= np.linalg.norm(direction)
@@ -423,6 +438,7 @@ def validate(config: dict) -> dict:
     diagnostics: dict = {"experiment": config["experiment"]}
     if config["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
+    _index(config["seed"], "seed")  # so the runners' int() never truncates it
     if config["experiment"] in ("learn-single", "learn-multi", "spam-sweep"):
         spec = _build_spec(config)
         _, cfg, beta_max = _schedule(config, spec)
@@ -436,6 +452,8 @@ def validate(config: dict) -> dict:
                 "cutoff_n_max": cutoff.n_max,
             }
         )
+    if config["experiment"] == "sweep-heisenberg":
+        _sweep_block(config)
     if config["experiment"] == "learn-firstq":
         fq = _firstq_block(config)
         frame = fq["frame"]

@@ -227,11 +227,6 @@ def _grid_entropy(run_tokens: tuple[str, ...], suffixes: tuple[str, ...]) -> np.
     return entropy
 
 
-def _philox_keys(master_seed: int, tokens: Sequence[str]) -> np.ndarray:
-    """Philox keys of the shot streams of `tokens`, shape (len(tokens), 2)."""
-    return _entropy_keys(master_seed, _token_entropy(tokens))
-
-
 # Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h):
 # the multipliers of counter words 0 and 2, and the key's Weyl increments.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -411,7 +406,7 @@ class SimulatedDevice:
         true_frame_z: tuple[complex, ...] | None = None,
         noise: NoiseModel | None = None,
     ):
-        validate_hermitian(spec, check_matrix=False)
+        validate_hermitian(spec)
         if cutoff.modes != spec.modes:
             raise ValueError("cutoff mode count does not match spec")
         if true_frame_z is not None and len(true_frame_z) != cutoff.modes:

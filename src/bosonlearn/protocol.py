@@ -91,15 +91,6 @@ def derive_config(
     )
 
 
-@dataclass(slots=True)
-class PhaseEstimate:
-    """rpe_estimate's result: one run's estimate, cost and inconsistent rounds."""
-
-    c_hat: float
-    time_cost: float
-    inconsistent_rounds: list[int]
-
-
 def _schedule(cfg: RpeConfig) -> list[tuple[int, str, int | None]]:
     """The 2(K+1) rows (kappa, basis, l_steps) of one RPE run: an X and a Y
     request per round kappa = 2^j."""
@@ -152,7 +143,8 @@ def rpe_estimates(
     the shot channel, probability_grid on the exact channel, which asks
     device.probability once per request.  Both channels unwrap the whole grid
     together.  Returns the columns (c_hat, inconsistent): each run's estimate
-    and the (runs, rounds) mask of its inconsistent rounds.
+    and the (runs, rounds) mask of its inconsistent rounds.  The runs'
+    evolution time is the ledger's growth over the call.
     """
     modes = device.cutoff.modes
     try:
@@ -169,19 +161,6 @@ def rpe_estimates(
         ones = device.run_shot_grid(rows, frame_z, cfg.t0, schedule, cfg.shots, tokens)
         p0 = (cfg.shots - ones) / cfg.shots
     return _unwrap(p0, cfg)
-
-
-def rpe_estimate(
-    device: SimulatedDevice, beta, cfg: RpeConfig, frame_z=None, token: str = "rpe"
-) -> PhaseEstimate:
-    """Estimate the constant term at beta by iterative phase unwrapping: the
-    one-run case of rpe_estimates, for a caller that wants one run (the
-    learners send all of theirs through one rpe_estimates call).  time_cost
-    is the ledger's growth over the call, so 0 on the exact channel."""
-    start = device.ledger().total_evolution_time
-    c_hat, inconsistent = rpe_estimates(device, [beta], cfg, frame_z, [token])
-    time_cost = device.ledger().total_evolution_time - start
-    return PhaseEstimate(float(c_hat[0]), time_cost, np.flatnonzero(inconsistent[0]).tolist())
 
 
 def _measure(
@@ -226,10 +205,6 @@ class LearnedCoefficients:
     time_cost: float
     identity_offset: float = 0.0
     diagnostics: dict = field(default_factory=dict)
-
-    def as_pq_dict(self) -> dict[tuple[int, int], complex]:
-        """Single-mode view keyed by (p, q)."""
-        return {(k.p[0], k.q[0]): v for k, v in self.estimates.items() if not k.is_coupling}
 
 
 def learn_single_mode(

@@ -167,38 +167,24 @@ def _build_pipeline(degree: int, r_min: float, r_max: float) -> SingleModePipeli
     )
 
 
-def lipschitz_bound(degree: int, r_max: float, order_sums: dict[int, float] | None = None,
-                    order_weighted_sums: dict[int, float] | None = None) -> float:
-    """Upper bound on sup ||grad C(r, theta)||_2 over the displacement disk.
+def lipschitz_bound(degree: int, r_max: float, coeffs: dict[tuple[int, int], complex]) -> float:
+    """Upper bound on sup ||grad C(r, theta)||_2 over the displacement disk,
+    for the single-mode coefficients coeffs = {(p, q): g}.
 
     Radial part: sum_l l r_max^{l-1} (sum_{p+q=l} |g_{p,q}|).  Angular part
     uses sum_{p+q=l} |g_{p,q}| |q-p| with the same l r_max^{l-1} weight (a
     concrete, conservative version of the order-l^2 estimate).  With
     unit-bounded coefficients the radial part reduces to sum l(l+1) r_max^{l-1}.
     """
-    if order_sums is None:
-        order_sums = {l: float(l + 1) for l in range(1, degree + 1)}
-    if order_weighted_sums is None:
-        # |q-p| <= l; unit coefficients give sum |g||q-p| <= sum over p of |l-2p|
-        order_weighted_sums = {
-            l: float(sum(abs(l - 2 * p) for p in range(l + 1))) for l in range(1, degree + 1)
-        }
-    radial = sum(l * r_max ** (l - 1) * order_sums.get(l, 0.0) for l in range(1, degree + 1))
-    angular = sum(
-        l * r_max ** (l - 1) * order_weighted_sums.get(l, 0.0) for l in range(1, degree + 1)
-    )
-    return float(math.hypot(radial, angular))
-
-
-def coefficient_order_sums(coeffs: dict[tuple[int, int], complex]) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-order sums of |g| and |g||q-p| for lipschitz_bound."""
     sums: dict[int, float] = {}
     weighted: dict[int, float] = {}
     for (p, q), g in coeffs.items():
         l = p + q
         sums[l] = sums.get(l, 0.0) + abs(g)
         weighted[l] = weighted.get(l, 0.0) + abs(g) * abs(q - p)
-    return sums, weighted
+    radial = sum(l * r_max ** (l - 1) * sums.get(l, 0.0) for l in range(1, degree + 1))
+    angular = sum(l * r_max ** (l - 1) * weighted.get(l, 0.0) for l in range(1, degree + 1))
+    return float(math.hypot(radial, angular))
 
 
 @dataclass

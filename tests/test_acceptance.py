@@ -38,10 +38,9 @@ from bosonlearn.protocol import (
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
-    rpe_estimate,
+    rpe_estimates,
 )
 from bosonlearn.recovery import (
-    coefficient_order_sums,
     covariance_compare,
     lipschitz_bound,
     real_design_matrix,
@@ -114,9 +113,9 @@ def test_03_heisenberg_scaling():
         for seed in range(100):
             dev = SimulatedDevice(spec, cut, master_seed=seed)
             cfg = derive_config(2, k_max=k, shots=200, l_steps=None)
-            est = rpe_estimate(dev, [beta], cfg, token=f"h{seed}")
-            errs.append(est.c_hat - c_true)
-            tcost.append(est.time_cost)
+            c_hat, _ = rpe_estimates(dev, [beta], cfg, None, [f"h{seed}"])
+            errs.append(c_hat[0] - c_true)
+            tcost.append(dev.ledger().total_evolution_time)
         times.append(float(np.mean(tcost)))
         rmses.append(float(np.sqrt(np.mean(np.square(errs)))))
     slope = float(np.polyfit(np.log(times), np.log(rmses), 1)[0])
@@ -218,8 +217,7 @@ def test_07_spam_bound_and_linearity():
     d = 2
     spec = random_spec(1, d, seed=2, include_couplings=False)
     pipe = single_mode_pipeline(d)
-    sums, weighted = coefficient_order_sums({(k.p[0], k.q[0]): v for k, v in spec.terms.items()})
-    lipschitz = lipschitz_bound(d, 1.0, sums, weighted)
+    lipschitz = lipschitz_bound(d, 1.0, {(k.p[0], k.q[0]): v for k, v in spec.terms.items()})
     cfg = derive_config(d, g_max=spec.g_max, k_max=10, shots=None, l_steps=None)
     cut = adaptive_cutoff(spec, 1.2)
 

@@ -176,6 +176,51 @@ def test_fractional_rpe_depth_and_shots_are_schema_errors(tmp_path, capsys, rpe)
     assert "bad rpe block" in capsys.readouterr().err
 
 
+FIRSTQ = {"gprime": {"1,1": 1.0, "2,2": 0.2}, "ratio": 1.3, "eps_g": 0.01}
+ONE_MODE = {"modes": 1, "d": 2}
+
+
+@pytest.mark.parametrize(
+    "experiment, doc, reason",
+    [
+        ("learn-single", {"generator": ONE_MODE, "grid": {"d": 2.7}}, "grid.d"),
+        ("spam-sweep", {"generator": ONE_MODE, "grid": {"d": 2.7}}, "grid.d"),
+        ("learn-single", {"generator": {"modes": 1.5, "d": 2}}, "bad generator block"),
+        ("learn-single", {"generator": {"modes": 1, "d": 2.7}}, "bad generator block"),
+        ("learn-single", {"generator": {**ONE_MODE, "seed": 2.9}}, "bad generator block"),
+        ("compare-covariance", {"grid": {"d": 2.7}}, "grid.d"),
+        ("compare-covariance", {"grid": {"modes": 2.5}}, "grid.modes"),
+        ("sweep-heisenberg", {"sweep": {"k_values": [4.6], "seeds": 2}}, "sweep.k_values"),
+        ("sweep-heisenberg", {"sweep": {"k_values": [4], "seeds": 2.9}}, "sweep.seeds"),
+        ("sweep-heisenberg", {"sweep": {"k_values": [4], "seeds": 2}, "rpe": {"M": 50.7}}, "rpe.M"),
+        ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": 50.7}}, "rpe.M"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "n_max": 48.5}}, "bad firstq block"),
+        ("learn-single", {"generator": ONE_MODE, "seed": 2.9}, "seed"),
+    ],
+    ids=[
+        "grid.d",
+        "spam-sweep-grid.d",
+        "generator.modes",
+        "generator.d",
+        "generator.seed",
+        "covariance-grid.d",
+        "covariance-grid.modes",
+        "sweep.k_values",
+        "sweep.seeds",
+        "sweep-rpe.M",
+        "firstq-rpe.M",
+        "firstq.n_max",
+        "seed",
+    ],
+)
+def test_fractional_cli_integers_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
+    # int() used to truncate each of them: grid.d = 2.7 ran d = 2
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
+
+
 def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -251,6 +296,18 @@ def test_sweep_csv_is_byte_identical_for_same_config_and_seed(tmp_path):
     assert csv1 == csv2
     header = csv1.decode().splitlines()[0]
     assert header == "k,total_time,rmse,shots"
+
+
+def test_sweep_report_matches_its_golden_values():
+    # one RPE run per seed on a fresh device, read out in full: a change to
+    # the RPE entry or to how the sweep reads a run's time moves these bits
+    config = {"experiment": "sweep-heisenberg", "seed": 0, "noiseless": False}
+    config.update(sweep={"k_values": [4, 5], "seeds": 3}, rpe={"M": 50})
+    rows = run(config)["result"]["rows"]
+    assert [(r["k"], r["total_time"].hex(), r["rmse"].hex(), r["shots"]) for r in rows] == [
+        (4, "0x1.b6408e8d64d25p+10", "0x1.396b754653e82p-7", 500),
+        (5, "0x1.bd521d3d17ff1p+11", "0x1.af7102c17ebbbp-9", 600),
+    ]
 
 
 def test_sweep_csv_changes_with_seed(tmp_path):

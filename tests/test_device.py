@@ -22,7 +22,6 @@ from bosonlearn.device import (
     _inversion_binomials,
     _inversion_regime,
     _philox_first_block,
-    _philox_keys,
     _token_entropy,
 )
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
@@ -560,7 +559,7 @@ def test_entropy_keys_match_seed_sequence(master_seed, entropies):
 @settings(max_examples=30, deadline=None)
 @given(master_seed=MASTER_SEEDS, tokens=st.lists(st.text(max_size=40), max_size=8))
 def test_philox_keys_match_the_rng_oracle(master_seed, tokens):
-    keys = _philox_keys(master_seed, tokens)
+    keys = _entropy_keys(master_seed, _token_entropy(tokens))
     assert keys.shape == (len(tokens), 2)
     for token, key in zip(tokens, keys):
         stream = shot_stream(master_seed, token)
@@ -601,7 +600,7 @@ def test_inversion_binomials_match_numpy(case, master_seed):
     p = np.array(p)
     tokens = [f"r{i}" for i in range(len(p))]
     rows = np.flatnonzero(_inversion_regime(n, p))
-    keys = _philox_keys(master_seed, tokens)[rows]
+    keys = _entropy_keys(master_seed, _token_entropy(tokens))[rows]
     counts, restarted = _inversion_binomials(n, p[rows], _first_uniforms(keys))
     for i, count, again in zip(rows, counts, restarted):
         if not again:
@@ -706,7 +705,8 @@ def test_grid_entropy_cache_is_bounded_read_only_and_exact():
         miss[0, 0] = 1
     tokens = [r + s for r in runs for s in suffixes]
     assert np.array_equal(miss, _token_entropy(tokens))
-    assert np.array_equal(_entropy_keys(77, hit), _philox_keys(77, tokens))
+    for token, key in zip(tokens, _entropy_keys(77, hit)):
+        assert np.array_equal(shot_stream(77, token).bit_generator.state["state"]["key"], key)
     for i in range(_ENTROPY_CACHE_SIZE + 10):
         _grid_entropy((f"g{i}",), suffixes)
         assert _grid_entropy.cache_info().currsize <= _ENTROPY_CACHE_SIZE

@@ -183,9 +183,17 @@ def test_canonical_key_pairs():
 @given(seed=st.integers(0, 10_000), modes=st.integers(1, 2), d=st.integers(1, 3))
 def test_random_spec_is_hermitian_and_bounded(seed, modes, d):
     spec = random_spec(modes, d, g_max=0.8, seed=seed)
-    validate_hermitian(spec, check_matrix=False)
+    validate_hermitian(spec)
     assert all(abs(v) <= 0.8 + 1e-12 for v in spec.terms.values())
     assert spec.terms == random_spec(modes, d, g_max=0.8, seed=seed).terms
+
+
+@pytest.mark.parametrize("modes, d, seed", [(1, 1, 0), (1, 3, 4), (2, 2, 7), (2, 3, 11), (3, 2, 2)])
+def test_random_spec_builds_a_hermitian_matrix(modes, d, seed):
+    # validate_hermitian checks the pairing only; the dense matrix agrees
+    spec = random_spec(modes, d, seed=seed)
+    h = build_matrix(spec, FockCutoff(n_max=max(d, 2), modes=modes))
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-10
 
 
 def test_serialization_round_trip():

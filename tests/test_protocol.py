@@ -23,7 +23,6 @@ from bosonlearn.protocol import (
     learn_multimode_hierarchical,
     learn_multimode_simultaneous,
     learn_single_mode,
-    rpe_estimate,
     rpe_estimates,
 )
 from bosonlearn.oracles import shot_stream
@@ -76,7 +75,7 @@ def test_rpe_config_rejects_non_integer_shots(shots):
         RpeConfig(k_max=3, shots=shots, t0=0.5, c_bound=1.0)
     cfg = RpeConfig(k_max=3, shots=np.int64(50), t0=0.5, c_bound=1.0)
     device = SimulatedDevice(HamiltonianSpec(1, 2, {single_key(1, 1): 1.0}), FockCutoff(n_max=12))
-    rpe_estimate(device, (0.3 + 0j,), cfg)
+    rpe_estimates(device, [(0.3 + 0j,)], cfg, None, ["rpe"])
     assert device.ledger().shot_count == 50 * 2 * 4
 
 
@@ -125,9 +124,9 @@ def test_rpe_noiseless_is_exact():
     dev = SimulatedDevice(spec, cut)
     cfg = derive_config(2, k_max=8, shots=None, l_steps=None)
     beta = 0.8 * np.exp(0.5j)
-    est = rpe_estimate(dev, [beta], cfg)
-    assert est.c_hat == pytest.approx(constant_term(spec, [beta]), abs=1e-9)
-    assert est.inconsistent_rounds == []
+    c_hat, inconsistent = rpe_estimates(dev, [beta], cfg, None, ["rpe"])
+    assert c_hat[0] == pytest.approx(constant_term(spec, [beta]), abs=1e-9)
+    assert not inconsistent.any()
 
 
 def test_rpe_unwrapping_beyond_single_round_range():
@@ -137,8 +136,8 @@ def test_rpe_unwrapping_beyond_single_round_range():
     cfg = derive_config(2, k_max=8, shots=None, l_steps=None)
     c = 0.9**2
     assert 2**8 * cfg.t0 * c > 2 * math.pi
-    est = rpe_estimate(dev, [0.9], cfg)
-    assert est.c_hat == pytest.approx(c, abs=1e-10)
+    c_hat, _ = rpe_estimates(dev, [0.9], cfg, None, ["rpe"])
+    assert c_hat[0] == pytest.approx(c, abs=1e-10)
 
 
 def test_rpe_shot_error_near_predicted_scale():
@@ -148,7 +147,8 @@ def test_rpe_shot_error_near_predicted_scale():
     errs = []
     for seed in range(40):
         dev = SimulatedDevice(spec, cut, master_seed=seed)
-        errs.append(rpe_estimate(dev, [0.8], cfg, token=f"e{seed}").c_hat - 0.64)
+        c_hat, _ = rpe_estimates(dev, [0.8], cfg, None, [f"e{seed}"])
+        errs.append(c_hat[0] - 0.64)
     rmse = float(np.sqrt(np.mean(np.square(errs))))
     assert rmse < 4 * cfg.predicted_eps_c
     assert rmse > cfg.predicted_eps_c / 10
@@ -158,9 +158,9 @@ def test_rpe_time_cost_doubles_per_round():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
     dev = SimulatedDevice(spec, FockCutoff(n_max=16), master_seed=0)
     cfg = derive_config(2, k_max=5, shots=50, l_steps=None)
-    est = rpe_estimate(dev, [0.5], cfg)
+    rpe_estimates(dev, [0.5], cfg, None, ["rpe"])
     expected = 2 * 50 * cfg.t0 * (2**6 - 1)
-    assert est.time_cost == pytest.approx(expected)
+    assert dev.ledger().total_evolution_time == pytest.approx(expected)
 
 
 def test_learn_single_mode_noiseless_exact():
@@ -216,12 +216,12 @@ def test_multimode_learners_reject_a_mode_count_the_device_lacks(learner, modes,
     assert dev.ledger() == TimeLedger()
 
 
-def test_as_pq_dict_view():
+def test_learn_single_mode_keys_its_estimates_by_term():
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 0.5})
     dev = SimulatedDevice(spec, FockCutoff(n_max=16))
     cfg = derive_config(2, k_max=6, shots=None, l_steps=None)
     learned = learn_single_mode(dev, 2, cfg)
-    assert learned.as_pq_dict()[(1, 1)] == pytest.approx(0.5, abs=1e-8)
+    assert learned.estimates[single_key(1, 1)] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_joint_grid_shape_and_content():
@@ -323,12 +323,9 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
     warm_up = ([(0.2,)], None, 0.1234567, [(3, "X", None)], 33, ["w"])
     sequential = SimulatedDevice(spec, cut, master_seed=9)
     sequential.run_shot_grid(*warm_up)
-    one_by_one = []
-    for beta, token in zip(betas, tokens):
-        before = sequential.ledger().total_evolution_time
-        est = rpe_estimate(sequential, beta, cfg, frame_z=frame_z, token=token)
-        assert est.time_cost == sequential.ledger().total_evolution_time - before
-        one_by_one.append(est)
+    one_by_one = [
+        rpe_estimates(sequential, [beta], cfg, frame_z, [token]) for beta, token in zip(betas, tokens)
+    ]
     batched = SimulatedDevice(spec, cut, master_seed=9)
     batched.run_shot_grid(*warm_up)
     grids = _count_calls(monkeypatch, "run_shot_grid")
@@ -337,10 +334,8 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
     betas_sent, _, _, schedule = grids[0][:4]
     assert len(betas_sent) == len(betas) and len(schedule) == 2 * (cfg.k_max + 1)
     assert inconsistent.shape == (len(betas), cfg.k_max + 1)
-    assert c_hat.tolist() == [est.c_hat for est in one_by_one]
-    assert [np.flatnonzero(row).tolist() for row in inconsistent] == [
-        est.inconsistent_rounds for est in one_by_one
-    ]
+    assert c_hat.tolist() == [c[0] for c, _ in one_by_one]
+    assert inconsistent.tolist() == [mask[0].tolist() for _, mask in one_by_one]
     assert batched.ledger() == sequential.ledger()
 
 
@@ -554,10 +549,9 @@ def test_offset_run_inconsistent_rounds_are_reported():
     # the grid runs report what they report without the offset
     del runs["single:m1:offset"]
     assert learn(False)["inconsistent_runs"] == runs
-    alone = rpe_estimate(
-        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3), (0, 0), cfg, frame_z, "single:m1:offset"
-    )
-    assert alone.inconsistent_rounds == [1]
+    device = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
+    _, alone = rpe_estimates(device, [(0, 0)], cfg, frame_z, ["single:m1:offset"])
+    assert np.flatnonzero(alone[0]).tolist() == [1]
 
 
 @pytest.mark.parametrize(

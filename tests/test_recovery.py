@@ -12,7 +12,6 @@ from bosonlearn.protocol import joint_grid
 from bosonlearn.recovery import (
     angular_angles,
     chebyshev_nodes,
-    coefficient_order_sums,
     covariance_compare,
     lipschitz_bound,
     params_to_coeffs,
@@ -157,8 +156,7 @@ def test_predict_covariance_trace_identity():
 def test_lipschitz_bound_dominates_numeric_gradient():
     d = 3
     coeffs = random_hermitian_coeffs(d, 77)
-    sums, weighted = coefficient_order_sums(coeffs)
-    bound = lipschitz_bound(d, 1.0, sums, weighted)
+    bound = lipschitz_bound(d, 1.0, coeffs)
     rng = np.random.default_rng(8)
     h = 1e-6
     for _ in range(200):
@@ -177,8 +175,11 @@ def test_lipschitz_bound_dominates_numeric_gradient():
 
 def test_lipschitz_bound_unit_coefficient_reduction():
     d = 4
-    bound = lipschitz_bound(d, 1.0)
+    unit = {(p, l - p): 1.0 for l in range(1, d + 1) for p in range(l + 1)}
+    bound = lipschitz_bound(d, 1.0, unit)
     radial = sum(l * (l + 1) for l in range(1, d + 1))
+    angular = sum(l * sum(abs(l - 2 * p) for p in range(l + 1)) for l in range(1, d + 1))
+    assert bound == math.hypot(radial, angular)
     assert bound >= radial
 
 
