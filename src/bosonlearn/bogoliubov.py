@@ -151,20 +151,19 @@ def _degree_keys(d: int) -> list[tuple[int, int]]:
 
 @dataclass
 class TransformT:
-    """Exact map G_{j,k} = sum_{p,q} g'_{p,q} T_{(p,q),(j,k)} at a given
-    mass-frequency product for the quadrature rescaling."""
+    """Exact map G_{j,k} = sum_{p,q} g'_{p,q} T_{(p,q),(j,k)}, rows and columns
+    both indexed by keys, at a mass-frequency product for the quadrature rescaling."""
 
     degree: int
     mass_omega: float
-    keys_normal: list[tuple[int, int]]
-    keys_sym: list[tuple[int, int]]
+    keys: list[tuple[int, int]]
     matrix: np.ndarray
     sigma_min: float
 
     def transform(self, gprime: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
-        vec = np.array([gprime.get(k, 0.0) for k in self.keys_normal], dtype=complex)
+        vec = np.array([gprime.get(k, 0.0) for k in self.keys], dtype=complex)
         out = vec @ self.matrix
-        return dict(zip(self.keys_sym, (complex(x) for x in out)))
+        return dict(zip(self.keys, (complex(x) for x in out)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,8 +191,8 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     is still rescaled and evaluated in sympy, sp.N(expr * mw**e, 25), so the
     matrix is the one a fresh sympy build gives, bit for bit.
     """
-    rows = cols = _degree_keys(d)
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    keys = _degree_keys(d)
+    mat = np.zeros((len(keys), len(keys)), dtype=complex)
     mw = sp.Float(mass_omega, 30)
     for i, col, expr, exponent in _exact_entries(d):
         mat[i, col] = complex(sp.N(expr * mw**exponent, 25))
@@ -204,8 +203,7 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     return TransformT(
         degree=d,
         mass_omega=mass_omega,
-        keys_normal=rows,
-        keys_sym=cols,
+        keys=keys,
         matrix=mat,
         sigma_min=sigma_min,
     )
@@ -236,8 +234,8 @@ def tensor_transform(
     errors through the quadrature rescaling (mw)^{(j-k)/2} and the exact
     mixing derivative under a small leftover mismatch.
     """
-    index = [{key: i for i, key in enumerate(t.keys_normal)} for t in transforms]
-    shape = tuple(len(t.keys_normal) for t in transforms)
+    index = [{key: i for i, key in enumerate(t.keys)} for t in transforms]
+    shape = tuple(len(t.keys) for t in transforms)
     g = np.zeros(shape, dtype=complex)
     var = np.zeros(shape)
     support = np.zeros(shape)
@@ -258,19 +256,19 @@ def tensor_transform(
         if not eps:
             continue
         t = transforms[m]
-        deriv = np.zeros((len(t.keys_normal),) * 2)
-        for row, key in enumerate(t.keys_normal):
+        deriv = np.zeros((len(t.keys),) * 2)
+        for row, key in enumerate(t.keys):
             for out_key, c in mismatch_derivative({key: 1.0}).items():
                 deriv[row, index[m][out_key]] = c
         mix = _per_axis(g, mats[:m] + [deriv @ t.matrix] + mats[m + 1 :])
-        along_m = [len(t.keys_sym) if a == m else 1 for a in range(len(transforms))]
-        rescale = np.array([abs(j - k) for j, k in t.keys_sym]).reshape(along_m)
+        along_m = [len(t.keys) if a == m else 1 for a in range(len(transforms))]
+        rescale = np.array([abs(j - k) for j, k in t.keys]).reshape(along_m)
         var_phys += (eps * (rescale * np.abs(g_phys) + np.abs(mix))) ** 2
 
     out: dict = {}
     stderr: dict = {}
     for at in zip(*np.nonzero(reached)):
-        key = tuple(t.keys_sym[i] for t, i in zip(transforms, at))
+        key = tuple(t.keys[i] for t, i in zip(transforms, at))
         out[key] = complex(g_phys[at])
         stderr[key] = math.sqrt(var_phys[at])
     return out, stderr

@@ -1,5 +1,7 @@
 """Command-line harness: configures devices and learners, runs the toolkit's
-experiments end to end, and writes machine-readable reports.
+experiments end to end, and writes machine-readable reports.  Each config is
+parsed once (_plan): validate reports that parse, and each runner reads only
+the plan it made.
 
 Exit codes: 0 success, 1 runtime failure, 2 config schema violation.
 """
@@ -12,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import operator
 import sys
 
@@ -53,15 +56,6 @@ from .recovery import (
     spam_bound,
 )
 
-EXPERIMENTS = (
-    "learn-single",
-    "learn-multi",
-    "learn-firstq",
-    "sweep-heisenberg",
-    "compare-covariance",
-    "spam-sweep",
-)
-
 
 class ConfigError(ValueError):
     """Configuration fails schema or sanity checks (exit code 2)."""
@@ -69,11 +63,44 @@ class ConfigError(ValueError):
 
 def _index(value, name: str) -> int:
     """A config integer through operator.index, as RpeConfig takes its own: a
-    fractional or non-numeric value is a ConfigError, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    fractional, boolean or non-numeric value is a ConfigError, not truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _number(value, name: str) -> float:
+    """A config real number: a boolean, string or null is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value, name: str) -> bool:
+    """A config boolean: the string "false" is a ConfigError, not true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    """A JSON object: the config document and each of its blocks."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _list(value, name: str, read) -> list:
+    """A config list, read entry by entry."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [read(x, name) for x in value]
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    """A config [a, b] of two numbers; another length is a ValueError."""
+    a, b = _list(value, name, _number)
+    return a, b
 
 
 def _config_hash(config: dict) -> str:
@@ -81,16 +108,21 @@ def _config_hash(config: dict) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config file under the command line's options; validate checks the
+    file's experiment, or --experiment-kind when the file names none."""
     config: dict = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                config = json.load(fh)
+                config = _object(json.load(fh), "config file")
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    config["experiment"] = args.experiment
+    if args.experiment != "validate":
+        config["experiment"] = args.experiment
+    elif not config.get("experiment"):
+        config["experiment"] = args.kind
     if args.seed is not None:
         config["seed"] = args.seed
     if args.out is not None:
@@ -102,85 +134,183 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _build_spec(config: dict) -> HamiltonianSpec:
+def _spec(config: dict, seed: int) -> HamiltonianSpec:
+    """The hidden spec: the file at spec_path, or the generator block's."""
     if "spec_path" in config:
         path = config["spec_path"]
         try:
-            spec = load_spec(path)
+            return validate_hermitian(load_spec(path))
         except FileNotFoundError as exc:
             raise ConfigError(f"spec file not found: {path}") from exc
         except KeyError as exc:
             raise ConfigError(f"spec file {path} has no {exc} field") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad spec file {path}: {exc}") from exc
-        try:
-            return validate_hermitian(spec)
-        except ValueError as exc:
-            raise ConfigError(f"bad spec file {path}: {exc}") from exc
-    gen = config.get("generator")
-    if gen is None:
+    if config.get("generator") is None:
         raise ConfigError("config needs either spec_path or generator")
     try:
-        spec = random_spec(
-            modes=operator.index(gen.get("modes", 1)),
-            d=operator.index(gen.get("d", 2)),
-            g_max=float(gen.get("g_max", 1.0)),
-            sparsity=float(gen.get("sparsity", 1.0)),
-            seed=operator.index(gen.get("seed", config["seed"])),
-            include_couplings=bool(gen.get("include_couplings", True)),
+        gen = _object(config["generator"], "generator")
+        return random_spec(
+            modes=_index(gen.get("modes", 1), "generator.modes"),
+            d=_index(gen.get("d", 2), "generator.d"),
+            g_max=_number(gen.get("g_max", 1.0), "generator.g_max"),
+            sparsity=_number(gen.get("sparsity", 1.0), "generator.sparsity"),
+            seed=_index(gen.get("seed", seed), "generator.seed"),
+            include_couplings=_flag(gen.get("include_couplings", True), "generator.include_couplings"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generator block: {exc}") from exc
-    return spec
 
 
-def _build_device(config: dict, spec: HamiltonianSpec, checked: dict) -> SimulatedDevice:
-    """Device at the truncation that validate chose for this config."""
-    noise_cfg = config.get("noise", {})
-    noise = NoiseModel(
-        delta_beta=tuple(complex(x[0], x[1]) for x in noise_cfg.get("delta_beta", [])),
-        state_prep_infidelity=float(noise_cfg.get("state_prep_infidelity", 0.0)),
-    )
-    cutoff = FockCutoff(n_max=checked["cutoff_n_max"], modes=spec.modes)
-    return SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]), noise=noise)
-
-
-def _rpe_config(config: dict, d: int, r_max: float, g_max: float, modes: int):
-    rpe = config.get("rpe", {})
+def _rpe_config(config: dict, d: int, r_max: float, spec: HamiltonianSpec, noiseless: bool) -> RpeConfig:
+    """The rpe block's schedule: K, with M and L on the shot channel only; a
+    t0 that is set replaces the derived one."""
     try:
-        # a fractional K or M is rejected, as RpeConfig rejects it, not truncated
-        if config["noiseless"]:
+        rpe = _object(config.get("rpe", {}), "rpe")
+        if noiseless:
             kwargs = {"l_steps": None, "shots": None}
         else:
-            kwargs = {"shots": operator.index(rpe.get("M", 200))}
+            kwargs = {"shots": _index(rpe.get("M", 200), "rpe.M")}
             if "L" in rpe:
-                kwargs["l_steps"] = rpe["L"]
-        k_max = operator.index(rpe.get("K", 8))
-        cfg = derive_config(d, r_max=r_max, g_max=g_max, k_max=k_max, modes=modes, **kwargs)
+                kwargs["l_steps"] = rpe["L"] if rpe["L"] in (None, "auto") else _index(rpe["L"], "rpe.L")
+        k_max = _index(rpe.get("K", 8), "rpe.K")
+        cfg = derive_config(d, r_max=r_max, g_max=spec.g_max, k_max=k_max, modes=spec.modes, **kwargs)
         if rpe.get("t0") is not None:
-            cfg = dataclasses.replace(cfg, t0=float(rpe["t0"]))
+            cfg = dataclasses.replace(cfg, t0=_number(rpe["t0"], "rpe.t0"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad rpe block: {exc}") from exc
     return cfg
 
 
-def _schedule(config: dict, spec: HamiltonianSpec) -> tuple[int, RpeConfig, float]:
-    """The grid order, RPE schedule and largest displacement an experiment runs.
+def _noise(config: dict, modes: int) -> NoiseModel:
+    """The noise block: one [re, im] displacement bias per mode at most, and
+    the ancilla preparation infidelity."""
+    try:
+        noise = _object(config.get("noise", {}), "noise")
+        pairs = _list(noise.get("delta_beta", []), "noise.delta_beta", _pair)
+        delta_beta = tuple(complex(re, im) for re, im in pairs)
+        if len(delta_beta) > modes:
+            raise ValueError(f"delta_beta has {len(delta_beta)} entries but the spec has {modes} modes")
+        infidelity = _number(noise.get("state_prep_infidelity", 0.0), "noise.state_prep_infidelity")
+        return NoiseModel(delta_beta=delta_beta, state_prep_infidelity=infidelity)
+    except ValueError as exc:
+        raise ConfigError(f"bad noise block: {exc}") from exc
 
-    The SPAM sweep runs its own schedule on the exact channel, whatever the
-    config's rpe block says, over displacements up to 1.1 (the unit grid plus
-    its bias).
-    """
-    grid = config.get("grid", {})
-    if config["experiment"] == "spam-sweep":
-        if spec.modes != 1:
-            raise ConfigError("spam-sweep needs a single-mode spec")
-        d = _index(grid.get("d", 2), "grid.d")
+
+def _learn_block(config: dict, experiment: str, seed: int, noiseless: bool) -> dict:
+    """Spec, grid order d, RPE schedule and truncation of the two learns and
+    of spam-sweep, which runs its own schedule on the exact channel, whatever
+    the config's rpe block says, over displacements up to 1.1 (the unit grid
+    plus its bias)."""
+    spec = _spec(config, seed)
+    if spec.modes != 1 and experiment != "learn-multi":
+        raise ConfigError(f"{experiment} needs a single-mode spec")
+    grid = _object(config.get("grid", {}), "grid")
+    spam = experiment == "spam-sweep"
+    d = _index(grid.get("d", 2 if spam else spec.max_order), "grid.d")
+    r_max = 1.1 if spam else _number(grid.get("r_max", 1.0), "grid.r_max")
+    if d < 1 or r_max <= 0:
+        raise ConfigError(f"grid needs d >= 1 and r_max > 0, got {d} and {r_max}")
+    if spam:
         cfg = derive_config(d, g_max=spec.g_max, shots=None, l_steps=None, k_max=10)
-        return d, cfg, 1.1
-    d = _index(grid.get("d", spec.max_order), "grid.d")
-    r_max = float(grid.get("r_max", 1.0))
-    return d, _rpe_config(config, d, r_max, spec.g_max, spec.modes), r_max
+        sweep = _object(config.get("sweep", {}), "sweep")
+        scales = _list(sweep.get("delta_norms", (1e-3, 1e-2)), "sweep.delta_norms", _number)
+        return {"spec": spec, "d": d, "cfg": cfg, "cutoff": adaptive_cutoff(spec, r_max), "scales": scales}
+    plan = {
+        "spec": spec,
+        "d": d,
+        "cfg": _rpe_config(config, d, r_max, spec, noiseless),
+        "cutoff": adaptive_cutoff(spec, r_max),
+        "r_min": _number(grid.get("r_min", 0.2), "grid.r_min"),
+        "r_max": r_max,
+        "noise": _noise(config, spec.modes),
+    }
+    if experiment == "learn-multi":
+        plan["strategy"] = config.get("strategy", "hierarchical")
+        if plan["strategy"] not in ("hierarchical", "simultaneous"):
+            raise ConfigError(f"unknown strategy {plan['strategy']!r}")
+    return plan
+
+
+def _firstq_block(config: dict, noiseless: bool) -> dict:
+    """The firstq block: the one-mode spec its gprime (keyed "p,q") gives, the
+    true frame, the search bracket, eps_g and the n_max truncation, with the
+    shots per basis (rpe.M, None on the exact channel)."""
+    shots = None if noiseless else _index(_object(config.get("rpe", {}), "rpe").get("M", 200), "rpe.M")
+    if config.get("firstq") is None:
+        raise ConfigError("learn-firstq needs a firstq block")
+    fq = _object(config["firstq"], "firstq")
+    if "gprime" not in fq:
+        raise ConfigError("firstq block needs gprime")
+    try:
+        gprime = {
+            tuple(int(x) for x in key.split(",")): _number(v, "firstq.gprime")
+            for key, v in _object(fq["gprime"], "firstq.gprime").items()
+        }
+        terms = {single_key(p, q): complex(v) for (p, q), v in gprime.items() if p + q > 0}
+        spec = HamiltonianSpec(1, max(map(sum, gprime)), terms, identity_offset=gprime.get((0, 0), 0.0))
+        return {
+            "spec": validate_hermitian(spec),
+            "frame": frame_from_ratio(1.0, 1.0 / _number(fq.get("ratio", 1.0), "firstq.ratio")),
+            "bracket": _pair(fq.get("bracket", (-0.3, 0.3)), "firstq.bracket"),
+            "eps_g": _number(fq.get("eps_g", 5e-3), "firstq.eps_g"),
+            "cutoff": FockCutoff(_index(fq.get("n_max", 48), "firstq.n_max"), 1),
+            "shots": shots,
+        }
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad firstq block: {exc}") from exc
+
+
+def _sweep_block(config: dict) -> dict:
+    """The sweep-heisenberg plan: one shot-channel schedule at rpe.M shots per
+    depth K in sweep.k_values, the seed count, c_true and its beta."""
+    sweep = _object(config.get("sweep", {}), "sweep")
+    k_values = _list(sweep.get("k_values", tuple(range(4, 11))), "sweep.k_values", _index)
+    n_seeds = _index(sweep.get("seeds", 20), "sweep.seeds")
+    shots = _index(_object(config.get("rpe", {}), "rpe").get("M", 200), "rpe.M")
+    c_true = _number(sweep.get("c_true", 0.64), "sweep.c_true")
+    try:
+        if n_seeds < 1:
+            raise ValueError(f"sweep.seeds must be >= 1, got {n_seeds}")
+        schedules = [derive_config(2, k_max=k, shots=shots, l_steps=None) for k in k_values]
+        beta = math.sqrt(c_true)
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep block: {exc}") from exc
+    return {"schedules": schedules, "n_seeds": n_seeds, "c_true": c_true, "beta": beta}
+
+
+def _plan(config: dict) -> tuple[dict, dict]:
+    """Parse a config once: the plan its experiment's runner executes, and
+    the diagnostics validate reports.  Raises ConfigError on a missing,
+    mistyped or out-of-range field the experiment reads."""
+    experiment = config.get("experiment")
+    if not isinstance(experiment, str) or experiment not in _RUNNERS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    seed = _index(config.get("seed", 0), "seed")
+    noiseless = _flag(config.get("noiseless", False), "noiseless")
+    plan: dict = {"experiment": experiment, "seed": seed, "token": f"cli{seed}"}
+    diagnostics: dict = {"experiment": experiment}
+    if experiment == "learn-firstq":
+        plan.update(_firstq_block(config, noiseless))
+        frame = plan["frame"]
+        u_edge = math.cosh(max(abs(b) for b in plan["bracket"]))
+        feasible = overlap_feasible(u_edge) and overlap_feasible(frame.u)
+        diagnostics.update({"u_bracket_edge": u_edge, "u_true": frame.u, "feasible": feasible})
+        if not feasible:
+            raise ConfigError(
+                f"overlap infeasible: u = {max(u_edge, frame.u):.4f} >= 1/(4 - 2*sqrt(3)) ~= 1.866"
+            )
+    elif experiment == "sweep-heisenberg":
+        plan.update(_sweep_block(config))
+    elif experiment == "compare-covariance":
+        grid = _object(config.get("grid", {}), "grid")
+        plan.update(d=_index(grid.get("d", 2), "grid.d"), modes=_index(grid.get("modes", 2), "grid.modes"))
+    else:
+        plan.update(_learn_block(config, experiment, seed, noiseless))
+        cfg = plan["cfg"]
+        diagnostics.update(hermitian=True, derived_t0=cfg.t0, c_bound=cfg.c_bound)
+        diagnostics.update(t0_times_c_bound=cfg.t0 * cfg.c_bound, cutoff_n_max=plan["cutoff"].n_max)
+    return plan, diagnostics
 
 
 def _coeff_rows(learned, spec: HamiltonianSpec) -> list[dict]:
@@ -203,14 +333,29 @@ def _coeff_rows(learned, spec: HamiltonianSpec) -> list[dict]:
     return rows
 
 
-def _device_report(device: SimulatedDevice, cfg: RpeConfig) -> dict:
-    """The device block of a learn-single / learn-multi report."""
+def _ledger(device: SimulatedDevice) -> dict:
     ledger = device.ledger()
+    return {"total_evolution_time": ledger.total_evolution_time, "shot_count": ledger.shot_count}
+
+
+def _run_learn(plan: dict) -> dict:
+    """learn-single, or learn-multi with its strategy's learner."""
+    spec, cfg, d = plan["spec"], plan["cfg"], plan["d"]
+    device = SimulatedDevice(spec, plan["cutoff"], master_seed=plan["seed"], noise=plan["noise"])
+    kwargs = {"r_min": plan["r_min"], "r_max": plan["r_max"], "token": plan["token"]}
+    if plan["experiment"] == "learn-single":
+        learned = learn_single_mode(device, d, cfg, **kwargs)
+        report = {"coefficients": _coeff_rows(learned, spec), "diagnostics": learned.diagnostics}
+        report["eps_c_predicted"] = learned.eps_c
+    else:
+        strategy = plan["strategy"]
+        learner = learn_multimode_hierarchical if strategy == "hierarchical" else learn_multimode_simultaneous
+        learned = learner(device, spec.modes, d, cfg, **kwargs)
+        diagnostics = {k: v for k, v in learned.diagnostics.items() if v is not None}
+        report = {"strategy": strategy, "coefficients": _coeff_rows(learned, spec), "diagnostics": diagnostics}
     return {
-        "ledger": {
-            "total_evolution_time": ledger.total_evolution_time,
-            "shot_count": ledger.shot_count,
-        },
+        **report,
+        "ledger": _ledger(device),
         "derived_t0": cfg.t0,
         "cutoff_n_max": device.cutoff.n_max,
         "edge_population": device.edge_population,
@@ -218,94 +363,13 @@ def _device_report(device: SimulatedDevice, cfg: RpeConfig) -> dict:
     }
 
 
-def _run_learn_single(config: dict, checked: dict) -> dict:
-    spec = _build_spec(config)
-    if spec.modes != 1:
-        raise ConfigError("learn-single needs a single-mode spec")
-    d, cfg, r_max = _schedule(config, spec)
-    r_min = float(config.get("grid", {}).get("r_min", 0.2))
-    device = _build_device(config, spec, checked)
-    learned = learn_single_mode(
-        device, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
-    )
-    return {
-        "coefficients": _coeff_rows(learned, spec),
-        "diagnostics": learned.diagnostics,
-        "eps_c_predicted": learned.eps_c,
-        **_device_report(device, cfg),
-    }
-
-
-def _run_learn_multi(config: dict, checked: dict) -> dict:
-    spec = _build_spec(config)
-    d, cfg, r_max = _schedule(config, spec)
-    r_min = float(config.get("grid", {}).get("r_min", 0.2))
-    device = _build_device(config, spec, checked)
-    strategy = config.get("strategy", "hierarchical")
-    if strategy == "hierarchical":
-        learned = learn_multimode_hierarchical(
-            device, spec.modes, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
-        )
-    elif strategy == "simultaneous":
-        learned = learn_multimode_simultaneous(
-            device, spec.modes, d, cfg, r_min=r_min, r_max=r_max, token=f"cli{config['seed']}"
-        )
-    else:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    return {
-        "strategy": strategy,
-        "coefficients": _coeff_rows(learned, spec),
-        "diagnostics": {k: v for k, v in learned.diagnostics.items() if v is not None},
-        **_device_report(device, cfg),
-    }
-
-
-def _firstq_block(config: dict) -> dict:
-    """The parsed firstq block: gprime keyed by (p, q), its order d, the true
-    frame, the search bracket, eps_g and n_max, with the shots per basis
-    (rpe.M, None on the exact channel).  validate and the runner both read the
-    block through here."""
-    shots = None if config["noiseless"] else _index(config.get("rpe", {}).get("M", 200), "rpe.M")
-    fq = config.get("firstq")
-    if fq is None:
-        raise ConfigError("learn-firstq needs a firstq block")
-    if "gprime" not in fq:
-        raise ConfigError("firstq block needs gprime")
-    try:
-        gprime = {tuple(int(x) for x in key.split(",")): float(v) for key, v in fq["gprime"].items()}
-        lo, hi = (float(x) for x in fq.get("bracket", (-0.3, 0.3)))
-        return {
-            "gprime": gprime,
-            "d": max(p + q for p, q in gprime),
-            "frame": frame_from_ratio(1.0, 1.0 / float(fq.get("ratio", 1.0))),
-            "bracket": (lo, hi),
-            "eps_g": float(fq.get("eps_g", 5e-3)),
-            "n_max": operator.index(fq.get("n_max", 48)),
-            "shots": shots,
-        }
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad firstq block: {exc}") from exc
-
-
-def _run_learn_firstq(config: dict, _checked: dict) -> dict:
-    fq = _firstq_block(config)
-    gprime, d, frame = fq["gprime"], fq["d"], fq["frame"]
-    terms = {single_key(p, q): complex(v) for (p, q), v in gprime.items() if p + q > 0}
-    device = SimulatedDevice(
-        HamiltonianSpec(1, d, terms, identity_offset=gprime.get((0, 0), 0.0)),
-        FockCutoff(fq["n_max"], 1),
-        master_seed=int(config["seed"]),
-        true_frame_z=(complex(-frame.signed_r),),
-    )
+def _run_learn_firstq(plan: dict) -> dict:
+    spec, frame = plan["spec"], plan["frame"]
+    z_true = (complex(-frame.signed_r),)
+    device = SimulatedDevice(spec, plan["cutoff"], master_seed=plan["seed"], true_frame_z=z_true)
     res = learn_firstq(
-        device,
-        d,
-        eps_g=fq["eps_g"],
-        bracket=fq["bracket"],
-        shots=fq["shots"],
-        token=f"cli{config['seed']}",
+        device, spec.max_order, plan["eps_g"], plan["bracket"], shots=plan["shots"], token=plan["token"]
     )
-    ledger = device.ledger()
     return {
         "r_hat": res.r_hat,
         "r_true": frame.signed_r,
@@ -321,46 +385,29 @@ def _run_learn_firstq(config: dict, _checked: dict) -> dict:
             {"j": j, "k": k, "re": v.real, "im": v.imag, "stderr": res.stderr.get((j, k), 0.0)}
             for (j, k), v in sorted(res.g_physical.items())
         ],
-        "ledger": {
-            "total_evolution_time": ledger.total_evolution_time,
-            "shot_count": ledger.shot_count,
-        },
+        "ledger": _ledger(device),
     }
 
 
-def _sweep_block(config: dict) -> tuple[list[int], int, int, float]:
-    """The parsed sweep-heisenberg config: its depths K, seed count, rpe.M and
-    c_true.  validate and the runner both read it through here."""
-    sweep = config.get("sweep", {})
-    k_values = [_index(k, "sweep.k_values") for k in sweep.get("k_values", range(4, 11))]
-    n_seeds = _index(sweep.get("seeds", 20), "sweep.seeds")
-    shots = _index(config.get("rpe", {}).get("M", 200), "rpe.M")
-    return k_values, n_seeds, shots, float(sweep.get("c_true", 0.64))
-
-
-def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
-    k_values, n_seeds, shots, c_true = _sweep_block(config)
+def _run_sweep_heisenberg(plan: dict) -> dict:
     spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
-    beta = math.sqrt(c_true)
+    beta, seed = plan["beta"], plan["seed"]
     cutoff = adaptive_cutoff(spec, beta)
 
-    def one_point(k: int) -> tuple[float, float, int]:
+    def one_point(cfg: RpeConfig) -> dict:
         """One RPE run per seed, each on a fresh device, whose ledger total is
         the run's evolution time."""
-        cfg = derive_config(2, k_max=k, shots=shots, l_steps=None)
         errs, times = [], []
-        for seed in range(int(config["seed"]), int(config["seed"]) + n_seeds):
-            device = SimulatedDevice(spec, cutoff, master_seed=seed)
-            c_hat, _ = rpe_estimates(device, [beta], cfg, None, [f"hs{seed}"])
-            errs.append(c_hat[0] - c_true)
+        for s in range(seed, seed + plan["n_seeds"]):
+            device = SimulatedDevice(spec, cutoff, master_seed=s)
+            c_hat, _ = rpe_estimates(device, [beta], cfg, None, [f"hs{s}"])
+            errs.append(c_hat[0] - plan["c_true"])
             times.append(device.ledger().total_evolution_time)
         rmse = float(np.sqrt(np.mean(np.array(errs) ** 2)))
-        return float(np.mean(times)), rmse, 2 * shots * (k + 1)
+        shots = 2 * cfg.shots * (cfg.k_max + 1)
+        return {"k": cfg.k_max, "total_time": float(np.mean(times)), "rmse": rmse, "shots": shots}
 
-    rows = []
-    for k in k_values:
-        total_time, rmse, shot_count = one_point(k)
-        rows.append({"k": k, "total_time": total_time, "rmse": rmse, "shots": shot_count})
+    rows = [one_point(cfg) for cfg in plan["schedules"]]
     slope = None
     if len(rows) >= 2:
         logt = np.log([r["total_time"] for r in rows])
@@ -369,12 +416,9 @@ def _run_sweep_heisenberg(config: dict, _checked: dict) -> dict:
     return {"rows": rows, "loglog_slope": slope}
 
 
-def _run_compare_covariance(config: dict, _checked: dict) -> dict:
-    grid_cfg = config.get("grid", {})
-    d = _index(grid_cfg.get("d", 2), "grid.d")
-    modes = _index(grid_cfg.get("modes", 2), "grid.modes")
-    grid = joint_grid(modes, d)
-    keys = admissible_keys(modes, d)
+def _run_compare_covariance(plan: dict) -> dict:
+    grid = joint_grid(plan["modes"], plan["d"])
+    keys = admissible_keys(plan["modes"], plan["d"])
     m1 = real_design_matrix(grid, real_parameters([k for k in keys if not k.is_coupling]))
     m2 = real_design_matrix(grid, real_parameters([k for k in keys if k.is_coupling]))
     report = covariance_compare(m1, m2)
@@ -387,25 +431,21 @@ def _run_compare_covariance(config: dict, _checked: dict) -> dict:
     }
 
 
-def _run_spam_sweep(config: dict, checked: dict) -> dict:
-    sweep = config.get("sweep", {})
-    scales = [float(s) for s in sweep.get("delta_norms", (1e-3, 1e-2))]
-    spec = _build_spec(config)
-    d, cfg, _ = _schedule(config, spec)
-    cutoff = FockCutoff(n_max=checked["cutoff_n_max"], modes=1)
+def _run_spam_sweep(plan: dict) -> dict:
+    spec, d, cfg, seed = plan["spec"], plan["d"], plan["cfg"], plan["seed"]
     pipe = single_mode_pipeline(d)
     l_c = lipschitz_bound(d, 1.0, {(k.p[0], k.q[0]): v for k, v in spec.terms.items()})
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(seed)
     direction = rng.normal(size=len(pipe.points)) + 1j * rng.normal(size=len(pipe.points))
     direction /= np.linalg.norm(direction)
 
     def learn(delta) -> dict:
-        device = SimulatedDevice(spec, cutoff, master_seed=int(config["seed"]))
+        device = SimulatedDevice(spec, plan["cutoff"], master_seed=seed)
         return learn_displacement_biased(device, d, cfg, delta)
 
     clean = learn(None)
     rows = []
-    for norm in scales:
+    for norm in plan["scales"]:
         delta = norm * direction
         biased = learn(delta)
         observed = math.sqrt(
@@ -424,8 +464,8 @@ def _run_spam_sweep(config: dict, checked: dict) -> dict:
 
 
 _RUNNERS = {
-    "learn-single": _run_learn_single,
-    "learn-multi": _run_learn_multi,
+    "learn-single": _run_learn,
+    "learn-multi": _run_learn,
     "learn-firstq": _run_learn_firstq,
     "sweep-heisenberg": _run_sweep_heisenberg,
     "compare-covariance": _run_compare_covariance,
@@ -434,46 +474,18 @@ _RUNNERS = {
 
 
 def validate(config: dict) -> dict:
-    """Dry-run checks; raises ConfigError on schema violations."""
-    diagnostics: dict = {"experiment": config["experiment"]}
-    if config["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config['experiment']!r}")
-    _index(config["seed"], "seed")  # so the runners' int() never truncates it
-    if config["experiment"] in ("learn-single", "learn-multi", "spam-sweep"):
-        spec = _build_spec(config)
-        _, cfg, beta_max = _schedule(config, spec)
-        cutoff = adaptive_cutoff(spec, beta_max)
-        diagnostics.update(
-            {
-                "hermitian": True,
-                "derived_t0": cfg.t0,
-                "c_bound": cfg.c_bound,
-                "t0_times_c_bound": cfg.t0 * cfg.c_bound,
-                "cutoff_n_max": cutoff.n_max,
-            }
-        )
-    if config["experiment"] == "sweep-heisenberg":
-        _sweep_block(config)
-    if config["experiment"] == "learn-firstq":
-        fq = _firstq_block(config)
-        frame = fq["frame"]
-        u_edge = math.cosh(max(abs(b) for b in fq["bracket"]))
-        feasible = overlap_feasible(u_edge) and overlap_feasible(frame.u)
-        diagnostics.update({"u_bracket_edge": u_edge, "u_true": frame.u, "feasible": feasible})
-        if not feasible:
-            raise ConfigError(
-                f"overlap infeasible: u = {max(u_edge, frame.u):.4f} >= 1/(4 - 2*sqrt(3)) ~= 1.866"
-            )
-    return diagnostics
+    """Dry-run checks: the diagnostics of the config's parse; raises
+    ConfigError on schema violations."""
+    return _plan(config)[1]
 
 
 def run(config: dict) -> dict:
-    diagnostics = validate(config)
-    result = _RUNNERS[config["experiment"]](config, diagnostics)
+    plan, diagnostics = _plan(config)
+    result = _RUNNERS[plan["experiment"]](plan)
     report = {
-        "experiment": config["experiment"],
+        "experiment": plan["experiment"],
         "toolkit_version": __version__,
-        "seed": config["seed"],
+        "seed": plan["seed"],
         "config": config,
         "config_hash": _config_hash(config),
         "validate": diagnostics,
@@ -483,7 +495,7 @@ def run(config: dict) -> dict:
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2, default=float)
-        if config["experiment"] == "sweep-heisenberg":
+        if plan["experiment"] == "sweep-heisenberg":
             csv_path = str(out).rsplit(".", 1)[0] + ".csv"
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -500,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Shot-based learning of bosonic Hamiltonian coefficients on a simulated device",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS + ("validate",):
+    for name in (*_RUNNERS, "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
@@ -510,19 +522,8 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--experiment-kind", default="learn-single", dest="kind")
     args = parser.parse_args(argv)
     try:
-        if args.experiment == "validate":
-            args.experiment = args.kind
-            config = _load_config(args)
-            if args.config:
-                with open(args.config) as fh:
-                    file_kind = json.load(fh).get("experiment")
-                if file_kind:
-                    config["experiment"] = file_kind
-            diagnostics = validate(config)
-            print(json.dumps(diagnostics, indent=2, default=float))
-            return 0
         config = _load_config(args)
-        report = run(config)
+        report = validate(config) if args.experiment == "validate" else run(config)
         print(json.dumps(report, indent=2, default=float))
         return 0
     except ConfigError as exc:

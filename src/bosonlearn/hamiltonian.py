@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,12 +233,12 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
 
 def spec_from_dict(doc: dict) -> HamiltonianSpec:
     terms = {
-        TermKey(tuple(t["modes"]), tuple(t["p"]), tuple(t["q"])): complex(t["re"], t["im"])
+        TermKey(*(tuple(map(operator.index, t[f])) for f in ("modes", "p", "q"))): complex(t["re"], t["im"])
         for t in doc["terms"]
     }
     return HamiltonianSpec(
-        modes=int(doc["modes"]),
-        max_order=int(doc["d"]),
+        modes=operator.index(doc["modes"]),
+        max_order=operator.index(doc["d"]),
         terms=terms,
         identity_offset=float(doc.get("identity_offset", 0.0)),
         g_max=float(doc.get("g_max", 1.0)),

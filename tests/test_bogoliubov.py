@@ -228,13 +228,15 @@ def test_build_T_is_bit_identical_to_an_uncached_build():
             expected = _uncached_T(d, mw)
             first = build_T(d, mass_omega=mw)
             assert np.array_equal(first.matrix, expected)
+            keys = list(first.keys)
+            assert len(keys) == (d + 1) * (d + 2) // 2
             first.matrix[:] = 0.0
-            first.keys_normal.clear()
-            for p, q in first.keys_sym:
+            first.keys.clear()
+            for p, q in keys:
                 normal_to_symmetrized(p, q)[(0, 0)] = sp.Integer(7)
             again = build_T(d, mass_omega=mw)
             assert np.array_equal(again.matrix, expected)
-            assert len(again.keys_normal) == len(again.keys_sym) == (d + 1) * (d + 2) // 2
+            assert again.keys == keys
 
 
 def _learned(modes: int, d: int, seed: int) -> LearnedCoefficients:
@@ -280,10 +282,10 @@ def test_tensor_transform_one_mode_matches_transform(d, mw):
     rows = _rows(learned, 1, 2.5e-5)
     expected = t.transform({row: value for (row,), (value, _) in rows.items()})
     assert {jk: v for (jk,), v in g.items()} == expected
-    var = {jk: 0.0 for jk in t.keys_sym}
+    var = {jk: 0.0 for jk in t.keys}
     for (row,), (_, v) in rows.items():
-        for i, jk in enumerate(t.keys_sym):
-            var[jk] += v * abs(t.matrix[t.keys_normal.index(row), i]) ** 2
+        for i, jk in enumerate(t.keys):
+            var[jk] += v * abs(t.matrix[t.keys.index(row), i]) ** 2
     for (jk,), se in stderr.items():
         assert se**2 == pytest.approx(var[jk], rel=1e-12)
 
@@ -299,11 +301,11 @@ def test_tensor_transform_two_modes_matches_double_sum(d):
         for key, c in _expand(rows, transforms):
             g_sum[key] = g_sum.get(key, 0.0) + value * c
             var_sum[key] = var_sum.get(key, 0.0) + v * abs(c) ** 2
-    degrees = [sum(jk) for jk in transforms[0].keys_sym]
+    degrees = [sum(jk) for jk in transforms[0].keys]
     reached = {
         (a, b)
-        for a, da in zip(transforms[0].keys_sym, degrees)
-        for b, db in zip(transforms[1].keys_sym, degrees)
+        for a, da in zip(transforms[0].keys, degrees)
+        for b, db in zip(transforms[1].keys, degrees)
         if da + db <= d
     }
     assert set(g) == set(stderr) == reached

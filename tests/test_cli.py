@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,17 @@ def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_schema_error(tmp_path, capsys, experiment, doc, reason):
+    """validate and the run both exit 2 with the same config error line."""
+    cfg = write_config(tmp_path, "c.json", doc)
+    lines = []
+    for argv in (["validate", "--experiment-kind", experiment], [experiment]):
+        assert main(argv + ["--config", cfg]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("config error: ") and reason in lines[0]
 
 
 def test_missing_config_file_is_schema_error(tmp_path):
@@ -85,9 +97,18 @@ def test_bad_firstq_block_is_schema_error(tmp_path, capsys, firstq, reason):
     assert reason in capsys.readouterr().err
 
 
+NUMBER_TERM = {"modes": [0], "p": [1], "q": [1], "re": 1.0, "im": 0.0}
+
+
 @pytest.mark.parametrize(
     "text, reason",
-    [('{"modes": 1, "d": 2}', "has no 'terms' field"), ("{not json", "bad spec file")],
+    [
+        ('{"modes": 1, "d": 2}', "has no 'terms' field"),
+        ("{not json", "bad spec file"),
+        # int() used to run d = 2.9 as d = 2, and a float mode died in a traceback
+        (json.dumps({"modes": 1, "d": 2.9, "terms": [NUMBER_TERM]}), "bad spec file"),
+        (json.dumps({"modes": 1, "d": 2, "terms": [{**NUMBER_TERM, "modes": [0.0]}]}), "bad spec file"),
+    ],
 )
 def test_bad_spec_file_is_schema_error(tmp_path, capsys, text, reason):
     spec_path = tmp_path / "spec.json"
@@ -139,7 +160,7 @@ def test_learn_single_report_contents(tmp_path, capsys, monkeypatch):
     rows = report["result"]["coefficients"]
     assert all(row["abs_error"] < 1e-7 for row in rows)
     assert report["result"]["ledger"]["shot_count"] == 0
-    # the cutoff is chosen once, in validate, and the device uses that choice
+    # the cutoff is chosen once, by the parse, and the device uses that choice
     assert len(cutoff_calls) == 1
     assert report["result"]["cutoff_n_max"] == report["validate"]["cutoff_n_max"]
     # the adaptive cutoff keeps the prepared states away from the truncation edge
@@ -155,10 +176,11 @@ def test_unknown_strategy_is_schema_error(tmp_path):
     assert main(["learn-multi", "--config", cfg, "--noiseless"]) == 2
 
 
-@pytest.mark.parametrize("rpe", [{"t0": -0.1}, {"t0": 0}, {"M": 5}])
-def test_bad_rpe_block_is_schema_error(tmp_path, rpe):
-    cfg = write_config(tmp_path, "c.json", {"generator": {"modes": 1, "d": 2}, "rpe": rpe})
-    assert main(["validate", "--config", cfg, "--experiment-kind", "learn-single"]) == 2
+@pytest.mark.parametrize("rpe", [{"t0": -0.1}, {"t0": 0}, {"M": 5}, {"K": True}, "x"])
+def test_bad_rpe_block_is_schema_error(tmp_path, capsys, rpe):
+    # K = true used to run K = 1, and a non-object block died in a traceback
+    doc = {"generator": {"modes": 1, "d": 2}, "rpe": rpe}
+    assert_schema_error(tmp_path, capsys, "learn-single", doc, "bad rpe block")
 
 
 @pytest.mark.parametrize("rpe", [{"L": 2.5}, {"L": 0}])
@@ -215,10 +237,85 @@ ONE_MODE = {"modes": 1, "d": 2}
 )
 def test_fractional_cli_integers_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
     # int() used to truncate each of them: grid.d = 2.7 ran d = 2
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main([experiment, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and reason in err
+    assert_schema_error(tmp_path, capsys, experiment, doc, reason)
+
+
+TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "experiment, doc, reason",
+    [
+        ("learn-multi", {"generator": TWO_MODES, "strategy": "bogus"}, "unknown strategy 'bogus'"),
+        ("learn-single", {"generator": TWO_MODES}, "learn-single needs a single-mode spec"),
+        ("learn-single", {"generator": ONE_MODE, "noise": {"delta_beta": [[0.1]]}}, "bad noise block"),
+        ("learn-single", {"generator": ONE_MODE, "noise": {"state_prep_infidelity": 1.5}}, "[0, 1)"),
+        ("learn-multi", {"generator": TWO_MODES, "noise": {"delta_beta": [[0, 0]] * 3}}, "3 entries"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": "a"}}, "grid.r_min"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": None}}, "grid.r_max"),
+        ("learn-single", {"generator": ONE_MODE, "noise": "none"}, "noise must be an object"),
+        ("learn-single", {"generator": "x"}, "generator must be an object"),
+        ("learn-single", [{"generator": ONE_MODE}], "config file must be an object"),
+        ("sweep-heisenberg", {"sweep": {"k_values": 4}}, "sweep.k_values must be a list"),
+        ("spam-sweep", {"generator": ONE_MODE, "sweep": {"delta_norms": [None]}}, "delta_norms"),
+        ("compare-covariance", {"grid": {"d": "x"}}, "grid.d"),
+        ("learn-firstq", {"firstq": {"gprime": {"1,2": 1.0}}}, "unpaired terms"),
+        ("learn-firstq", {"firstq": {"gprime": {"-1,2": 1.0}}}, "powers must be non-negative"),
+        ("learn-single", {"generator": {**ONE_MODE, "include_couplings": "false"}}, "include_couplings"),
+        ("learn-single", {"generator": ONE_MODE, "noiseless": "false"}, "noiseless"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": True}}, "firstq.eps_g"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"d": 0}}, "d >= 1"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 0}}, "r_max > 0"),
+        ("sweep-heisenberg", {"sweep": {"k_values": [4], "seeds": 0}}, "sweep.seeds must be >= 1"),
+    ],
+    ids=[
+        "strategy",
+        "single-mode-rule",
+        "delta_beta-entry",
+        "state_prep_infidelity",
+        "delta_beta-modes",
+        "grid.r_min",
+        "grid.r_max",
+        "noise-block",
+        "generator-block",
+        "config-list",
+        "sweep.k_values",
+        "sweep.delta_norms",
+        "covariance-grid.d",
+        "gprime-unpaired",
+        "gprime-negative",
+        "include_couplings",
+        "noiseless",
+        "firstq.eps_g",
+        "grid.d-zero",
+        "grid.r_max-zero",
+        "sweep.seeds-zero",
+    ],
+)
+def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
+    # validate used to pass each of these; the run exited 1, died in a
+    # traceback (d = 0 and r_max = 0 divide by zero), reported NaN for no
+    # seeds, or read a string "false" as true and eps_g = true as 1.0
+    assert_schema_error(tmp_path, capsys, experiment, doc, reason)
+
+
+def test_a_run_parses_its_config_once(tmp_path, capsys, monkeypatch):
+    calls = {"random_spec": 0, "derive_config": 0, "adaptive_cutoff": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    cfg = write_config(tmp_path, "c.json", {"generator": TWO_MODES, "grid": {"d": 2}})
+    assert main(["learn-multi", "--config", cfg, "--noiseless"]) == 0
+    assert calls == {"random_spec": 1, "derive_config": 1, "adaptive_cutoff": 1}
 
 
 def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
@@ -308,6 +405,45 @@ def test_sweep_report_matches_its_golden_values():
         (4, "0x1.b6408e8d64d25p+10", "0x1.396b754653e82p-7", 500),
         (5, "0x1.bd521d3d17ff1p+11", "0x1.af7102c17ebbbp-9", 600),
     ]
+
+
+def _hexed(value):
+    """value with every float written as float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(k): _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+# the benchmark's learn-multi config, and the firstq config of
+# test_learn_firstq_cli_noiseless
+BENCH_MULTI = {
+    "experiment": "learn-multi",
+    "workers": 1,
+    "generator": {"modes": 2, "d": 3, "seed": 7, "include_couplings": True, "sparsity": 0.5},
+    "grid": {"d": 3, "r_min": 0.2, "r_max": 1.0},
+    "rpe": {"K": 10},
+}
+FIRSTQ_BRACKETED = {"experiment": "learn-firstq", "firstq": {**FIRSTQ, "bracket": [-0.3, 0.3]}}
+
+
+@pytest.mark.parametrize(
+    "doc, seed, digest, pinned",
+    [
+        (BENCH_MULTI, 7000, "2dea542919685a0a", {"derived_t0": "0x1.549f6051ea4b1p-4"}),
+        (FIRSTQ_BRACKETED, 7, "397f0502233f63d3", {"r_hat": "0x1.07fffffffffffp-3"}),
+    ],
+    ids=["learn-multi", "learn-firstq"],
+)
+def test_noiseless_reports_match_their_golden_values(doc, seed, digest, pinned):
+    # every number of the result, as float.hex, recorded before the config
+    # parse was shared between validate and the runners
+    result = _hexed(run({**doc, "seed": seed, "noiseless": True})["result"])
+    assert {key: result[key] for key in pinned} == pinned
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
 def test_sweep_csv_changes_with_seed(tmp_path):
