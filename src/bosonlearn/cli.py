@@ -83,6 +83,14 @@ def _flag(value, name: str) -> bool:
     return value
 
 
+def _text(value, name: str) -> str:
+    """A config string, such as a path: an integer is a ConfigError, not a
+    file descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _object(value, name: str) -> dict:
     """A JSON object: the config document and each of its blocks."""
     if not isinstance(value, dict):
@@ -137,7 +145,7 @@ def _load_config(args: argparse.Namespace) -> dict:
 def _spec(config: dict, seed: int) -> HamiltonianSpec:
     """The hidden spec: the file at spec_path, or the generator block's."""
     if "spec_path" in config:
-        path = config["spec_path"]
+        path = _text(config["spec_path"], "spec_path")
         try:
             return validate_hermitian(load_spec(path))
         except FileNotFoundError as exc:
@@ -288,7 +296,9 @@ def _plan(config: dict) -> tuple[dict, dict]:
         raise ConfigError(f"unknown experiment {experiment!r}")
     seed = _index(config.get("seed", 0), "seed")
     noiseless = _flag(config.get("noiseless", False), "noiseless")
+    out = config.get("out")
     plan: dict = {"experiment": experiment, "seed": seed, "token": f"cli{seed}"}
+    plan["out"] = None if out is None else _text(out, "out")
     diagnostics: dict = {"experiment": experiment}
     if experiment == "learn-firstq":
         plan.update(_firstq_block(config, noiseless))
@@ -305,6 +315,8 @@ def _plan(config: dict) -> tuple[dict, dict]:
     elif experiment == "compare-covariance":
         grid = _object(config.get("grid", {}), "grid")
         plan.update(d=_index(grid.get("d", 2), "grid.d"), modes=_index(grid.get("modes", 2), "grid.modes"))
+        if plan["d"] < 1 or plan["modes"] < 1:
+            raise ConfigError(f"grid needs d >= 1 and modes >= 1, got {plan['d']} and {plan['modes']}")
     else:
         plan.update(_learn_block(config, experiment, seed, noiseless))
         cfg = plan["cfg"]
@@ -386,6 +398,8 @@ def _run_learn_firstq(plan: dict) -> dict:
             for (j, k), v in sorted(res.g_physical.items())
         ],
         "ledger": _ledger(device),
+        "edge_population": device.edge_population,
+        "clipped_probabilities": device.clipped_probabilities,
     }
 
 
@@ -491,7 +505,7 @@ def run(config: dict) -> dict:
         "validate": diagnostics,
         "result": result,
     }
-    out = config.get("out")
+    out = plan["out"]
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2, default=float)

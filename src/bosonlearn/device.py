@@ -36,7 +36,7 @@ Bit-identity.  A state's energy does not depend on which other states share
 its batch, and equals the term-by-term scalar loop bit for bit: the pass
 multiplies complex numbers as separate real products and sums (numpy's
 complex multiply may fuse them) and adds the terms with a sequential
-cumulative sum, never a pairwise reduction.  So seeded counts and ledgers do
+cumulative sum, never a pairwise reduction.  So probabilities and ledgers do
 not move when a grid is split or merged.  protocol's grid unwrap keeps the
 same rule (math.atan2 per run, since np.arctan2 rounds differently).
 
@@ -59,38 +59,26 @@ asks probability(request), the channel's unit of work and its only
 arithmetic, once per request; each of those reads its state's energy from
 the cache.  run_shot_grid, the shot channel, computes the (runs x rows)
 probabilities in one numpy pass with the arithmetic of probability(), draws
-one binomial per request, and charges the ledger run-major with a
-sequential running sum.  Request (i, j) draws
-from its own Philox stream, keyed by
-    SeedSequence(entropy=(master_seed, int(sha256(token)[:16]))
-                 ).generate_state(2, np.uint64)
-with token = f"{tokens[i]}:k{kappa_j}:{basis_j}", so a draw depends only on
-the device seed and the request's token, never on what else is in the grid.
-The sha256 entropy of a grid's tokens depends only on its run tokens and
-schedule suffixes, which repeat on every fresh device, so it is kept in a
-process-wide lru_cache of at most _ENTROPY_CACHE_SIZE grids, as read-only
-arrays (_grid_entropy).  The keys of a whole grid then come from one
-vectorised pass over uint32 words that repeats numpy's SeedSequence hash
-(hashmix, mix, generate_state) bit for bit (_entropy_keys), once per grid.
-A request whose q = 1 - p has shots * min(q, 1 - q) <= 30 is one numpy's
-binomial serves by inversion.  Those requests are drawn together: one numpy
-pass computes the first Philox4x64-10 block of each key (a fresh stream's
-counter steps from 0 to 1 first), and numpy's inversion walk runs over all
-of them at once from that block's first uniform, in numpy's operation order
-and with its flip at q > 0.5 (_inversion_binomials).  q^n = exp(n log q)
-comes from math.exp and math.log per request: those are the libm calls of
-numpy's C code, while numpy's SIMD np.exp and np.log may round differently.
-The other requests, those numpy sends to BTPE and the rare inversion that
-runs past its bound and restarts on a second uniform, reset one
-device-held Philox generator to their key, with counter 0 and an empty
-buffer (the state a fresh Philox(SeedSequence(...)) starts in), and make
-numpy's scalar rng.binomial call.  So every count equals the stream
-oracle's.  shots must be an integer: numpy's binomial would truncate a
-fraction that the ledger still charges.
+the counts of the whole grid with one numpy binomial call, and charges the
+ledger run-major with a sequential running sum.  The call draws from one
+Philox stream of its own, keyed by
+    SeedSequence((master_seed, int(sha256(json.dumps([tokens, suffixes]))[:16])))
+with suffixes[j] = f":k{kappa_j}:{basis_j}", the JSON being an injective
+encoding of the call's run tokens and schedule.  So a call's counts are a
+function of the master seed, the call's tokens and schedule, and its
+probabilities, and nothing else: no generator is shared between calls, and
+threads sharing a device need no lock to draw.  They do depend on how runs
+are grouped into calls: a run sent alone draws other counts than the same
+run sent with others.  protocol sends one call per learn, so a learn's counts
+depend only on its own tokens and the master seed.  numpy's binomial mirrors
+probabilities above 0.5, so the count of a request whose exact p is 0.5 (the
+beta = 0 offset in a matched frame, whose energy is 0 up to rounding) still
+depends on the sign of that rounding.  shots must be an integer: numpy's
+binomial would truncate a fraction that the ledger still charges.
 
-Oracles.  bosonlearn.oracles builds the same streams the slow way, through
-numpy's own SeedSequence (shot_stream), computes probabilities on the dense
-joint space (dense_probability), and keeps the literal per-shot product
+Oracles.  bosonlearn.oracles builds a call's stream from its public inputs
+(shot_stream), computes probabilities on the dense joint space
+(dense_probability), and keeps the literal per-shot product
 (literal_shot).  They take only public inputs and serve as cross-checks, so
 the device holds none of them.
 """
@@ -100,7 +88,7 @@ from __future__ import annotations
 import cmath
 import functools
 import hashlib
-import math
+import json
 import operator
 import threading
 from collections.abc import Sequence
@@ -118,200 +106,6 @@ from .fockspace import (
     squeeze_vector,
 )
 from .hamiltonian import HamiltonianSpec, build_matrix, validate_hermitian
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> np.ndarray:
-    """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return np.array(words, dtype=np.uint32)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> _XSHIFT)
-
-
-def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy=row).generate_state(2, np.uint64) for each row.
-
-    words is (n, L) uint32, one assembled entropy per row.  The hash constant
-    advances with the call count only, never with the data, so every step is
-    one numpy operation over all rows.
-    """
-    n, length = words.shape
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
-    const = _INIT_B
-    state = np.empty((n, 4), dtype=np.uint32)
-    for i in range(4):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> _XSHIFT)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _entropy_keys(master_seed: int, entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy=(master_seed, e_i)).generate_state(2, np.uint64) per row.
-
-    entropy is (n, 4) uint32: the little-endian words of each 128-bit e_i.
-    SeedSequence drops the zero high words of e_i (keeping at least one), so
-    rows are grouped by word count.
-    """
-    master = _uint32_words(master_seed)
-    counts = np.ones(len(entropy), dtype=np.intp)
-    for i in (1, 2, 3):
-        counts[entropy[:, i] != 0] = i + 1
-    keys = np.empty((len(entropy), 2), dtype=np.uint64)
-    for count in range(1, 5):
-        rows = np.flatnonzero(counts == count)
-        if len(rows):
-            words = np.hstack([np.tile(master, (len(rows), 1)), entropy[rows, :count]])
-            keys[rows] = _seed_sequence_keys(words)
-    return keys
-
-
-def _token_entropy(tokens: Sequence[str]) -> np.ndarray:
-    """(len(tokens), 4) uint32 little-endian words of each token's entropy:
-    the first 16 bytes of sha256(t) read as a big-endian integer, as in
-    oracles.shot_stream."""
-    digests = b"".join(hashlib.sha256(t.encode()).digest()[:16] for t in tokens)
-    return np.frombuffer(digests, dtype=">u4").reshape(-1, 4)[:, ::-1].astype(np.uint32)
-
-
-# Grids repeat their tokens on every fresh device, so a grid's entropy is
-# kept for this many grids, whatever the device and its seed.
-_ENTROPY_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_ENTROPY_CACHE_SIZE)
-def _grid_entropy(run_tokens: tuple[str, ...], suffixes: tuple[str, ...]) -> np.ndarray:
-    """Read-only _token_entropy of the grid's request tokens, run-major:
-    run_tokens[i] + suffixes[j] is row i * len(suffixes) + j."""
-    entropy = _token_entropy([token + suffix for token in run_tokens for suffix in suffixes])
-    entropy.flags.writeable = False
-    return entropy
-
-
-# Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h):
-# the multipliers of counter words 0 and 2, and the key's Weyl increments.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(_MASK32)
-_SHIFT32 = np.uint64(32)
-
-
-def _philox_first_block(keys: np.ndarray) -> np.ndarray:
-    """The Philox4x64-10 block at counter (1, 0, 0, 0) under each key, shape
-    (len(keys), 4): the first four outputs of a fresh numpy Philox stream,
-    whose counter steps from 0 to 1 before its first block.
-
-    Counter words (0, 2) and (1, 3) are each one (2, n) array.  A round
-    multiplies words 0 and 2 by their constants into 128-bit products, whose
-    high words are assembled from 32-bit halves (numpy has no 128-bit type),
-    and sets the counter to (hi_2 ^ c1 ^ k0, lo_2, hi_0 ^ c3 ^ k1, lo_0).
-    """
-    even = np.zeros((2, len(keys)), dtype=np.uint64)
-    even[0] = 1
-    odd = np.zeros_like(even)
-    key = keys.T.astype(np.uint64)
-    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += _PHILOX_W
-        c_lo, c_hi = even & _LO32, even >> _SHIFT32
-        lo_hi = m_lo * c_hi
-        cross = ((m_lo * c_lo) >> _SHIFT32) + (lo_hi & _LO32) + m_hi * c_lo
-        hi = m_hi * c_hi + (cross >> _SHIFT32) + (lo_hi >> _SHIFT32)
-        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
-    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
-
-
-def _first_uniforms(keys: np.ndarray) -> np.ndarray:
-    """The first next_double of a fresh numpy Philox stream under each key:
-    the top 53 bits of its first output, times 2**-53."""
-    return (_philox_first_block(keys)[:, 0] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-
-def _inversion_regime(n: int, p: np.ndarray) -> np.ndarray:
-    """Where numpy's binomial(n, p) uses inversion, n * min(p, 1 - p) <= 30;
-    the other rows go to its BTPE algorithm."""
-    return np.where(p > 0.5, 1.0 - p, p) * n <= 30.0
-
-
-def _inversion_binomials(n: int, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's random_binomial(n, p[i]) by inversion, for rows in its
-    inversion regime, when the first uniform it reads is u[i].
-
-    Returns (counts, restarted).  A restarted row's inversion ran past its
-    bound (X > bound) and would read a second uniform; its count is left at
-    0 and must be drawn by numpy itself.  Every other count equals numpy's:
-    the same flip at p > 0.5, numpy's operation order, and
-    qn = exp(n log q) from math.exp and math.log, the libm calls of numpy's
-    C code (numpy's SIMD np.exp and np.log may round differently).
-    """
-    flip = p > 0.5
-    p = np.where(flip, 1.0 - p, p)
-    q = 1.0 - p
-    log_q = np.fromiter(map(math.log, q.tolist()), dtype=float, count=len(q))
-    px = np.fromiter(map(math.exp, (n * log_q).tolist()), dtype=float, count=len(q))
-    mean = n * p
-    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
-    first_restart = bound.min(initial=n) + 1
-    counts = np.zeros(len(p), dtype=np.int64)
-    restarted = np.zeros(len(p), dtype=bool)
-    # numpy's loop over every row at once: step x = 1, 2, ... while U > px,
-    # and count the steps each row takes.
-    walking = u > px
-    x = 0
-    while walking.any():
-        x += 1
-        if x >= first_restart:
-            over = walking & (x > bound)
-            restarted |= over
-            walking &= ~over
-        counts += walking
-        u = u - px
-        px = ((n - x + 1) * p * px) / (x * q)
-        walking &= u > px
-    counts[flip] = n - counts[flip]
-    counts[restarted] = 0
-    return counts, restarted
 
 
 @dataclass(frozen=True)
@@ -435,10 +229,6 @@ class SimulatedDevice:
         self._state_lock = threading.Lock()
         self._edge_population = 0.0
         self._clipped = 0
-        # Built on the first shot draw: a device that serves only the exact
-        # channel never loads numpy's Philox.
-        self._shot_rng: np.random.Generator | None = None
-        self._shot_lock = threading.Lock()
 
     # -- noise model and ledger ---------------------------------------------
 
@@ -670,62 +460,6 @@ class SimulatedDevice:
 
     # -- shot execution -------------------------------------------------------
 
-    def _draw(
-        self, probabilities: np.ndarray, times: np.ndarray, keys: np.ndarray, shots: int
-    ) -> np.ndarray:
-        """Count of outcome 1 over `shots` shots of each request of a grid,
-        shaped like probabilities (runs, rows): request (i, j) draws
-        binomial(shots, 1 - p) from the Philox stream under keys[i * rows + j]
-        and is charged shots * times[j].
-
-        Bits are i.i.d. Bernoulli with the exact theta-marginal probability,
-        so one binomial draw per request reproduces the literal per-shot
-        distribution.  The keys come from the grid's cached token entropy
-        (_grid_entropy, at most _ENTROPY_CACHE_SIZE grids per process).  The
-        requests numpy serves by inversion, shots * min(q, 1 - q) <= 30 with
-        q = 1 - p, are drawn together from their first Philox block
-        (_inversion_binomials), with q^shots from math.exp and math.log per
-        request because numpy's C code calls libm and numpy's SIMD np.exp and
-        np.log may round differently.  Each other request (numpy's BTPE
-        regime, or an inversion that restarts on a second uniform) resets the
-        device's Philox generator to its key, with counter 0 and an empty
-        buffer, as a fresh Philox(SeedSequence(...)) starts, and makes numpy's
-        scalar rng.binomial call.  The ledger adds the charges one at a time,
-        run-major (a cumulative sum is sequential), so its total is the one
-        request-by-request charging gives.
-        """
-        q = (1.0 - probabilities).ravel()
-        ones = np.zeros(len(q), dtype=np.int64)
-        rows = np.flatnonzero(_inversion_regime(shots, q))
-        ones[rows], restarted = _inversion_binomials(shots, q[rows], _first_uniforms(keys[rows]))
-        scalar = np.setdiff1d(np.arange(len(q)), rows[~restarted], assume_unique=True)
-        if len(scalar):
-            fresh = {"counter": (0, 0, 0, 0), "key": None}
-            reset = {
-                "bit_generator": "Philox",
-                "state": fresh,
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            with self._shot_lock:
-                if self._shot_rng is None:
-                    self._shot_rng = np.random.Generator(np.random.Philox(0))
-                rng = self._shot_rng
-                philox = rng.bit_generator
-                for i, q_i, key in zip(scalar.tolist(), q[scalar].tolist(), keys[scalar].tolist()):
-                    fresh["key"] = key
-                    philox.state = reset
-                    ones[i] = rng.binomial(shots, q_i)
-        with self._ledger_lock:
-            total = self._ledger.total_evolution_time
-            charges = np.tile(shots * times, len(probabilities))
-            running = np.cumsum(np.concatenate(([total], charges)))
-            self._ledger.total_evolution_time = float(running[-1])
-            self._ledger.shot_count += shots * len(ones)
-        return ones.reshape(probabilities.shape)
-
     def run_shot_grid(
         self,
         betas: Sequence[tuple[complex, ...]],
@@ -739,11 +473,16 @@ class SimulatedDevice:
         grid, shape (len(betas), len(schedule)).
 
         Run i prepares (betas[i], frame_z) and executes each schedule row
-        (kappa, basis, l_steps) at t0 in turn.  Its request j draws from the
-        stream of token f"{tokens[i]}:k{kappa_j}:{basis_j}" and is charged in
-        run-major order, so the counts and the ledger equal the per-request
-        stream oracle (oracles.shot_stream with probability(), charged one
-        request at a time).  Each row is validated once, as a ShotRequest.
+        (kappa, basis, l_steps) at t0 in turn.  Bits are i.i.d. Bernoulli
+        with the exact theta-marginal probability p, so request (i, j) is
+        one binomial(shots, 1 - p) draw; the call draws the whole grid,
+        run-major, with one binomial call on its own stream (see the module
+        docstring), so the counts equal oracles.shot_stream(master_seed,
+        tokens, suffixes).binomial(shots, 1 - probability_grid(...)).  The
+        ledger adds the charges shots * kappa_j * t0 one at a time, run-major
+        (a cumulative sum is sequential), so its total is the one
+        request-by-request charging gives.  Each row is validated once, as a
+        ShotRequest.
         """
         if len(tokens) != len(betas):
             raise ValueError(f"need one token per beta: {len(betas)} betas, {len(tokens)} tokens")
@@ -763,6 +502,14 @@ class SimulatedDevice:
             [row.l_steps for row in rows],
             np.array([row.basis == "X" for row in rows]),
         )
-        suffixes = tuple(f":k{row.kappa}:{row.basis}" for row in rows)
-        keys = _entropy_keys(self.master_seed, _grid_entropy(tuple(tokens), suffixes))
-        return self._draw(probabilities, times, keys, shots)
+        suffixes = [f":k{row.kappa}:{row.basis}" for row in rows]
+        digest = hashlib.sha256(json.dumps([list(tokens), suffixes]).encode()).digest()
+        seed = np.random.SeedSequence((self.master_seed, int.from_bytes(digest[:16], "big")))
+        ones = np.random.Generator(np.random.Philox(seed)).binomial(shots, 1.0 - probabilities)
+        with self._ledger_lock:
+            total = self._ledger.total_evolution_time
+            charges = np.tile(shots * times, len(betas))
+            running = np.cumsum(np.concatenate(([total], charges)))
+            self._ledger.total_evolution_time = float(running[-1])
+            self._ledger.shot_count += shots * ones.size
+        return ones

@@ -6,14 +6,18 @@ squeeze matrices (D and S each as one exponential of its full complex
 generator, not through the runtime's cached rotated basis), the displaced
 phase-averaged Hamiltonian, the recovery stages one at a time, the inverse
 quadrature algebra and frame mismatch, dense rotations and exponentials, the
-device's outcome probabilities on the dense joint space, and its literal
-per-shot path with its SeedSequence-built streams.  No other bosonlearn
-module imports this one.
+device's outcome probabilities on the dense joint space, its literal
+per-shot path, and the shot stream of a run_shot_grid call (shot_stream).
+The device draws a call's whole grid from one stream, so a call's counts
+are a function of the master seed, the call's tokens and schedule, and its
+probabilities, and change when its runs are grouped into calls differently.
+No other bosonlearn module imports this one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -307,11 +311,13 @@ def conjugate_spec_by_mismatch(
     return {k: v for k, v in out.items() if abs(v) > 0}
 
 
-def shot_stream(master_seed: int, token: str) -> np.random.Generator:
-    """The Philox stream of the request with this token on a device seeded
-    with master_seed, built through numpy's own SeedSequence."""
-    digest = hashlib.sha256(token.encode()).digest()
-    entropy = int.from_bytes(digest[:16], "big")
+def shot_stream(master_seed: int, tokens, suffixes) -> np.random.Generator:
+    """The Philox stream of one run_shot_grid call on a device seeded with
+    master_seed: tokens are the call's run tokens and suffixes[j] =
+    f":k{kappa_j}:{basis_j}" its schedule, keyed through numpy's own
+    SeedSequence by the first 16 bytes of the sha256 of their JSON."""
+    encoding = json.dumps([list(tokens), list(suffixes)]).encode()
+    entropy = int.from_bytes(hashlib.sha256(encoding).digest()[:16], "big")
     seq = np.random.SeedSequence(entropy=(master_seed, entropy))
     return np.random.Generator(np.random.Philox(seq))
 

@@ -171,9 +171,10 @@ def _measure(
     The runs are C at beta = 0 (the identity content of H in the working
     frame) under offset_token, unless it is None, then each grid (points,
     stem) in order, point i under the token f"{stem}{i}".  RPE's schedule is
-    fixed before any bit is seen, so they all go to the device together; each
-    run's shots come from its own token's streams, and the ledger is charged
-    run by run in that order, as one call per grid would charge it.  Returns
+    fixed before any bit is seen, so they all go to the device together; the
+    call's tokens key its shot stream, so a learn's counts depend only on its
+    own tokens and the master seed, and the ledger is charged run by run in
+    that order, as one call per grid would charge it.  Returns
     the offset (or None), each grid's C values, and the diagnostics of every
     run, the offset's included: inconsistent_rounds (a count) and
     inconsistent_runs (each inconsistent run's rounds, by token)."""

@@ -267,6 +267,10 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-single", {"generator": ONE_MODE, "grid": {"d": 0}}, "d >= 1"),
         ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 0}}, "r_max > 0"),
         ("sweep-heisenberg", {"sweep": {"k_values": [4], "seeds": 0}}, "sweep.seeds must be >= 1"),
+        ("learn-single", {"generator": ONE_MODE, "out": 1}, "out must be a string"),
+        ("learn-single", {"spec_path": 0}, "spec_path must be a string"),
+        ("compare-covariance", {"grid": {"modes": 0}}, "modes >= 1"),
+        ("compare-covariance", {"grid": {"d": 0}}, "d >= 1"),
     ],
     ids=[
         "strategy",
@@ -290,12 +294,18 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "grid.d-zero",
         "grid.r_max-zero",
         "sweep.seeds-zero",
+        "out-descriptor",
+        "spec_path-descriptor",
+        "covariance-grid.modes-zero",
+        "covariance-grid.d-zero",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
     # validate used to pass each of these; the run exited 1, died in a
     # traceback (d = 0 and r_max = 0 divide by zero), reported NaN for no
-    # seeds, or read a string "false" as true and eps_g = true as 1.0
+    # seeds, read a string "false" as true and eps_g = true as 1.0, or opened
+    # an integer path as a file descriptor (out = 1 wrote into stdout and
+    # closed it; spec_path = 0 read the spec from stdin)
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 
@@ -338,7 +348,8 @@ def test_learn_multi_noiseless_recovers_truth(tmp_path, capsys):
 
 
 def test_learn_single_shot_report_names_inconsistent_runs(tmp_path, capsys):
-    # 20 shots per basis are few enough that some rounds jump
+    # 20 shots per basis are few enough that some rounds jump in some of
+    # three seeded learns
     cfg = write_config(
         tmp_path,
         "c.json",
@@ -347,13 +358,17 @@ def test_learn_single_shot_report_names_inconsistent_runs(tmp_path, capsys):
             "rpe": {"M": 20, "K": 6, "L": None},
         },
     )
-    assert main(["learn-single", "--config", cfg, "--seed", "1"]) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    diagnostics = result["diagnostics"]
-    runs = diagnostics["inconsistent_runs"]
-    assert runs and all(token.startswith("cli1:m0:p") for token in runs)
-    assert sum(map(len, runs.values())) == diagnostics["inconsistent_rounds"]
-    assert result["clipped_probabilities"] == 0
+    named = 0
+    for seed in (1, 2, 3):
+        assert main(["learn-single", "--config", cfg, "--seed", str(seed)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        diagnostics = result["diagnostics"]
+        runs = diagnostics["inconsistent_runs"]
+        assert all(token.startswith(f"cli{seed}:m0:p") and rounds for token, rounds in runs.items())
+        assert sum(map(len, runs.values())) == diagnostics["inconsistent_rounds"]
+        assert result["clipped_probabilities"] == 0
+        named += len(runs)
+    assert named > 0
 
 
 def test_learn_multi_prior_covers_the_joint_grid(tmp_path, capsys):
@@ -402,8 +417,8 @@ def test_sweep_report_matches_its_golden_values():
     config.update(sweep={"k_values": [4, 5], "seeds": 3}, rpe={"M": 50})
     rows = run(config)["result"]["rows"]
     assert [(r["k"], r["total_time"].hex(), r["rmse"].hex(), r["shots"]) for r in rows] == [
-        (4, "0x1.b6408e8d64d25p+10", "0x1.396b754653e82p-7", 500),
-        (5, "0x1.bd521d3d17ff1p+11", "0x1.af7102c17ebbbp-9", 600),
+        (4, "0x1.b6408e8d64d25p+10", "0x1.a100c2dcc4e80p-8", 500),
+        (5, "0x1.bd521d3d17ff1p+11", "0x1.c1f3ac7d72dbep-8", 600),
     ]
 
 
@@ -434,13 +449,16 @@ FIRSTQ_BRACKETED = {"experiment": "learn-firstq", "firstq": {**FIRSTQ, "bracket"
     "doc, seed, digest, pinned",
     [
         (BENCH_MULTI, 7000, "2dea542919685a0a", {"derived_t0": "0x1.549f6051ea4b1p-4"}),
-        (FIRSTQ_BRACKETED, 7, "397f0502233f63d3", {"r_hat": "0x1.07fffffffffffp-3"}),
+        (FIRSTQ_BRACKETED, 7, "dc9bd1352c41020f", {"r_hat": "0x1.07fffffffffffp-3"}),
     ],
     ids=["learn-multi", "learn-firstq"],
 )
 def test_noiseless_reports_match_their_golden_values(doc, seed, digest, pinned):
     # every number of the result, as float.hex, recorded before the config
-    # parse was shared between validate and the runners
+    # parse was shared between validate and the runners; the learn-firstq
+    # digest was re-recorded when its report gained edge_population and
+    # clipped_probabilities, and without those two fields it reads the
+    # earlier 397f0502233f63d3
     result = _hexed(run({**doc, "seed": seed, "noiseless": True})["result"])
     assert {key: result[key] for key in pinned} == pinned
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16] == digest
@@ -480,6 +498,9 @@ def test_learn_firstq_cli_noiseless(tmp_path, capsys):
     res = report["result"]
     assert abs(res["r_hat"] - res["r_true"]) < 2 * res["bisection"]["eps_r"]
     assert res["bisection"]["fallback_used"] is False
+    # the default n_max = 48 holds every prepared state well inside the cutoff
+    assert 0.0 <= res["edge_population"] < 1e-6
+    assert res["clipped_probabilities"] == 0
 
 
 def test_spam_sweep_rows_and_one_clean_learn(tmp_path, capsys, monkeypatch):

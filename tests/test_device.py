@@ -5,25 +5,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlearn import device as device_module
 from bosonlearn import fockspace
-from bosonlearn.device import (
-    NoiseModel,
-    ShotRequest,
-    SimulatedDevice,
-    TimeLedger,
-    _ENTROPY_CACHE_SIZE,
-    _entropy_keys,
-    _first_uniforms,
-    _grid_entropy,
-    _inversion_binomials,
-    _inversion_regime,
-    _philox_first_block,
-    _token_entropy,
-)
+from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice, TimeLedger
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
 from bosonlearn.oracles import dense_probability, literal_shot, shot_stream
@@ -171,7 +158,7 @@ def test_literal_shot_path_matches_batch_marginal():
     p = dev.probability(req)
     shots = 400
     h = build_matrix(spec, cut)
-    ones = sum(literal_shot(h, cut, req, shot_stream(1, f"s{i}")) for i in range(shots))
+    ones = sum(literal_shot(h, cut, req, shot_stream(1, [f"s{i}"], [])) for i in range(shots))
     se = math.sqrt(p * (1 - p) / shots)
     assert abs((shots - ones) / shots - p) < 4 * se + 1e-3
 
@@ -186,7 +173,7 @@ def test_literal_shot_prepares_the_frame_state_of_the_device():
     p = SimulatedDevice(spec, cut).probability(req)
     shots = 3000
     h = build_matrix(spec, cut)
-    ones = sum(literal_shot(h, cut, req, shot_stream(1, f"f{i}")) for i in range(shots))
+    ones = sum(literal_shot(h, cut, req, shot_stream(1, [f"f{i}"], [])) for i in range(shots))
     se = math.sqrt(p * (1 - p) / shots)
     assert abs((shots - ones) / shots - p) < 4 * se
 
@@ -194,7 +181,7 @@ def test_literal_shot_prepares_the_frame_state_of_the_device():
 def test_run_shot_requires_finite_steps():
     h = build_matrix(NUMBER_SPEC, CUT)
     with pytest.raises(ValueError):
-        literal_shot(h, CUT, request(0.5, l_steps=None), shot_stream(0, "shot"))
+        literal_shot(h, CUT, request(0.5, l_steps=None), shot_stream(0, ["shot"], []))
 
 
 def test_finite_step_amplitude_converges_to_ideal():
@@ -529,219 +516,28 @@ def test_state_energy_is_bit_identical_alone_and_in_a_grid(data, modes, seed):
 
 # -- batched shot sampler ------------------------------------------------------
 
-MASTER_SEEDS = st.one_of(
-    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**100)
-)
-# SeedSequence drops zero high words, so small entropies give fewer words.
-ENTROPIES = st.one_of(
-    st.just(0),
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 2**64 - 1),
-    st.integers(0, 2**96 - 1),
-    st.integers(0, 2**128 - 1),
-)
-
-
-def _words(e: int) -> list[int]:
-    return [(e >> (32 * i)) & 0xFFFFFFFF for i in range(4)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(master_seed=MASTER_SEEDS, entropies=st.lists(ENTROPIES, min_size=1, max_size=12))
-def test_entropy_keys_match_seed_sequence(master_seed, entropies):
-    keys = _entropy_keys(master_seed, np.array([_words(e) for e in entropies], dtype=np.uint32))
-    for e, key in zip(entropies, keys):
-        expected = np.random.SeedSequence(entropy=(master_seed, e)).generate_state(2, np.uint64)
-        assert key.dtype == np.uint64
-        assert np.array_equal(key, expected)
-
-
-@settings(max_examples=30, deadline=None)
-@given(master_seed=MASTER_SEEDS, tokens=st.lists(st.text(max_size=40), max_size=8))
-def test_philox_keys_match_the_rng_oracle(master_seed, tokens):
-    keys = _entropy_keys(master_seed, _token_entropy(tokens))
-    assert keys.shape == (len(tokens), 2)
-    for token, key in zip(tokens, keys):
-        stream = shot_stream(master_seed, token)
-        assert np.array_equal(stream.bit_generator.state["state"]["key"], key)
-
-
-@settings(max_examples=30, deadline=None)
-@given(keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), max_size=8))
-def test_philox_first_block_matches_numpy(keys):
-    keys = np.array(keys, dtype=np.uint64).reshape(-1, 2)
-    block = _philox_first_block(keys)
-    assert block.shape == (len(keys), 4) and block.dtype == np.uint64
-    for key, words in zip(keys, block):
-        assert np.array_equal(np.random.Philox(key=key).random_raw(4), words)
-
-
-@st.composite
-def binomial_rows(draw):
-    """A shot count and probabilities mixing numpy's edge cases: 0, 1, the
-    p = 0.5 flip and its neighbours, and n * p = 30 on either side."""
-    n = draw(st.integers(0, 1000))
-    edges = [0.0, 1.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)]
-    if n:
-        edge = 30.0 / n
-        edges += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), 1.0 - edge]
-    edges = [e for e in edges if 0.0 <= e <= 1.0]
-    p = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
-    return n, draw(st.lists(p, min_size=1, max_size=12))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=binomial_rows(), master_seed=st.integers(0, 2**64))
-# n * min(p, 1 - p) = 30 exactly, and the p = 0.5 flip
-@example(case=(60, [0.5, math.nextafter(0.5, 1.0)]), master_seed=1)
-@example(case=(120, [0.25, 0.75]), master_seed=2)
-def test_inversion_binomials_match_numpy(case, master_seed):
-    n, p = case
-    p = np.array(p)
-    tokens = [f"r{i}" for i in range(len(p))]
-    rows = np.flatnonzero(_inversion_regime(n, p))
-    keys = _entropy_keys(master_seed, _token_entropy(tokens))[rows]
-    counts, restarted = _inversion_binomials(n, p[rows], _first_uniforms(keys))
-    for i, count, again in zip(rows, counts, restarted):
-        if not again:
-            assert count == shot_stream(master_seed, tokens[i]).binomial(n, p[i])
-    assert _inversion_regime(120, np.array([0.25, 0.75])).all()
-    assert not _inversion_regime(121, np.array([0.25, 0.75])).any()
-
-
-def _numpy_inversion(n, p, uniforms):
-    """numpy's random_binomial(n, p) in its inversion regime, transcribed
-    line for line from distributions.c, reading U from the iterator uniforms."""
-    flip = p > 0.5
-    p = 1.0 - p if flip else p
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
-    x, px, u = 0, qn, next(uniforms)
-    while u > px:
-        x += 1
-        if x > bound:
-            x, px, u = 0, qn, next(uniforms)
-        else:
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-    return n - x if flip else x
-
-
-@pytest.mark.parametrize("n", [1, 7, 50, 200, 1000])
-def test_inversion_binomials_at_the_uniforms_that_end_each_step(n):
-    # U on and next to the running sums where the walk stops, where a change
-    # of operation order or of the bound would show.  The probabilities
-    # include some whose qn = exp(n log q) numpy's SIMD np.exp and np.log
-    # round differently from libm's, where this host has any.
-    rng = np.random.default_rng(n)
-    pool = rng.uniform(0.0, 1.0, 4000)
-    pool = pool[_inversion_regime(n, pool)]
-    q = 1.0 - np.where(pool > 0.5, 1.0 - pool, pool)
-    libm = np.array([math.exp(n * math.log(x)) for x in q.tolist()])
-    simd = pool[np.exp(n * np.log(q)) != libm]
-    p = np.concatenate([pool[:6], simd[:4], [0.5, 30.0 / n, 1.0 - 30.0 / n]])
-    p = p[_inversion_regime(n, p) & (p >= 0.0) & (p <= 1.0)]
-    cases = []
-    for p_i in p.tolist():
-        pp = min(p_i, 1.0 - p_i)
-        pmf = [math.exp(n * math.log(1.0 - pp))]
-        for x in range(1, n + 1):
-            pmf.append(((n - x + 1) * pp * pmf[-1]) / (x * (1.0 - pp)))
-        for total in np.cumsum(pmf)[: int(n * pp) + 15].tolist():
-            for u in (total, math.nextafter(total, 0.0), math.nextafter(total, 2.0)):
-                if 0.0 <= u < 1.0:
-                    cases.append((p_i, u))
-        cases.append((p_i, 1.0 - 2.0**-53))
-    p, u = np.array(cases).T
-    counts, restarted = _inversion_binomials(n, p, u)
-    for p_i, u_i, count, again in zip(p, u, counts, restarted):
-        try:
-            want = _numpy_inversion(n, p_i, iter([u_i]))
-        except StopIteration:  # the walk restarted and read a second uniform
-            assert again
-        else:
-            assert not again and count == want
-
-
-def test_a_restarted_inversion_is_left_to_numpy(monkeypatch):
-    # U = 1 - 2**-53 outlasts the whole distribution, so the walk passes its
-    # bound and numpy would read a second uniform
-    u = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0])
-    counts, restarted = _inversion_binomials(50, np.array([0.3, 0.8, 0.3]), u)
-    assert restarted.tolist() == [True, True, False] and counts.tolist() == [0, 0, 0]
-    # through the device, every restarted row goes to numpy's scalar call
-    # and still draws the oracle's count
-    class CountingGenerator:
-        def __init__(self):
-            self.rng = np.random.Generator(np.random.Philox(0))
-            self.bit_generator = self.rng.bit_generator
-            self.calls = 0
-
-        def binomial(self, n, p):
-            self.calls += 1
-            return self.rng.binomial(n, p)
-
-    monkeypatch.setattr(device_module, "_first_uniforms", lambda keys: np.full(len(keys), u[0]))
-    dev, oracle = (SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=9) for _ in range(2))
-    dev._shot_rng = CountingGenerator()
-    ones = _run_grid(dev, *_grid_args(None, 40)).ravel()
-    want = _oracle_grid(oracle, TimeLedger(), *_grid_args(None, 40)).ravel()
-    p = [oracle.probability(ShotRequest(k, T0, b, s, l)) for b in BETAS for k, s, l in SCHEDULE]
-    counts, restarted = _inversion_binomials(40, 1.0 - np.array(p), np.full(len(p), u[0]))
-    assert dev._shot_rng.calls == np.count_nonzero(restarted) > 0
-    assert np.array_equal(ones[restarted], want[restarted])
-    assert np.array_equal(ones[~restarted], counts[~restarted])
-
-
-def test_grid_entropy_cache_is_bounded_read_only_and_exact():
-    _grid_entropy.cache_clear()
-    runs, suffixes = ("a", "b:m1"), (":k1:X", ":k2:Y", ":k4:X")
-    miss = _grid_entropy(runs, suffixes)
-    hit = _grid_entropy(runs, suffixes)
-    assert hit is miss and _grid_entropy.cache_info().hits == 1
-    assert not miss.flags.writeable
-    with pytest.raises(ValueError):
-        miss[0, 0] = 1
-    tokens = [r + s for r in runs for s in suffixes]
-    assert np.array_equal(miss, _token_entropy(tokens))
-    for token, key in zip(tokens, _entropy_keys(77, hit)):
-        assert np.array_equal(shot_stream(77, token).bit_generator.state["state"]["key"], key)
-    for i in range(_ENTROPY_CACHE_SIZE + 10):
-        _grid_entropy((f"g{i}",), suffixes)
-        assert _grid_entropy.cache_info().currsize <= _ENTROPY_CACHE_SIZE
-    assert _grid_entropy.cache_info().currsize == _ENTROPY_CACHE_SIZE
-    # a device with a fresh cache draws the counts of a device with a warm one
-    warm = _run_grid(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=4), *_grid_args(None, 30))
-    _grid_entropy.cache_clear()
-    cold = _run_grid(SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=4), *_grid_args(None, 30))
-    assert np.array_equal(warm, cold)
-
 
 def test_negative_master_seed_raises_as_numpy_does():
     with pytest.raises(ValueError):
         np.random.SeedSequence(entropy=(-1, 5))
     with pytest.raises(ValueError):
-        _entropy_keys(-1, np.zeros((1, 4), dtype=np.uint32))
-    with pytest.raises(ValueError):
         number_device(seed=-1).run_shot_grid([(0.5,)], None, 0.3, [(1, "X", None)], 10, ["a"])
     with pytest.raises(TypeError):
-        _entropy_keys(2.5, np.zeros((1, 4), dtype=np.uint32))
+        number_device(seed=2.5).run_shot_grid([(0.5,)], None, 0.3, [(1, "X", None)], 10, ["a"])
 
 
 def _oracle_grid(dev, ledger, betas, frame_z, schedule, shots, tokens):
-    """One device.probability and one fresh shot_stream per request of a grid,
-    run-major, each charged to ledger one by one."""
-    ones = []
-    for beta, token in zip(betas, tokens):
-        for kappa, basis, l_steps in schedule:
-            req = ShotRequest(kappa, T0, beta, basis, l_steps=l_steps, frame_z=frame_z)
-            p = dev.probability(req)
-            stream = shot_stream(dev.master_seed, f"{token}:k{kappa}:{basis}")
-            ones.append(int(stream.binomial(shots, 1.0 - p)))
-            ledger.total_evolution_time += shots * req.evolution_time
+    """The per-call oracle: the grid's exact probabilities and one binomial
+    call on the call's stream, each request charged to ledger one by one,
+    run-major."""
+    p = dev.probability_grid(betas, frame_z, T0, schedule)
+    suffixes = [f":k{kappa}:{basis}" for kappa, basis, _ in schedule]
+    ones = shot_stream(dev.master_seed, tokens, suffixes).binomial(shots, 1.0 - p)
+    for _ in betas:
+        for kappa, _, _ in schedule:
+            ledger.total_evolution_time += shots * (kappa * T0)
             ledger.shot_count += shots
-    return np.array(ones).reshape(len(betas), len(schedule))
+    return ones
 
 
 BATCH_SPEC = random_spec(2, 2, seed=4, sparsity=0.7)
@@ -767,24 +563,47 @@ def _run_grid(dev, betas, frame_z, schedule, shots, tokens):
 )
 @pytest.mark.parametrize("master_seed", [0, 12345, 2**40 + 7])
 def test_run_shot_grid_equals_per_request_oracle(noise, master_seed):
+    # every request's count is the per-call oracle's draw, and the ledger is
+    # charged request by request
     def device():
         return SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=master_seed, noise=noise)
 
-    # 57 shots keep every request in numpy's inversion regime (57 * 0.5 <= 30);
-    # at 200 shots the grid mixes inversion and BTPE requests
     for shots in (57, 200):
         grid, oracle, ledger = device(), device(), TimeLedger()
         for frame_z in FRAMES:
             ones = _run_grid(grid, *_grid_args(frame_z, shots))
             assert np.array_equal(ones, _oracle_grid(oracle, ledger, *_grid_args(frame_z, shots)))
             assert grid.ledger() == ledger
-        # a run's draws come from its own token's streams, whatever else is in the grid
+        # a run sent alone is a call of its own, drawn from that call's stream
         _, frame_z, schedule, _, tokens = args = _grid_args(FRAMES[1], shots)
-        for beta, token, row in zip(BETAS, tokens, _run_grid(device(), *args)):
-            alone = _run_grid(device(), [beta], frame_z, schedule, shots, [token])
-            assert np.array_equal(alone[0], row)
-    p = [grid.probability(ShotRequest(k, T0, b, s, l)) for b in BETAS for k, s, l in SCHEDULE]
-    assert 0 < np.count_nonzero(_inversion_regime(200, 1.0 - np.array(p))) < len(p)
+        together = _run_grid(device(), *args)
+        alone = [
+            _run_grid(device(), [beta], frame_z, schedule, shots, [token])[0]
+            for beta, token in zip(BETAS, tokens)
+        ]
+        for beta, token, row in zip(BETAS, tokens, alone):
+            want = _oracle_grid(device(), TimeLedger(), [beta], frame_z, schedule, shots, [token])
+            assert np.array_equal(row, want[0])
+        assert not np.array_equal(np.array(alone), together)
+
+
+def test_run_shot_grid_draws_with_one_binomial_call(monkeypatch):
+    calls = []
+    generator = np.random.Generator
+
+    class Counted:
+        def __init__(self, bit_generator):
+            self.rng = generator(bit_generator)
+
+        def binomial(self, n, p):
+            calls.append(np.shape(p))
+            return self.rng.binomial(n, p)
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=3)
+    _run_grid(dev, *_grid_args(None, 30))
+    _run_grid(dev, *_grid_args(None, 0))
+    assert calls == [(len(BETAS), len(SCHEDULE))]
 
 
 def test_run_shot_grid_with_zero_shots_draws_and_charges_nothing():
@@ -797,6 +616,31 @@ def test_run_shot_grid_with_zero_shots_draws_and_charges_nothing():
     assert _run_grid(dev, BETAS, None, [], 10, ["a"] * len(BETAS)).shape == (len(BETAS), 0)
     with pytest.raises(ValueError):
         _run_grid(dev, *_grid_args(None, -1))
+
+
+@pytest.mark.parametrize("shots", [57, 200])
+def test_run_shot_grid_counts_are_binomial(shots):
+    # 1000 runs x 2 requests on the number spec, where p is (1 + cos phi)/2
+    # in X and (1 - sin phi)/2 in Y at phi = t0 |beta|^2.  Phases near the
+    # four odd multiples of pi/4 keep every q = 1 - p in [0.05, 0.95].  The
+    # standardized counts z have mean 0 and E[z^2] = 1; each bound is the
+    # 1e-3 two-sided normal quantile times the statistic's exact standard
+    # error, so a correct sampler fails it once in 1000 seeds.
+    t0, runs = 3.0, 1000
+    phases = np.pi / 4 * (2 * np.arange(runs) % 8 + 1) + np.linspace(-0.3, 0.3, runs)
+    betas = [(complex(math.sqrt(phi / t0)),) for phi in phases]
+    schedule = [(1, "X", None), (1, "Y", None)]
+    dev = SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=40), master_seed=2026)
+    ones = dev.run_shot_grid(betas, None, t0, schedule, shots, [f"z{i}" for i in range(runs)])
+    q = 1.0 - dev.probability_grid(betas, None, t0, schedule)
+    assert 0.05 <= q.min() and q.max() <= 0.95
+    npq = shots * q * (1 - q)
+    z = ((ones - shots * q) / np.sqrt(npq)).ravel()
+    quantile = 3.2905  # two-sided normal quantile at alpha = 1e-3
+    # Var z = 1 and Var z^2 = 2 + (1 - 6 q (1 - q)) / (n q (1 - q)) per request
+    excess = ((1 - 6 * q * (1 - q)) / npq).ravel()
+    assert abs(z.mean()) < quantile / math.sqrt(z.size)
+    assert abs((z**2).mean() - 1.0) < quantile * math.sqrt((2 + excess).sum()) / z.size
 
 
 @pytest.mark.parametrize(
@@ -813,8 +657,8 @@ def test_run_shot_grid_rejects_non_integer_shots(shots):
 
 
 def test_run_shot_grid_is_thread_safe():
-    # The device holds one Philox generator; threads sharing a device must
-    # still each get their own requests' streams.
+    # Each call draws from a stream of its own; threads sharing a device must
+    # each get their calls' per-call counts, and the ledger every charge.
     grids = [_grid_args(frame_z, 40) for frame_z in FRAMES]
     oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=5)
     expected = [_oracle_grid(oracle, TimeLedger(), *args) for args in grids]

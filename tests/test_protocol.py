@@ -310,8 +310,46 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+_RUN_SHOT_GRID = SimulatedDevice.run_shot_grid
+
+
+def _recorded_grids(monkeypatch):
+    """(args, counts) of each run_shot_grid call, in order."""
+    calls = []
+
+    def recorded(device, *args):
+        counts = _RUN_SHOT_GRID(device, *args)
+        calls.append((args, counts))
+        return counts
+
+    monkeypatch.setattr(SimulatedDevice, "run_shot_grid", recorded)
+    return calls
+
+
+def _replayed_grids(monkeypatch, counts):
+    """run_shot_grid validates and charges as usual but returns the next rows
+    of counts, so runs sent in several calls read what one call drew."""
+    rows = iter(counts)
+
+    def replayed(device, betas, *args):
+        drawn = _RUN_SHOT_GRID(device, betas, *args)
+        return np.array([next(rows) for _ in betas]).reshape(drawn.shape)
+
+    monkeypatch.setattr(SimulatedDevice, "run_shot_grid", replayed)
+
+
+def _own_call_inconsistent_runs(calls, cfg):
+    """inconsistent_runs of the one recorded call: the rounds at which each
+    run's unwrap of the counts that call drew jumps, by token."""
+    ((args, counts),) = calls
+    _, mask = _unwrap((cfg.shots - counts) / cfg.shots, cfg)
+    return {t: np.flatnonzero(row).tolist() for t, row in zip(args[5], mask) if row.any()}
+
+
 @pytest.mark.parametrize("l_steps", [None, "auto"])
 def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
+    # the estimates unwrap the counts of the grid's one call, run by run, and
+    # the ledger is charged run by run
     spec = random_spec(1, 2, seed=3, include_couplings=False)
     cut = adaptive_cutoff(spec, 1.0)
     cfg = derive_config(2, k_max=5, shots=30, l_steps=l_steps)
@@ -321,40 +359,37 @@ def test_rpe_estimates_equal_one_run_at_a_time(monkeypatch, l_steps):
     # an uneven ledger total first, so that a difference of running totals is
     # not the plain sum of a run's charges
     warm_up = ([(0.2,)], None, 0.1234567, [(3, "X", None)], 33, ["w"])
+    batched = SimulatedDevice(spec, cut, master_seed=9)
+    batched.run_shot_grid(*warm_up)
+    grids = _recorded_grids(monkeypatch)
+    c_hat, inconsistent = rpe_estimates(batched, betas, cfg, frame_z, tokens)
+    assert len(grids) == 1
+    (betas_sent, _, _, schedule, _, _), counts = grids[0]
+    assert len(betas_sent) == len(betas) and len(schedule) == 2 * (cfg.k_max + 1)
+    assert inconsistent.shape == (len(betas), cfg.k_max + 1)
     sequential = SimulatedDevice(spec, cut, master_seed=9)
     sequential.run_shot_grid(*warm_up)
+    _replayed_grids(monkeypatch, counts)
     one_by_one = [
         rpe_estimates(sequential, [beta], cfg, frame_z, [token]) for beta, token in zip(betas, tokens)
     ]
-    batched = SimulatedDevice(spec, cut, master_seed=9)
-    batched.run_shot_grid(*warm_up)
-    grids = _count_calls(monkeypatch, "run_shot_grid")
-    c_hat, inconsistent = rpe_estimates(batched, betas, cfg, frame_z, tokens)
-    assert len(grids) == 1
-    betas_sent, _, _, schedule = grids[0][:4]
-    assert len(betas_sent) == len(betas) and len(schedule) == 2 * (cfg.k_max + 1)
-    assert inconsistent.shape == (len(betas), cfg.k_max + 1)
     assert c_hat.tolist() == [c[0] for c, _ in one_by_one]
     assert inconsistent.tolist() == [mask[0].tolist() for _, mask in one_by_one]
     assert batched.ledger() == sequential.ledger()
 
 
-def _equivalent_requests(betas, cfg, frame_z, tokens):
-    """(ShotRequest, stream token) of each request a grid stands for, run-major,
-    with the grid's documented tokens f"{token}:k{kappa}:{basis}"."""
+def _equivalent_requests(betas, cfg, frame_z):
+    """The ShotRequest each request of a grid stands for, run-major."""
     return [
-        (
-            ShotRequest(
-                kappa=2**j,
-                t0=cfg.t0,
-                beta=tuple(beta),
-                basis=basis,
-                l_steps=cfg.steps_for(2**j),
-                frame_z=frame_z,
-            ),
-            f"{token}:k{2**j}:{basis}",
+        ShotRequest(
+            kappa=2**j,
+            t0=cfg.t0,
+            beta=tuple(beta),
+            basis=basis,
+            l_steps=cfg.steps_for(2**j),
+            frame_z=frame_z,
         )
-        for beta, token in zip(betas, tokens)
+        for beta in betas
         for j in range(cfg.k_max + 1)
         for basis in ("X", "Y")
     ]
@@ -377,20 +412,21 @@ def test_columnar_grid_equals_shot_requests_and_stream_oracle(l_steps, frame_z):
     grid_dev = fresh()
     total = grid_dev.ledger().total_evolution_time
     rpe_estimates(grid_dev, betas, cfg, frame_z, tokens)
-    requests = _equivalent_requests(betas, cfg, frame_z, tokens)
-    # the draws of numpy's own SeedSequence streams, and the running ledger
+    requests = _equivalent_requests(betas, cfg, frame_z)
+    # one probability() per request, the running ledger, and one binomial
+    # call on the call's stream, built through numpy's own SeedSequence
     oracle_dev = fresh()
-    oracle_ones = []
     width = 2 * (cfg.k_max + 1)
-    for req, token in requests:
-        p = oracle_dev.probability(req)
-        oracle_ones.append(int(shot_stream(17, token).binomial(cfg.shots, 1.0 - p)))
+    p = np.array([oracle_dev.probability(req) for req in requests]).reshape(len(betas), width)
+    for req in requests:
         total += cfg.shots * req.evolution_time
     assert grid_dev.ledger() == TimeLedger(total, 33 + len(requests) * cfg.shots)
-    schedule = [(r.kappa, r.basis, r.l_steps) for r, _ in requests[:width]]
+    schedule = [(r.kappa, r.basis, r.l_steps) for r in requests[:width]]
+    suffixes = [f":k{r.kappa}:{r.basis}" for r in requests[:width]]
+    oracle_ones = shot_stream(17, tokens, suffixes).binomial(cfg.shots, 1.0 - p)
     counts = fresh().run_shot_grid(betas, frame_z, cfg.t0, schedule, cfg.shots, tokens)
     assert counts.shape == (len(betas), width)
-    assert counts.ravel().tolist() == oracle_ones
+    assert np.array_equal(counts, oracle_ones)
 
 
 @pytest.mark.parametrize(
@@ -507,8 +543,9 @@ _LEARNERS = {
 @pytest.mark.parametrize("shots", [20, None], ids=["shots", "exact"])
 @pytest.mark.parametrize("learner", sorted(_LEARNERS))
 def test_one_call_learn_equals_its_grids_sent_one_by_one(monkeypatch, learner, shots, subtract_offset):
-    # each run draws from its own token's streams and the ledger is charged
-    # run by run, so sending every run of a learn together changes nothing
+    # the ledger is charged run by run, and a run's estimate unwraps its own
+    # counts, so grids sent one by one that read the counts of the learn's
+    # one call give the same learn
     cfg = derive_config(2, k_max=3 if shots else 5, shots=shots, l_steps=None)
     frame_z = (0.1 + 0.05j, -0.2j)
 
@@ -523,7 +560,10 @@ def test_one_call_learn_equals_its_grids_sent_one_by_one(monkeypatch, learner, s
             ledger.shot_count,
         )
 
+    calls = _recorded_grids(monkeypatch)
     together = learn()
+    assert len(calls) == (shots is not None)
+    _replayed_grids(monkeypatch, calls[0][1] if calls else [])
     monkeypatch.setattr(protocol, "_measure", _measure_grid_by_grid)
     one_by_one = learn()
     assert together == one_by_one
@@ -531,27 +571,37 @@ def test_one_call_learn_equals_its_grids_sent_one_by_one(monkeypatch, learner, s
     assert (together[3] > 0) == (shots is not None)
 
 
-def test_offset_run_inconsistent_rounds_are_reported():
+def test_offset_run_inconsistent_rounds_are_reported(monkeypatch):
     # every grid value is shifted by the beta = 0 estimate, so a jump in that
     # run is reported with the grid runs' jumps, under the offset's token
     cfg = derive_config(2, k_max=4, shots=20, l_steps=None)
     frame_z = (0.1 + 0.05j, -0.2j)
-
-    def learn(subtract_offset):
-        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
-        return learn_single_mode(
-            dev, 2, cfg, mode=1, frame_z=frame_z, subtract_offset=subtract_offset
-        ).diagnostics
-
-    runs = learn(True)["inconsistent_runs"]
+    calls = _recorded_grids(monkeypatch)
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
+    diagnostics = learn_single_mode(
+        dev, 2, cfg, mode=1, frame_z=frame_z, subtract_offset=True
+    ).diagnostics
+    runs = diagnostics["inconsistent_runs"]
+    assert calls[0][0][5][0] == "single:m1:offset"
+    assert runs == _own_call_inconsistent_runs(calls, cfg)
     assert runs["single:m1:offset"] == [1]
-    assert learn(True)["inconsistent_rounds"] == sum(map(len, runs.values()))
-    # the grid runs report what they report without the offset
-    del runs["single:m1:offset"]
-    assert learn(False)["inconsistent_runs"] == runs
-    device = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
-    _, alone = rpe_estimates(device, [(0, 0)], cfg, frame_z, ["single:m1:offset"])
-    assert np.flatnonzero(alone[0]).tolist() == [1]
+    assert diagnostics["inconsistent_rounds"] == sum(map(len, runs.values()))
+
+
+def test_two_learns_on_one_device_draw_as_on_two_fresh_devices(monkeypatch):
+    # a learn's counts depend on the master seed and its own tokens, never on
+    # what the device drew before
+    cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
+    calls = _recorded_grids(monkeypatch)
+    shared = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=4)
+    for token in ("a", "b"):
+        learn_multimode_simultaneous(shared, 2, 2, cfg, token=token)
+    for token in ("a", "b"):
+        fresh = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=4)
+        learn_multimode_simultaneous(fresh, 2, 2, cfg, token=token)
+    a, b, fresh_a, fresh_b = (counts for _, counts in calls)
+    assert np.array_equal(a, fresh_a) and np.array_equal(b, fresh_b)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -566,38 +616,20 @@ def test_rpe_estimates_needs_one_entry_per_mode(betas):
     assert dev.ledger() == TimeLedger()
 
 
-def _grid_inconsistent(grids, cfg, token_of):
-    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1)
-    total = 0
-    by_run = {}
-    for name, grid in grids:
-        tokens = [f"{token_of}:{name}:g{i}" for i in range(len(grid))]
-        _, inconsistent = rpe_estimates(dev, grid, cfg, None, tokens)
-        total += int(inconsistent.sum())
-        by_run.update({t: np.flatnonzero(row).tolist() for t, row in zip(tokens, inconsistent) if row.any()})
-    return total, by_run
-
-
-def test_multimode_learners_report_inconsistent_rounds():
+def test_multimode_learners_report_inconsistent_rounds(monkeypatch):
     # 20 shots per basis are few enough that some rounds jump
     cfg = derive_config(2, k_max=3, shots=20, l_steps=None)
-    grid = joint_grid(2, 2)
-    iso = [np.where(np.arange(2) == m, grid, 0) for m in range(2)]
-    hier = learn_multimode_hierarchical(
-        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="h"
-    )
-    expected, by_run = _grid_inconsistent([("s0", iso[0]), ("s1", iso[1]), ("j", grid)], cfg, "h")
-    assert hier.diagnostics["inconsistent_rounds"] == expected > 0
-    assert hier.diagnostics["inconsistent_runs"] == by_run
-    assert sum(map(len, by_run.values())) == expected
-    simul = learn_multimode_simultaneous(
-        SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token="s"
-    )
-    expected, by_run = _grid_inconsistent([("j", grid)], cfg, "s")
-    assert simul.diagnostics["inconsistent_rounds"] == expected > 0
-    assert simul.diagnostics["inconsistent_runs"] == by_run
+    calls = _recorded_grids(monkeypatch)
+    for learner, token in ((learn_multimode_hierarchical, "h"), (learn_multimode_simultaneous, "s")):
+        calls.clear()
+        learned = learner(SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, 2, cfg, token=token)
+        runs = learned.diagnostics["inconsistent_runs"]
+        assert runs == _own_call_inconsistent_runs(calls, cfg)
+        assert learned.diagnostics["inconsistent_rounds"] == sum(map(len, runs.values())) > 0
+    calls.clear()
     single = learn_single_mode(SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=1), 2, cfg)
     runs = single.diagnostics["inconsistent_runs"]
+    assert runs == _own_call_inconsistent_runs(calls, cfg)
     assert runs and all(token.startswith("single:m0:p") and rounds for token, rounds in runs.items())
     assert sum(map(len, runs.values())) == single.diagnostics["inconsistent_rounds"]
     # the exact channel never jumps
