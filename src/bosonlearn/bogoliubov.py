@@ -5,7 +5,9 @@ the physical frame together with the quadrature-basis coefficients.
 
 The algebra is exact: coefficients live in the ring generated by rationals,
 i, and sqrt(2) (sympy expressions), so the transformation matrix T carries no
-numerical drift and its conditioning is purely a design property.
+numerical drift and its conditioning is purely a design property.  sympy is
+imported inside the exact-algebra functions (normal_to_symmetrized, build_T
+and their helpers), so a process that never runs them never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import sympy as sp
 
 from .device import SimulatedDevice
 from .hamiltonian import single_key
@@ -93,8 +94,6 @@ def overlap_feasible(u: float) -> bool:
 # with every L left of every R and [R, L] = c: (p, q) for B†^p B^q with
 # [B, B†] = 1, and (j, k) for X^j P^k with [P, X] = -i.
 
-_SQRT2 = sp.sqrt(2)
-
 
 def boson_mul(a: dict, b: dict, c=1) -> dict:
     """Product of two ordered polynomials, reordered with
@@ -117,6 +116,8 @@ def _ordered_product(factors: list[dict], c=1) -> dict:
 def _xp_to_symmetrized(normal: dict) -> dict:
     """Rewrite an XP normal-form polynomial over symmetrized monomials
     {X^j P^k}_S = (X^j P^k + P^k X^j)/2, exactly."""
+    import sympy as sp
+
     work = {k: sp.expand(v) for k, v in normal.items()}
     sym: dict = {}
     while work:
@@ -134,8 +135,11 @@ def _xp_to_symmetrized(normal: dict) -> dict:
 def normal_to_symmetrized(p: int, q: int) -> dict[tuple[int, int], sp.Expr]:
     """(B†)^p B^q as an exact symmetrized-XP polynomial (identity included),
     with B = (X + iP)/sqrt(2)."""
-    bdag = {(1, 0): 1 / _SQRT2, (0, 1): -sp.I / _SQRT2}
-    b = {(1, 0): 1 / _SQRT2, (0, 1): sp.I / _SQRT2}
+    import sympy as sp
+
+    root2 = sp.sqrt(2)
+    bdag = {(1, 0): 1 / root2, (0, 1): -sp.I / root2}
+    b = {(1, 0): 1 / root2, (0, 1): sp.I / root2}
     return _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q, -sp.I))
 
 
@@ -174,6 +178,8 @@ def _exact_entries(d: int) -> tuple[tuple[int, int, sp.Expr, sp.Rational], ...]:
     rescaling depends on mass_omega, so the sympy algebra runs once per
     degree; the entries are a tuple of immutable sympy objects, so no caller
     can change what a later build_T reads."""
+    import sympy as sp
+
     keys = _degree_keys(d)
     col_index = {k: i for i, k in enumerate(keys)}
     return tuple(
@@ -191,6 +197,8 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     is still rescaled and evaluated in sympy, sp.N(expr * mw**e, 25), so the
     matrix is the one a fresh sympy build gives, bit for bit.
     """
+    import sympy as sp
+
     keys = _degree_keys(d)
     mat = np.zeros((len(keys), len(keys)), dtype=complex)
     mw = sp.Float(mass_omega, 30)
@@ -397,6 +405,15 @@ def _golden_minimize(fn, lo: float, hi: float, tol: float) -> tuple[float, int]:
     return 0.5 * (a + b), shrinks
 
 
+def _check_eps_r(eps_r: float, lo: float, hi: float) -> None:
+    """Bisection and golden-section search down to width eps_r end only if
+    eps_r is finite and wider than a few float steps at the bracket edges: at
+    zero, a negative width or one below that spacing they never end, and at
+    NaN they end before searching."""
+    if not (math.isfinite(eps_r) and eps_r > 8 * math.ulp(max(abs(lo), abs(hi)))):
+        raise ValueError(f"eps_r must be finite and above the bracket's float spacing, got {eps_r}")
+
+
 def bisection_search(
     device: SimulatedDevice,
     bracket: tuple[float, float],
@@ -427,6 +444,12 @@ def bisection_search(
             raise FeasibilityError(
                 f"bracket edge {edge} gives u = {math.cosh(edge):.4f} >= {U_FEASIBLE_MAX:.4f}"
             )
+    if eps_r is None and eps_g is None:
+        raise ValueError("provide eps_r or eps_g")
+    if eps_g is not None and not (math.isfinite(eps_g) and eps_g > 0):
+        raise ValueError(f"eps_g must be finite and > 0, got {eps_g}")
+    if eps_r is not None:
+        _check_eps_r(eps_r, lo, hi)
     row_norm = _signal_row_norm(d)
     history: list[tuple[float, float, float]] = []
     evaluations = 0
@@ -461,9 +484,8 @@ def bisection_search(
         raise ValueError("endpoint signals are not significant at 3 standard errors")
     k_hat = (f_hi - f_lo) / (hi - lo)
     if eps_r is None:
-        if eps_g is None:
-            raise ValueError("provide eps_r or eps_g")
         eps_r = eps_g / max(abs(k_hat), 1e-6)
+        _check_eps_r(eps_r, lo, hi)
     sign_hi = math.copysign(1.0, f_hi)
 
     iterations = 0

@@ -257,12 +257,21 @@ def _firstq_block(config: dict, noiseless: bool) -> dict:
         }
         terms = {single_key(p, q): complex(v) for (p, q), v in gprime.items() if p + q > 0}
         spec = HamiltonianSpec(1, max(map(sum, gprime)), terms, identity_offset=gprime.get((0, 0), 0.0))
+        bracket = _pair(fq.get("bracket", (-0.3, 0.3)), "firstq.bracket")
+        eps_g = _number(fq.get("eps_g", 5e-3), "firstq.eps_g")
+        n_max = _index(fq.get("n_max", 48), "firstq.n_max")
+        if not bracket[0] < bracket[1]:
+            raise ValueError(f"firstq.bracket must satisfy lo < hi, got {list(bracket)}")
+        if not (math.isfinite(eps_g) and eps_g > 0):
+            raise ValueError(f"firstq.eps_g must be finite and > 0, got {eps_g}")
+        if n_max < spec.max_order:
+            raise ValueError(f"firstq.n_max must be >= the spec's order {spec.max_order}, got {n_max}")
         return {
             "spec": validate_hermitian(spec),
             "frame": frame_from_ratio(1.0, 1.0 / _number(fq.get("ratio", 1.0), "firstq.ratio")),
-            "bracket": _pair(fq.get("bracket", (-0.3, 0.3)), "firstq.bracket"),
-            "eps_g": _number(fq.get("eps_g", 5e-3), "firstq.eps_g"),
-            "cutoff": FockCutoff(_index(fq.get("n_max", 48), "firstq.n_max"), 1),
+            "bracket": bracket,
+            "eps_g": eps_g,
+            "cutoff": FockCutoff(n_max, 1),
             "shots": shots,
         }
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -1,5 +1,10 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +399,62 @@ def test_learn_firstq_noiseless_recovers_frame_and_coefficients():
         # noiseless recovery errors come only from the residual frame error
         tol = 3 * res.stderr[key] + 1e-8
         assert abs(val - truth.get(key, 0.0)) <= tol
+
+
+@pytest.mark.parametrize("eps_g", [0.0, -5e-3, math.nan, math.inf])
+def test_learn_firstq_rejects_a_non_positive_eps_g_before_measuring(eps_g):
+    # eps_g = 0 gave eps_r = 0, and the bisection never ended
+    dev, _ = signal_device(1.3)
+    with pytest.raises(ValueError, match="eps_g must be finite and > 0"):
+        learn_firstq(dev, 2, eps_g=eps_g, bracket=(-0.3, 0.3), shots=None)
+    assert dev.ledger().total_evolution_time == 0
+
+
+@pytest.mark.parametrize("eps_r", [0.0, -1e-2, math.nan, math.inf, 1e-300])
+def test_bisection_rejects_an_eps_r_it_cannot_reach_before_measuring(eps_r):
+    # a width below the bracket's float spacing stalls mid = (lo + hi)/2 on an edge
+    dev, _ = signal_device(1.3)
+    with pytest.raises(ValueError, match="eps_r must be finite"):
+        bisection_search(dev, (-0.3, 0.3), eps_r=eps_r, shots=None)
+    assert dev.ledger().total_evolution_time == 0
+
+
+def test_bisection_rejects_a_derived_eps_r_below_float_resolution():
+    dev, _ = signal_device(1.3)
+    with pytest.raises(ValueError, match="eps_r must be finite"):
+        bisection_search(dev, (-0.3, 0.3), eps_g=1e-300, shots=None)
+
+
+def test_sympy_loads_only_with_the_exact_algebra():
+    script = """
+import json, sys
+import bosonlearn, bosonlearn.cli
+loaded = ["sympy" in sys.modules]
+bosonlearn.cli.run(
+    {"experiment": "learn-multi", "noiseless": True,
+     "generator": {"modes": 2, "d": 2, "seed": 1}, "grid": {"d": 2}}
+)
+loaded.append("sympy" in sys.modules)
+t = bosonlearn.build_T(2)
+nb = bosonlearn.normal_to_symmetrized(1, 1)
+loaded.append("sympy" in sys.modules)
+import sympy
+print(json.dumps({
+    "loaded": loaded,
+    "T": [[[z.real.hex(), z.imag.hex()] for z in row] for row in t.matrix.tolist()],
+    "nb": {str(k): sympy.srepr(v) for k, v in nb.items()},
+}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    got = json.loads(out)
+    assert got["loaded"] == [False, False, True]
+    matrix = build_T(2).matrix.tolist()
+    assert got["T"] == [[[z.real.hex(), z.imag.hex()] for z in row] for row in matrix]
+    assert got["nb"] == {str(k): sp.srepr(v) for k, v in normal_to_symmetrized(1, 1).items()}
 
 
 @pytest.mark.parametrize(

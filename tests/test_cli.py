@@ -271,6 +271,12 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-single", {"spec_path": 0}, "spec_path must be a string"),
         ("compare-covariance", {"grid": {"modes": 0}}, "modes >= 1"),
         ("compare-covariance", {"grid": {"d": 0}}, "d >= 1"),
+        ("learn-firstq", {"noiseless": True, "firstq": {**FIRSTQ, "eps_g": 0}}, "firstq.eps_g must be finite"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": -5e-3}}, "firstq.eps_g must be finite and > 0"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": float("nan")}}, "firstq.eps_g must be finite"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": float("inf")}}, "firstq.eps_g must be finite"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "n_max": 2}}, "firstq.n_max must be >= the spec's order 4"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [0.3, -0.3]}}, "firstq.bracket must satisfy lo < hi"),
     ],
     ids=[
         "strategy",
@@ -298,14 +304,21 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "spec_path-descriptor",
         "covariance-grid.modes-zero",
         "covariance-grid.d-zero",
+        "firstq.eps_g-zero",
+        "firstq.eps_g-negative",
+        "firstq.eps_g-nan",
+        "firstq.eps_g-inf",
+        "firstq.n_max-below-order",
+        "firstq.bracket-reversed",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
     # validate used to pass each of these; the run exited 1, died in a
     # traceback (d = 0 and r_max = 0 divide by zero), reported NaN for no
-    # seeds, read a string "false" as true and eps_g = true as 1.0, or opened
+    # seeds, read a string "false" as true and eps_g = true as 1.0, opened
     # an integer path as a file descriptor (out = 1 wrote into stdout and
-    # closed it; spec_path = 0 read the spec from stdin)
+    # closed it; spec_path = 0 read the spec from stdin), bisected forever
+    # (eps_g = 0), or learned on a truncation below the spec's order
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 
