@@ -5,9 +5,14 @@ the physical frame together with the quadrature-basis coefficients.
 
 The algebra is exact: coefficients live in the ring generated by rationals,
 i, and sqrt(2) (sympy expressions), so the transformation matrix T carries no
-numerical drift and its conditioning is purely a design property.  sympy is
-imported inside the exact-algebra functions (normal_to_symmetrized, build_T
-and their helpers), so a process that never runs them never loads it.
+numerical drift and its conditioning is purely a design property.  build_T
+derives a degree's entries in sympy once, as rationals a + b sqrt(2), and on
+each call rescales them by (m w)^{(j-k)/2} in exact fractions or 60-digit
+decimals, rounded once to the nearest double: the matrix sympy's own
+evaluation gives, with no sympy call after the first per degree.  sympy is
+imported inside the exact-algebra functions (normal_to_symmetrized,
+_exact_entries and their helpers), so a process that never runs them never
+loads it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -171,22 +178,66 @@ class TransformT:
 
 
 @functools.lru_cache(maxsize=8)
-def _exact_entries(d: int) -> tuple[tuple[int, int, sp.Expr, sp.Rational], ...]:
-    """The nonzero entries (row, col, expr, exponent) of build_T before its
-    quadrature rescaling: expr is the exact normal_to_symmetrized coefficient
-    of row (p, q) at column (j, k), and exponent = (j - k)/2.  Only the
-    rescaling depends on mass_omega, so the sympy algebra runs once per
-    degree; the entries are a tuple of immutable sympy objects, so no caller
-    can change what a later build_T reads."""
+def _exact_entries(d: int) -> tuple[tuple[int, int, tuple, tuple, int], ...]:
+    """The nonzero entries (row, col, re, im, n) of build_T before its
+    quadrature rescaling by mw^(n/2), n = j - k.
+
+    Entry (row (p, q), column (j, k)) is the exact normal_to_symmetrized
+    coefficient, whose real and imaginary parts each lie in Q(sqrt(2)): re and
+    im are the rational pairs (a, b) of a + b sqrt(2).  Only the rescaling
+    depends on mass_omega, so the sympy algebra runs once per degree; the
+    entries are tuples of Fractions, so no caller can change what a later
+    build_T reads.
+    """
     import sympy as sp
+
+    root2 = sp.sqrt(2)
+
+    def pair(part) -> tuple[Fraction, Fraction]:
+        part = sp.expand(part)
+        b = part.coeff(root2)
+        a = sp.expand(part - b * root2)
+        if not (a.is_Rational and b.is_Rational):
+            raise ArithmeticError(f"{part} is not in Q(sqrt(2))")
+        return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
 
     keys = _degree_keys(d)
     col_index = {k: i for i, k in enumerate(keys)}
     return tuple(
-        (i, col_index[(j, k)], expr, sp.Rational(j - k, 2))
+        (i, col_index[(j, k)], *map(pair, expr.as_real_imag()), j - k)
         for i, (p, q) in enumerate(keys)
         for (j, k), expr in normal_to_symmetrized(p, q).items()
     )
+
+
+def _exact_sqrt(x: Fraction) -> Fraction | None:
+    """sqrt(x) when it is rational, else None."""
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
+
+
+def _rescaled(a: Fraction, b: Fraction, n: int, mw: float) -> float:
+    """The double nearest (a + b sqrt(2)) mw^(n/2), ties to even.
+
+    A rational value is rounded once from its exact Fraction: a product such
+    as -3/4 mw can fall exactly halfway between two doubles.  The rest are
+    irrational, never ties, and a 60-digit Decimal is far closer to them than
+    half a double's step, so float() of it rounds correctly too.
+    """
+    if not (a or b):
+        return 0.0
+    if not (a and b):
+        coeff, radicand = (b, Fraction(2)) if b else (a, Fraction(1))
+        if n % 2:
+            radicand *= Fraction(mw)
+        root = _exact_sqrt(radicand)
+        if root is not None:
+            return float(coeff * root * Fraction(mw) ** (n // 2))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root2 = Decimal(2).sqrt()
+        exact = Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * root2
+        return float(exact * Decimal(mw).sqrt() ** n)
 
 
 def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
@@ -194,16 +245,15 @@ def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
     quadrature rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S.
 
     The exact rows come from a per-degree cache (_exact_entries); each entry
-    is still rescaled and evaluated in sympy, sp.N(expr * mw**e, 25), so the
-    matrix is the one a fresh sympy build gives, bit for bit.
+    is rescaled in exact rational or 60-digit decimal arithmetic and rounded
+    once to the nearest double (_rescaled), so the matrix is the correctly
+    rounded one, which sympy's sp.N(expr * mw**e, 25) also gives, bit for
+    bit, and no sympy call runs after the first per degree.
     """
-    import sympy as sp
-
     keys = _degree_keys(d)
     mat = np.zeros((len(keys), len(keys)), dtype=complex)
-    mw = sp.Float(mass_omega, 30)
-    for i, col, expr, exponent in _exact_entries(d):
-        mat[i, col] = complex(sp.N(expr * mw**exponent, 25))
+    for i, col, re, im, n in _exact_entries(d):
+        mat[i, col] = complex(_rescaled(*re, n, mass_omega), _rescaled(*im, n, mass_omega))
     sv = np.linalg.svd(mat, compute_uv=False)
     sigma_min = float(sv[-1])
     if sigma_min <= 1e-12:
@@ -367,6 +417,13 @@ def _noiseless_config(d: int, modes: int) -> RpeConfig:
     return derive_config(d, g_max=G_MAX_PRIOR, k_max=10, shots=None, l_steps=None, modes=modes)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _shot_config(d: int, shots: int) -> RpeConfig:
+    """The shot-channel schedule every search stage re-validates at its own
+    depth; RpeConfig is frozen, so one derivation serves every evaluation."""
+    return derive_config(d, g_max=G_MAX_PRIOR, k_max=4, shots=shots, l_steps=None)
+
+
 def _cfg_for_precision(
     eps_coeff: float,
     row_norm: float,
@@ -379,7 +436,7 @@ def _cfg_for_precision(
     do not depend on the depth, so one derived config is re-validated at it."""
     if shots is None:
         return _noiseless_config(d, 1)
-    base = derive_config(d, g_max=G_MAX_PRIOR, k_max=4, shots=shots, l_steps=None)
+    base = _shot_config(d, shots)
     eps_c_target = eps_coeff / row_norm
     k = math.ceil(math.log2(1.0 / (eps_c_target * base.t0 * math.sqrt(shots))))
     return replace(base, k_max=min(max(k, 4), k_cap))

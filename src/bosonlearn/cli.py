@@ -70,9 +70,12 @@ def _index(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A config real number: a boolean, string or null is a ConfigError."""
+    """A finite config real number: a boolean, string, null, NaN or
+    infinity is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

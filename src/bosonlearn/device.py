@@ -22,6 +22,11 @@ and the (d+1) x (d+1) moment table of u_m.  All the factors a batch of new
 states lacks on one mode are built in one pass: at most three stacked calls
 of fockspace.displace_vector and squeeze_vector on the cached generator
 basis, whose products are per-row mat-vecs, and one stacked moment_table.
+The displaced vacuum D(beta_m)|0> depends on neither the frame nor the mode,
+so it is cached once per device under the executed beta_m alone: a learn at
+a new frame (each step of bogoliubov's frame search) and every other mode of
+a joint grid reuse the vacua already displaced, and only the betas not yet
+seen go through the displacement pass.
 A stacked mat-vec gives each row the BLAS mat-vec a lone vector gets, so a
 factor is bit-identical however many are built with it; one GEMM over the
 stack would round differently.  The energies of all of a batch's new states
@@ -38,7 +43,7 @@ multiplies complex numbers as separate real products and sums (numpy's
 complex multiply may fuse them) and adds the terms with a sequential
 cumulative sum, never a pairwise reduction.  So probabilities and ledgers do
 not move when a grid is split or merged.  protocol's grid unwrap keeps the
-same rule (math.atan2 per run, since np.arctan2 rounds differently).
+same rule (math.atan2 per phase, since np.arctan2 rounds differently).
 
 Finite-L path.  The first request with a concrete l_steps builds the spec's
 matrix and decomposes it, once, under a lock.  Each state's weights
@@ -187,9 +192,9 @@ class SimulatedDevice:
     Bogoliubov frame: the physical matrix is S(z)† H_spec S(z) per mode.
     """
 
-    # Each cache (per-mode factors, state energies, finite-L weights) is
-    # emptied before it would grow past this many entries, and never holds
-    # more than this many.
+    # Each cache (displaced vacua, per-mode factors, state energies, finite-L
+    # weights) is emptied before it would grow past this many entries, and
+    # never holds more than this many.
     _CACHE_LIMIT = 4096
 
     def __init__(
@@ -223,6 +228,7 @@ class SimulatedDevice:
         # (w, V†) of the hidden matrix, built on the first finite-L request.
         self._eigenbasis: tuple[np.ndarray, np.ndarray] | None = None
         self._eigenbasis_lock = threading.Lock()
+        self._displaced: dict[complex, np.ndarray] = {}
         self._factors: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._energies: dict[tuple, float] = {}
         self._weights: dict[tuple, np.ndarray] = {}
@@ -283,6 +289,29 @@ class SimulatedDevice:
                 cache.clear()
             cache.update(items)
 
+    def _displaced_vacua(self, betas: Sequence[complex]) -> dict[complex, np.ndarray]:
+        """D(beta)|0> of each distinct beta, at the per-mode truncation.
+
+        The vector does not depend on the mode or the frame, so one cache
+        serves every mode and every learn of a device.  Cached vectors are
+        looked up; the missing nonzero betas are displaced in one stacked
+        displace_vector pass, whose rows do not depend on one another, so a
+        cached vector equals a fresh one bit for bit.  beta = 0 is the vacuum.
+        The result comes from the lookups and the new batch, never from the
+        cache after the store.  The vectors are read-only: the cache shares
+        them.
+        """
+        vacua = {beta: self._displaced.get(beta) for beta in betas}
+        new = [beta for beta, vector in vacua.items() if vector is None and beta]
+        vacuum = np.zeros(self.cutoff.dim_per_mode, dtype=complex)
+        vacuum[0] = 1.0
+        if new:
+            built = displace_vector(np.array(new, dtype=complex), np.tile(vacuum, (len(new), 1)))
+            built.setflags(write=False)
+            self._store(self._displaced, dict(zip(new, built)))
+            vacua.update(zip(new, built))
+        return {beta: vacuum if vector is None else vector for beta, vector in vacua.items()}
+
     def _mode_factors(
         self, mode: int, column: Sequence[tuple[complex, complex]]
     ) -> dict[tuple[complex, complex], tuple[np.ndarray, np.ndarray]]:
@@ -292,26 +321,23 @@ class SimulatedDevice:
         moment table T of u.
 
         Cached factors are looked up.  The rest are built together, in at
-        most three stacked passes (displace_vector over the rows with
-        beta != 0, squeeze_vector back over the rows with z != 0, then into
-        the true frame) and one stacked moment_table, so the number of numpy
-        calls does not grow with the number of new factors.  A zero parameter
-        skips its pass, as a lone vector's build does.  The result comes from
-        the lookups and the new batch, never from the cache after the store,
-        which may have emptied it.  Records the top-level population of each
-        new v in edge_population.
+        most three stacked passes (displace_vector over the betas not yet in
+        the device's displaced-vacuum cache, _displaced_vacua, squeeze_vector
+        back over the rows with z != 0, then into the true frame) and one
+        stacked moment_table, so the number of numpy calls does not grow with
+        the number of new factors.  A zero parameter skips its pass, as a
+        lone vector's build does.  The result comes from the lookups and the
+        new batch, never from the cache after the store, which may have
+        emptied it.  Records the top-level population of each new v in
+        edge_population.
         """
         factors = {f: self._factors.get((mode, *f)) for f in column}
         new = [f for f, factor in factors.items() if factor is None]
         if not new:
             return factors
-        betas = np.array([beta for beta, _ in new], dtype=complex)
+        vacua = self._displaced_vacua([beta for beta, _ in new])
+        v = np.stack([vacua[beta] for beta, _ in new])
         zs = np.array([z for _, z in new], dtype=complex)
-        v = np.zeros((len(new), self.cutoff.dim_per_mode), dtype=complex)
-        v[:, 0] = 1.0
-        rows = np.flatnonzero(betas)
-        if len(rows):
-            v[rows] = displace_vector(betas[rows], v[rows])
         rows = np.flatnonzero(zs)
         if len(rows):
             v[rows] = squeeze_vector(zs[rows], v[rows], adjoint=True)

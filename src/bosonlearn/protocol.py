@@ -111,9 +111,10 @@ def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[np.ndarray, np.ndarray]:
     inconsistent rounds.
 
     Every run is bit-identical to the scalar unwrap of that run alone: the
-    phase comes from math.atan2 (np.arctan2 rounds differently), and every
-    other step is a single rounded operation; np.rint rounds half to even,
-    as round() does.
+    phase comes from math.atan2 over the round's columns as Python floats
+    (np.arctan2 rounds differently, and iterating numpy scalars is slower
+    than .tolist()), and every other step is a single rounded operation;
+    np.rint rounds half to even, as round() does.
     """
     runs = len(p0)
     estimate = np.zeros(runs)
@@ -122,7 +123,7 @@ def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[np.ndarray, np.ndarray]:
         kappa = 2**j
         y = 1.0 - 2.0 * p0[:, 2 * j + 1]
         x = 2.0 * p0[:, 2 * j] - 1.0
-        base = np.fromiter(map(math.atan2, y, x), float, runs) / (kappa * cfg.t0)
+        base = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, runs) / (kappa * cfg.t0)
         period = 2.0 * math.pi / (kappa * cfg.t0)
         candidate = base + period * np.rint((estimate - base) / period)
         if j > 0:

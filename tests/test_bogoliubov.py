@@ -214,14 +214,26 @@ def test_transform_matrix_invertible():
     assert t.matrix.shape[0] == t.matrix.shape[1] == 15
 
 
-def _uncached_T(d: int, mass_omega: float) -> np.ndarray:
-    """build_T's matrix derived afresh in sympy, row by row."""
+def _sympy_entries(d: int) -> tuple[int, list]:
+    """build_T's size and exact entries (row, col, expr, exponent), derived
+    afresh in sympy."""
     keys = [(p, l - p) for l in range(d + 1) for p in range(l + 1)]
-    mat = np.zeros((len(keys), len(keys)), dtype=complex)
+    return len(keys), [
+        (i, keys.index((j, k)), expr, sp.Rational(j - k, 2))
+        for i, (p, q) in enumerate(keys)
+        for (j, k), expr in normal_to_symmetrized(p, q).items()
+    ]
+
+
+def _uncached_T(d: int, mass_omega: float, entries=None) -> np.ndarray:
+    """build_T's matrix derived afresh in sympy, row by row, each entry
+    evaluated by sympy; entries, when given, are _sympy_entries(d), derived
+    once for many mass_omega."""
+    n, entries = entries or _sympy_entries(d)
+    mat = np.zeros((n, n), dtype=complex)
     mw = sp.Float(mass_omega, 30)
-    for i, (p, q) in enumerate(keys):
-        for (j, k), expr in normal_to_symmetrized(p, q).items():
-            mat[i, keys.index((j, k))] = complex(sp.N(expr * mw ** sp.Rational(j - k, 2), 25))
+    for i, col, expr, exponent in entries:
+        mat[i, col] = complex(sp.N(expr * mw**exponent, 25))
     return mat
 
 
@@ -242,6 +254,44 @@ def test_build_T_is_bit_identical_to_an_uncached_build():
             again = build_T(d, mass_omega=mw)
             assert np.array_equal(again.matrix, expected)
             assert again.keys == keys
+
+
+def test_build_T_is_the_sympy_matrix_at_ties_squares_and_random_frames():
+    # build_T rounds each rescaled entry once from exact Fractions (rational
+    # values, where -3/4 mw can be a tie) or 60-digit Decimals; sympy's 25-digit
+    # evaluation is the oracle.  Keys run by degree and row (p, q) reaches no
+    # column above degree p + q, so build_T(d) is the leading block of the
+    # degree-4 matrix.
+    special = [0.25, 0.75, 1.0, 2.0, 4.0, 1 / 1.3]
+    seeded = np.exp(np.random.default_rng(23).uniform(-0.7, 0.7, 200)).tolist()
+    entries = _sympy_entries(4)
+    for mw in special + seeded:
+        expected = _uncached_T(4, mw, entries)
+        for d in range(1, 5):
+            n = (d + 1) * (d + 2) // 2
+            got = build_T(d, mass_omega=mw).matrix
+            assert np.array_equal(got, expected[:n, :n]), (d, mw)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected[:n, :n].view(float)))
+
+
+def test_build_T_makes_no_sympy_evaluation_after_its_first_call_per_degree(monkeypatch):
+    build_T(4, mass_omega=1.1)
+    evaluations = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            evaluations.append(original)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sp, "N", counted(sp.N))
+    monkeypatch.setattr(sp.core.evalf.EvalfMixin, "evalf", counted(sp.core.evalf.EvalfMixin.evalf))
+    for mw in (0.6, 0.75, 1.37, 2.0):
+        build_T(4, mass_omega=mw)
+    assert evaluations == []
+    sp.N(sp.sqrt(2))
+    assert len(evaluations) >= 1
 
 
 def _learned(modes: int, d: int, seed: int) -> LearnedCoefficients:

@@ -277,6 +277,18 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": float("inf")}}, "firstq.eps_g must be finite"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "n_max": 2}}, "firstq.n_max must be >= the spec's order 4"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [0.3, -0.3]}}, "firstq.bracket must satisfy lo < hi"),
+        (
+            "learn-firstq",
+            {"firstq": {**FIRSTQ, "gprime": {"1,1": float("nan"), "2,2": 0.2}}},
+            "firstq.gprime must be finite",
+        ),
+        ("learn-single", {"generator": {**ONE_MODE, "g_max": float("nan")}}, "generator.g_max must be finite"),
+        (
+            "learn-single",
+            {"generator": ONE_MODE, "noiseless": True, "rpe": {"t0": float("nan")}},
+            "rpe.t0 must be finite",
+        ),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": float("-inf")}}, "grid.r_min must be finite"),
     ],
     ids=[
         "strategy",
@@ -310,6 +322,10 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "firstq.eps_g-inf",
         "firstq.n_max-below-order",
         "firstq.bracket-reversed",
+        "gprime-nan",
+        "generator.g_max-nan",
+        "rpe.t0-nan",
+        "grid.r_min-minus-inf",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -318,7 +334,8 @@ def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, 
     # seeds, read a string "false" as true and eps_g = true as 1.0, opened
     # an integer path as a file descriptor (out = 1 wrote into stdout and
     # closed it; spec_path = 0 read the spec from stdin), bisected forever
-    # (eps_g = 0), or learned on a truncation below the spec's order
+    # (eps_g = 0), learned on a truncation below the spec's order, or read
+    # JSON's NaN as a number (a NaN rpe.t0 exited 0 with every error NaN)
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 

@@ -14,6 +14,7 @@ from bosonlearn.device import NoiseModel, ShotRequest, SimulatedDevice, TimeLedg
 from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import HamiltonianSpec, build_matrix, random_spec, single_key
 from bosonlearn.oracles import dense_probability, literal_shot, shot_stream
+from bosonlearn.protocol import derive_config, learn_single_mode
 
 NUMBER_SPEC = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0})
 CUT = FockCutoff(n_max=16)
@@ -401,6 +402,66 @@ def test_new_factors_are_built_in_a_constant_number_of_passes(monkeypatch, state
     dev._state_energies([dev._state_key(beta, (0.05, 0.03j)) for beta in betas])
     assert len(calls) == 3 * 2
     assert [rows for _, rows in calls] == [states] * 6
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_a_device_serves_a_frame_as_a_fresh_device_after_other_frames(monkeypatch, limit):
+    # displaced vacua are cached across frames and modes: after grids at
+    # other frames, frame z reads exactly what a fresh device reads, and at a
+    # cache limit of 3 the vacuum cache still holds at most 3 entries
+    if limit is not None:
+        monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", limit)
+    spec = random_spec(2, 2, seed=3, sparsity=0.8)
+    cut = FockCutoff(n_max=8, modes=2)
+
+    def device():
+        return SimulatedDevice(spec, cut, master_seed=4, true_frame_z=(0.1, -0.05j))
+
+    # mode 1 repeats mode 0's displacements, so it reads mode 0's vacua
+    points = [0.3 * k - 0.2j for k in range(1, 5)]
+    betas = [(b, b) for b in points] + [(b, 0j) for b in points] + [(0j, -b) for b in points]
+    schedule = [(1, "X", None), (2, "Y", None), (4, "X", 64)]
+    tokens = [f"p{i}" for i in range(len(betas))]
+
+    def outputs(dev, frame_z):
+        probabilities = dev.probability_grid(betas, frame_z, 0.3, schedule)
+        counts = dev.run_shot_grid(betas, frame_z, 0.3, schedule, 40, tokens)
+        energies = dev._state_energies([dev._state_key(beta, frame_z) for beta in betas])
+        assert len(dev._displaced) <= SimulatedDevice._CACHE_LIMIT
+        return probabilities, counts, energies
+
+    warm = device()
+    for frame_z in [(0.05, 0.03j), None, (-0.1, 0j)]:
+        outputs(warm, frame_z)
+    if limit is None:
+        assert set(warm._displaced) == {b for beta in betas for b in beta if b}
+    z = (0.2, -0.1 + 0.05j)
+    probabilities, counts, energies = outputs(warm, z)
+    fresh = outputs(device(), z)
+    assert np.array_equal(probabilities, fresh[0])
+    assert np.array_equal(counts, fresh[1])
+    assert energies == fresh[2]
+
+
+def test_a_learn_at_a_new_frame_displaces_no_point_again(monkeypatch):
+    # the frame search learns on one grid at frame after frame: only the
+    # first learn displaces the grid points, every later one squeezes only
+    calls = []
+    rotated_apply = fockspace._rotated_apply
+
+    def counted(kind, r, theta, v, sign):
+        calls.append(kind)
+        return rotated_apply(kind, r, theta, v, sign)
+
+    monkeypatch.setattr(fockspace, "_rotated_apply", counted)
+    spec = HamiltonianSpec(1, 2, {single_key(1, 1): 1.0, single_key(2, 0): 0.1, single_key(0, 2): 0.1})
+    dev = SimulatedDevice(spec, FockCutoff(n_max=24), true_frame_z=(complex(-0.5 * math.log(1.3)),))
+    cfg = derive_config(2, g_max=2.0, k_max=3, shots=50, l_steps=None)
+    learn_single_mode(dev, 2, cfg, frame_z=(0.1 + 0j,), subtract_offset=True, token="first")
+    assert calls.count("displacement") == 1
+    calls.clear()
+    learn_single_mode(dev, 2, cfg, frame_z=(-0.05 + 0j,), subtract_offset=True, token="second")
+    assert calls == ["squeeze", "squeeze"]
 
 
 def test_batched_factors_equal_per_vector_factors():
