@@ -3,16 +3,11 @@ between normal-ordered mode monomials and symmetrized quadrature monomials,
 the frame-mismatch signal oracle, and the outer bisection search that recovers
 the physical frame together with the quadrature-basis coefficients.
 
-The algebra is exact: coefficients live in the ring generated by rationals,
-i, and sqrt(2) (sympy expressions), so the transformation matrix T carries no
-numerical drift and its conditioning is purely a design property.  build_T
-derives a degree's entries in sympy once, as rationals a + b sqrt(2), and on
-each call rescales them by (m w)^{(j-k)/2} in exact fractions or 60-digit
-decimals, rounded once to the nearest double: the matrix sympy's own
-evaluation gives, with no sympy call after the first per degree.  sympy is
-imported inside the exact-algebra functions (normal_to_symmetrized,
-_exact_entries and their helpers), so a process that never runs them never
-loads it.
+The algebra is exact and needs only rationals: with P~ = iP, every entry of
+the transformation matrix T is i^k c 2^{-(p+q)/2} (m w)^{(j-k)/2} with c a
+Fraction that boson_mul derives, so T carries no numerical drift and its
+conditioning is purely a design property.  build_T rounds each entry once to
+the nearest double, in exact fractions or 60-digit decimals.
 """
 
 from __future__ import annotations
@@ -99,7 +94,7 @@ def overlap_feasible(u: float) -> bool:
 # ---------------------------------------------------------------------------
 # Exact ordered algebra.  A polynomial is a dict keyed by (n, m) for L^n R^m,
 # with every L left of every R and [R, L] = c: (p, q) for B†^p B^q with
-# [B, B†] = 1, and (j, k) for X^j P^k with [P, X] = -i.
+# [B, B†] = 1, and (j, k) for X^j P~^k with P~ = iP and [P~, X] = 1.
 
 
 def boson_mul(a: dict, b: dict, c=1) -> dict:
@@ -121,33 +116,19 @@ def _ordered_product(factors: list[dict], c=1) -> dict:
 
 
 def _xp_to_symmetrized(normal: dict) -> dict:
-    """Rewrite an XP normal-form polynomial over symmetrized monomials
-    {X^j P^k}_S = (X^j P^k + P^k X^j)/2, exactly."""
-    import sympy as sp
-
-    work = {k: sp.expand(v) for k, v in normal.items()}
+    """Rewrite an X P~ normal-form polynomial, P~ = iP and [P~, X] = 1, over
+    symmetrized monomials {X^j P~^k}_S = (X^j P~^k + P~^k X^j)/2, in exact
+    rationals."""
+    work = {key: Fraction(v) for key, v in normal.items()}
     sym: dict = {}
     while work:
         j, k = max(work, key=lambda t: (t[0] + t[1], t))
-        c = work.pop((j, k))
-        if c == 0:
-            continue
-        sym[(j, k)] = sym.get((j, k), sp.S.Zero) + c
-        for key, a_s in boson_mul({(0, k): 1}, {(j, 0): 1}, -sp.I).items():
+        # the expansion below only reaches lower degrees, so each key is popped once
+        c = sym[(j, k)] = work.pop((j, k))
+        for key, a_s in boson_mul({(0, k): 1}, {(j, 0): 1}).items():
             if key != (j, k):
-                work[key] = sp.expand(work.get(key, sp.S.Zero) - c * a_s / 2)
-    return {k: sp.expand(v) for k, v in sym.items() if sp.expand(v) != 0}
-
-
-def normal_to_symmetrized(p: int, q: int) -> dict[tuple[int, int], sp.Expr]:
-    """(B†)^p B^q as an exact symmetrized-XP polynomial (identity included),
-    with B = (X + iP)/sqrt(2)."""
-    import sympy as sp
-
-    root2 = sp.sqrt(2)
-    bdag = {(1, 0): 1 / root2, (0, 1): -sp.I / root2}
-    b = {(1, 0): 1 / root2, (0, 1): sp.I / root2}
-    return _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q, -sp.I))
+                work[key] = work.get(key, 0) - c * a_s / 2
+    return {key: v for key, v in sym.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -177,94 +158,63 @@ class TransformT:
         return dict(zip(self.keys, (complex(x) for x in out)))
 
 
-@functools.lru_cache(maxsize=8)
-def _exact_entries(d: int) -> tuple[tuple[int, int, tuple, tuple, int], ...]:
-    """The nonzero entries (row, col, re, im, n) of build_T before its
-    quadrature rescaling by mw^(n/2), n = j - k.
+def _exact_entries(d: int) -> list[tuple[int, int, Fraction, int, int]]:
+    """The nonzero entries (row, col, c, j, k) of build_T before its
+    quadrature rescaling: entry (row (p, q), column (j, k)) is
+    i^k c 2^{-(p+q)/2} with c rational.
 
-    Entry (row (p, q), column (j, k)) is the exact normal_to_symmetrized
-    coefficient, whose real and imaginary parts each lie in Q(sqrt(2)): re and
-    im are the rational pairs (a, b) of a + b sqrt(2).  Only the rescaling
-    depends on mass_omega, so the sympy algebra runs once per degree; the
-    entries are tuples of Fractions, so no caller can change what a later
-    build_T reads.
+    With P~ = iP, B† = (X - P~)/sqrt(2) and B = (X + P~)/sqrt(2), so
+    (B†)^p B^q is 2^{-(p+q)/2} times a polynomial in X and P~ with integer
+    coefficients, and {X^j P~^k}_S = i^k {X^j P^k}_S.
     """
-    import sympy as sp
-
-    root2 = sp.sqrt(2)
-
-    def pair(part) -> tuple[Fraction, Fraction]:
-        part = sp.expand(part)
-        b = part.coeff(root2)
-        a = sp.expand(part - b * root2)
-        if not (a.is_Rational and b.is_Rational):
-            raise ArithmeticError(f"{part} is not in Q(sqrt(2))")
-        return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
-
     keys = _degree_keys(d)
-    col_index = {k: i for i, k in enumerate(keys)}
-    return tuple(
-        (i, col_index[(j, k)], *map(pair, expr.as_real_imag()), j - k)
+    col_index = {key: i for i, key in enumerate(keys)}
+    bdag, b = {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}
+    return [
+        (i, col_index[(j, k)], c, j, k)
         for i, (p, q) in enumerate(keys)
-        for (j, k), expr in normal_to_symmetrized(p, q).items()
-    )
+        for (j, k), c in _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q)).items()
+    ]
 
 
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    """sqrt(x) when it is rational, else None."""
-    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
+def _rounded(c: Fraction, radicand: Fraction) -> float:
+    """The double nearest c sqrt(radicand), ties to even.
 
-
-def _rescaled(a: Fraction, b: Fraction, n: int, mw: float) -> float:
-    """The double nearest (a + b sqrt(2)) mw^(n/2), ties to even.
-
-    A rational value is rounded once from its exact Fraction: a product such
-    as -3/4 mw can fall exactly halfway between two doubles.  The rest are
-    irrational, never ties, and a 60-digit Decimal is far closer to them than
-    half a double's step, so float() of it rounds correctly too.
+    A rational value (radicand a square of rationals) is rounded once from
+    its exact Fraction: a product such as -3/4 mw can fall exactly halfway
+    between two doubles.  The rest are irrational, never ties, and a 60-digit
+    Decimal is far closer to them than half a double's step, so float() of it
+    rounds correctly too.
     """
-    if not (a or b):
-        return 0.0
-    if not (a and b):
-        coeff, radicand = (b, Fraction(2)) if b else (a, Fraction(1))
-        if n % 2:
-            radicand *= Fraction(mw)
-        root = _exact_sqrt(radicand)
-        if root is not None:
-            return float(coeff * root * Fraction(mw) ** (n // 2))
+    num, den = math.isqrt(radicand.numerator), math.isqrt(radicand.denominator)
+    if num * num == radicand.numerator and den * den == radicand.denominator:
+        return float(c * Fraction(num, den))
     with localcontext() as ctx:
         ctx.prec = 60
-        root2 = Decimal(2).sqrt()
-        exact = Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * root2
-        return float(exact * Decimal(mw).sqrt() ** n)
+        root = (Decimal(radicand.numerator) / radicand.denominator).sqrt()
+        return float(Decimal(c.numerator) / c.denominator * root)
 
 
 def build_T(d: int, mass_omega: float = 1.0) -> TransformT:
-    """Stack normal_to_symmetrized rows for 0 <= p+q <= d and apply the
-    quadrature rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S.
+    """The normal-to-symmetrized map for 0 <= p+q <= d, with the quadrature
+    rescaling {X^j P^k}_S = (m w)^{(j-k)/2} {x^j p^k}_S.
 
-    The exact rows come from a per-degree cache (_exact_entries); each entry
-    is rescaled in exact rational or 60-digit decimal arithmetic and rounded
-    once to the nearest double (_rescaled), so the matrix is the correctly
-    rounded one, which sympy's sp.N(expr * mw**e, 25) also gives, bit for
-    bit, and no sympy call runs after the first per degree.
+    Entry ((p, q), (j, k)) is i^k c sqrt(2^{-(p+q)} (m w)^{j-k}), c the
+    rational of _exact_entries: real for even k and imaginary for odd k, with
+    sign (-1)^floor(k/2).  Each is rounded once to the nearest double
+    (_rounded), so the matrix is the correctly rounded one: bit for bit what
+    a symbolic evaluation of oracles.normal_to_symmetrized gives.
     """
     keys = _degree_keys(d)
+    mw = Fraction(mass_omega)
     mat = np.zeros((len(keys), len(keys)), dtype=complex)
-    for i, col, re, im, n in _exact_entries(d):
-        mat[i, col] = complex(_rescaled(*re, n, mass_omega), _rescaled(*im, n, mass_omega))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    sigma_min = float(sv[-1])
+    for i, col, c, j, k in _exact_entries(d):
+        value = _rounded(-c if k % 4 > 1 else c, mw ** (j - k) / 2 ** sum(keys[i]))
+        mat[i, col] = complex(0.0, value) if k % 2 else value
+    sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1])
     if sigma_min <= 1e-12:
         raise np.linalg.LinAlgError("transformation matrix is rank deficient")
-    return TransformT(
-        degree=d,
-        mass_omega=mass_omega,
-        keys=keys,
-        matrix=mat,
-        sigma_min=sigma_min,
-    )
+    return TransformT(degree=d, mass_omega=mass_omega, keys=keys, matrix=mat, sigma_min=sigma_min)
 
 
 def _per_axis(tensor: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
@@ -501,6 +451,8 @@ def bisection_search(
             raise FeasibilityError(
                 f"bracket edge {edge} gives u = {math.cosh(edge):.4f} >= {U_FEASIBLE_MAX:.4f}"
             )
+    if d < 2:
+        raise ValueError(f"the frame signal is the B†^2 coefficient, so d must be >= 2, got {d}")
     if eps_r is None and eps_g is None:
         raise ValueError("provide eps_r or eps_g")
     if eps_g is not None and not (math.isfinite(eps_g) and eps_g > 0):

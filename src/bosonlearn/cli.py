@@ -227,12 +227,15 @@ def _learn_block(config: dict, experiment: str, seed: int, noiseless: bool) -> d
         sweep = _object(config.get("sweep", {}), "sweep")
         scales = _list(sweep.get("delta_norms", (1e-3, 1e-2)), "sweep.delta_norms", _number)
         return {"spec": spec, "d": d, "cfg": cfg, "cutoff": adaptive_cutoff(spec, r_max), "scales": scales}
+    r_min = _number(grid.get("r_min", 0.2), "grid.r_min")
+    if not 0 <= r_min < r_max:
+        raise ConfigError(f"grid needs 0 <= r_min < r_max, got r_min {r_min} and r_max {r_max}")
     plan = {
         "spec": spec,
         "d": d,
         "cfg": _rpe_config(config, d, r_max, spec, noiseless),
         "cutoff": adaptive_cutoff(spec, r_max),
-        "r_min": _number(grid.get("r_min", 0.2), "grid.r_min"),
+        "r_min": r_min,
         "r_max": r_max,
         "noise": _noise(config, spec.modes),
     }
@@ -267,6 +270,8 @@ def _firstq_block(config: dict, noiseless: bool) -> dict:
             raise ValueError(f"firstq.bracket must satisfy lo < hi, got {list(bracket)}")
         if not (math.isfinite(eps_g) and eps_g > 0):
             raise ValueError(f"firstq.eps_g must be finite and > 0, got {eps_g}")
+        if spec.max_order < 2:
+            raise ValueError(f"firstq.gprime needs order >= 2 for the B†^2 frame signal, got {spec.max_order}")
         if n_max < spec.max_order:
             raise ValueError(f"firstq.n_max must be >= the spec's order {spec.max_order}, got {n_max}")
         return {

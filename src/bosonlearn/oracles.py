@@ -4,14 +4,17 @@ Each function computes, by a route of its own, something the learner or the
 device also computes: the joint-space ladder, number, displacement and
 squeeze matrices (D and S each as one exponential of its full complex
 generator, not through the runtime's cached rotated basis), the displaced
-phase-averaged Hamiltonian, the recovery stages one at a time, the inverse
-quadrature algebra and frame mismatch, dense rotations and exponentials, the
-device's outcome probabilities on the dense joint space, its literal
-per-shot path, and the shot stream of a run_shot_grid call (shot_stream).
+phase-averaged Hamiltonian, the recovery stages one at a time, the
+quadrature algebra both ways in sympy (normal_to_symmetrized, whose exact
+expressions build_T's rationals must reproduce, and symmetrized_to_normal),
+the frame mismatch, dense rotations and exponentials, the device's outcome
+probabilities on the dense joint space, its literal per-shot path, and the
+shot stream of a run_shot_grid call (shot_stream).
 The device draws a call's whole grid from one stream, so a call's counts
 are a function of the master seed, the call's tokens and schedule, and its
 probabilities, and change when its runs are grouped into calls differently.
-No other bosonlearn module imports this one.
+No other bosonlearn module imports this one, and it is the package's only
+sympy import, so the runtime never loads sympy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .bogoliubov import BogoliubovFrame, _ordered_product
+from .bogoliubov import BogoliubovFrame, _ordered_product, boson_mul
 from .device import ShotRequest
 from .fockspace import CutoffError, FockCutoff, herm_eig
 from .hamiltonian import HamiltonianSpec, build_matrix
@@ -278,6 +281,32 @@ def nb_expansion(frame: BogoliubovFrame) -> dict[tuple[int, int], float]:
     N_B = (u^2+v^2) N + u v (b^2 + b†^2) + v^2."""
     u, v = frame.u, frame.v
     return {(1, 1): u * u + v * v, (2, 0): u * v, (0, 2): u * v, (0, 0): v * v}
+
+
+def _xp_to_symmetrized(normal: dict) -> dict:
+    """Rewrite an XP normal-form polynomial over symmetrized monomials
+    {X^j P^k}_S = (X^j P^k + P^k X^j)/2, exactly."""
+    work = {k: sp.expand(v) for k, v in normal.items()}
+    sym: dict = {}
+    while work:
+        j, k = max(work, key=lambda t: (t[0] + t[1], t))
+        c = work.pop((j, k))
+        if c == 0:
+            continue
+        sym[(j, k)] = sym.get((j, k), sp.S.Zero) + c
+        for key, a_s in boson_mul({(0, k): 1}, {(j, 0): 1}, -sp.I).items():
+            if key != (j, k):
+                work[key] = sp.expand(work.get(key, sp.S.Zero) - c * a_s / 2)
+    return {k: sp.expand(v) for k, v in sym.items() if sp.expand(v) != 0}
+
+
+def normal_to_symmetrized(p: int, q: int) -> dict[tuple[int, int], sp.Expr]:
+    """(B†)^p B^q as an exact symmetrized-XP polynomial (identity included),
+    with B = (X + iP)/sqrt(2)."""
+    root2 = sp.sqrt(2)
+    bdag = {(1, 0): 1 / root2, (0, 1): -sp.I / root2}
+    b = {(1, 0): 1 / root2, (0, 1): sp.I / root2}
+    return _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q, -sp.I))
 
 
 def symmetrized_to_normal(j: int, k: int) -> dict[tuple[int, int], sp.Expr]:

@@ -17,6 +17,7 @@ from bosonlearn.bogoliubov import (
     U_FEASIBLE_MAX,
     FeasibilityError,
     _cfg_for_precision,
+    _exact_entries,
     bisection_search,
     boson_mul,
     build_T,
@@ -24,7 +25,6 @@ from bosonlearn.bogoliubov import (
     frame_from_signed_r,
     learn_firstq,
     mismatch_derivative,
-    normal_to_symmetrized,
     overlap_feasible,
     signal_measure,
     tensor_transform,
@@ -37,6 +37,7 @@ from bosonlearn.oracles import (
     conjugate_spec_by_mismatch,
     creation_matrix,
     nb_expansion,
+    normal_to_symmetrized,
     number_matrix,
     squeeze_matrix,
     symmetrized_to_normal,
@@ -274,24 +275,23 @@ def test_build_T_is_the_sympy_matrix_at_ties_squares_and_random_frames():
             assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected[:n, :n].view(float)))
 
 
-def test_build_T_makes_no_sympy_evaluation_after_its_first_call_per_degree(monkeypatch):
-    build_T(4, mass_omega=1.1)
-    evaluations = []
-
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            evaluations.append(original)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(sp, "N", counted(sp.N))
-    monkeypatch.setattr(sp.core.evalf.EvalfMixin, "evalf", counted(sp.core.evalf.EvalfMixin.evalf))
-    for mw in (0.6, 0.75, 1.37, 2.0):
-        build_T(4, mass_omega=mw)
-    assert evaluations == []
-    sp.N(sp.sqrt(2))
-    assert len(evaluations) >= 1
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exact_entries_are_the_sympy_expressions(d):
+    # the runtime's rational entry i^k c 2^{-(p+q)/2} equals the oracle's
+    # sympy expression exactly, at the same nonzero positions
+    keys = [(p, l - p) for l in range(d + 1) for p in range(l + 1)]
+    expected = {
+        (i, keys.index(jk)): expr
+        for i, (p, q) in enumerate(keys)
+        for jk, expr in normal_to_symmetrized(p, q).items()
+    }
+    got = {
+        (i, col): sp.I**k * sp.Rational(c.numerator, c.denominator) * sp.sqrt(2) ** -sum(keys[i])
+        for i, col, c, j, k in _exact_entries(d)
+    }
+    assert set(got) == set(expected)
+    for at, expr in expected.items():
+        assert sp.expand(got[at] - expr) == 0, at
 
 
 def _learned(modes: int, d: int, seed: int) -> LearnedCoefficients:
@@ -469,13 +469,21 @@ def test_bisection_rejects_an_eps_r_it_cannot_reach_before_measuring(eps_r):
     assert dev.ledger().total_evolution_time == 0
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_bisection_rejects_a_degree_without_the_signal_coefficient(d):
+    dev, _ = signal_device(1.3)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        bisection_search(dev, (-0.3, 0.3), eps_g=1e-2, d=d, shots=None)
+    assert dev.ledger().total_evolution_time == 0
+
+
 def test_bisection_rejects_a_derived_eps_r_below_float_resolution():
     dev, _ = signal_device(1.3)
     with pytest.raises(ValueError, match="eps_r must be finite"):
         bisection_search(dev, (-0.3, 0.3), eps_g=1e-300, shots=None)
 
 
-def test_sympy_loads_only_with_the_exact_algebra():
+def test_the_runtime_never_loads_sympy():
     script = """
 import json, sys
 import bosonlearn, bosonlearn.cli
@@ -486,13 +494,17 @@ bosonlearn.cli.run(
 )
 loaded.append("sympy" in sys.modules)
 t = bosonlearn.build_T(2)
-nb = bosonlearn.normal_to_symmetrized(1, 1)
 loaded.append("sympy" in sys.modules)
-import sympy
+bosonlearn.cli.run(
+    {"experiment": "learn-firstq", "noiseless": True,
+     "firstq": {"gprime": {"1,1": 1.0, "2,2": 0.2}, "eps_g": 1e-2, "n_max": 12}}
+)
+loaded.append("sympy" in sys.modules)
+import bosonlearn.oracles
+loaded.append("sympy" in sys.modules)
 print(json.dumps({
     "loaded": loaded,
     "T": [[[z.real.hex(), z.imag.hex()] for z in row] for row in t.matrix.tolist()],
-    "nb": {str(k): sympy.srepr(v) for k, v in nb.items()},
 }))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -500,11 +512,10 @@ print(json.dumps({
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    got = json.loads(out)
-    assert got["loaded"] == [False, False, True]
+    got = json.loads(out.strip().splitlines()[-1])
+    assert got["loaded"] == [False, False, False, False, True]
     matrix = build_T(2).matrix.tolist()
     assert got["T"] == [[[z.real.hex(), z.imag.hex()] for z in row] for row in matrix]
-    assert got["nb"] == {str(k): sp.srepr(v) for k, v in normal_to_symmetrized(1, 1).items()}
 
 
 @pytest.mark.parametrize(

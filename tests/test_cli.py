@@ -289,6 +289,10 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
             "rpe.t0 must be finite",
         ),
         ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": float("-inf")}}, "grid.r_min must be finite"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": 1.5}}, "0 <= r_min < r_max"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": -0.1}}, "0 <= r_min < r_max"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "gprime": {"1,0": 0.5, "0,1": 0.5}}}, "order >= 2"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "gprime": {"0,0": 1.0}}}, "order >= 2"),
     ],
     ids=[
         "strategy",
@@ -326,6 +330,10 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "generator.g_max-nan",
         "rpe.t0-nan",
         "grid.r_min-minus-inf",
+        "grid.r_min-above-r_max",
+        "grid.r_min-negative",
+        "firstq.gprime-order-1",
+        "firstq.gprime-order-0",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -335,7 +343,9 @@ def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, 
     # an integer path as a file descriptor (out = 1 wrote into stdout and
     # closed it; spec_path = 0 read the spec from stdin), bisected forever
     # (eps_g = 0), learned on a truncation below the spec's order, or read
-    # JSON's NaN as a number (a NaN rpe.t0 exited 0 with every error NaN)
+    # JSON's NaN as a number (a NaN rpe.t0 exited 0 with every error NaN);
+    # an r_min outside [0, r_max) and a firstq spec below order 2 passed
+    # validate and the run exited 1
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 
