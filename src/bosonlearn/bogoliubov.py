@@ -21,8 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .device import SimulatedDevice
-from .hamiltonian import single_key
-from .protocol import LearnedCoefficients, RpeConfig, derive_config, learn_single_mode
+from .protocol import LearnedCoefficients, RpeConfig, derive_config, learn_single_mode, measure_coefficient
 from .recovery import single_mode_pipeline
 
 U_FEASIBLE_MAX = 1.0 / (4.0 - 2.0 * math.sqrt(3.0))
@@ -304,33 +303,36 @@ def signal_measure(
     mode: int = 0,
     other_frames: dict[int, float] | None = None,
     token: str = "signal",
-) -> tuple[float, float, LearnedCoefficients]:
-    """Learn the single-mode coefficients in the frame r_prime and return the
-    real part of the designated ideally-zero coefficient with its predicted
-    standard error."""
+) -> tuple[float, float, dict]:
+    """The frame signal at r_prime: the real part of the B†^2 coefficient,
+    which vanishes in the physical frame, with its standard error and the
+    measurement diagnostics.
+
+    The coefficient is read from its own row of the order-d recovery map
+    (protocol.measure_coefficient): only the 3(d+1) grid points of the
+    order-2 canonical angles go to the device, and no offset run.
+    """
     frame_z = _frame_vector(device.cutoff.modes, mode, r_prime, other_frames)
-    learned = learn_single_mode(
-        device,
-        d,
-        cfg,
-        mode=mode,
-        frame_z=frame_z,
-        subtract_offset=True,
-        token=token,
+    value, stderr, diagnostics = measure_coefficient(
+        device, d, SIGNAL_KEY, cfg, mode=mode, frame_z=frame_z, token=token
     )
-    key = single_key(*SIGNAL_KEY, mode)
-    return float(learned.estimates[key].real), float(learned.stderr[key]), learned
+    return value.real, stderr, diagnostics
 
 
 @dataclass
 class BisectionResult:
+    """The search's frame estimate, its steps, and its own ledger cost:
+    time_cost and shot_count are the evolution time and shots it charged."""
+
     r_hat: float
     iterations: int
     evaluations: int
     history: list[tuple[float, float, float]]
     fallback_used: bool
     k_hat: float
-    eps_r: float = 0.0
+    eps_r: float
+    time_cost: float
+    shot_count: int
 
 
 def mismatch_derivative(
@@ -354,12 +356,6 @@ def mismatch_derivative(
             if n:
                 out[key] = out.get(key, 0.0) + n * g
     return out
-
-
-def _signal_row_norm(d: int) -> float:
-    pipe = single_mode_pipeline(d)
-    row = pipe.kplus[pipe.coeff_keys.index(SIGNAL_KEY)]
-    return float(np.sqrt(np.sum(np.abs(row) ** 2)))
 
 
 def _noiseless_config(d: int, modes: int) -> RpeConfig:
@@ -440,8 +436,11 @@ def bisection_search(
     eps_g into eps_r and to schedule the inner-learner precision per
     iteration.  A sign-ambiguous evaluation is retried once at higher
     precision, then the search falls back to golden-section minimization of
-    the signal magnitude.  shots = None reads every signal from the exact
-    channel, whose standard error is 0, so only an exact zero is ambiguous.
+    the signal magnitude.  Each evaluation is one signal_measure: 3(d+1)
+    RPE runs at the depth its target error needs.  shots = None reads every
+    signal from the exact channel, whose standard error is 0, so only an
+    exact zero is ambiguous.  The result carries the search's own evolution
+    time and shots, the growth of the device ledger over the call.
     """
     lo, hi = bracket
     if not lo < hi:
@@ -459,7 +458,8 @@ def bisection_search(
         raise ValueError(f"eps_g must be finite and > 0, got {eps_g}")
     if eps_r is not None:
         _check_eps_r(eps_r, lo, hi)
-    row_norm = _signal_row_norm(d)
+    row_norm = single_mode_pipeline(d).coefficient_row(SIGNAL_KEY).norm
+    start = device.ledger()
     history: list[tuple[float, float, float]] = []
     evaluations = 0
 
@@ -525,6 +525,7 @@ def bisection_search(
         iterations += shrinks
     else:
         r_hat = 0.5 * (lo + hi)
+    end = device.ledger()
     return BisectionResult(
         r_hat=r_hat,
         iterations=iterations,
@@ -533,6 +534,8 @@ def bisection_search(
         fallback_used=fallback,
         k_hat=k_hat,
         eps_r=eps_r,
+        time_cost=end.total_evolution_time - start.total_evolution_time,
+        shot_count=end.shot_count - start.shot_count,
     )
 
 
@@ -572,7 +575,8 @@ def learn_firstq(
     )
     mw_hat = math.exp(-2.0 * bis.r_hat)
     t = build_T(d, mass_omega=mw_hat)
-    cfg = _cfg_for_precision(eps_g * t.sigma_min, _signal_row_norm(d), d, shots, k_cap)
+    row_norm = single_mode_pipeline(d).coefficient_row(SIGNAL_KEY).norm
+    cfg = _cfg_for_precision(eps_g * t.sigma_min, row_norm, d, shots, k_cap)
     learned = learn_single_mode(
         device,
         d,

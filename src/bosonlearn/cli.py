@@ -250,7 +250,14 @@ def _firstq_block(config: dict, noiseless: bool) -> dict:
     """The firstq block: the one-mode spec its gprime (keyed "p,q") gives, the
     true frame, the search bracket, eps_g and the n_max truncation, with the
     shots per basis (rpe.M, None on the exact channel)."""
-    shots = None if noiseless else _index(_object(config.get("rpe", {}), "rpe").get("M", 200), "rpe.M")
+    shots = None
+    if not noiseless:
+        shots = _index(_object(config.get("rpe", {}), "rpe").get("M", 200), "rpe.M")
+        try:
+            # the search derives its schedules at run time, from these shots
+            derive_config(2, shots=shots, l_steps=None)
+        except ValueError as exc:
+            raise ConfigError(f"bad rpe block: {exc}") from exc
     if config.get("firstq") is None:
         raise ConfigError("learn-firstq needs a firstq block")
     fq = _object(config["firstq"], "firstq")
@@ -399,6 +406,8 @@ def _run_learn_firstq(plan: dict) -> dict:
     res = learn_firstq(
         device, spec.max_order, plan["eps_g"], plan["bracket"], shots=plan["shots"], token=plan["token"]
     )
+    # the device is fresh, so its ledger is the run's: the search, then the final learn
+    ledger = _ledger(device)
     return {
         "r_hat": res.r_hat,
         "r_true": frame.signed_r,
@@ -409,12 +418,18 @@ def _run_learn_firstq(plan: dict) -> dict:
             "fallback_used": res.bisection.fallback_used,
             "k_hat": res.bisection.k_hat,
             "eps_r": res.bisection.eps_r,
+            "evolution_time": res.bisection.time_cost,
+            "shot_count": res.bisection.shot_count,
+        },
+        "final_learn": {
+            "evolution_time": ledger["total_evolution_time"] - res.bisection.time_cost,
+            "shot_count": ledger["shot_count"] - res.bisection.shot_count,
         },
         "g_physical": [
             {"j": j, "k": k, "re": v.real, "im": v.imag, "stderr": res.stderr.get((j, k), 0.0)}
             for (j, k), v in sorted(res.g_physical.items())
         ],
-        "ledger": _ledger(device),
+        "ledger": ledger,
         "edge_population": device.edge_population,
         "clipped_probabilities": device.clipped_probabilities,
     }

@@ -261,6 +261,39 @@ def learn_single_mode(
     )
 
 
+def measure_coefficient(
+    device: SimulatedDevice,
+    d: int,
+    key: tuple[int, int],
+    cfg: RpeConfig,
+    mode: int = 0,
+    frame_z=None,
+    token: str = "coeff",
+) -> tuple[complex, float, dict]:
+    """One single-mode coefficient (p, q) = key of the order-d map, measured
+    on its own row of single_mode_pipeline(d) alone.
+
+    Only the grid points where that row is nonzero go to the device, the
+    order's canonical angles times the d+1 radial nodes (3(d+1) for order
+    2), point i of the support under the token f"{token}:m{mode}:s{i}", in
+    one _measure call with no offset run.  Returns the value, which is
+    learn_single_mode's linear estimate without subtract_offset, its
+    standard error eps_c * ||row|| and the runs' diagnostics.  The row of a
+    key with p + q even and p != q, such as B†^2's, sums to zero up to
+    rounding, so for it subtracting the beta = 0 offset would not move the
+    value either.
+    """
+    modes = device.cutoff.modes
+    if not 0 <= mode < modes:
+        raise ValueError(f"mode {mode} is out of range: the device has {modes} modes")
+    pipe = single_mode_pipeline(d)
+    row = pipe.coefficient_row(key)
+    points = np.zeros((len(row.support), modes), dtype=complex)
+    points[:, mode] = np.array(_mode_points(pipe))[row.support]
+    _, (c_values,), diagnostics = _measure(device, cfg, frame_z, None, [(points, f"{token}:m{mode}:s")])
+    return complex(row.weights @ c_values), cfg.predicted_eps_c * row.norm, diagnostics
+
+
 def learn_displacement_biased(
     device: SimulatedDevice, d: int, cfg: RpeConfig, delta: np.ndarray | None
 ) -> dict[tuple[int, int], complex]:

@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,15 @@ def angular_angles(order: int) -> list[Fraction]:
     return [Fraction(u, order + 1) for u in range(order + 1)]
 
 
+class CoefficientRow(NamedTuple):
+    """Grid indices where a kplus row is nonzero, its entries there, and its
+    2-norm: the coefficient's standard error per unit C-noise."""
+
+    support: np.ndarray
+    weights: np.ndarray
+    norm: float
+
+
 @dataclass(frozen=True)
 class SingleModePipeline:
     """Materialized two-stage recovery map for one mode at max order d.
@@ -102,6 +112,16 @@ class SingleModePipeline:
         """Total (real+imag) variance per coefficient under iid C-noise eps_c^2."""
         cov_diag = eps_c**2 * np.sum(np.abs(self.kplus) ** 2, axis=1)
         return dict(zip(self.coeff_keys, cov_diag.astype(float)))
+
+    def coefficient_row(self, key: tuple[int, int]) -> CoefficientRow:
+        """The row of kplus that gives coefficient key, on its support.
+
+        An order-l coefficient reads only the l+1 canonical angles of order l
+        (times the d+1 radial nodes), so its row is exactly zero on every
+        other grid point and the coefficient is weights @ C[support]."""
+        row = self.kplus[self.coeff_keys.index(key)]
+        support = np.flatnonzero(row)
+        return CoefficientRow(support, row[support], float(np.linalg.norm(row)))
 
 
 def single_mode_pipeline(degree: int, r_min: float = 0.2, r_max: float = 1.0) -> SingleModePipeline:

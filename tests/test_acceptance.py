@@ -292,6 +292,30 @@ def test_08_first_quantization_end_to_end():
     assert ok
 
 
+def test_08b_frame_search_rmse_over_seeds():
+    # test 8's slope rests on one master seed; the frame it finds must also
+    # hold over many: the benchmark's firstq_search config at 20 seeds
+    gprime = {(1, 1): 1.0 + 0j, (2, 2): 0.2 + 0j}
+    spec = HamiltonianSpec(1, 4, {single_key(p, q): v for (p, q), v in gprime.items()})
+    frame = frame_from_ratio(1.0, 1.0 / 1.3)
+    errors, search_times = [], []
+    for seed in range(5000, 5020):
+        dev = SimulatedDevice(
+            spec, FockCutoff(48, 1), master_seed=seed, true_frame_z=(complex(-frame.signed_r),)
+        )
+        res = learn_firstq(dev, 4, eps_g=2e-3, bracket=(-0.3, 0.3), shots=200, k_cap=18)
+        errors.append((res.r_hat - frame.signed_r) / res.bisection.eps_r)
+        search_times.append(res.bisection.time_cost)
+    rmse = float(np.sqrt(np.mean(np.square(errors))))
+    ok = rmse <= 1.0
+    report(
+        "8b frame search over seeds",
+        ok,
+        f"r_hat RMSE {rmse:.2f} eps_r over 20 seeds, median search time {np.median(search_times):.3g}",
+    )
+    assert ok
+
+
 def test_09_overlap_feasibility_gate(tmp_path):
     infeasible = tmp_path / "infeasible.json"
     infeasible.write_text(

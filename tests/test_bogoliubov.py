@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bosonlearn.bogoliubov import (
     G_MAX_PRIOR,
+    SIGNAL_KEY,
     U_FEASIBLE_MAX,
     FeasibilityError,
     _cfg_for_precision,
@@ -42,7 +43,8 @@ from bosonlearn.oracles import (
     squeeze_matrix,
     symmetrized_to_normal,
 )
-from bosonlearn.protocol import LearnedCoefficients, derive_config
+from bosonlearn.protocol import LearnedCoefficients, derive_config, learn_single_mode
+from bosonlearn.recovery import single_mode_pipeline
 
 
 @settings(max_examples=30, deadline=None)
@@ -415,6 +417,58 @@ def test_signal_function_changes_sign_at_true_frame():
     assert abs(f_at) < 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_the_signal_row_lives_on_the_order_2_angles_and_sums_to_zero(d):
+    # the B†^2 row reads only the three order-2 canonical angles at the d+1
+    # radial nodes, so the other grid points and the beta = 0 offset carry
+    # nothing into the signal
+    pipe = single_mode_pipeline(d)
+    full = pipe.kplus[pipe.coeff_keys.index(SIGNAL_KEY)]
+    row = pipe.coefficient_row(SIGNAL_KEY)
+    assert len(row.support) == np.count_nonzero(full) == 3 * (d + 1)
+    assert {round(pipe.points[i][1] * 3 / math.pi, 9) for i in row.support} == {0.0, 1.0, 2.0}
+    assert np.array_equal(row.weights, full[row.support])
+    assert row.norm == pytest.approx(np.linalg.norm(full), rel=1e-15)
+    assert abs(full.sum()) <= 1e-13 * np.abs(full).sum()
+
+
+@pytest.mark.parametrize("d, gprime", [(2, {(1, 1): 1.0}), (4, {(1, 1): 1.0, (2, 2): 0.2})])
+def test_the_signal_is_the_full_learns_coefficient_on_the_exact_channel(d, gprime):
+    frame = frame_from_ratio(1.0, 1.0 / 1.3)
+    spec = HamiltonianSpec(1, d, {single_key(p, q): v for (p, q), v in gprime.items()})
+    dev = SimulatedDevice(spec, FockCutoff(48, 1), true_frame_z=(complex(-frame.signed_r),))
+    cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=10, shots=None, l_steps=None)
+    for r_prime in (-0.2, 0.0, 0.25):
+        f, se, diagnostics = signal_measure(dev, r_prime, cfg, d=d)
+        learned = learn_single_mode(dev, d, cfg, frame_z=(complex(-r_prime),), subtract_offset=True)
+        g = learned.estimates[single_key(*SIGNAL_KEY)].real
+        assert abs(f) > 1e-3
+        assert f == pytest.approx(g, rel=1e-12)
+        assert se == 0.0 and diagnostics["inconsistent_rounds"] == 0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_one_signal_evaluation_sends_the_rows_support_to_the_device(d, monkeypatch):
+    dev, frame = signal_device(1.3, seed=3)
+    rows = []
+    run_shot_grid = dev.run_shot_grid
+
+    def counted(betas, *args):
+        rows.append(len(betas))
+        return run_shot_grid(betas, *args)
+
+    monkeypatch.setattr(dev, "run_shot_grid", counted)
+    cfg = derive_config(d, g_max=G_MAX_PRIOR, k_max=5, shots=50, l_steps=None)
+    _, se, diagnostics = signal_measure(dev, frame.signed_r + 0.1, cfg, d=d, token="t")
+    runs = 3 * (d + 1)
+    assert rows == [runs]
+    assert dev.ledger().shot_count == runs * 2 * (cfg.k_max + 1) * cfg.shots
+    # the full learn's stderr, whose offset term the zero row sum removes
+    variance = single_mode_pipeline(d).coefficient_variances(cfg.predicted_eps_c)[SIGNAL_KEY]
+    assert se == pytest.approx(math.sqrt(variance), rel=1e-12)
+    assert set(diagnostics) == {"inconsistent_rounds", "inconsistent_runs"}
+
+
 def test_bisection_rejects_infeasible_bracket():
     dev, _ = signal_device(1.3)
     with pytest.raises(FeasibilityError):
@@ -427,6 +481,22 @@ def test_bisection_noiseless_exact_iteration_count():
     assert res.iterations == math.ceil(math.log2(0.6 / res.eps_r))
     assert not res.fallback_used
     assert abs(res.r_hat - frame.signed_r) < res.eps_r
+
+
+def test_the_search_reports_its_own_ledger_cost():
+    gp = {(1, 1): 1.0 + 0j, (2, 2): 0.2 + 0j}
+    spec = HamiltonianSpec(1, 4, {single_key(p, q): v for (p, q), v in gp.items()})
+    frame = frame_from_ratio(1.0, 1.0 / 1.3)
+    dev = SimulatedDevice(
+        spec, FockCutoff(48, 1), master_seed=2, true_frame_z=(complex(-frame.signed_r),)
+    )
+    res = learn_firstq(dev, 4, eps_g=1e-2, bracket=(-0.3, 0.3), shots=50)
+    search, ledger = res.bisection, dev.ledger()
+    assert 0 < search.time_cost < res.time_cost == ledger.total_evolution_time
+    # a search evaluation runs the signal row's 15 points, 2(K+1) requests
+    # each; the final learn runs the 50-point grid and its offset
+    assert search.shot_count % (15 * 2 * 50) == 0
+    assert (ledger.shot_count - search.shot_count) % (51 * 2 * 50) == 0
 
 
 def test_bisection_requires_sign_change():

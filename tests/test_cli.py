@@ -293,6 +293,9 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-single", {"generator": ONE_MODE, "grid": {"r_min": -0.1}}, "0 <= r_min < r_max"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "gprime": {"1,0": 0.5, "0,1": 0.5}}}, "order >= 2"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "gprime": {"0,0": 1.0}}}, "order >= 2"),
+        ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": 5}}, "bad rpe block: shots per basis must be >= 20"),
+        ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": 0}}, "bad rpe block: shots per basis must be >= 20"),
+        ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": -1}}, "bad rpe block: shots per basis must be >= 20"),
     ],
     ids=[
         "strategy",
@@ -334,6 +337,9 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "grid.r_min-negative",
         "firstq.gprime-order-1",
         "firstq.gprime-order-0",
+        "firstq-rpe.M-5",
+        "firstq-rpe.M-zero",
+        "firstq-rpe.M-negative",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -344,8 +350,8 @@ def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, 
     # closed it; spec_path = 0 read the spec from stdin), bisected forever
     # (eps_g = 0), learned on a truncation below the spec's order, or read
     # JSON's NaN as a number (a NaN rpe.t0 exited 0 with every error NaN);
-    # an r_min outside [0, r_max) and a firstq spec below order 2 passed
-    # validate and the run exited 1
+    # an r_min outside [0, r_max), a firstq spec below order 2 and a firstq
+    # rpe.M below 20 passed validate and the run exited 1
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 
@@ -489,7 +495,7 @@ FIRSTQ_BRACKETED = {"experiment": "learn-firstq", "firstq": {**FIRSTQ, "bracket"
     "doc, seed, digest, pinned",
     [
         (BENCH_MULTI, 7000, "2dea542919685a0a", {"derived_t0": "0x1.549f6051ea4b1p-4"}),
-        (FIRSTQ_BRACKETED, 7, "dc9bd1352c41020f", {"r_hat": "0x1.07fffffffffffp-3"}),
+        (FIRSTQ_BRACKETED, 7, "0d9ddc48759c054a", {"r_hat": "0x1.07fffffffffffp-3"}),
     ],
     ids=["learn-multi", "learn-firstq"],
 )
@@ -498,7 +504,10 @@ def test_noiseless_reports_match_their_golden_values(doc, seed, digest, pinned):
     # parse was shared between validate and the runners; the learn-firstq
     # digest was re-recorded when its report gained edge_population and
     # clipped_probabilities, and without those two fields it reads the
-    # earlier 397f0502233f63d3
+    # earlier 397f0502233f63d3; it was re-recorded again when the frame
+    # signal came to sum 15 products, not 50, moving k_hat, eps_r and the
+    # stderrs by a few ulps (dda311de647c75ba), and the report gained the
+    # search's and the final learn's evolution time and shots
     result = _hexed(run({**doc, "seed": seed, "noiseless": True})["result"])
     assert {key: result[key] for key in pinned} == pinned
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16] == digest
@@ -541,6 +550,17 @@ def test_learn_firstq_cli_noiseless(tmp_path, capsys):
     # the default n_max = 48 holds every prepared state well inside the cutoff
     assert 0.0 <= res["edge_population"] < 1e-6
     assert res["clipped_probabilities"] == 0
+
+
+def test_learn_firstq_report_splits_its_ledger_between_search_and_final_learn(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"firstq": {**FIRSTQ, "bracket": [-0.3, 0.3]}, "rpe": {"M": 50}})
+    assert main(["learn-firstq", "--config", cfg, "--seed", "3"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    search, final, ledger = res["bisection"], res["final_learn"], res["ledger"]
+    assert search["evolution_time"] > 0 and final["evolution_time"] > 0
+    total = search["evolution_time"] + final["evolution_time"]
+    assert total == pytest.approx(ledger["total_evolution_time"], rel=1e-12)
+    assert search["shot_count"] + final["shot_count"] == ledger["shot_count"]
 
 
 def test_spam_sweep_rows_and_one_clean_learn(tmp_path, capsys, monkeypatch):
