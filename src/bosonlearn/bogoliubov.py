@@ -25,6 +25,9 @@ from .protocol import LearnedCoefficients, RpeConfig, derive_config, learn_singl
 from .recovery import single_mode_pipeline
 
 U_FEASIBLE_MAX = 1.0 / (4.0 - 2.0 * math.sqrt(3.0))
+# cosh(R_FEASIBLE_MAX) = U_FEASIBLE_MAX, so a bracket edge r is feasible iff
+# |r| < R_FEASIBLE_MAX: a test that needs no cosh, which overflows past |r| ~ 710
+R_FEASIBLE_MAX = math.acosh(U_FEASIBLE_MAX)
 # The frame search measures B†^2, whose coefficient vanishes exactly in the
 # physical frame, under a coefficient prior |g| <= 2; frames are relative to
 # the reference mass-frequency product m0w0 = 1.
@@ -446,9 +449,9 @@ def bisection_search(
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     for edge in (lo, hi):
-        if not overlap_feasible(math.cosh(edge)):
+        if not abs(edge) < R_FEASIBLE_MAX:
             raise FeasibilityError(
-                f"bracket edge {edge} gives u = {math.cosh(edge):.4f} >= {U_FEASIBLE_MAX:.4f}"
+                f"bracket edge {edge} gives u = cosh({edge}) >= {U_FEASIBLE_MAX:.4f}"
             )
     if d < 2:
         raise ValueError(f"the frame signal is the B†^2 coefficient, so d must be >= 2, got {d}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bogoliubov import (
+    R_FEASIBLE_MAX,
     FeasibilityError,
     frame_from_ratio,
     learn_firstq,
@@ -319,6 +320,8 @@ def _plan(config: dict) -> tuple[dict, dict]:
     if not isinstance(experiment, str) or experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     seed = _index(config.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     noiseless = _flag(config.get("noiseless", False), "noiseless")
     out = config.get("out")
     plan: dict = {"experiment": experiment, "seed": seed, "token": f"cli{seed}"}
@@ -326,8 +329,12 @@ def _plan(config: dict) -> tuple[dict, dict]:
     diagnostics: dict = {"experiment": experiment}
     if experiment == "learn-firstq":
         plan.update(_firstq_block(config, noiseless))
-        frame = plan["frame"]
-        u_edge = math.cosh(max(abs(b) for b in plan["bracket"]))
+        frame, edge = plan["frame"], max(abs(b) for b in plan["bracket"])
+        if not edge < R_FEASIBLE_MAX:
+            raise ConfigError(
+                f"overlap infeasible: bracket edge {edge} gives u = cosh({edge}) >= 1/(4 - 2*sqrt(3)) ~= 1.866"
+            )
+        u_edge = math.cosh(edge)
         feasible = overlap_feasible(u_edge) and overlap_feasible(frame.u)
         diagnostics.update({"u_bracket_edge": u_edge, "u_true": frame.u, "feasible": feasible})
         if not feasible:
@@ -339,8 +346,9 @@ def _plan(config: dict) -> tuple[dict, dict]:
     elif experiment == "compare-covariance":
         grid = _object(config.get("grid", {}), "grid")
         plan.update(d=_index(grid.get("d", 2), "grid.d"), modes=_index(grid.get("modes", 2), "grid.modes"))
-        if plan["d"] < 1 or plan["modes"] < 1:
-            raise ConfigError(f"grid needs d >= 1 and modes >= 1, got {plan['d']} and {plan['modes']}")
+        # the compared coupling block needs two modes and order 2
+        if plan["d"] < 2 or plan["modes"] < 2:
+            raise ConfigError(f"grid needs d >= 2 and modes >= 2, got {plan['d']} and {plan['modes']}")
     else:
         plan.update(_learn_block(config, experiment, seed, noiseless))
         cfg = plan["cfg"]

@@ -13,28 +13,23 @@ phi = S(z)† D(beta)|vac>.  Each measured bit is therefore exactly Bernoulli
 with p = (1 +/- Re/Im a^L)/2, so batches are sampled from one binomial draw.
 
 Ideal path.  In the ideal limit (l_steps = None) a is the pure phase
-e^{-i t E} with E = <phi|H|phi>.  phi is a product state ⊗_m v_m, so E
-factorises over modes.  Each distinct per-mode factor v_m = S(z_m)†
-D(beta_m)|0> is built once per device, under (mode, executed beta_m, z_m).
-A true frame enters the state, not the Hamiltonian: the factor keeps
-u_m = S(z_true,m) v_m, the mode's state in the frame the spec is written in,
-and the (d+1) x (d+1) moment table of u_m.  All the factors a batch of new
-states lacks on one mode are built in one pass: at most three stacked calls
-of fockspace.displace_vector and squeeze_vector on the cached generator
-basis, whose products are per-row mat-vecs, and one stacked moment_table.
-The displaced vacuum D(beta_m)|0> depends on neither the frame nor the mode,
-so it is cached once per device under the executed beta_m alone: a learn at
-a new frame (each step of bogoliubov's frame search) and every other mode of
-a joint grid reuse the vacua already displaced, and only the betas not yet
-seen go through the displacement pass.
-A stacked mat-vec gives each row the BLAS mat-vec a lone vector gets, so a
-factor is bit-identical however many are built with it; one GEMM over the
-stack would round differently.  The energies of all of a batch's new states
-come from one (states x terms) numpy pass over those tables
-(fockspace.product_state_energy), and E is cached under the exact executed
-(beta, frame_z), so a repeated state costs a dict lookup.  No joint-space
-matrix, vector or eigendecomposition is made.  Each new factor also records
-the top-Fock-level population of the prepared v_m (edge_population), a
+e^{-i t E} with E = <phi|H|phi>, and phi = ⊗_m v_m factorises E over modes.
+A true frame enters the state, not the Hamiltonian: v_m = S(z_m)† D(beta_m)
+|0> is carried to u_m = S(z_true,m) v_m, the mode's state in the spec's
+frame, and E reads the (d+1) x (d+1) moment tables of the u_m.  No
+joint-space matrix, vector or eigendecomposition is made.
+
+Preparation.  A call prepares its distinct states once, for either channel
+(_prepare): per mode, its factors in at most three stacked displace_vector
+and squeeze_vector calls, whose per-row mat-vecs make a factor bit-identical
+however many are built with it (one GEMM would round differently); then,
+for an ideal row, one stacked moment_table and one (states x terms)
+product_state_energy pass, and for a finite-L row each state's weights.
+Only the displaced vacuum D(beta_m)|0>, which depends on neither the frame
+nor the mode, outlives a call: cached under the executed beta_m, at most
+_CACHE_LIMIT of them, it serves every mode of a joint grid and every learn
+at a new frame (each step of bogoliubov's frame search).  Each factor
+records the top-Fock-level population of v_m (edge_population), a
 diagnostic of truncation clipping.
 
 Bit-identity.  A state's energy does not depend on which other states share
@@ -46,27 +41,28 @@ not move when a grid is split or merged.  protocol's grid unwrap keeps the
 same rule (math.atan2 per phase, since np.arctan2 rounds differently).
 
 Finite-L path.  The first request with a concrete l_steps builds the spec's
-matrix and decomposes it, once, under a lock.  Each state's weights
-|V† phi|^2 are computed and cached only then, with phi the Kronecker product
-of its cached factors u_m, and a = weights . e^{-i w tau}.  The physical
-matrix S† H_spec S has eigenvectors S† V, so the prepared psi = ⊗_m v_m has
-weights |(S† V)† psi|^2 = |V† S psi|^2 = |V† phi|^2: no joint-space squeeze
-is built.
-A device that serves only ideal requests never decomposes H.  A probability
-that rounding pushes out of [0, 1] is clipped and counted
+matrix and decomposes it, once, under a lock.  A state's weights are
+|V† phi|^2, with phi the Kronecker product of its factors u_m, and
+a = weights . e^{-i w tau}.  The physical matrix S† H_spec S has
+eigenvectors S† V, so the prepared psi = ⊗_m v_m has weights
+|(S† V)† psi|^2 = |V† S psi|^2 = |V† phi|^2: no joint-space squeeze is
+built.  A device that serves only ideal requests never decomposes H.  A
+probability that rounding pushes out of [0, 1] is clipped and counted
 (clipped_probabilities).
 
 Requests.  Each channel serves a whole RPE grid in one call, as arrays: one
 prepared state per run and one schedule row (kappa, basis, l_steps) per
-request of a run.  probability_grid, the exact channel, first computes the
-energies of the grid's new states in one product_state_energy pass, then
-asks probability(request), the channel's unit of work and its only
-arithmetic, once per request; each of those reads its state's energy from
-the cache.  run_shot_grid, the shot channel, computes the (runs x rows)
-probabilities in one numpy pass with the arithmetic of probability(), draws
-the counts of the whole grid with one numpy binomial call, and charges the
-ledger run-major with a sequential running sum.  The call draws from one
-Philox stream of its own, keyed by
+request of a run.  probability_grid, the exact channel, prepares the grid's
+states as the device's one grid memo, which the next exact grid replaces,
+then asks probability(request), the channel's unit of work and its only
+arithmetic, once per request; each reads its state from the memo, and one
+that misses prepares its state and stores nothing (so threads that replace
+each other's memo only recompute the same bits).  run_shot_grid, the shot
+channel, computes the (runs x rows) probabilities of its prepared states in
+one numpy pass with the arithmetic of probability(), draws the counts of the
+whole grid with one numpy binomial call, and charges the ledger run-major
+with a sequential running sum.  The call draws from one Philox stream of its
+own, keyed by
     SeedSequence((master_seed, int(sha256(json.dumps([tokens, suffixes]))[:16])))
 with suffixes[j] = f":k{kappa_j}:{basis_j}", the JSON being an injective
 encoding of the call's run tokens and schedule.  So a call's counts are a
@@ -192,9 +188,8 @@ class SimulatedDevice:
     Bogoliubov frame: the physical matrix is S(z)† H_spec S(z) per mode.
     """
 
-    # Each cache (displaced vacua, per-mode factors, state energies, finite-L
-    # weights) is emptied before it would grow past this many entries, and
-    # never holds more than this many.
+    # The displaced-vacuum cache is emptied before it would grow past this
+    # many entries, and never holds more.
     _CACHE_LIMIT = 4096
 
     def __init__(
@@ -206,6 +201,9 @@ class SimulatedDevice:
         noise: NoiseModel | None = None,
     ):
         validate_hermitian(spec)
+        # numpy's SeedSequence rejects a negative seed only at the first draw
+        if operator.index(master_seed) < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
         if cutoff.modes != spec.modes:
             raise ValueError("cutoff mode count does not match spec")
         if true_frame_z is not None and len(true_frame_z) != cutoff.modes:
@@ -229,9 +227,8 @@ class SimulatedDevice:
         self._eigenbasis: tuple[np.ndarray, np.ndarray] | None = None
         self._eigenbasis_lock = threading.Lock()
         self._displaced: dict[complex, np.ndarray] = {}
-        self._factors: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._energies: dict[tuple, float] = {}
-        self._weights: dict[tuple, np.ndarray] = {}
+        # (energies, weights) of the last exact grid's states, see _prepare
+        self._grid_states: tuple[dict, dict] = ({}, {})
         self._state_lock = threading.Lock()
         self._edge_population = 0.0
         self._clipped = 0
@@ -253,9 +250,8 @@ class SimulatedDevice:
     def edge_population(self) -> float:
         """Largest top-Fock-level population of any mode of any prepared state.
 
-        Recorded once per distinct per-mode factor, when the factor is built;
-        a value far from 0 means the truncation clips the states the learner
-        asked for.
+        Recorded for each per-mode factor a call prepares; a value far from 0
+        means the truncation clips the states the learner asked for.
         """
         return self._edge_population
 
@@ -277,29 +273,15 @@ class SimulatedDevice:
         beta = self._noise.executed_beta(beta)
         return (tuple(beta), None if frame_z is None else tuple(frame_z))
 
-    def _store(self, cache: dict, items: dict) -> None:
-        """Add items to cache; a cache that would grow past its limit is
-        emptied first, and of a batch larger than the limit only the last
-        _CACHE_LIMIT items are kept.  Reads need no lock: a dict lookup is
-        atomic."""
-        if len(items) > self._CACHE_LIMIT:
-            items = dict(list(items.items())[-self._CACHE_LIMIT :])
-        with self._state_lock:
-            if len(cache) + len(items) > self._CACHE_LIMIT:
-                cache.clear()
-            cache.update(items)
-
     def _displaced_vacua(self, betas: Sequence[complex]) -> dict[complex, np.ndarray]:
         """D(beta)|0> of each distinct beta, at the per-mode truncation.
 
-        The vector does not depend on the mode or the frame, so one cache
-        serves every mode and every learn of a device.  Cached vectors are
-        looked up; the missing nonzero betas are displaced in one stacked
-        displace_vector pass, whose rows do not depend on one another, so a
-        cached vector equals a fresh one bit for bit.  beta = 0 is the vacuum.
-        The result comes from the lookups and the new batch, never from the
-        cache after the store.  The vectors are read-only: the cache shares
-        them.
+        Cached vectors are looked up; the missing nonzero betas are displaced
+        in one stacked displace_vector pass, whose rows do not depend on one
+        another, so a cached vector equals a fresh one bit for bit.  beta = 0
+        is the vacuum.  A cache that would pass _CACHE_LIMIT is emptied first;
+        the result comes from the lookups and the new batch.  The vectors are
+        read-only, as the cache shares them.  A dict lookup needs no lock.
         """
         vacua = {beta: self._displaced.get(beta) for beta in betas}
         new = [beta for beta, vector in vacua.items() if vector is None and beta]
@@ -308,86 +290,73 @@ class SimulatedDevice:
         if new:
             built = displace_vector(np.array(new, dtype=complex), np.tile(vacuum, (len(new), 1)))
             built.setflags(write=False)
-            self._store(self._displaced, dict(zip(new, built)))
+            with self._state_lock:
+                if len(self._displaced) + len(new) > self._CACHE_LIMIT:
+                    self._displaced.clear()
+                self._displaced.update(zip(new[: self._CACHE_LIMIT], built))
             vacua.update(zip(new, built))
         return {beta: vacuum if vector is None else vector for beta, vector in vacua.items()}
 
-    def _mode_factors(
-        self, mode: int, column: Sequence[tuple[complex, complex]]
-    ) -> dict[tuple[complex, complex], tuple[np.ndarray, np.ndarray]]:
-        """(u, T) of the per-mode factor of each distinct (beta, z) of column,
-        in order of first appearance: the prepared v = S(z)† D(beta)|0> on
-        `mode`, carried into the spec's frame as u = S(z_true,mode) v, and the
-        moment table T of u.
-
-        Cached factors are looked up.  The rest are built together, in at
-        most three stacked passes (displace_vector over the betas not yet in
-        the device's displaced-vacuum cache, _displaced_vacua, squeeze_vector
-        back over the rows with z != 0, then into the true frame) and one
-        stacked moment_table, so the number of numpy calls does not grow with
-        the number of new factors.  A zero parameter skips its pass, as a
-        lone vector's build does.  The result comes from the lookups and the
-        new batch, never from the cache after the store, which may have
-        emptied it.  Records the top-level population of each new v in
-        edge_population.
-        """
-        factors = {f: self._factors.get((mode, *f)) for f in column}
-        new = [f for f, factor in factors.items() if factor is None]
-        if not new:
-            return factors
-        vacua = self._displaced_vacua([beta for beta, _ in new])
-        v = np.stack([vacua[beta] for beta, _ in new])
-        zs = np.array([z for _, z in new], dtype=complex)
+    def _mode_factors(self, mode: int, column: Sequence[tuple[complex, complex]]) -> np.ndarray:
+        """u = S(z_true,mode) v of each distinct (beta, z) of column, stacked,
+        with v = S(z)† D(beta)|0> on `mode`: one displacement pass over the
+        betas not yet cached, one squeeze over the rows with z != 0, one into
+        the true frame; a zero parameter skips its pass, as a lone vector's
+        build does.  Records the top-level population of each v."""
+        vacua = self._displaced_vacua([beta for beta, _ in column])
+        v = np.stack([vacua[beta] for beta, _ in column])
+        zs = np.array([z for _, z in column], dtype=complex)
         rows = np.flatnonzero(zs)
         if len(rows):
             v[rows] = squeeze_vector(zs[rows], v[rows], adjoint=True)
         z_true = self._true_frame_z[mode] if self._true_frame_z is not None else 0
-        u = squeeze_vector(np.full(len(new), z_true, dtype=complex), v) if z_true else v
-        built = dict(zip(new, zip(u, moment_table(u, self._spec.max_order))))
+        u = squeeze_vector(np.full(len(column), z_true, dtype=complex), v) if z_true else v
         # Scalar abs per entry: np.abs on an array rounds differently.
         top = max(abs(x) ** 2 for x in v[:, -1])
         with self._state_lock:
             self._edge_population = max(self._edge_population, top)
-        self._store(self._factors, {(mode, *f): factor for f, factor in built.items()})
-        factors.update(built)
-        return factors
+        return u
 
-    def _mode_columns(self, keys: list[tuple]) -> list[list[tuple[complex, complex]]]:
-        """(beta_m, z_m) of each state, per mode m.
-
+    def _prepare(self, keys: Sequence[tuple], ideal: bool, finite: bool) -> tuple[dict, dict]:
+        """(energies, weights) of the distinct states of keys, each a dict by
+        state: <phi|H|phi> if ideal, the finite-L weights |V† phi|^2 if
+        finite, else empty.  Per mode, the factors are built in one stacked
+        pass; the energies take one moment_table per mode and one
+        product_state_energy pass, each state's weights one mat-vec with V†.
         A beta or frame_z without one entry per mode is rejected here, before
-        anything is cached under the key, so a cache hit needs no check.
+        any state is prepared, so a memo hit needs no check.
         """
+        states = list(dict.fromkeys(keys))
         modes = self.cutoff.modes
-        for key in keys:
-            for name, values in zip(("beta", "frame_z"), key):
+        for state in states:
+            for name, values in zip(("beta", "frame_z"), state):
                 if values is not None and len(values) != modes:
-                    raise ValueError(
-                        f"{name} has {len(values)} entries but the device has {modes} modes"
-                    )
-        return [
-            [(beta[m], 0 if frame_z is None else frame_z[m]) for beta, frame_z in keys]
-            for m in range(modes)
-        ]
+                    raise ValueError(f"{name} has {len(values)} entries but the device has {modes} modes")
+        if not states:
+            return {}, {}
+        factors, tables = [], []
+        for m in range(modes):
+            column = [(beta[m], 0 if frame_z is None else frame_z[m]) for beta, frame_z in states]
+            index = {f: i for i, f in enumerate(dict.fromkeys(column))}
+            u = self._mode_factors(m, list(index))
+            rows = [index[f] for f in column]
+            factors.append((u, rows))
+            if ideal:
+                tables.append(moment_table(u, self._spec.max_order)[rows])
+        energies, weights = {}, {}
+        if ideal:
+            energies = dict(zip(states, product_state_energy(self._terms, tables).tolist()))
+        if finite:
+            v_dagger = self._eigen()[1]
+            for i, state in enumerate(states):
+                phi = functools.reduce(np.multiply.outer, [u[rows[i]] for u, rows in factors]).ravel()
+                weights[state] = np.abs(v_dagger @ phi) ** 2
+        return energies, weights
 
     def _state_energies(self, keys: Sequence[tuple]) -> list[float]:
-        """<phi|H|phi> of each state.  The states not yet cached are computed
-        together: per mode, each distinct factor is looked up once and the
-        missing ones are built in one stacked pass (_mode_factors); then one
-        product_state_energy pass runs over their tables."""
-        energies = [self._energies.get(key) for key in keys]
-        if None not in energies:
-            return energies
-        new = list(dict.fromkeys(k for k, e in zip(keys, energies) if e is None))
-        tables = []
-        for m, column in enumerate(self._mode_columns(new)):
-            factors = self._mode_factors(m, column)
-            index = {f: i for i, f in enumerate(factors)}
-            stack = np.stack([table for _, table in factors.values()])
-            tables.append(stack[[index[f] for f in column]])
-        computed = dict(zip(new, product_state_energy(self._terms, tables).tolist()))
-        self._store(self._energies, computed)
-        return [computed[k] if e is None else e for k, e in zip(keys, energies)]
+        """<phi|H|phi> of each state, from one _prepare pass."""
+        energies = self._prepare(keys, ideal=True, finite=False)[0]
+        return [energies[key] for key in keys]
 
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V†) of the spec's matrix, built on first use; the true frame
@@ -398,16 +367,8 @@ class SimulatedDevice:
                 self._eigenbasis = (w, v.conj().T)
             return self._eigenbasis
 
-    def _finite_amplitude(self, key: tuple, time: float, l_steps: int) -> complex:
-        """a^L with a = weights . e^{-i w tau}, tau = time / L; the weights
-        |V† phi|^2 of each state are computed once, on its first such request."""
-        weights = self._weights.get(key)
-        if weights is None:
-            columns = self._mode_columns([key])
-            vectors = [self._mode_factors(m, column)[column[0]][0] for m, column in enumerate(columns)]
-            phi = functools.reduce(np.multiply.outer, vectors).ravel()
-            weights = np.abs(self._eigen()[1] @ phi) ** 2
-            self._store(self._weights, {key: weights})
+    def _finite_amplitude(self, weights: np.ndarray, time: float, l_steps: int) -> complex:
+        """a^L with a = weights . e^{-i w tau}, tau = time / L."""
         tau = time / l_steps
         return complex(weights @ np.exp(-1j * self._eigen()[0] * tau)) ** l_steps
 
@@ -417,17 +378,21 @@ class SimulatedDevice:
         """Exact outcome-0 probability; the sanctioned noiseless test channel.
 
         The expected interference amplitude E_theta[A] is the pure phase
-        e^{-i t E} in the ideal limit and a^L at L Trotter steps.  Does not
+        e^{-i t E} in the ideal limit and a^L at L Trotter steps.  The state
+        is read from the last exact grid's memo, or prepared alone.  Does not
         touch the ledger: it stands in for the M -> infinity limit.
         """
         key = self._state_key(request.beta, request.frame_z)
         if request.l_steps is None:
-            energy = self._energies.get(key)
+            energy = self._grid_states[0].get(key)
             if energy is None:
                 energy = self._state_energies([key])[0]
             amp = cmath.exp(-1j * request.evolution_time * energy)
         else:
-            amp = self._finite_amplitude(key, request.evolution_time, request.l_steps)
+            weights = self._grid_states[1].get(key)
+            if weights is None:
+                weights = self._prepare([key], ideal=False, finite=True)[1][key]
+            amp = self._finite_amplitude(weights, request.evolution_time, request.l_steps)
         p = 0.5 * (1.0 + (amp.real if request.basis == "X" else amp.imag))
         if p < 0.0 or p > 1.0:
             self._count_clipped(1)
@@ -445,24 +410,19 @@ class SimulatedDevice:
         (len(betas), len(schedule)); the exact twin of run_shot_grid.
 
         Run i prepares (betas[i], frame_z) and executes each schedule row
-        (kappa, basis, l_steps) at t0.  Entry (i, j) is probability() of that
-        ShotRequest, asked once per request.  When the schedule has ideal
-        rows, the runs go in blocks of at most _CACHE_LIMIT states: the
-        energies of a block's new states come from one pass, so storing them
-        never evicts one that the block's requests have still to read.
+        (kappa, basis, l_steps) at t0.  The grid's states are prepared once
+        and replace the device's grid memo; entry (i, j) is probability() of
+        that ShotRequest, asked once per request.
         """
-        ideal = any(l_steps is None for _, _, l_steps in schedule)
+        ideal = [l_steps is None for _, _, l_steps in schedule]
+        keys = [self._state_key(beta, frame_z) for beta in betas]
+        self._grid_states = self._prepare(keys, any(ideal), not all(ideal))
         out = np.empty((len(betas), len(schedule)))
-        for start in range(0, len(betas), self._CACHE_LIMIT):
-            block = betas[start : start + self._CACHE_LIMIT]
-            if ideal:
-                keys = (self._state_key(beta, frame_z) for beta in block)
-                self._state_energies([k for k in dict.fromkeys(keys) if k not in self._energies])
-            for i, beta in enumerate(block, start):
-                out[i] = [
-                    self.probability(ShotRequest(kappa, t0, beta, basis, l_steps, frame_z))
-                    for kappa, basis, l_steps in schedule
-                ]
+        for i, beta in enumerate(betas):
+            out[i] = [
+                self.probability(ShotRequest(kappa, t0, beta, basis, l_steps, frame_z))
+                for kappa, basis, l_steps in schedule
+            ]
         return out
 
     def _probabilities(self, keys, times, l_steps, is_x) -> np.ndarray:
@@ -470,12 +430,16 @@ class SimulatedDevice:
         with the arithmetic of probability(), shape (runs, rows): run i
         prepares the state keys[i], and its request j runs for times[j] at
         l_steps[j] Trotter steps (None: the ideal limit), in the X basis where
-        is_x[j]."""
-        energies = np.array(self._state_energies(keys))
-        amp = np.exp(-1j * times * energies[:, None])
+        is_x[j].  A schedule without an ideal row computes no energy."""
+        ideal = [steps is None for steps in l_steps]
+        energies, weights = self._prepare(keys, any(ideal), not all(ideal))
+        if any(ideal):
+            amp = np.exp(-1j * times * np.array([energies[key] for key in keys])[:, None])
+        else:
+            amp = np.empty((len(keys), len(times)), dtype=complex)
         for j, steps in enumerate(l_steps):
             if steps is not None:
-                amp[:, j] = [self._finite_amplitude(key, times[j], steps) for key in keys]
+                amp[:, j] = [self._finite_amplitude(weights[key], times[j], steps) for key in keys]
         p = 0.5 * (1.0 + np.where(is_x, amp.real, amp.imag))
         clipped = np.count_nonzero((p < 0.0) | (p > 1.0))
         if clipped:

@@ -189,6 +189,8 @@ def random_spec(
     include_couplings: bool = True,
 ) -> HamiltonianSpec:
     """Random Hermitian-paired spec with |g| <= g_max, deterministic under seed."""
+    if modes < 1 or d < 1:
+        raise ValueError(f"random_spec needs modes >= 1 and d >= 1, got modes {modes} and d {d}")
     rng = np.random.default_rng(seed)
     terms: dict[TermKey, complex] = {}
     canon = sorted(

@@ -475,6 +475,15 @@ def test_bisection_rejects_infeasible_bracket():
         bisection_search(dev, (-1.5, 1.5), eps_r=1e-2, shots=None)
 
 
+@pytest.mark.parametrize("bracket", [(-1e6, 0.3), (-0.3, 1e300), (-0.3, math.inf)])
+def test_bisection_rejects_a_bracket_edge_whose_cosh_overflows(bracket):
+    # math.cosh of the edge used to raise OverflowError
+    dev, _ = signal_device(1.3)
+    with pytest.raises(FeasibilityError, match="bracket edge"):
+        bisection_search(dev, bracket, eps_r=1e-2, shots=None)
+    assert dev.ledger().shot_count == 0
+
+
 def test_bisection_noiseless_exact_iteration_count():
     dev, frame = signal_device(1.3)
     res = bisection_search(dev, (-0.3, 0.3), eps_g=1e-2, shots=None)

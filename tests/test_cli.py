@@ -269,8 +269,8 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("sweep-heisenberg", {"sweep": {"k_values": [4], "seeds": 0}}, "sweep.seeds must be >= 1"),
         ("learn-single", {"generator": ONE_MODE, "out": 1}, "out must be a string"),
         ("learn-single", {"spec_path": 0}, "spec_path must be a string"),
-        ("compare-covariance", {"grid": {"modes": 0}}, "modes >= 1"),
-        ("compare-covariance", {"grid": {"d": 0}}, "d >= 1"),
+        ("compare-covariance", {"grid": {"modes": 0}}, "modes >= 2"),
+        ("compare-covariance", {"grid": {"d": 0}}, "d >= 2"),
         ("learn-firstq", {"noiseless": True, "firstq": {**FIRSTQ, "eps_g": 0}}, "firstq.eps_g must be finite"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": -5e-3}}, "firstq.eps_g must be finite and > 0"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "eps_g": float("nan")}}, "firstq.eps_g must be finite"),
@@ -296,6 +296,13 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": 5}}, "bad rpe block: shots per basis must be >= 20"),
         ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": 0}}, "bad rpe block: shots per basis must be >= 20"),
         ("learn-firstq", {"firstq": FIRSTQ, "rpe": {"M": -1}}, "bad rpe block: shots per basis must be >= 20"),
+        ("learn-single", {"generator": ONE_MODE, "seed": -1}, "seed must be >= 0, got -1"),
+        ("learn-multi", {"generator": {"modes": 0, "d": 2}}, "bad generator block: random_spec needs modes >= 1"),
+        ("learn-single", {"generator": {"modes": 1, "d": -1}, "grid": {"d": 2}}, "random_spec needs modes >= 1 and d >= 1"),
+        ("compare-covariance", {"grid": {"d": 1}}, "grid needs d >= 2 and modes >= 2, got 1 and 2"),
+        ("compare-covariance", {"grid": {"modes": 1}}, "grid needs d >= 2 and modes >= 2, got 2 and 1"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [-1e6, 0.3]}}, "overlap infeasible: bracket edge 1000000.0"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [-0.3, 1e300]}}, "overlap infeasible: bracket edge 1e+300"),
     ],
     ids=[
         "strategy",
@@ -340,6 +347,13 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "firstq-rpe.M-5",
         "firstq-rpe.M-zero",
         "firstq-rpe.M-negative",
+        "seed-negative",
+        "generator.modes-zero",
+        "generator.d-negative",
+        "covariance-grid.d-one",
+        "covariance-grid.modes-one",
+        "firstq.bracket-minus-1e6",
+        "firstq.bracket-1e300",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -350,8 +364,11 @@ def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, 
     # closed it; spec_path = 0 read the spec from stdin), bisected forever
     # (eps_g = 0), learned on a truncation below the spec's order, or read
     # JSON's NaN as a number (a NaN rpe.t0 exited 0 with every error NaN);
-    # an r_min outside [0, r_max), a firstq spec below order 2 and a firstq
-    # rpe.M below 20 passed validate and the run exited 1
+    # an r_min outside [0, r_max), a firstq spec below order 2, a firstq
+    # rpe.M below 20, a negative seed on the shot channel and a covariance
+    # grid without a coupling block (d or modes 1) passed validate and the
+    # run exited 1; generator modes 0 or d -1 and a bracket edge whose cosh
+    # overflows ended in a traceback
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
 
 

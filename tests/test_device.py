@@ -353,37 +353,6 @@ def test_one_generator_eigendecomposition_per_cutoff(monkeypatch):
     assert len(calls) <= 3
 
 
-def test_caches_never_exceed_the_limit(monkeypatch):
-    # a batch of new states larger than the limit keeps only its last entries
-    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 3)
-    dev = number_device()
-    keys = [dev._state_key((0.1 * k + 0.2j,), None) for k in range(5)]
-    energies = dev._state_energies(keys)
-    assert len(dev._energies) <= 3 and len(dev._factors) <= 3
-    assert list(dev._energies) == keys[-3:]
-    assert energies == [number_device()._state_energies([key])[0] for key in keys]
-
-
-def test_a_grid_that_evicts_its_cached_factors_still_reads_them(monkeypatch):
-    # each mode column mixes one cached factor with four new ones, so storing
-    # the new ones empties the factor cache; the cached ones must still be read
-    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 3)
-    spec = random_spec(2, 2, seed=3, sparsity=0.8)
-    cut = FockCutoff(n_max=8, modes=2)
-
-    def device():
-        return SimulatedDevice(spec, cut, true_frame_z=(0.1, -0.05j))
-
-    dev = device()
-    frame_z = (0.05, 0j)
-    dev._state_energies([dev._state_key((0.1, 0.2j), frame_z)])
-    betas = [(0.1, 0.2j + 0.1 * k) for k in range(1, 5)] + [(0.1 * k, 0.2j) for k in range(2, 6)]
-    keys = [dev._state_key(beta, frame_z) for beta in betas]
-    energies = dev._state_energies(keys)
-    assert len(dev._factors) <= 3
-    assert energies == [device()._state_energies([key])[0] for key in keys]
-
-
 @pytest.mark.parametrize("states", [5, 50])
 def test_new_factors_are_built_in_a_constant_number_of_passes(monkeypatch, states):
     # G new states sharing a frame: per mode one displacement, one frame
@@ -793,25 +762,86 @@ def _count_energy_passes(monkeypatch) -> list[int]:
     return passes
 
 
-def test_probability_grid_computes_new_energies_in_one_pass(monkeypatch):
+def test_each_call_runs_one_energy_pass_over_its_distinct_states(monkeypatch):
+    # a device keeps no state energy across calls: each exact grid and each
+    # shot call, repeated or not, runs its own pass over its distinct states,
+    # and the exact grid's per-request probability() calls read its memo,
+    # which holds the last grid's states alone
     passes = _count_energy_passes(monkeypatch)
     dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT)
+    distinct = len(set(BETAS))
+    dev.probability_grid(BETAS, FRAMES[0], T0, SCHEDULE)
     first = dev.probability_grid(BETAS, FRAMES[1], T0, SCHEDULE)
-    assert passes == [len(set(BETAS))]
+    assert passes == [distinct] * 2
     assert np.array_equal(dev.probability_grid(BETAS, FRAMES[1], T0, SCHEDULE), first)
-    assert passes == [len(set(BETAS))]
-    # a finite-L schedule reads no energy
-    dev.probability_grid([(0.9j, 0.1 + 0j)], None, T0, [(2, "X", 4)])
-    assert passes == [len(set(BETAS))]
+    assert passes == [distinct] * 3
+    assert set(dev._grid_states[0]) == {dev._state_key(beta, FRAMES[1]) for beta in BETAS}
+    counts = _run_grid(dev, *_grid_args(FRAMES[1], 30))
+    assert np.array_equal(_run_grid(dev, *_grid_args(FRAMES[1], 30)), counts)
+    assert passes == [distinct] * 5
 
 
-def test_probability_grid_blocks_never_evict_an_unread_energy(monkeypatch):
-    betas = [(0.05 * i + 0.1j, -0.02 * i + 0j) for i in range(30)]
-    expected = SimulatedDevice(BATCH_SPEC, BATCH_CUT).probability_grid(betas, None, T0, SCHEDULE)
-    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 8)
+def test_a_schedule_without_an_ideal_row_computes_no_energy(monkeypatch):
     passes = _count_energy_passes(monkeypatch)
-    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT)
-    assert np.array_equal(dev.probability_grid(betas, None, T0, SCHEDULE), expected)
-    # each state's energy is computed once, in passes of at most 8 states
-    assert sum(passes) == len(betas) and max(passes) <= 8
-    assert len(dev._energies) <= 8
+    finite = [(2, "X", 4), (8, "Y", 3)]
+    tokens = [f"f{i}" for i in range(len(BETAS))]
+    dev, oracle = SimulatedDevice(BATCH_SPEC, BATCH_CUT), SimulatedDevice(BATCH_SPEC, BATCH_CUT)
+    expected = [[oracle.probability(ShotRequest(k, T0, beta, b, l)) for k, b, l in finite] for beta in BETAS]
+    assert dev.probability_grid(BETAS, None, T0, finite).tolist() == expected
+    want = _oracle_grid(oracle, TimeLedger(), BETAS, None, finite, 30, tokens)
+    assert np.array_equal(dev.run_shot_grid(BETAS, None, T0, finite, 30, tokens), want)
+    assert passes == []
+
+
+def _vacuum_cache_outputs(betas, warm):
+    """A device's exact and shot grids over betas, after a grid over warm
+    betas, its displaced vacua of every beta entry, and the device."""
+    dev = SimulatedDevice(BATCH_SPEC, BATCH_CUT, master_seed=2)
+    dev.probability_grid(warm, FRAMES[2], T0, SCHEDULE)
+    probabilities = dev.probability_grid(betas, FRAMES[1], T0, SCHEDULE)
+    counts = dev.run_shot_grid(betas, None, T0, SCHEDULE, 40, [f"v{i}" for i in range(len(betas))])
+    vacua = dev._displaced_vacua([b for beta in betas for b in beta])
+    return probabilities, counts, vacua, dev
+
+
+@pytest.mark.parametrize("warm", [0, 3], ids=["cold", "part-cached"])
+def test_a_call_with_more_new_betas_than_the_cache_limit_is_bit_identical(monkeypatch, warm):
+    # 60 new betas against a vacuum-cache limit of 8, on a cold cache and
+    # on one that holds vacua the call also reads: storing the new vacua
+    # empties the cache, yet every vector and output equals an unbounded
+    # device's, and the cache keeps at most 8 vacua
+    betas = [(0.05 * i + 0.1j, -0.02 * i + 0j) for i in range(30)]
+    expected = _vacuum_cache_outputs(betas, betas[:warm])
+    monkeypatch.setattr(SimulatedDevice, "_CACHE_LIMIT", 8)
+    *outputs, dev = _vacuum_cache_outputs(betas, betas[:warm])
+    assert np.array_equal(outputs[0], expected[0])
+    assert np.array_equal(outputs[1], expected[1])
+    assert outputs[2].keys() == expected[2].keys()
+    assert all(np.array_equal(outputs[2][b], expected[2][b]) for b in expected[2])
+    assert 0 < len(dev._displaced) <= 8
+
+
+def test_concurrent_exact_grids_on_one_device_read_a_fresh_devices_bits():
+    # threads that replace each other's grid memo only recompute a state
+    def device():
+        return SimulatedDevice(BATCH_SPEC, BATCH_CUT)
+
+    expected = [device().probability_grid(BETAS, frame_z, T0, SCHEDULE) for frame_z in FRAMES]
+    dev = device()
+    results: dict[int, list[np.ndarray]] = {}
+
+    def work(i):
+        results[i] = [dev.probability_grid(BETAS, frame_z, T0, SCHEDULE) for frame_z in FRAMES * 5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(grid, expected[j % 3]) for i in range(4) for j, grid in enumerate(results[i]))
