@@ -324,14 +324,15 @@ def signal_measure(
 
 @dataclass
 class BisectionResult:
-    """The search's frame estimate, its steps, and its own ledger cost:
-    time_cost and shot_count are the evolution time and shots it charged."""
+    """The search's frame estimate, its steps, its final window width (above
+    eps_r only if k_cap ended it), and its own ledger cost: time_cost and
+    shot_count are the evolution time and shots it charged."""
 
     r_hat: float
     iterations: int
     evaluations: int
     history: list[tuple[float, float, float]]
-    fallback_used: bool
+    width: float
     k_hat: float
     eps_r: float
     time_cost: float
@@ -391,31 +392,11 @@ def _cfg_for_precision(
     return replace(base, k_max=min(max(k, 4), k_cap))
 
 
-def _golden_minimize(fn, lo: float, hi: float, tol: float) -> tuple[float, int]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d_pt = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d_pt)
-    shrinks = 0
-    while b - a > tol:
-        if fc < fd:
-            b, d_pt, fd = d_pt, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d_pt, fd
-            d_pt = a + inv_phi * (b - a)
-            fd = fn(d_pt)
-        shrinks += 1
-    return 0.5 * (a + b), shrinks
-
 
 def _check_eps_r(eps_r: float, lo: float, hi: float) -> None:
-    """Bisection and golden-section search down to width eps_r end only if
-    eps_r is finite and wider than a few float steps at the bracket edges: at
-    zero, a negative width or one below that spacing they never end, and at
-    NaN they end before searching."""
+    """A search down to width eps_r ends only if eps_r is finite and wider than
+    a few float steps at the bracket edges: at zero, a negative width or one
+    below that spacing it never ends, and at NaN it ends before searching."""
     if not (math.isfinite(eps_r) and eps_r > 8 * math.ulp(max(abs(lo), abs(hi)))):
         raise ValueError(f"eps_r must be finite and above the bracket's float spacing, got {eps_r}")
 
@@ -435,13 +416,14 @@ def bisection_search(
     """Bisection over the signed frame parameter driven by the signal sign.
 
     The bracket endpoints must give opposite, significant signal signs; their
-    secant slope bootstraps the linear-response scale used both to convert
-    eps_g into eps_r and to schedule the inner-learner precision per
-    iteration.  A sign-ambiguous evaluation is retried once at higher
-    precision, then the search falls back to golden-section minimization of
-    the signal magnitude.  Each evaluation is one signal_measure: 3(d+1)
-    RPE runs at the depth its target error needs.  shots = None reads every
-    signal from the exact channel, whose standard error is 0, so only an
+    secant slope k_hat converts eps_g into eps_r and sets each step's target
+    standard error, se = |k_hat| (hi - lo) / 12.  A step whose midpoint signal
+    f has |f| > 3 se keeps the half its sign points to; otherwise it keeps the
+    window's overlap with mid - f / k_hat +- 3 se / |k_hat|.  Either way the
+    window at least halves, until it is no wider than eps_r or a step whose
+    depth k_cap capped misses its target; r_hat is the window's centre.  Each
+    evaluation is one signal_measure: 3(d+1) RPE runs at the depth its target
+    needs.  shots = None reads the exact channel, where se = 0 and only an
     exact zero is ambiguous.  The result carries the search's own evolution
     time and shots, the growth of the device ledger over the call.
     """
@@ -466,7 +448,7 @@ def bisection_search(
     history: list[tuple[float, float, float]] = []
     evaluations = 0
 
-    def measure(r_prime: float, eps_target: float) -> tuple[float, float]:
+    def measure(r_prime: float, eps_target: float) -> tuple[float, float, bool]:
         nonlocal evaluations
         cfg = _cfg_for_precision(eps_target, row_norm, d, shots, k_cap)
         evaluations += 1
@@ -480,16 +462,17 @@ def bisection_search(
             token=f"{token}:e{evaluations}",
         )
         history.append((r_prime, f, se))
-        return f, se
+        # below k_cap se meets its target, but for a rounding either way
+        return f, se, cfg.k_max == k_cap and se > eps_target
 
     width = hi - lo
     coarse = max(width / 6.0, eps_r or 0.0, (eps_g or 0.0))
-    f_lo, se_lo = measure(lo, coarse)
-    f_hi, se_hi = measure(hi, coarse)
+    f_lo, se_lo, _ = measure(lo, coarse)
+    f_hi, se_hi, _ = measure(hi, coarse)
     if abs(f_lo) <= 3 * se_lo:
-        f_lo, se_lo = measure(lo, max(abs(f_lo), se_lo) / 6.0)
+        f_lo, se_lo, _ = measure(lo, max(abs(f_lo), se_lo) / 6.0)
     if abs(f_hi) <= 3 * se_hi:
-        f_hi, se_hi = measure(hi, max(abs(f_hi), se_hi) / 6.0)
+        f_hi, se_hi, _ = measure(hi, max(abs(f_hi), se_hi) / 6.0)
     if f_lo * f_hi >= 0:
         raise ValueError("bracket endpoints must give opposite signal signs")
     if abs(f_lo) <= 3 * se_lo or abs(f_hi) <= 3 * se_hi:
@@ -498,43 +481,31 @@ def bisection_search(
     if eps_r is None:
         eps_r = eps_g / max(abs(k_hat), 1e-6)
         _check_eps_r(eps_r, lo, hi)
-    sign_hi = math.copysign(1.0, f_hi)
 
     iterations = 0
-    fallback = False
     while hi - lo > eps_r:
         mid = 0.5 * (lo + hi)
-        eps_target = abs(k_hat) * (hi - lo) / 9.0
-        f_mid, se_mid = measure(mid, eps_target)
-        if abs(f_mid) <= 3 * se_mid:
-            f_mid, se_mid = measure(mid, eps_target / 4.0)
-        if abs(f_mid) <= 3 * se_mid:
-            fallback = True
-            break
-        if math.copysign(1.0, f_mid) == sign_hi:
-            hi = mid
+        eps_target = abs(k_hat) * (hi - lo) / 12.0
+        f_mid, se_mid, capped = measure(mid, eps_target)
+        if abs(f_mid) > 3 * se_mid:
+            if math.copysign(1.0, f_mid) == math.copysign(1.0, k_hat):
+                hi = mid
+            else:
+                lo = mid
         else:
-            lo = mid
+            root, reach = mid - f_mid / k_hat, 3 * se_mid / abs(k_hat)
+            lo, hi = max(lo, root - reach), min(hi, root + reach)
         iterations += 1
-
-    if fallback:
-        eps_target = abs(k_hat) * eps_r
-
-        def objective(r_prime: float) -> float:
-            f, _ = measure(r_prime, eps_target)
-            return abs(f)
-
-        r_hat, shrinks = _golden_minimize(objective, lo, hi, eps_r)
-        iterations += shrinks
-    else:
-        r_hat = 0.5 * (lo + hi)
+        if capped:  # so would every later, finer step: the window stops halving
+            break
+    r_hat = 0.5 * (lo + hi)
     end = device.ledger()
     return BisectionResult(
         r_hat=r_hat,
         iterations=iterations,
         evaluations=evaluations,
         history=history,
-        fallback_used=fallback,
+        width=hi - lo,
         k_hat=k_hat,
         eps_r=eps_r,
         time_cost=end.total_evolution_time - start.total_evolution_time,
@@ -565,7 +536,8 @@ def learn_firstq(
     """Full first-quantization pipeline: feasibility gate, bisection over the
     frame parameter, final coefficient learn in the converged frame, and the
     exact transform to symmetrized-quadrature coefficients.  shots = None runs
-    every stage on the exact channel."""
+    every stage on the exact channel.  gprime.diagnostics gives the final
+    learn's k_max and whether k_cap kept it from its target (k_capped)."""
     start = device.ledger().total_evolution_time
     bis = bisection_search(
         device,
@@ -579,7 +551,8 @@ def learn_firstq(
     mw_hat = math.exp(-2.0 * bis.r_hat)
     t = build_T(d, mass_omega=mw_hat)
     row_norm = single_mode_pipeline(d).coefficient_row(SIGNAL_KEY).norm
-    cfg = _cfg_for_precision(eps_g * t.sigma_min, row_norm, d, shots, k_cap)
+    target = eps_g * t.sigma_min
+    cfg = _cfg_for_precision(target, row_norm, d, shots, k_cap)
     learned = learn_single_mode(
         device,
         d,
@@ -588,6 +561,8 @@ def learn_firstq(
         subtract_offset=True,
         token=f"{token}:f",
     )
+    capped = cfg.k_max == k_cap and cfg.predicted_eps_c * row_norm > target
+    learned.diagnostics.update(k_max=cfg.k_max, k_capped=capped)
     g_phys, stderr = tensor_transform(learned, (t,), cfg.predicted_eps_c**2, (bis.eps_r,))
     return FirstQResult(
         r_hat=bis.r_hat,

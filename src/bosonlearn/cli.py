@@ -29,7 +29,7 @@ from .bogoliubov import (
     overlap_feasible,
 )
 from .device import NoiseModel, SimulatedDevice
-from .fockspace import FockCutoff, adaptive_cutoff
+from .fockspace import CUTOFF_CEILING, DIM_BUDGET, FockCutoff, adaptive_cutoff
 from .hamiltonian import (
     HamiltonianSpec,
     admissible_keys,
@@ -223,6 +223,13 @@ def _learn_block(config: dict, experiment: str, seed: int, noiseless: bool) -> d
     r_max = 1.1 if spam else _number(grid.get("r_max", 1.0), "grid.r_max")
     if d < 1 or r_max <= 0:
         raise ConfigError(f"grid needs d >= 1 and r_max > 0, got {d} and {r_max}")
+    # adaptive_cutoff's floor, 4 (r_max^2 + order) levels, must fit its ceiling
+    r_limit = math.sqrt(max(CUTOFF_CEILING / 4 - spec.max_order, 0.0))
+    if r_max > r_limit:
+        raise ConfigError(
+            f"grid.r_max must be <= {r_limit:.6g}, the largest displacement a {CUTOFF_CEILING}-level "
+            f"cutoff holds at order {spec.max_order}, got {r_max}"
+        )
     if spam:
         cfg = derive_config(d, g_max=spec.g_max, shots=None, l_steps=None, k_max=10)
         sweep = _object(config.get("sweep", {}), "sweep")
@@ -231,11 +238,17 @@ def _learn_block(config: dict, experiment: str, seed: int, noiseless: bool) -> d
     r_min = _number(grid.get("r_min", 0.2), "grid.r_min")
     if not 0 <= r_min < r_max:
         raise ConfigError(f"grid needs 0 <= r_min < r_max, got r_min {r_min} and r_max {r_max}")
+    cfg, cutoff = _rpe_config(config, d, r_max, spec, noiseless), adaptive_cutoff(spec, r_max)
+    if cfg.l_steps is not None and cutoff.dim > DIM_BUDGET:
+        raise ConfigError(
+            f"finite rpe.L needs the {cutoff.dim}-dim joint space (n_max {cutoff.n_max}, "
+            f"{spec.modes} modes), above the budget of {DIM_BUDGET} dims"
+        )
     plan = {
         "spec": spec,
         "d": d,
-        "cfg": _rpe_config(config, d, r_max, spec, noiseless),
-        "cutoff": adaptive_cutoff(spec, r_max),
+        "cfg": cfg,
+        "cutoff": cutoff,
         "r_min": r_min,
         "r_max": r_max,
         "noise": _noise(config, spec.modes),
@@ -282,6 +295,8 @@ def _firstq_block(config: dict, noiseless: bool) -> dict:
             raise ValueError(f"firstq.gprime needs order >= 2 for the B†^2 frame signal, got {spec.max_order}")
         if n_max < spec.max_order:
             raise ValueError(f"firstq.n_max must be >= the spec's order {spec.max_order}, got {n_max}")
+        if n_max + 1 > DIM_BUDGET:
+            raise ValueError(f"firstq.n_max must be below the budget of {DIM_BUDGET} dims, got {n_max}")
         return {
             "spec": validate_hermitian(spec),
             "frame": frame_from_ratio(1.0, 1.0 / _number(fq.get("ratio", 1.0), "firstq.ratio")),
@@ -423,7 +438,7 @@ def _run_learn_firstq(plan: dict) -> dict:
         "bisection": {
             "iterations": res.bisection.iterations,
             "evaluations": res.bisection.evaluations,
-            "fallback_used": res.bisection.fallback_used,
+            "width": res.bisection.width,
             "k_hat": res.bisection.k_hat,
             "eps_r": res.bisection.eps_r,
             "evolution_time": res.bisection.time_cost,
@@ -432,6 +447,8 @@ def _run_learn_firstq(plan: dict) -> dict:
         "final_learn": {
             "evolution_time": ledger["total_evolution_time"] - res.bisection.time_cost,
             "shot_count": ledger["shot_count"] - res.bisection.shot_count,
+            "k_max": res.gprime.diagnostics["k_max"],
+            "k_capped": res.gprime.diagnostics["k_capped"],
         },
         "g_physical": [
             {"j": j, "k": k, "re": v.real, "im": v.imag, "stderr": res.stderr.get((j, k), 0.0)}

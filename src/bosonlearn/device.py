@@ -98,6 +98,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fockspace import (
+    DIM_BUDGET,
+    CutoffError,
     FockCutoff,
     TermColumns,
     displace_vector,
@@ -360,9 +362,15 @@ class SimulatedDevice:
 
     def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V†) of the spec's matrix, built on first use; the true frame
-        reaches the finite-L path through the per-mode factors u_m."""
+        reaches the finite-L path through the per-mode factors u_m.  A joint
+        space above DIM_BUDGET raises CutoffError before anything is built."""
         with self._eigenbasis_lock:
             if self._eigenbasis is None:
+                if self.cutoff.dim > DIM_BUDGET:
+                    raise CutoffError(
+                        f"the finite-L path needs the {self.cutoff.dim}-dim joint space, "
+                        f"above the budget of {DIM_BUDGET} dims"
+                    )
                 w, v = herm_eig(build_matrix(self._spec, self.cutoff))
                 self._eigenbasis = (w, v.conj().T)
             return self._eigenbasis

@@ -38,6 +38,11 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-9
 UNITARITY_TOL = 1e-6
+# adaptive_cutoff's default largest n_max per mode
+CUTOFF_CEILING = 256
+# The largest joint space a dense matrix is built for: at 4,096 dims the
+# complex H, its eigenvectors and eigh's workspace take about 0.8 GB.
+DIM_BUDGET = 4096
 
 
 class CutoffError(ValueError):
@@ -256,7 +261,7 @@ def displaced_vacuum_energy(spec, beta: complex, n_max: int) -> float:
     return float(product_state_energy(TermColumns.of(spec), [table] * spec.modes)[0])
 
 
-def adaptive_cutoff(spec, beta_max: float, tol: float = 1e-8, ceiling: int = 256) -> FockCutoff:
+def adaptive_cutoff(spec, beta_max: float, tol: float = 1e-8, ceiling: int = CUTOFF_CEILING) -> FockCutoff:
     """Smallest n_max in a doubling sequence adequate for displacements up to beta_max.
 
     The convergence observable is :func:`displaced_vacuum_energy` at beta_max

@@ -47,6 +47,14 @@ class RpeConfig:
             raise ValueError("l_steps must be >= 1, 'auto' or None")
         if self.t0 <= 0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
+        # the deepest round resolves c only modulo 2 pi / (2^K t0); below c's
+        # float spacing that period means nothing, and 2^K overflows a float
+        # soon after.  Logarithms, so that no power of a huge K is evaluated.
+        if self.k_max > math.log2(2 * math.pi / self.t0) - math.log2(math.ulp(self.c_bound)):
+            raise ValueError(
+                f"k_max {self.k_max} puts the deepest round's phase period 2 pi / (2^K t0) "
+                f"below the float spacing of c_bound {self.c_bound}"
+            )
         # numpy's binomial would truncate a fractional count that the ledger
         # and the estimates still use in full.
         if self.shots is not None and operator.index(self.shots) < 20:

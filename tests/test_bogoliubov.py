@@ -12,6 +12,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonlearn import bogoliubov
 from bosonlearn.bogoliubov import (
     G_MAX_PRIOR,
     SIGNAL_KEY,
@@ -488,7 +489,7 @@ def test_bisection_noiseless_exact_iteration_count():
     dev, frame = signal_device(1.3)
     res = bisection_search(dev, (-0.3, 0.3), eps_g=1e-2, shots=None)
     assert res.iterations == math.ceil(math.log2(0.6 / res.eps_r))
-    assert not res.fallback_used
+    assert res.width <= res.eps_r
     assert abs(res.r_hat - frame.signed_r) < res.eps_r
 
 
@@ -506,6 +507,81 @@ def test_the_search_reports_its_own_ledger_cost():
     # each; the final learn runs the 50-point grid and its offset
     assert search.shot_count % (15 * 2 * 50) == 0
     assert (ledger.shot_count - search.shot_count) % (51 * 2 * 50) == 0
+
+
+def firstq_device(ratio, seed):
+    """The benchmark's firstq_search device: g' = N + 0.2 N^2 terms at d = 4."""
+    gp = {(1, 1): 1.0 + 0j, (2, 2): 0.2 + 0j}
+    spec = HamiltonianSpec(1, 4, {single_key(p, q): v for (p, q), v in gp.items()})
+    frame = frame_from_ratio(1.0, 1.0 / ratio)
+    dev = SimulatedDevice(
+        spec, FockCutoff(48, 1), master_seed=seed, true_frame_z=(complex(-frame.signed_r),)
+    )
+    return dev, frame
+
+
+@pytest.mark.parametrize("seed", [5000, 5001, 5002])
+def test_a_shot_search_measures_each_midpoint_once_and_halves_the_window(seed):
+    # an ambiguous midpoint used to be measured again and then handed to a
+    # golden-section search, whose shrinks added steps
+    dev, _ = firstq_device(1.3, seed)
+    res = bisection_search(dev, (-0.3, 0.3), eps_g=2e-3, d=4, shots=200, k_cap=18)
+    mids = [r for r, _, _ in res.history if r not in (-0.3, 0.3)]
+    assert len(mids) == len(set(mids)) == res.iterations
+    assert res.iterations <= math.ceil(math.log2(0.6 / res.eps_r))
+    assert res.width <= res.eps_r
+
+
+def test_an_ambiguous_midpoint_keeps_the_roots_interval_within_the_window(monkeypatch):
+    # a noiseless linear signal k (r - r0) read at the predicted standard
+    # error: near r0 a midpoint is ambiguous, and the window it leaves,
+    # mid - f/k_hat +- 3 se/|k_hat| within the old one, must hold r0
+    k, r0 = 2.0, 0.013
+    row_norm = single_mode_pipeline(2).coefficient_row(SIGNAL_KEY).norm
+
+    def linear(device, r_prime, cfg, **kwargs):
+        return k * (r_prime - r0), cfg.predicted_eps_c * row_norm, {}
+
+    monkeypatch.setattr(bogoliubov, "signal_measure", linear)
+    dev, _ = signal_device(1.3)
+    res = bisection_search(dev, (-0.3, 0.3), eps_r=1e-4, shots=200, k_cap=18)
+    lo, hi, ambiguous = -0.3, 0.3, 0
+    for mid, f, se in res.history[2:]:
+        assert mid == 0.5 * (lo + hi)
+        if abs(f) > 3 * se:
+            lo, hi = (lo, mid) if f > 0 else (mid, hi)
+            continue
+        ambiguous += 1
+        root, reach = mid - f / res.k_hat, 3 * se / abs(res.k_hat)
+        new_lo, new_hi = max(lo, root - reach), min(hi, root + reach)
+        assert new_lo <= r0 <= new_hi
+        # 6 se/|k_hat| is half the window when se is on its target, up to a rounding
+        assert new_hi - new_lo <= 0.5 * (hi - lo) * (1 + 1e-12)
+        lo, hi = new_lo, new_hi
+    assert ambiguous >= 1
+    assert res.r_hat == 0.5 * (lo + hi) and res.width == hi - lo <= res.eps_r
+
+
+def test_a_search_that_k_cap_caps_stops_wide_and_still_on_target():
+    # at learn_firstq's default k_cap 13, eps_g 5e-3 needs deeper steps than
+    # the cap allows: the search ends at its first capped step, wider than
+    # eps_r, and its centre still lands within eps_r in RMSE
+    errors = []
+    for seed in range(5000, 5020):
+        dev, frame = firstq_device(1.3, seed)
+        res = bisection_search(dev, (-0.3, 0.3), eps_g=5e-3, d=4, shots=200, k_cap=13)
+        assert res.width > res.eps_r
+        errors.append((res.r_hat - frame.signed_r) / res.eps_r)
+    assert math.sqrt(np.mean(np.square(errors))) <= 1.0
+
+
+@pytest.mark.parametrize("eps_g, capped", [(1e-3, True), (2e-3, False)])
+def test_learn_firstq_reports_whether_k_cap_capped_its_final_learn(eps_g, capped):
+    # acceptance test 8 at ratio 1.3: eps_g 1e-3 needs depth 19, above k_cap 18
+    dev, _ = firstq_device(1.3, seed=5)
+    res = learn_firstq(dev, 4, eps_g=eps_g, bracket=(-0.3, 0.3), shots=200, k_cap=18)
+    assert res.gprime.diagnostics["k_max"] == 18
+    assert res.gprime.diagnostics["k_capped"] is capped
 
 
 def test_bisection_requires_sign_change():

@@ -303,6 +303,11 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("compare-covariance", {"grid": {"modes": 1}}, "grid needs d >= 2 and modes >= 2, got 2 and 1"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [-1e6, 0.3]}}, "overlap infeasible: bracket edge 1000000.0"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "bracket": [-0.3, 1e300]}}, "overlap infeasible: bracket edge 1e+300"),
+        ("learn-single", {"generator": ONE_MODE, "rpe": {"K": 2000}}, "bad rpe block: k_max 2000 puts"),
+        ("learn-single", {"generator": ONE_MODE, "rpe": {"K": 10**6}}, "bad rpe block: k_max 1000000 puts"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 1e300}}, "grid.r_max must be <= 7.87401"),
+        ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 10}}, "grid.r_max must be <= 7.87401"),
+        ("learn-firstq", {"firstq": {**FIRSTQ, "n_max": 10**6}}, "firstq.n_max must be below the budget of 4096"),
     ],
     ids=[
         "strategy",
@@ -354,6 +359,11 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "covariance-grid.modes-one",
         "firstq.bracket-minus-1e6",
         "firstq.bracket-1e300",
+        "rpe.K-2000",
+        "rpe.K-1e6",
+        "grid.r_max-1e300",
+        "grid.r_max-10",
+        "firstq.n_max-1e6",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -368,8 +378,23 @@ def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, 
     # rpe.M below 20, a negative seed on the shot channel and a covariance
     # grid without a coupling block (d or modes 1) passed validate and the
     # run exited 1; generator modes 0 or d -1 and a bracket edge whose cosh
-    # overflows ended in a traceback
+    # overflows ended in a traceback; an rpe.K whose deepest round's phase
+    # period is below c_bound's float spacing passed validate and the run
+    # overflowed (K 2000) or hung (K 10^6); an r_max of 1e300 overflowed in
+    # validate, and one of 10 exited 1 there for a cutoff floor above the
+    # ceiling; a firstq.n_max of 10^6 ran out of memory
     assert_schema_error(tmp_path, capsys, experiment, doc, reason)
+
+
+def test_a_finite_l_joint_space_above_the_budget_is_a_config_error():
+    # three modes at n_max 24 are 15,625 dims: the run built that H and was
+    # killed for memory, so the config goes through validate only
+    doc = {"experiment": "learn-multi", "generator": {"modes": 3, "d": 2, "seed": 1}}
+    doc.update(grid={"d": 2}, rpe={"K": 4, "M": 50})
+    with pytest.raises(ConfigError, match="15625-dim joint space .* above the budget of 4096 dims"):
+        validate(doc)
+    # the ideal limit builds no joint-space matrix
+    assert validate({**doc, "rpe": {"K": 4, "M": 50, "L": None}})["cutoff_n_max"] == 24
 
 
 def test_a_run_parses_its_config_once(tmp_path, capsys, monkeypatch):
@@ -512,7 +537,7 @@ FIRSTQ_BRACKETED = {"experiment": "learn-firstq", "firstq": {**FIRSTQ, "bracket"
     "doc, seed, digest, pinned",
     [
         (BENCH_MULTI, 7000, "2dea542919685a0a", {"derived_t0": "0x1.549f6051ea4b1p-4"}),
-        (FIRSTQ_BRACKETED, 7, "0d9ddc48759c054a", {"r_hat": "0x1.07fffffffffffp-3"}),
+        (FIRSTQ_BRACKETED, 7, "9d72bab3ae480b26", {"r_hat": "0x1.07fffffffffffp-3"}),
     ],
     ids=["learn-multi", "learn-firstq"],
 )
@@ -525,6 +550,9 @@ def test_noiseless_reports_match_their_golden_values(doc, seed, digest, pinned):
     # signal came to sum 15 products, not 50, moving k_hat, eps_r and the
     # stderrs by a few ulps (dda311de647c75ba), and the report gained the
     # search's and the final learn's evolution time and shots
+    # (0d9ddc48759c054a); it was re-recorded once more when the search's
+    # fallback_used gave way to its final width and the final learn gained
+    # k_max and k_capped, every other value bit for bit the same
     result = _hexed(run({**doc, "seed": seed, "noiseless": True})["result"])
     assert {key: result[key] for key in pinned} == pinned
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16] == digest
@@ -563,7 +591,8 @@ def test_learn_firstq_cli_noiseless(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     res = report["result"]
     assert abs(res["r_hat"] - res["r_true"]) < 2 * res["bisection"]["eps_r"]
-    assert res["bisection"]["fallback_used"] is False
+    assert res["bisection"]["width"] <= res["bisection"]["eps_r"]
+    assert res["final_learn"]["k_max"] == 10 and res["final_learn"]["k_capped"] is False
     # the default n_max = 48 holds every prepared state well inside the cutoff
     assert 0.0 <= res["edge_population"] < 1e-6
     assert res["clipped_probabilities"] == 0

@@ -327,6 +327,17 @@ def test_cutoff_mode_mismatch_rejected():
         SimulatedDevice(NUMBER_SPEC, FockCutoff(n_max=8, modes=2))
 
 
+def test_a_finite_l_request_above_the_dim_budget_raises_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(device_module, "build_matrix", lambda *args: built.append(args))
+    spec = HamiltonianSpec(2, 2, {single_key(1, 1, 0): 1.0, single_key(1, 1, 1): 1.0})
+    dev = SimulatedDevice(spec, FockCutoff(n_max=64, modes=2))
+    req = ShotRequest(kappa=1, t0=0.3, beta=(0.1j, 0j), basis="X", l_steps=4)
+    with pytest.raises(fockspace.CutoffError, match="4225-dim joint space"):
+        dev.probability(req)
+    assert built == []
+
+
 def test_one_generator_eigendecomposition_per_cutoff(monkeypatch):
     # 200 requests over 20 distinct (beta, frame_z) states: one eigh for the
     # hidden matrix, one per generator basis, none per prepared state
