@@ -392,6 +392,28 @@ def _cfg_for_precision(
     return replace(base, k_max=min(max(k, 4), k_cap))
 
 
+def _plan_final_learn(
+    eps_coeff: float,
+    row_norm: float,
+    d: int,
+    shots: int | None,
+    k_cap: int,
+) -> RpeConfig:
+    """The final learn's (K, M): K is _cfg_for_precision's depth at the
+    caller's shots, and M the fewest shots, at least 20, whose predicted
+    error 1/(2^K t0 sqrt(M)) meets eps_coeff at that depth.
+
+    A run costs about 2 M (2^(K+1) - 1) t0, so below k_cap, where the
+    caller's shots already meet the target, M is no more than them and the
+    run no dearer; at K = k_cap M rises above them, so the learn meets its
+    target instead of missing it.
+    """
+    cfg = _cfg_for_precision(eps_coeff, row_norm, d, shots, k_cap)
+    if shots is None:
+        return cfg
+    m = math.ceil((row_norm / (eps_coeff * 2**cfg.k_max * cfg.t0)) ** 2)
+    return replace(cfg, shots=max(20, m))
+
 
 def _check_eps_r(eps_r: float, lo: float, hi: float) -> None:
     """A search down to width eps_r ends only if eps_r is finite and wider than
@@ -536,8 +558,24 @@ def learn_firstq(
     """Full first-quantization pipeline: feasibility gate, bisection over the
     frame parameter, final coefficient learn in the converged frame, and the
     exact transform to symmetrized-quadrature coefficients.  shots = None runs
-    every stage on the exact channel.  gprime.diagnostics gives the final
-    learn's k_max and whether k_cap kept it from its target (k_capped)."""
+    every stage on the exact channel.
+
+    The search measures every evaluation with the caller's shots.  The final
+    learn plans its depth K and its shots M together (_plan_final_learn): K
+    as the search would plan it, then the fewest shots that meet the target
+    eps_g sigma_min(T) at that depth.  Below k_cap M is at most the caller's
+    shots, and at K = k_cap it may be more.  gprime.diagnostics gives the
+    planned k_max and shots, the predicted coefficient error predicted_eps
+    (at most the target), and k_capped: K hit k_cap and M went above the
+    caller's shots to meet the target.
+
+    Planning the search's M the same way saved only 8% more evolution time
+    on the benchmark's firstq_search config.  It also broke the search:
+    2 of 1,500 seeded searches raised "endpoint signals are not significant",
+    since the endpoint retry's target max(|f|, se)/6 is too coarse when se
+    is near its target.  A finer retry target cost 1.2 more evaluations
+    per search, and moved one of twelve seeded ratio-1.3 acceptance test 8
+    slopes out of its band.  So the search keeps the caller's shots."""
     start = device.ledger().total_evolution_time
     bis = bisection_search(
         device,
@@ -552,7 +590,7 @@ def learn_firstq(
     t = build_T(d, mass_omega=mw_hat)
     row_norm = single_mode_pipeline(d).coefficient_row(SIGNAL_KEY).norm
     target = eps_g * t.sigma_min
-    cfg = _cfg_for_precision(target, row_norm, d, shots, k_cap)
+    cfg = _plan_final_learn(target, row_norm, d, shots, k_cap)
     learned = learn_single_mode(
         device,
         d,
@@ -561,8 +599,13 @@ def learn_firstq(
         subtract_offset=True,
         token=f"{token}:f",
     )
-    capped = cfg.k_max == k_cap and cfg.predicted_eps_c * row_norm > target
-    learned.diagnostics.update(k_max=cfg.k_max, k_capped=capped)
+    capped = cfg.k_max == k_cap and shots is not None and cfg.shots > shots
+    learned.diagnostics.update(
+        k_max=cfg.k_max,
+        shots=cfg.shots,
+        predicted_eps=cfg.predicted_eps_c * row_norm,
+        k_capped=capped,
+    )
     g_phys, stderr = tensor_transform(learned, (t,), cfg.predicted_eps_c**2, (bis.eps_r,))
     return FirstQResult(
         r_hat=bis.r_hat,

@@ -49,6 +49,7 @@ from .protocol import (
     rpe_estimates,
 )
 from .recovery import (
+    angular_angles,
     covariance_compare,
     lipschitz_bound,
     real_design_matrix,
@@ -327,6 +328,37 @@ def _sweep_block(config: dict) -> dict:
     return {"schedules": schedules, "n_seeds": n_seeds, "c_true": c_true, "beta": beta}
 
 
+# compare-covariance builds its design densely, one row per joint grid point
+# and one column per real parameter: 16.2 M entries (5 modes, d = 2) peak at
+# about 0.3 GB.
+DESIGN_BUDGET = 2 * 10**7
+
+
+def _check_design_size(modes: int, d: int) -> None:
+    """Raise ConfigError when compare-covariance's design, len(joint_grid)
+    rows by one column per real parameter, has more than DESIGN_BUDGET
+    entries; counted without building either.
+
+    A mode's grid crosses the d + 1 radial nodes with the distinct canonical
+    angles of orders 1..d, at least the d + 1 of order d, so (d + 1)^(2 modes)
+    bounds the rows from below; it is compared in logs, so no power of a huge
+    modes is formed.  A Hermitian pair of keys has two real parameters and a
+    self-conjugate key one, so there are as many as keys, C(2 modes + d, d) - 1.
+    """
+    if 2 * modes * math.log(d + 1) > math.log(DESIGN_BUDGET):
+        raise ConfigError(
+            f"compare-covariance's design has at least (d+1)^(2 modes) = {d + 1}^{2 * modes} "
+            f"grid points, above the budget of {DESIGN_BUDGET} entries"
+        )
+    angles = len({f for l in range(1, d + 1) for f in angular_angles(l)})
+    points, params = (angles * (d + 1)) ** modes, math.comb(2 * modes + d, d) - 1
+    if points * params > DESIGN_BUDGET:
+        raise ConfigError(
+            f"compare-covariance's design of {points} grid points x {params} real parameters "
+            f"= {points * params} entries is above the budget of {DESIGN_BUDGET}"
+        )
+
+
 def _plan(config: dict) -> tuple[dict, dict]:
     """Parse a config once: the plan its experiment's runner executes, and
     the diagnostics validate reports.  Raises ConfigError on a missing,
@@ -364,6 +396,7 @@ def _plan(config: dict) -> tuple[dict, dict]:
         # the compared coupling block needs two modes and order 2
         if plan["d"] < 2 or plan["modes"] < 2:
             raise ConfigError(f"grid needs d >= 2 and modes >= 2, got {plan['d']} and {plan['modes']}")
+        _check_design_size(plan["modes"], plan["d"])
     else:
         plan.update(_learn_block(config, experiment, seed, noiseless))
         cfg = plan["cfg"]
@@ -448,6 +481,8 @@ def _run_learn_firstq(plan: dict) -> dict:
             "evolution_time": ledger["total_evolution_time"] - res.bisection.time_cost,
             "shot_count": ledger["shot_count"] - res.bisection.shot_count,
             "k_max": res.gprime.diagnostics["k_max"],
+            "shots": res.gprime.diagnostics["shots"],
+            "predicted_eps": res.gprime.diagnostics["predicted_eps"],
             "k_capped": res.gprime.diagnostics["k_capped"],
         },
         "g_physical": [

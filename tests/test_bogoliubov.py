@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from bosonlearn.bogoliubov import (
     FeasibilityError,
     _cfg_for_precision,
     _exact_entries,
+    _plan_final_learn,
     bisection_search,
     boson_mul,
     build_T,
@@ -504,9 +506,11 @@ def test_the_search_reports_its_own_ledger_cost():
     search, ledger = res.bisection, dev.ledger()
     assert 0 < search.time_cost < res.time_cost == ledger.total_evolution_time
     # a search evaluation runs the signal row's 15 points, 2(K+1) requests
-    # each; the final learn runs the 50-point grid and its offset
+    # each, at the caller's 50 shots; the final learn runs the 50-point grid
+    # and its offset, 2(K+1) requests each, at its planned depth and shots
+    final = res.gprime.diagnostics
     assert search.shot_count % (15 * 2 * 50) == 0
-    assert (ledger.shot_count - search.shot_count) % (51 * 2 * 50) == 0
+    assert ledger.shot_count - search.shot_count == 51 * 2 * (final["k_max"] + 1) * final["shots"]
 
 
 def firstq_device(ratio, seed):
@@ -682,3 +686,37 @@ def test_cfg_for_precision_equals_a_config_derived_at_its_depth(eps_coeff, d, sh
     cfg = _cfg_for_precision(eps_coeff, 11.4, d, shots, k_cap)
     assert 4 <= cfg.k_max <= k_cap
     assert cfg == derive_config(d, g_max=G_MAX_PRIOR, k_max=cfg.k_max, shots=shots, l_steps=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_target=st.floats(-6.0, 0.0),
+    d=st.sampled_from([2, 3, 4]),
+    shots=st.sampled_from([20, 50, 200]),
+    k_cap=st.sampled_from([7, 13, 18]),
+)
+def test_the_final_learn_plans_the_fewest_shots_that_meet_its_target(log_target, d, shots, k_cap):
+    target = 10.0**log_target
+    row_norm = single_mode_pipeline(d).coefficient_row(SIGNAL_KEY).norm
+    old = _cfg_for_precision(target, row_norm, d, shots, k_cap)
+    cfg = _plan_final_learn(target, row_norm, d, shots, k_cap)
+    # the depth is the search planner's; only the shots differ
+    assert cfg == replace(old, shots=cfg.shots)
+    m = cfg.shots
+    assert m >= 20
+    # the predicted error meets the target, up to a rounding, and one shot
+    # fewer would miss it unless the 20-shot floor holds M up
+    assert cfg.predicted_eps_c * row_norm <= target * (1 + 1e-12)
+    assert m == 20 or replace(cfg, shots=m - 1).predicted_eps_c * row_norm > target * (1 - 1e-12)
+    if cfg.k_max < k_cap:
+        assert m <= shots
+    # wherever the old plan met its target, and that is always below k_cap,
+    # the run's evolution time is no more than the old plan's
+    if old.predicted_eps_c * row_norm <= target:
+        assert run_time(cfg) <= run_time(old)
+
+
+def run_time(cfg):
+    """One RPE run's evolution time per basis: M shots at each kappa t0,
+    kappa = 2^0 .. 2^K."""
+    return cfg.shots * (2 ** (cfg.k_max + 1) - 1) * cfg.t0

@@ -308,6 +308,13 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 1e300}}, "grid.r_max must be <= 7.87401"),
         ("learn-single", {"generator": ONE_MODE, "grid": {"r_max": 10}}, "grid.r_max must be <= 7.87401"),
         ("learn-firstq", {"firstq": {**FIRSTQ, "n_max": 10**6}}, "firstq.n_max must be below the budget of 4096"),
+        ("compare-covariance", {"grid": {"d": 10**6}}, "at least (d+1)^(2 modes) = 1000001^4 grid points"),
+        ("compare-covariance", {"grid": {"modes": 10**6}}, "at least (d+1)^(2 modes) = 3^2000000 grid points"),
+        (
+            "compare-covariance",
+            {"grid": {"modes": 6}},
+            "design of 2985984 grid points x 90 real parameters = 268738560 entries is above the budget",
+        ),
     ],
     ids=[
         "strategy",
@@ -364,6 +371,9 @@ TWO_MODES = {"modes": 2, "d": 2, "seed": 1}
         "grid.r_max-1e300",
         "grid.r_max-10",
         "firstq.n_max-1e6",
+        "covariance-grid.d-1e6",
+        "covariance-grid.modes-1e6",
+        "covariance-grid.modes-6",
     ],
 )
 def test_mistyped_config_fields_are_schema_errors(tmp_path, capsys, experiment, doc, reason):
@@ -537,7 +547,7 @@ FIRSTQ_BRACKETED = {"experiment": "learn-firstq", "firstq": {**FIRSTQ, "bracket"
     "doc, seed, digest, pinned",
     [
         (BENCH_MULTI, 7000, "2dea542919685a0a", {"derived_t0": "0x1.549f6051ea4b1p-4"}),
-        (FIRSTQ_BRACKETED, 7, "9d72bab3ae480b26", {"r_hat": "0x1.07fffffffffffp-3"}),
+        (FIRSTQ_BRACKETED, 7, "88b8735dc549e2ef", {"r_hat": "0x1.07fffffffffffp-3"}),
     ],
     ids=["learn-multi", "learn-firstq"],
 )
@@ -553,6 +563,9 @@ def test_noiseless_reports_match_their_golden_values(doc, seed, digest, pinned):
     # (0d9ddc48759c054a); it was re-recorded once more when the search's
     # fallback_used gave way to its final width and the final learn gained
     # k_max and k_capped, every other value bit for bit the same
+    # (9d72bab3ae480b26); and once more when the final learn gained its
+    # planned shots and predicted_eps, without which it still reads
+    # 9d72bab3ae480b26
     result = _hexed(run({**doc, "seed": seed, "noiseless": True})["result"])
     assert {key: result[key] for key in pinned} == pinned
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:16] == digest
