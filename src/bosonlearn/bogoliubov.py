@@ -160,10 +160,13 @@ class TransformT:
         return dict(zip(self.keys, (complex(x) for x in out)))
 
 
-def _exact_entries(d: int) -> list[tuple[int, int, Fraction, int, int]]:
+@functools.lru_cache(maxsize=8)
+def _exact_entries(d: int) -> tuple[tuple[int, int, Fraction, int, int], ...]:
     """The nonzero entries (row, col, c, j, k) of build_T before its
     quadrature rescaling: entry (row (p, q), column (j, k)) is
-    i^k c 2^{-(p+q)/2} with c rational.
+    i^k c 2^{-(p+q)/2} with c rational.  Only the rescaling depends on the
+    frame, so the algebra runs once per degree; the entries are a tuple of
+    immutable values, so no caller can change what a later build_T reads.
 
     With P~ = iP, B† = (X - P~)/sqrt(2) and B = (X + P~)/sqrt(2), so
     (B†)^p B^q is 2^{-(p+q)/2} times a polynomial in X and P~ with integer
@@ -172,11 +175,11 @@ def _exact_entries(d: int) -> list[tuple[int, int, Fraction, int, int]]:
     keys = _degree_keys(d)
     col_index = {key: i for i, key in enumerate(keys)}
     bdag, b = {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}
-    return [
+    return tuple(
         (i, col_index[(j, k)], c, j, k)
         for i, (p, q) in enumerate(keys)
         for (j, k), c in _xp_to_symmetrized(_ordered_product([bdag] * p + [b] * q)).items()
-    ]
+    )
 
 
 def _rounded(c: Fraction, radicand: Fraction) -> float:
@@ -575,7 +578,17 @@ def learn_firstq(
     since the endpoint retry's target max(|f|, se)/6 is too coarse when se
     is near its target.  A finer retry target cost 1.2 more evaluations
     per search, and moved one of twelve seeded ratio-1.3 acceptance test 8
-    slopes out of its band.  So the search keeps the caller's shots."""
+    slopes out of its band.  So the search keeps the caller's shots.
+
+    A planner that minimises the predicted time outright, the deepest
+    K <= k_cap with M >= 20, was measured on a prototype too.  Over 200
+    seeds of the firstq_search config it cut the search's evolution time
+    from 3.18e8 to 2.10e8 and the total from 6.26e8 to 5.18e8.  But test 8's
+    slopes read -1.29/-1.36 with both stages so planned, and -1.10/-1.26
+    with the search alone: its fine end sits at k_cap 18, where M, and so
+    the time, grows as 1/eps^2.  Its one-shot endpoint retry raised
+    "endpoint signals are not significant" in 4 of 4,000 ops (0 of 4,000
+    once the retry looped)."""
     start = device.ledger().total_evolution_time
     bis = bisection_search(
         device,

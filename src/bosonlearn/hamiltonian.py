@@ -55,7 +55,7 @@ class TermKey:
     def order(self) -> int:
         return sum(self.p) + sum(self.q)
 
-    @property
+    @functools.cached_property
     def conjugate(self) -> "TermKey":
         return TermKey(self.modes, self.q, self.p)
 

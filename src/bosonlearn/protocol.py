@@ -11,6 +11,8 @@ with shots = None) and the time ledger.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from collections import Counter
@@ -20,7 +22,14 @@ import numpy as np
 
 from .device import SimulatedDevice
 from .hamiltonian import TermKey, admissible_keys, single_key
-from .recovery import MultidimFit, SingleModePipeline, single_mode_pipeline, staged_fit
+from .recovery import (
+    MultidimFit,
+    SingleModePipeline,
+    StagePlan,
+    apply_staged_fit,
+    plan_staged_fit,
+    single_mode_pipeline,
+)
 
 
 @dataclass(frozen=True)
@@ -114,24 +123,28 @@ def _unwrap(p0: np.ndarray, cfg: RpeConfig) -> tuple[np.ndarray, np.ndarray]:
     measures the phase of the kappa = 2^j amplitude modulo 2 pi and picks,
     among the unwrapping candidates, the one closest to the previous round's
     estimate; rounds that jump by more than pi/(3 kappa t0) are flagged as
-    inconsistent but the run proceeds.  Each round is one numpy pass over the
-    runs.  Returns each run's final estimate and the (runs, rounds) mask of
-    inconsistent rounds.
+    inconsistent but the run proceeds.  Every round's phase comes from one
+    map over the grid, laid out (rounds, runs); then each round is one numpy
+    pass over the runs.  Returns each run's final estimate and the (runs,
+    rounds) mask of inconsistent rounds.
 
     Every run is bit-identical to the scalar unwrap of that run alone: the
-    phase comes from math.atan2 over the round's columns as Python floats
+    phase comes from math.atan2 over the Y and X columns as Python floats
     (np.arctan2 rounds differently, and iterating numpy scalars is slower
     than .tolist()), and every other step is a single rounded operation;
     np.rint rounds half to even, as round() does.
     """
-    runs = len(p0)
+    runs, rounds = len(p0), cfg.k_max + 1
+    # one round's floats at a time: a list of the whole grid's would hold
+    # about 1.4 MB on a 1,729-run K = 10 grid
+    y = itertools.chain.from_iterable(row.tolist() for row in (1.0 - 2.0 * p0[:, 1::2]).T)
+    x = itertools.chain.from_iterable(row.tolist() for row in (2.0 * p0[:, 0::2] - 1.0).T)
+    phase = np.fromiter(map(math.atan2, y, x), float, rounds * runs).reshape(rounds, runs)
     estimate = np.zeros(runs)
-    inconsistent = np.zeros((runs, cfg.k_max + 1), dtype=bool)
-    for j in range(cfg.k_max + 1):
+    inconsistent = np.zeros((runs, rounds), dtype=bool)
+    for j in range(rounds):
         kappa = 2**j
-        y = 1.0 - 2.0 * p0[:, 2 * j + 1]
-        x = 2.0 * p0[:, 2 * j] - 1.0
-        base = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, runs) / (kappa * cfg.t0)
+        base = phase[j] / (kappa * cfg.t0)
         period = 2.0 * math.pi / (kappa * cfg.t0)
         candidate = base + period * np.rint((estimate - base) / period)
         if j > 0:
@@ -338,28 +351,74 @@ def joint_grid(modes: int, d: int, r_min: float = 0.2, r_max: float = 1.0) -> np
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+@functools.lru_cache(maxsize=4)
+def _strategy_plan(
+    strategy: str, modes: int, d: int, r_min: float, r_max: float, subtract_offset: bool
+) -> tuple[tuple, tuple[StagePlan, ...]]:
+    """A multi-mode strategy's stages (tag, points, keys) and their staged
+    fit's plan, none of which depends on a measured value, so both are built
+    once per (strategy, modes, d, r_min, r_max, subtract_offset).
+
+    hierarchical stages are each mode's isolated grid with its singles, then
+    the joint grid with the couplings (when there are any); simultaneous is
+    the joint grid with every key.  Every learn shares them, so the points
+    are read-only and the keys tuples.  A 3-mode d = 3 hierarchical plan
+    holds about 64 MB, mostly linear maps over its 55,297 values, so the
+    memo keeps only a few.
+    """
+    grid = joint_grid(modes, d, r_min, r_max)
+    keys = admissible_keys(modes, d)
+    if strategy == "hierarchical":
+        stages = []
+        for m in range(modes):
+            iso = np.zeros_like(grid)
+            iso[:, m] = grid[:, m]
+            stages.append((f"s{m}", iso, tuple(k for k in keys if k.modes == (m,))))
+        coupling_keys = tuple(k for k in keys if k.is_coupling)
+        if coupling_keys:
+            stages.append(("j", grid, coupling_keys))
+    else:
+        stages = [("j", grid, tuple(keys))]
+    for _, points, _ in stages:
+        points.setflags(write=False)
+    plan = plan_staged_fit([(points, keys) for _, points, keys in stages], subtract_offset)
+    return tuple(stages), plan
+
+
 def _learn_stages(
-    device: SimulatedDevice, cfg: RpeConfig, stages: list, frame_z, subtract_offset: bool, token: str
+    device: SimulatedDevice,
+    cfg: RpeConfig,
+    strategy: str,
+    modes: int,
+    d: int,
+    r_min: float,
+    r_max: float,
+    frame_z,
+    subtract_offset: bool,
+    token: str,
 ) -> tuple[LearnedCoefficients, list[MultidimFit]]:
     """Measure the beta = 0 offset (when subtracted, under f"{token}:offset")
-    and every stage's grid with one rpe_estimates call, offset first, then
-    the stages in order, and fit the stages in order with staged_fit.
+    and every stage of the strategy's plan (_strategy_plan) with one
+    rpe_estimates call, offset first, then the stages in order, and fit the
+    stages in order with the plan.
 
-    stages lists (tag, points, keys); point i of a stage carries the token
-    f"{token}:{tag}:g{i}".  Each stage's fit subtracts every earlier one at
-    its own points, and each coefficient's stderr counts every measured
-    value, the shared offset included, once.  diagnostics["max_residual"]
-    maps each stage's tag to its fit's largest residual, which flags a
-    wrapped first RPE round without the truth.
+    Point i of a stage tagged tag carries the token f"{token}:{tag}:g{i}".
+    Each stage's fit subtracts every earlier one at its own points, and each
+    coefficient's stderr counts every measured value, the shared offset
+    included, once.  diagnostics["max_residual"] maps each stage's tag to its
+    fit's largest residual, which flags a wrapped first RPE round without the
+    truth.
     """
-    modes = device.cutoff.modes
-    if any(points.shape[1] != modes for _, points, _ in stages):
-        raise ValueError(f"every grid needs one entry per mode: the device has {modes} modes")
+    if device.cutoff.modes != modes:
+        raise ValueError(
+            f"every grid needs one entry per mode: the device has {device.cutoff.modes} modes"
+        )
+    stages, plan = _strategy_plan(strategy, modes, d, float(r_min), float(r_max), subtract_offset)
     start = device.ledger().total_evolution_time
     offset_token = f"{token}:offset" if subtract_offset else None
     grids = [(points, f"{token}:{tag}:g") for tag, points, _ in stages]
     offset, values, diagnostics = _measure(device, cfg, frame_z, offset_token, grids)
-    fits = staged_fit([(points, c, keys) for (_, points, keys), c in zip(stages, values)], offset)
+    fits = apply_staged_fit(plan, values, offset)
     eps_c = cfg.predicted_eps_c
     estimates = {k: v for fit in fits for k, v in fit.estimates.items()}
     stderr = {k: math.sqrt(v) for fit in fits for k, v in fit.coefficient_variances(eps_c).items()}
@@ -398,20 +457,12 @@ def learn_multimode_hierarchical(
     """
     if modes > 3:
         raise ValueError("hierarchical strategy is desk-scale: modes <= 3")
-    grid = joint_grid(modes, d, r_min, r_max)
-    keys = admissible_keys(modes, d)
-    stages = []
-    for m in range(modes):
-        iso = np.zeros_like(grid)
-        iso[:, m] = grid[:, m]
-        stages.append((f"s{m}", iso, [k for k in keys if k.modes == (m,)]))
-    coupling_keys = [k for k in keys if k.is_coupling]
-    if coupling_keys:
-        stages.append(("j", grid, coupling_keys))
-    learned, fits = _learn_stages(device, cfg, stages, frame_z, subtract_offset, token)
+    learned, fits = _learn_stages(
+        device, cfg, "hierarchical", modes, d, r_min, r_max, frame_z, subtract_offset, token
+    )
     learned.diagnostics = {
         "strategy": "hierarchical",
-        "step2_sigma_min": fits[-1].sigma_min if coupling_keys else None,
+        "step2_sigma_min": fits[-1].sigma_min if len(fits) > modes else None,
         **learned.diagnostics,
     }
     return learned
@@ -430,8 +481,9 @@ def learn_multimode_simultaneous(
 ) -> LearnedCoefficients:
     """Baseline strategy: one least-squares solve for every coefficient
     (singles and couplings together) on the joint displacement grid."""
-    stages = [("j", joint_grid(modes, d, r_min, r_max), admissible_keys(modes, d))]
-    learned, fits = _learn_stages(device, cfg, stages, frame_z, subtract_offset, token)
+    learned, fits = _learn_stages(
+        device, cfg, "simultaneous", modes, d, r_min, r_max, frame_z, subtract_offset, token
+    )
     learned.diagnostics = {
         "strategy": "simultaneous",
         "sigma_min": fits[0].sigma_min,

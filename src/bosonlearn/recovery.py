@@ -298,27 +298,116 @@ def params_to_coeffs(params: list[tuple], x: np.ndarray) -> dict:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class StagePlan:
+    """The half of one stage of a staged fit that no measured value enters.
+
+    design is the stage's real design at its own points and pinv its
+    pseudo-inverse, from one SVD.  prior_designs holds every earlier stage's
+    design at this stage's points, whose model the fit subtracts there.
+    linear_map maps every measured value of the fit to the parameters, and
+    weights holds its rows' squared norms.  The arrays are read-only, so one
+    plan serves every fit of the same design.
+    """
+
+    params: tuple
+    design: np.ndarray
+    pinv: np.ndarray
+    sigma_min: float
+    prior_designs: tuple[np.ndarray, ...]
+    linear_map: np.ndarray
+    weights: tuple[float, ...]
+
+
 @dataclass
 class MultidimFit:
-    """One stage of a staged fit: real parameters, their estimates, and the
-    linear map from every measured value of the fit to the parameters."""
+    """One stage of a staged fit: its plan, the real parameters' estimates
+    and the coefficients they make."""
 
-    params: list[tuple]
+    stage: StagePlan
     x: np.ndarray
     estimates: dict
-    sigma_min: float
-    linear_map: np.ndarray
     # max |y - design x| over the stage's points: about 0 on exact data, and
     # about 2 pi/t0 where a first RPE round wrapped.
     max_residual: float
+
+    @property
+    def params(self) -> tuple:
+        return self.stage.params
+
+    @property
+    def sigma_min(self) -> float:
+        return self.stage.sigma_min
+
+    @property
+    def linear_map(self) -> np.ndarray:
+        return self.stage.linear_map
 
     def coefficient_variances(self, eps_c: float) -> dict:
         """Total variance per complex coefficient (re + im parameters) under
         iid measurement noise eps_c^2: eps_c^2 times squared map row norms."""
         out: dict = {}
-        for (key, _), row in zip(self.params, self.linear_map):
-            out[key] = out[key.conjugate] = out.get(key, 0.0) + eps_c**2 * float(row @ row)
+        for (key, _), weight in zip(self.params, self.stage.weights):
+            out[key] = out[key.conjugate] = out.get(key, 0.0) + eps_c**2 * weight
         return out
+
+
+def plan_staged_fit(stages, with_offset: bool) -> tuple[StagePlan, ...]:
+    """Everything of staged_fit that the values do not enter, for stages
+    (points, keys): per stage its parameters, design, pseudo-inverse and
+    linear map, and the earlier stages' designs at its points.
+
+    The map's columns are the offset run (when with_offset), then each
+    stage's points in order.  A map is built as (pinv @ prior design) @ prior
+    map, so no points x measurements matrix is formed.
+    """
+    first = 1 if with_offset else 0
+    n_values = first + sum(len(points) for points, _ in stages)
+    plan: list[StagePlan] = []
+    for points, keys in stages:
+        params = tuple(real_parameters(keys))
+        design = real_design_matrix(points, params)
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        # pinv's cutoff: below it a direction would be dropped silently.
+        if not len(s) or s[-1] <= 1e-15 * s[0]:
+            raise np.linalg.LinAlgError("fit design matrix is rank deficient")
+        pinv = (vt.T / s) @ u.T
+        linear_map = np.zeros((len(params), n_values))
+        linear_map[:, first : first + len(points)] = pinv
+        if with_offset:
+            linear_map[:, 0] = -pinv.sum(axis=1)
+        prior_designs = tuple(real_design_matrix(points, prior.params) for prior in plan)
+        for prior_design, prior in zip(prior_designs, plan):
+            linear_map -= (pinv @ prior_design) @ prior.linear_map
+        for array in (design, pinv, linear_map, *prior_designs):
+            array.setflags(write=False)
+        weights = tuple(float(row @ row) for row in linear_map)
+        plan.append(StagePlan(params, design, pinv, float(s[-1]), prior_designs, linear_map, weights))
+        first += len(points)
+    return tuple(plan)
+
+
+def apply_staged_fit(plan: tuple[StagePlan, ...], values, offset: float | None = None) -> list[MultidimFit]:
+    """Fit each stage's values (one array per stage of plan) in order.
+
+    Each stage fits its values minus the offset (the beta = 0 value, given
+    exactly when the plan has its column) and minus every earlier stage's
+    model at its own points, and records the largest residual of that fit.
+    """
+    n_points = sum(stage.pinv.shape[1] for stage in plan)
+    if (offset is not None) != (plan[0].linear_map.shape[1] > n_points):
+        raise ValueError("an offset is needed exactly when the plan was built with its column")
+    fits: list[MultidimFit] = []
+    for stage, stage_values in zip(plan, values, strict=True):
+        y = np.array(stage_values, dtype=float)
+        if offset is not None:
+            y -= offset
+        for prior_design, prior in zip(stage.prior_designs, fits):
+            y -= prior_design @ prior.x
+        x = stage.pinv @ y
+        residual = float(np.max(np.abs(y - stage.design @ x)))
+        fits.append(MultidimFit(stage, x, params_to_coeffs(stage.params, x), residual))
+    return fits
 
 
 def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
@@ -330,38 +419,11 @@ def staged_fit(stages, offset: float | None = None) -> list[MultidimFit]:
     that fit.  Each fit keeps its parameters' linear
     map of every measured value: the offset run (a column only when offset is
     given), then each stage's points in order.  A value that enters several
-    stages, the offset or an earlier fit, thus counts once in a variance.  A
-    map is built as (pinv @ prior design) @ prior map, so no points x
-    measurements matrix is formed.
+    stages, the offset or an earlier fit, thus counts once in a variance.
+    This is plan_staged_fit, then apply_staged_fit once.
     """
-    first = 0 if offset is None else 1
-    n_values = first + sum(len(points) for points, _, _ in stages)
-    fits: list[MultidimFit] = []
-    for points, values, keys in stages:
-        params = real_parameters(keys)
-        design = real_design_matrix(points, params)
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        # pinv's cutoff: below it a direction would be dropped silently.
-        if not len(s) or s[-1] <= 1e-15 * s[0]:
-            raise np.linalg.LinAlgError("fit design matrix is rank deficient")
-        pinv = (vt.T / s) @ u.T
-        y = np.array(values, dtype=float)
-        linear_map = np.zeros((len(params), n_values))
-        linear_map[:, first : first + len(points)] = pinv
-        if offset is not None:
-            y -= offset
-            linear_map[:, 0] = -pinv.sum(axis=1)
-        for prior in fits:
-            prior_design = real_design_matrix(points, prior.params)
-            y -= prior_design @ prior.x
-            linear_map -= (pinv @ prior_design) @ prior.linear_map
-        x = pinv @ y
-        residual = float(np.max(np.abs(y - design @ x)))
-        fits.append(
-            MultidimFit(params, x, params_to_coeffs(params, x), float(s[-1]), linear_map, residual)
-        )
-        first += len(points)
-    return fits
+    plan = plan_staged_fit([(points, keys) for points, _, keys in stages], offset is not None)
+    return apply_staged_fit(plan, [values for _, values, _ in stages], offset)
 
 
 @dataclass

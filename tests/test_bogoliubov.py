@@ -262,6 +262,17 @@ def test_build_T_is_bit_identical_to_an_uncached_build():
             assert again.keys == keys
 
 
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_a_second_build_T_runs_no_exact_algebra(monkeypatch, d):
+    first = build_T(d, mass_omega=0.8)
+    calls = []
+    monkeypatch.setattr(bogoliubov, "_xp_to_symmetrized", lambda normal: calls.append(normal))
+    again = build_T(d, mass_omega=0.8)
+    assert calls == []
+    assert np.array_equal(again.matrix, first.matrix)
+    assert isinstance(_exact_entries(d), tuple)
+
 def test_build_T_is_the_sympy_matrix_at_ties_squares_and_random_frames():
     # build_T rounds each rescaled entry once from exact Fractions (rational
     # values, where -3/4 mw can be a tie) or 60-digit Decimals; sympy's 25-digit

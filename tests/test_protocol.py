@@ -10,6 +10,7 @@ from bosonlearn.fockspace import FockCutoff, adaptive_cutoff
 from bosonlearn.hamiltonian import (
     HamiltonianSpec,
     TermKey,
+    admissible_keys,
     constant_term,
     random_spec,
     single_key,
@@ -26,7 +27,7 @@ from bosonlearn.protocol import (
     rpe_estimates,
 )
 from bosonlearn.oracles import shot_stream
-from bosonlearn.recovery import single_mode_pipeline
+from bosonlearn.recovery import single_mode_pipeline, staged_fit
 
 
 def test_derive_config_prior_bound():
@@ -672,6 +673,50 @@ def test_grid_unwrap_equals_the_scalar_unwrap(seed):
         assert (estimates[i], np.flatnonzero(inconsistent[i]).tolist()) == expected
 
 
+
+def _per_round_phases(p0, cfg):
+    """_unwrap's per-round reference: each round's phase from its own map of
+    math.atan2 over that round's columns."""
+    runs = len(p0)
+    phases = []
+    for j in range(cfg.k_max + 1):
+        y = 1.0 - 2.0 * p0[:, 2 * j + 1]
+        x = 2.0 * p0[:, 2 * j] - 1.0
+        phases.append(np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, runs))
+    return phases
+
+
+def _per_round_unwrap(p0, cfg):
+    estimate = np.zeros(len(p0))
+    inconsistent = np.zeros((len(p0), cfg.k_max + 1), dtype=bool)
+    for j, phase in enumerate(_per_round_phases(p0, cfg)):
+        kappa = 2**j
+        base = phase / (kappa * cfg.t0)
+        period = 2.0 * math.pi / (kappa * cfg.t0)
+        candidate = base + period * np.rint((estimate - base) / period)
+        if j > 0:
+            inconsistent[:, j] = np.abs(candidate - estimate) > math.pi / (3.0 * kappa * cfg.t0)
+        estimate = candidate
+    return estimate, inconsistent
+
+
+@pytest.mark.parametrize("runs", [15, 51, 433])
+def test_one_phase_pass_equals_the_per_round_unwrap(runs):
+    # K = 18 is the frame search's deepest plan; 15, 51 and 433 runs are an
+    # order-2 row, a d = 4 grid and a larger grid
+    shots = 50
+    cfg = derive_config(4, k_max=18, shots=shots, l_steps=None)
+    rng = np.random.default_rng(runs)
+    ones = rng.integers(0, shots + 1, size=(runs, 2 * (cfg.k_max + 1)))
+    ones[rng.random(ones.shape) < 0.2] = shots // 2
+    p0 = (shots - ones) / shots
+    estimates, inconsistent = _unwrap(p0, cfg)
+    expected_estimates, expected_inconsistent = _per_round_unwrap(p0, cfg)
+    assert np.array_equal(estimates, expected_estimates)
+    assert np.array_equal(inconsistent, expected_inconsistent)
+    assert inconsistent.any()
+
+
 def test_hierarchical_offset_counts_each_shared_error_once():
     # acceptance test 10's spec, frames and schedule, with the two-mode prior.
     # The beta = 0 offset enters the coupling residual once, as
@@ -712,3 +757,100 @@ def test_displacement_biased_learn_keeps_the_device_noise():
     assert biased != pytest.approx(learn_displacement_biased(clean, 2, cfg, delta), abs=1e-6)
     with pytest.raises(ValueError):
         learn_displacement_biased(clean, 2, cfg, delta[:-1])
+
+
+# -- the multi-mode learners' plan ---------------------------------------------
+
+_TEST6_CFG = derive_config(2, k_max=3, shots=50, l_steps=None)
+
+
+def _public_stages(strategy, values):
+    """A strategy's stages (points, values, keys) from the public joint_grid
+    and admissible_keys, each stage cut from values in measurement order."""
+    grid = joint_grid(2, 2)
+    keys = admissible_keys(2, 2)
+    if strategy == "hierarchical":
+        stages = []
+        for m in range(2):
+            iso = np.zeros_like(grid)
+            iso[:, m] = grid[:, m]
+            stages.append((iso, [k for k in keys if k.modes == (m,)]))
+        stages.append((grid, [k for k in keys if k.is_coupling]))
+    else:
+        stages = [(grid, keys)]
+    return [(points, v, ks) for (points, ks), v in zip(stages, values, strict=True)]
+
+
+@pytest.mark.parametrize("subtract_offset", [False, True])
+@pytest.mark.parametrize("strategy", ["hierarchical", "simultaneous"])
+def test_planned_learns_equal_staged_fit_on_the_same_values(monkeypatch, strategy, subtract_offset):
+    # acceptance test 6's spec and schedule, at its first ten master seeds
+    measured = []
+    measure = protocol._measure
+
+    def recorded(*args):
+        measured.append(measure(*args))
+        return measured[-1]
+
+    monkeypatch.setattr(protocol, "_measure", recorded)
+    eps_c = _TEST6_CFG.predicted_eps_c
+    for seed in range(10):
+        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=seed)
+        learned = _LEARNERS[strategy](dev, _TEST6_CFG, subtract_offset=subtract_offset)
+        offset, values, _ = measured[-1]
+        fits = staged_fit(_public_stages(strategy, values), offset)
+        assert learned.estimates == {k: v for fit in fits for k, v in fit.estimates.items()}
+        assert learned.stderr == {
+            k: math.sqrt(v) for fit in fits for k, v in fit.coefficient_variances(eps_c).items()
+        }
+        residuals = list(learned.diagnostics["max_residual"].values())
+        assert residuals == [fit.max_residual for fit in fits]
+
+
+def test_two_hierarchical_learns_decompose_each_design_once(monkeypatch):
+    protocol._strategy_plan.cache_clear()
+    single_mode_pipeline(2)  # the per-mode grid's own pipeline, cached apart
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(args) or svd(*args, **kw))
+    for seed in (1, 2):
+        learn_multimode_hierarchical(
+            SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=seed), 2, 2, _TEST6_CFG
+        )
+    assert len(calls) == 3  # the stages s0, s1 and j, once each
+
+
+@pytest.mark.parametrize("subtract_offset", [False, True])
+@pytest.mark.parametrize("strategy", ["hierarchical", "simultaneous"])
+def test_the_cached_plan_is_read_only(strategy, subtract_offset):
+    dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT)
+    _LEARNERS[strategy](dev, _TEST6_CFG, subtract_offset=subtract_offset)
+    stages, plan = protocol._strategy_plan(strategy, 2, 2, 0.2, 1.0, subtract_offset)
+    assert all(isinstance(keys, tuple) for _, _, keys in stages)
+    arrays = [points for _, points, _ in stages]
+    for stage in plan:
+        arrays += [stage.design, stage.pinv, stage.linear_map, *stage.prior_designs]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("strategy", ["hierarchical", "simultaneous"])
+def test_what_a_caller_does_to_a_learn_cannot_reach_the_next(strategy):
+    def learn():
+        dev = SimulatedDevice(MULTI_SPEC, MULTI_CUT, master_seed=3)
+        return _LEARNERS[strategy](dev, _TEST6_CFG, subtract_offset=True)
+
+    first = learn()
+    expected = (dict(first.estimates), dict(first.stderr), dict(first.diagnostics["max_residual"]))
+    for mapping in (first.estimates, first.stderr, first.diagnostics["max_residual"]):
+        for key in mapping:
+            mapping[key] = 99.0
+    first.diagnostics["max_residual"].clear()
+    grid = joint_grid(2, 2)
+    assert grid.flags.writeable
+    grid *= 3.0
+    admissible_keys(2, 2).clear()
+    again = learn()
+    assert (again.estimates, again.stderr, again.diagnostics["max_residual"]) == expected

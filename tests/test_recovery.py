@@ -11,10 +11,12 @@ from bosonlearn.oracles import angular_idft, predict_covariance, radial_fit
 from bosonlearn.protocol import joint_grid
 from bosonlearn.recovery import (
     angular_angles,
+    apply_staged_fit,
     chebyshev_nodes,
     covariance_compare,
     lipschitz_bound,
     params_to_coeffs,
+    plan_staged_fit,
     radial_design,
     real_design_matrix,
     real_parameters,
@@ -311,6 +313,72 @@ def test_staged_fit_variances_match_dense_propagation():
     x2, *_ = np.linalg.lstsq(phi2, residual, rcond=None)
     np.testing.assert_allclose(fits[-1].x, x2, rtol=1e-12)
 
+
+
+def _one_pass_staged_fit(stages, offset):
+    """staged_fit as one loop that builds each stage's design, SVD and map
+    where it fits the stage: the reference the planned fit reproduces bit
+    for bit.  Returns per stage (x, estimates, linear_map, max_residual,
+    variance weights)."""
+    first = 0 if offset is None else 1
+    n_values = first + sum(len(points) for points, _, _ in stages)
+    done = []
+    for points, values, keys in stages:
+        params = real_parameters(keys)
+        design = real_design_matrix(points, params)
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        pinv = (vt.T / s) @ u.T
+        y = np.array(values, dtype=float)
+        linear_map = np.zeros((len(params), n_values))
+        linear_map[:, first : first + len(points)] = pinv
+        if offset is not None:
+            y -= offset
+            linear_map[:, 0] = -pinv.sum(axis=1)
+        for prior_params, prior_x, prior_map in done:
+            prior_design = real_design_matrix(points, prior_params)
+            y -= prior_design @ prior_x
+            linear_map -= (pinv @ prior_design) @ prior_map
+        x = pinv @ y
+        residual = float(np.max(np.abs(y - design @ x)))
+        done.append((params, x, linear_map))
+        yield x, params_to_coeffs(params, x), linear_map, residual, [float(r @ r) for r in linear_map]
+        first += len(points)
+
+
+@pytest.mark.parametrize("with_offset", [False, True])
+@pytest.mark.parametrize("modes,d", [(2, 2), (2, 3), (3, 2)])
+def test_planned_staged_fit_is_bit_identical_to_a_one_pass_fit(modes, d, with_offset):
+    rng = np.random.default_rng(10 * modes + d)
+    n_values = 1 + (modes + 1) * len(joint_grid(modes, d))
+    offset, stages = _hierarchical_stages(modes, d, rng.normal(size=n_values))
+    offset = offset if with_offset else None
+    fits = staged_fit(stages, offset)
+    for fit, (x, estimates, linear_map, residual, weights) in zip(
+        fits, _one_pass_staged_fit(stages, offset), strict=True
+    ):
+        assert np.array_equal(fit.x, x)
+        assert fit.estimates == estimates
+        assert np.array_equal(fit.linear_map, linear_map)
+        assert fit.max_residual == residual
+        assert list(fit.stage.weights) == weights
+
+
+def test_a_plan_serves_many_value_sets_and_is_read_only():
+    rng = np.random.default_rng(8)
+    n_values = 1 + 3 * len(joint_grid(2, 2))
+    offset, stages = _hierarchical_stages(2, 2, np.zeros(n_values))
+    plan = plan_staged_fit([(points, keys) for points, _, keys in stages], with_offset=True)
+    for _ in range(3):
+        offset, stages = _hierarchical_stages(2, 2, rng.normal(size=n_values))
+        planned = apply_staged_fit(plan, [values for _, values, _ in stages], offset)
+        for fit, expected in zip(planned, staged_fit(stages, offset), strict=True):
+            assert np.array_equal(fit.x, expected.x)
+            assert fit.coefficient_variances(0.02) == expected.coefficient_variances(0.02)
+    for stage in plan:
+        for array in (stage.design, stage.pinv, stage.linear_map, *stage.prior_designs):
+            assert not array.flags.writeable
+    with pytest.raises(ValueError, match="offset"):
+        apply_staged_fit(plan, [values for _, values, _ in stages], None)
 
 @pytest.mark.parametrize("modes,d", [(2, 2), (2, 3), (3, 2)])
 def test_isolated_single_design_is_its_joint_design(modes, d):
